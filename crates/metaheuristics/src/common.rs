@@ -3,7 +3,8 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use vlsi_netlist::CellId;
-use vlsi_place::cost::CostBreakdown;
+use vlsi_place::cost::{CostBreakdown, CostEvaluator};
+use vlsi_place::kernel::{NetLengthCache, TrialScorer};
 use vlsi_place::layout::{Placement, Slot};
 
 /// The two classical standard-cell placement moves used by SA, GA mutation
@@ -46,6 +47,36 @@ pub fn apply_move(placement: &mut Placement, mv: MoveKind) -> MoveKind {
             placement.move_cell(cell, slot);
             undo
         }
+    }
+}
+
+/// Full evaluation of an evolving placement through the incremental kernel:
+/// after a move only the nets touching the rows it changed are re-measured
+/// (allocation-free), and the cost is folded by
+/// [`CostEvaluator::evaluate_from_lengths`]. Bitwise identical to
+/// [`CostEvaluator::evaluate`], which stays the oracle.
+#[derive(Debug, Clone)]
+pub(crate) struct CostCache {
+    lengths: NetLengthCache,
+    scorer: TrialScorer,
+}
+
+impl CostCache {
+    pub(crate) fn new(evaluator: &CostEvaluator) -> Self {
+        CostCache {
+            lengths: NetLengthCache::new(),
+            scorer: TrialScorer::for_evaluator(evaluator),
+        }
+    }
+
+    /// The cost of `placement`, equal to `evaluator.evaluate(placement)`.
+    pub(crate) fn evaluate(
+        &mut self,
+        evaluator: &CostEvaluator,
+        placement: &Placement,
+    ) -> CostBreakdown {
+        let lengths = self.lengths.refresh(evaluator, &mut self.scorer, placement);
+        evaluator.evaluate_from_lengths(placement, lengths)
     }
 }
 
@@ -115,6 +146,40 @@ mod tests {
         apply_move(&mut p, undo);
         p.validate(&nl).unwrap();
         assert_eq!((p.row_of(a), p.row_of(b)), rows_before);
+    }
+
+    #[test]
+    fn cost_cache_matches_the_oracle_bitwise() {
+        // Across a random move/undo sequence (the SA/TS probing pattern)
+        // and a switch to a fresh placement object (a GA decode or an
+        // adopted migrant), the cached evaluation must equal the
+        // allocating oracle to the bit.
+        use std::sync::Arc;
+        use vlsi_place::cost::Objectives;
+        let (nl, mut p) = placement();
+        let nl = Arc::new(nl);
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        for objectives in [
+            Objectives::WirelengthPower,
+            Objectives::WirelengthPowerDelay,
+        ] {
+            let eval = CostEvaluator::new(Arc::clone(&nl), objectives);
+            let mut cost = CostCache::new(&eval);
+            for step in 0..120 {
+                let mv = neighbour_move(&p, &mut rng);
+                let undo = apply_move(&mut p, mv);
+                if step % 3 == 0 {
+                    apply_move(&mut p, undo);
+                }
+                if step % 40 == 39 {
+                    p = p.clone();
+                }
+                let cached = cost.evaluate(&eval, &p);
+                let oracle = eval.evaluate(&p);
+                assert_eq!(format!("{cached:?}"), format!("{oracle:?}"), "step {step}");
+                assert_eq!(cached.mu.to_bits(), oracle.mu.to_bits(), "step {step}");
+            }
+        }
     }
 
     #[test]

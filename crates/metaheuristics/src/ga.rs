@@ -5,7 +5,7 @@
 //! order crossover (OX1), swap mutation and elitist replacement. Mirrors the
 //! serial level of the authors' distributed GA work \[8\].
 
-use crate::common::HeuristicResult;
+use crate::common::{CostCache, HeuristicResult};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -81,8 +81,8 @@ impl GeneticPlacer {
         Placement::from_order(self.evaluator.netlist(), self.config.num_rows, order)
     }
 
-    fn fitness(&self, order: &[CellId]) -> f64 {
-        self.evaluator.mu(&self.decode(order))
+    fn fitness(&self, cost: &mut CostCache, order: &[CellId]) -> f64 {
+        cost.evaluate(&self.evaluator, &self.decode(order)).mu
     }
 
     /// Order crossover (OX1) of two parent permutations.
@@ -148,6 +148,7 @@ impl GeneticPlacer {
     pub fn run(&self, initial: Placement) -> HeuristicResult {
         let netlist = self.evaluator.netlist().clone();
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
+        let mut cost = CostCache::new(&self.evaluator);
         let mut evaluations = 0usize;
 
         // Seed individual from the provided placement: row-major order.
@@ -157,14 +158,14 @@ impl GeneticPlacer {
 
         let mut population: Vec<Individual> = Vec::with_capacity(self.config.population);
         population.push(Individual {
-            mu: self.fitness(&seed_order),
+            mu: self.fitness(&mut cost, &seed_order),
             order: seed_order,
         });
         evaluations += 1;
         while population.len() < self.config.population {
             let mut order: Vec<CellId> = netlist.cell_ids().collect();
             order.shuffle(&mut rng);
-            let mu = self.fitness(&order);
+            let mu = self.fitness(&mut cost, &order);
             evaluations += 1;
             population.push(Individual { order, mu });
         }
@@ -186,7 +187,7 @@ impl GeneticPlacer {
             let pb = pick(&mut rng, &population);
             let mut child = self.crossover(&population[pa].order, &population[pb].order, &mut rng);
             self.mutate(&mut child, &mut rng);
-            let mu = self.fitness(&child);
+            let mu = self.fitness(&mut cost, &child);
             evaluations += 1;
 
             // Elitist steady-state replacement: replace the worst individual
@@ -213,7 +214,7 @@ impl GeneticPlacer {
             .max_by(|a, b| a.mu.partial_cmp(&b.mu).expect("finite"))
             .expect("population is non-empty");
         let best_placement = self.decode(&best.order);
-        let best_cost = self.evaluator.evaluate(&best_placement);
+        let best_cost = cost.evaluate(&self.evaluator, &best_placement);
 
         HeuristicResult {
             best_placement,

@@ -22,7 +22,7 @@
 //! TS. [`Optimizer::step`] reports the work the epoch performed as an
 //! [`EpochWork`] so a driver can price it on a modeled machine.
 
-use crate::common::{apply_move, neighbour_move, MoveKind};
+use crate::common::{apply_move, neighbour_move, CostCache, MoveKind};
 use crate::ga::{GaConfig, GeneticPlacer};
 use crate::sa::{acceptance_probability, SaConfig, SimulatedAnnealingPlacer};
 use crate::tabu::{TabuConfig, TabuList, TabuSearchPlacer};
@@ -75,6 +75,7 @@ pub trait Optimizer: Send {
 /// (`moves_per_temperature` moves, then geometric cooling).
 pub struct SaIsland {
     evaluator: CostEvaluator,
+    cost: CostCache,
     config: SaConfig,
     rng: ChaCha8Rng,
     placement: Placement,
@@ -95,9 +96,11 @@ impl SaIsland {
     pub fn new(evaluator: CostEvaluator, config: SaConfig, initial: Placement) -> Self {
         // Route through the placer so the config validation lives once.
         let _ = SimulatedAnnealingPlacer::new(evaluator.clone(), config);
-        let current = evaluator.evaluate(&initial);
+        let mut cost = CostCache::new(&evaluator);
+        let current = cost.evaluate(&evaluator, &initial);
         SaIsland {
             evaluator,
+            cost,
             rng: ChaCha8Rng::seed_from_u64(config.seed),
             best_placement: initial.clone(),
             placement: initial,
@@ -122,7 +125,7 @@ impl Optimizer for SaIsland {
         for _ in 0..self.config.moves_per_temperature {
             let mv = neighbour_move(&self.placement, &mut self.rng);
             let undo = apply_move(&mut self.placement, mv);
-            let candidate = self.evaluator.evaluate(&self.placement);
+            let candidate = self.cost.evaluate(&self.evaluator, &self.placement);
             self.evaluations += 1;
             evals_this_epoch += 1;
             let delta = (1.0 - candidate.mu) - (1.0 - self.current.mu);
@@ -181,6 +184,7 @@ struct GaIndividual {
 pub struct GaIsland {
     placer: GeneticPlacer,
     evaluator: CostEvaluator,
+    cost: CostCache,
     config: GaConfig,
     rng: ChaCha8Rng,
     population: Vec<GaIndividual>,
@@ -198,6 +202,7 @@ impl GaIsland {
         let placer = GeneticPlacer::new(evaluator.clone(), config);
         let netlist = evaluator.netlist().clone();
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
+        let mut cost = CostCache::new(&evaluator);
         let mut evaluations = 0usize;
 
         let decode = |order: &[CellId]| Placement::from_order(&netlist, config.num_rows, order);
@@ -206,14 +211,14 @@ impl GaIsland {
             .collect();
         let mut population = Vec::with_capacity(config.population);
         population.push(GaIndividual {
-            mu: evaluator.mu(&decode(&seed_order)),
+            mu: cost.evaluate(&evaluator, &decode(&seed_order)).mu,
             order: seed_order,
         });
         evaluations += 1;
         while population.len() < config.population {
             let mut order: Vec<CellId> = netlist.cell_ids().collect();
             order.shuffle(&mut rng);
-            let mu = evaluator.mu(&decode(&order));
+            let mu = cost.evaluate(&evaluator, &decode(&order)).mu;
             evaluations += 1;
             population.push(GaIndividual { order, mu });
         }
@@ -225,10 +230,11 @@ impl GaIsland {
             .map(|(i, _)| i)
             .expect("population is non-empty");
         let best_placement = decode(&population[best_ix].order);
-        let best = evaluator.evaluate(&best_placement);
+        let best = cost.evaluate(&evaluator, &best_placement);
         GaIsland {
             placer,
             evaluator,
+            cost,
             config,
             rng,
             population,
@@ -246,7 +252,7 @@ impl GaIsland {
     fn consider_best(&mut self, order: &[CellId], mu: f64) {
         if mu > self.best.mu {
             self.best_placement = self.decode(order);
-            self.best = self.evaluator.evaluate(&self.best_placement);
+            self.best = self.cost.evaluate(&self.evaluator, &self.best_placement);
         }
     }
 }
@@ -276,7 +282,8 @@ impl Optimizer for GaIsland {
             &mut self.rng,
         );
         self.placer.mutate(&mut child, &mut self.rng);
-        let mu = self.evaluator.mu(&self.decode(&child));
+        let decoded = self.decode(&child);
+        let mu = self.cost.evaluate(&self.evaluator, &decoded).mu;
         self.evaluations += 1;
 
         let worst = self
@@ -314,7 +321,8 @@ impl Optimizer for GaIsland {
         let order: Vec<CellId> = (0..migrant.num_rows())
             .flat_map(|r| migrant.row(r).to_vec())
             .collect();
-        let mu = self.evaluator.mu(&self.decode(&order));
+        let decoded = self.decode(&order);
+        let mu = self.cost.evaluate(&self.evaluator, &decoded).mu;
         let worst = self
             .population
             .iter()
@@ -342,6 +350,7 @@ impl Optimizer for GaIsland {
 /// apply the winner).
 pub struct TabuIsland {
     evaluator: CostEvaluator,
+    cost: CostCache,
     config: TabuConfig,
     rng: ChaCha8Rng,
     placement: Placement,
@@ -357,8 +366,10 @@ impl TabuIsland {
     /// as [`TabuSearchPlacer::run`].
     pub fn new(evaluator: CostEvaluator, config: TabuConfig, initial: Placement) -> Self {
         let _ = TabuSearchPlacer::new(evaluator.clone(), config);
-        let current = evaluator.evaluate(&initial);
+        let mut cost = CostCache::new(&evaluator);
+        let current = cost.evaluate(&evaluator, &initial);
         TabuIsland {
+            cost,
             rng: ChaCha8Rng::seed_from_u64(config.seed),
             best_placement: initial.clone(),
             placement: initial,
@@ -388,7 +399,7 @@ impl Optimizer for TabuIsland {
                 MoveKind::Relocate(c, _) => vec![c],
             };
             let undo = apply_move(&mut self.placement, mv);
-            let candidate = self.evaluator.evaluate(&self.placement);
+            let candidate = self.cost.evaluate(&self.evaluator, &self.placement);
             self.evaluations += 1;
             evals_this_epoch += 1;
             apply_move(&mut self.placement, undo);
@@ -407,7 +418,7 @@ impl Optimizer for TabuIsland {
                 MoveKind::Relocate(c, _) => vec![c],
             };
             apply_move(&mut self.placement, mv);
-            self.current = self.evaluator.evaluate(&self.placement);
+            self.current = self.cost.evaluate(&self.evaluator, &self.placement);
             self.evaluations += 1;
             evals_this_epoch += 1;
             self.tabu.admit(&moved_cells);

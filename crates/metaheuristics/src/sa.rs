@@ -6,7 +6,7 @@
 //! implementation lineage \[11\] closely enough for the qualitative comparison
 //! of experiment E5.
 
-use crate::common::{apply_move, neighbour_move, HeuristicResult};
+use crate::common::{apply_move, neighbour_move, CostCache, HeuristicResult};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -116,8 +116,9 @@ impl SimulatedAnnealingPlacer {
     /// Runs SA from the given initial placement.
     pub fn run(&self, initial: Placement) -> HeuristicResult {
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
+        let mut cost = CostCache::new(&self.evaluator);
         let mut placement = initial;
-        let mut current = self.evaluator.evaluate(&placement);
+        let mut current = cost.evaluate(&self.evaluator, &placement);
         let mut best = current;
         let mut best_placement = placement.clone();
         let mut evaluations = 1usize;
@@ -128,7 +129,7 @@ impl SimulatedAnnealingPlacer {
             for _ in 0..self.config.moves_per_temperature {
                 let mv = neighbour_move(&placement, &mut rng);
                 let undo = apply_move(&mut placement, mv);
-                let candidate = self.evaluator.evaluate(&placement);
+                let candidate = cost.evaluate(&self.evaluator, &placement);
                 evaluations += 1;
                 let delta = (1.0 - candidate.mu) - (1.0 - current.mu);
                 // Short-circuit keeps the RNG stream identical to the

@@ -5,7 +5,7 @@
 //! it improves on the best solution found so far). Mirrors the structure of
 //! the authors' parallel TS work \[6\] at the serial level.
 
-use crate::common::{apply_move, neighbour_move, HeuristicResult, MoveKind};
+use crate::common::{apply_move, neighbour_move, CostCache, HeuristicResult, MoveKind};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -120,8 +120,9 @@ impl TabuSearchPlacer {
     /// Runs TS from the given initial placement.
     pub fn run(&self, initial: Placement) -> HeuristicResult {
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
+        let mut cost = CostCache::new(&self.evaluator);
         let mut placement = initial;
-        let mut current = self.evaluator.evaluate(&placement);
+        let mut current = cost.evaluate(&self.evaluator, &placement);
         let mut best = current;
         let mut best_placement = placement.clone();
         let mut evaluations = 1usize;
@@ -138,7 +139,7 @@ impl TabuSearchPlacer {
                     MoveKind::Relocate(c, _) => vec![c],
                 };
                 let undo = apply_move(&mut placement, mv);
-                let candidate = self.evaluator.evaluate(&placement);
+                let candidate = cost.evaluate(&self.evaluator, &placement);
                 evaluations += 1;
                 apply_move(&mut placement, undo);
 
@@ -157,7 +158,7 @@ impl TabuSearchPlacer {
                     MoveKind::Relocate(c, _) => vec![c],
                 };
                 apply_move(&mut placement, mv);
-                current = self.evaluator.evaluate(&placement);
+                current = cost.evaluate(&self.evaluator, &placement);
                 evaluations += 1;
                 tabu.admit(&moved_cells);
                 if current.mu > best.mu {

@@ -53,15 +53,18 @@ pub struct AllocScratch {
     /// The allocation-free trial scorer (shared with the engine's evaluation
     /// step, which uses it to refresh the net-length cache).
     pub scorer: TrialScorer,
-    /// Deduplicated target rows for the current cell.
+    /// Allowed target rows of the current allocation call, deduplicated in
+    /// first-occurrence order (the exhaustive strategies' enumeration order).
     rows: Vec<usize>,
+    /// The same rows in ascending order (the nearest-row merge's input).
+    sorted_rows: Vec<usize>,
     /// Candidate slots for the current cell.
     candidates: Vec<Slot>,
     /// Connected-cell x coordinates (windowed search median).
     xs: Vec<f64>,
     /// Connected-cell y coordinates (windowed search median).
     ys: Vec<f64>,
-    /// Rows ordered by distance from the optimal y (windowed search).
+    /// Allowed rows nearest the optimal y, nearest first (windowed search).
     rows_by_distance: Vec<usize>,
     /// Per-cell snapshot buffers for the parallel prepare wave of
     /// [`allocate_all_on`] (reused across waves and calls).
@@ -72,8 +75,6 @@ pub struct AllocScratch {
     /// Per-row counting scratch for the summary-derived y median of the
     /// pruned windowed search (left all-zero between uses).
     row_merge: Vec<u32>,
-    /// `(distance, row)` top-k buffer of the pruned windowed row ordering.
-    row_dist: Vec<(f64, usize)>,
 }
 
 impl AllocScratch {
@@ -82,6 +83,7 @@ impl AllocScratch {
         AllocScratch {
             scorer: TrialScorer::for_evaluator(evaluator),
             rows: Vec::new(),
+            sorted_rows: Vec::new(),
             candidates: Vec::new(),
             xs: Vec::new(),
             ys: Vec::new(),
@@ -89,19 +91,18 @@ impl AllocScratch {
             prepared_cells: Vec::new(),
             row_step: Vec::new(),
             row_merge: Vec::new(),
-            row_dist: Vec::new(),
         }
     }
 
-    /// Fills `self.rows` with `allowed` (or every row when `allowed` is
-    /// empty), dropping duplicate entries while preserving first-occurrence
-    /// order. Duplicated allowed rows would otherwise emit the same
-    /// `(row, index)` candidate twice and double-charge the
-    /// `net_evaluations` / `trial_positions` work counts.
-    fn fill_rows(&mut self, placement: &Placement, allowed: &[usize]) {
+    /// Sets the allowed rows of one allocation call: `allowed` (or every
+    /// row when `allowed` is empty) with duplicate entries dropped, once in
+    /// first-occurrence order and once ascending. Duplicated allowed rows
+    /// would otherwise emit the same `(row, index)` candidate twice and
+    /// double-charge the `net_evaluations` / `trial_positions` work counts.
+    fn set_allowed_rows(&mut self, num_rows: usize, allowed: &[usize]) {
         self.rows.clear();
         if allowed.is_empty() {
-            self.rows.extend(0..placement.num_rows());
+            self.rows.extend(0..num_rows);
         } else {
             for &row in allowed {
                 if !self.rows.contains(&row) {
@@ -109,6 +110,8 @@ impl AllocScratch {
                 }
             }
         }
+        self.sorted_rows.clone_from(&self.rows);
+        self.sorted_rows.sort_unstable();
     }
 }
 
@@ -268,21 +271,13 @@ pub fn allocate_cell_on<R: Rng + ?Sized>(
     rng: &mut R,
     ctx: &EvalContext<'_>,
 ) -> AllocationStats {
-    allocate_cell_inner(
-        evaluator,
-        scratch,
-        placement,
-        cell,
-        config,
-        allowed_rows,
-        rng,
-        ctx,
-        None,
-    )
+    scratch.set_allowed_rows(placement.num_rows(), allowed_rows);
+    allocate_cell_inner(evaluator, scratch, placement, cell, config, rng, ctx, None)
 }
 
-/// The shared body of [`allocate_cell_on`] and the wave path of
-/// [`allocate_all_on`]. When `snapshot` is `Some`, the cell's per-net
+/// The shared body of [`allocate_cell_on`] and [`allocate_all_on`]; the
+/// caller has set the allowed rows in `scratch` (once per call, not per
+/// cell). When `snapshot` is `Some`, the cell's per-net
 /// summaries were already built (on a worker thread, against the exact
 /// placement state this call observes — the caller is responsible for
 /// staleness) and trial slots are scored through the snapshot instead of
@@ -294,15 +289,12 @@ fn allocate_cell_inner<R: Rng + ?Sized>(
     placement: &mut Placement,
     cell: CellId,
     config: &AllocationConfig,
-    allowed_rows: &[usize],
     rng: &mut R,
     ctx: &EvalContext<'_>,
     snapshot: Option<&PreparedCell>,
 ) -> AllocationStats {
     let nets_of_cell = evaluator.netlist().nets_of_cell(cell).len();
     let stride = config.trial_stride.max(1);
-
-    scratch.fill_rows(placement, allowed_rows);
 
     // One pass over the cell's pins up front; every candidate slot below is
     // then scored from the per-net summaries in O(distinct rows). A wave
@@ -585,13 +577,13 @@ fn scan_candidates(
 /// coordinate in the allowed rows closest to the optimal row, capped at
 /// `config.best_fit_window` slots in total.
 ///
-/// With `config.bound_pruning` the optimal position comes straight from the
-/// prepared per-net summaries (one CSR walk, already performed) instead of a
-/// fresh gather-and-sort, the nearest rows from a top-k pass that evaluates
-/// each row distance once, and the per-row insertion index from a binary
-/// search over the rows' exact cached left edges — all bitwise identical to
-/// the legacy path, which is kept verbatim as the `false` branch (the A/B
-/// baseline).
+/// The nearest rows come from one outward merge over the sorted allowed
+/// rows ([`nearest_rows`]). With `config.bound_pruning` the optimal position
+/// comes straight from the prepared per-net summaries (one CSR walk, already
+/// performed) instead of a fresh gather-and-sort, and the per-row insertion
+/// index from a binary search over the rows' exact cached left edges — both
+/// bitwise identical to the legacy path, which is kept as the `false` branch
+/// (the A/B baseline).
 fn windowed_candidates(
     evaluator: &CostEvaluator,
     placement: &Placement,
@@ -601,17 +593,15 @@ fn windowed_candidates(
     snapshot: Option<&PreparedCell>,
 ) {
     let netlist = evaluator.netlist();
-    let keep_rows = config.best_fit_rows.max(1);
 
     let AllocScratch {
         scorer,
-        rows,
+        sorted_rows,
         candidates,
         xs,
         ys,
         rows_by_distance,
         row_merge,
-        row_dist,
         ..
     } = scratch;
 
@@ -645,43 +635,15 @@ fn windowed_candidates(
         }
     };
 
-    // Rows nearest the optimal y, limited to `best_fit_rows`. `scratch.rows`
-    // is already deduplicated, so the per-row windows below cannot emit the
+    // Rows nearest the optimal y, limited to `best_fit_rows`. The allowed
+    // rows are deduplicated, so the per-row windows below cannot emit the
     // same slot twice.
-    rows_by_distance.clear();
-    if config.bound_pruning {
-        // Top-k insertion under the same (distance, row) total order as the
-        // legacy sort+truncate: identical rows in identical order, but each
-        // row's distance is evaluated once instead of per comparison.
-        row_dist.clear();
-        for &row in rows.iter() {
-            let d = ((row as f64 + 0.5) * row_height() - opt_y).abs();
-            let mut pos = row_dist.len();
-            while pos > 0 {
-                let (pd, pr) = row_dist[pos - 1];
-                if d < pd || (d == pd && row < pr) {
-                    pos -= 1;
-                } else {
-                    break;
-                }
-            }
-            if pos < keep_rows {
-                if row_dist.len() == keep_rows {
-                    row_dist.pop();
-                }
-                row_dist.insert(pos, (d, row));
-            }
-        }
-        rows_by_distance.extend(row_dist.iter().map(|&(_, row)| row));
-    } else {
-        rows_by_distance.extend_from_slice(rows);
-        rows_by_distance.sort_by(|&a, &b| {
-            let da = ((a as f64 + 0.5) * row_height() - opt_y).abs();
-            let db = ((b as f64 + 0.5) * row_height() - opt_y).abs();
-            da.partial_cmp(&db).expect("finite").then(a.cmp(&b))
-        });
-        rows_by_distance.truncate(keep_rows);
-    }
+    nearest_rows(
+        sorted_rows,
+        opt_y,
+        config.best_fit_rows.max(1),
+        rows_by_distance,
+    );
 
     let per_row = (config.best_fit_window.max(1) / rows_by_distance.len()).max(1);
     for &row in rows_by_distance.iter() {
@@ -697,16 +659,15 @@ fn windowed_candidates(
             // winner is that boundary or its left neighbour — ties and
             // bit-equal plateaus (zero-width cells) resolve to the smallest
             // index, exactly the legacy scan's first-wins rule.
-            let left_edge = |c: CellId| placement.x_of(c) - netlist.cell(c).width as f64 / 2.0;
             let end_edge = placement.row_extent(row);
             let boundary = |i: usize| {
                 if i < len {
-                    left_edge(cells_in_row[i])
+                    placement.left_edge(cells_in_row[i])
                 } else {
                     end_edge
                 }
             };
-            let j = cells_in_row.partition_point(|&c| left_edge(c) < opt_x);
+            let j = cells_in_row.partition_point(|&c| placement.left_edge(c) < opt_x);
             let jb = if j == len && end_edge < opt_x {
                 len + 1
             } else {
@@ -737,8 +698,7 @@ fn windowed_candidates(
             let mut best_index = len;
             let mut best_dist = f64::INFINITY;
             for (i, &c) in cells_in_row.iter().enumerate() {
-                let x = placement.x_of(c) - netlist.cell(c).width as f64 / 2.0;
-                let d = (x - opt_x).abs();
+                let d = (placement.left_edge(c) - opt_x).abs();
                 if d < best_dist {
                     best_dist = d;
                     best_index = i;
@@ -758,6 +718,39 @@ fn windowed_candidates(
         }
     }
     candidates.truncate(config.best_fit_window.max(1));
+}
+
+/// Writes the (at most) `k` rows of `sorted_rows` (ascending, duplicate-free)
+/// nearest to `opt_y` into `out`, in ascending `(distance, row)` order —
+/// the prefix a full sort by that key would produce. Row centres increase
+/// with the row index, so distances fall up to the first row centred at or
+/// above `opt_y` and rise after it. Walking outward from that split, two
+/// rows on one side never tie (distinct rows sit at least a row height
+/// apart), and a tie across the split goes to the left, smaller row — the
+/// sort's tie-break. O(k + log n) per cell instead of a pass over every
+/// allowed row.
+fn nearest_rows(sorted_rows: &[usize], opt_y: f64, k: usize, out: &mut Vec<usize>) {
+    out.clear();
+    let centre = |row: usize| (row as f64 + 0.5) * row_height();
+    let mut hi = sorted_rows.partition_point(|&row| centre(row) < opt_y);
+    let mut lo = hi;
+    while out.len() < k {
+        let take_left = match (lo.checked_sub(1), sorted_rows.get(hi)) {
+            (None, None) => break,
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (Some(left), Some(&right)) => {
+                (centre(sorted_rows[left]) - opt_y).abs() <= (centre(right) - opt_y).abs()
+            }
+        };
+        if take_left {
+            lo -= 1;
+            out.push(sorted_rows[lo]);
+        } else {
+            out.push(sorted_rows[hi]);
+            hi += 1;
+        }
+    }
 }
 
 /// Row height re-exported for the windowed candidate search (kept here so the
@@ -829,6 +822,7 @@ pub fn allocate_all_on<R: Rng + ?Sized>(
     for &cell in selected.iter() {
         placement.remove_cell(cell);
     }
+    scratch.set_allowed_rows(placement.num_rows(), allowed_rows);
     let mut stats = AllocationStats::default();
     let wave = match ctx.fan_out() {
         // Waves only pay off where the per-cell trial loop stays serial; the
@@ -888,7 +882,6 @@ pub fn allocate_all_on<R: Rng + ?Sized>(
                     placement,
                     cell,
                     config,
-                    allowed_rows,
                     rng,
                     ctx,
                     fresh.then_some(&prepared[i]),
@@ -903,16 +896,8 @@ pub fn allocate_all_on<R: Rng + ?Sized>(
         scratch.row_step = row_step;
     } else {
         for &cell in selected.iter() {
-            let s = allocate_cell_on(
-                evaluator,
-                scratch,
-                placement,
-                cell,
-                config,
-                allowed_rows,
-                rng,
-                ctx,
-            );
+            let s =
+                allocate_cell_inner(evaluator, scratch, placement, cell, config, rng, ctx, None);
             stats.merge(&s);
         }
     }
@@ -1202,6 +1187,69 @@ mod tests {
             );
             assert_eq!(clean.net_evaluations, dup.net_evaluations);
             assert_eq!(slot_clean, slot_dup, "{strategy:?}: same best slot");
+        }
+    }
+
+    #[test]
+    fn nearest_rows_matches_the_sort_by_distance_then_row() {
+        // Differential: the outward merge must return exactly the rows, in
+        // exactly the order, of deduplicating the allowed list, sorting it
+        // by (distance to opt_y, row) and truncating to k.
+        let oracle = |allowed: &[usize], num_rows: usize, opt_y: f64, k: usize| {
+            let mut rows: Vec<usize> = Vec::new();
+            if allowed.is_empty() {
+                rows.extend(0..num_rows);
+            } else {
+                for &row in allowed {
+                    if !rows.contains(&row) {
+                        rows.push(row);
+                    }
+                }
+            }
+            let dist = |r: usize| ((r as f64 + 0.5) * row_height() - opt_y).abs();
+            rows.sort_by(|&a, &b| dist(a).partial_cmp(&dist(b)).unwrap().then(a.cmp(&b)));
+            rows.truncate(k);
+            rows
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(12);
+        let num_rows = 23;
+        let mut scratch = AllocScratch::for_evaluator(&setup().0);
+        let mut out = Vec::new();
+        for case in 0..2000 {
+            let allowed: Vec<usize> = match case % 4 {
+                // Full layout.
+                0 => Vec::new(),
+                // Unsorted distinct rows.
+                1 => {
+                    let mut rows: Vec<usize> = (0..num_rows).collect();
+                    rows.shuffle(&mut rng);
+                    rows.truncate(rng.gen_range(1..num_rows));
+                    rows
+                }
+                // Duplicated rows.
+                2 => (0..rng.gen_range(1..12))
+                    .map(|_| rng.gen_range(0..num_rows))
+                    .collect(),
+                // A single row.
+                _ => vec![rng.gen_range(0..num_rows)],
+            };
+            // Lattice centres (the engine's case), exact midpoints between
+            // rows (cross-split ties) and arbitrary values, in and outside
+            // the layout.
+            let span = (num_rows as f64 + 4.0) * row_height();
+            let opt_y = match case % 3 {
+                0 => (rng.gen_range(0..num_rows) as f64 + 0.5) * row_height(),
+                1 => rng.gen_range(0..=num_rows) as f64 * row_height(),
+                _ => rng.gen::<f64>() * span - 2.0 * row_height(),
+            };
+            let k = rng.gen_range(1..6);
+            scratch.set_allowed_rows(num_rows, &allowed);
+            nearest_rows(&scratch.sorted_rows, opt_y, k, &mut out);
+            assert_eq!(
+                out,
+                oracle(&allowed, num_rows, opt_y, k),
+                "allowed {allowed:?}, opt_y {opt_y}, k {k}"
+            );
         }
     }
 

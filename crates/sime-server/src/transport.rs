@@ -94,10 +94,18 @@ pub fn serve_tcp<A: ToSocketAddrs>(
             // happened to unblock the loop (or is a late client).
             return Ok(());
         }
+        // Events are small lines written as they happen; without NODELAY,
+        // Nagle's algorithm holds each one back until the client's delayed
+        // ACK (~40 ms) for the previous write arrives.
+        let _ = stream.set_nodelay(true);
         let server = Arc::clone(&server);
         std::thread::spawn(move || {
-            let reader = BufReader::new(stream.try_clone().expect("clone TCP stream"));
-            if serve_connection(server, reader, stream) {
+            // A stream that cannot be split into reader and writer is
+            // dropped, which closes the connection; the server carries on.
+            let Ok(read_half) = stream.try_clone() else {
+                return;
+            };
+            if serve_connection(server, BufReader::new(read_half), stream) {
                 // Unblock the accept loop so it can observe the drain.
                 let _ = TcpStream::connect(local);
             }

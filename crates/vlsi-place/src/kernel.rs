@@ -28,8 +28,8 @@
 //! # Cache invalidation invariants
 //!
 //! [`NetLengthCache::refresh`] is exact as long as cell coordinates only
-//! change through [`Placement`] methods (which funnel every mutation through
-//! a row rebuild that bumps the row's epoch):
+//! change through [`Placement`] methods (each of which bumps the epoch of
+//! every row it changes):
 //!
 //! * cached entries are keyed on [`Placement::uid`]; evaluating a *different*
 //!   placement object (including clones, which take a fresh uid) triggers a

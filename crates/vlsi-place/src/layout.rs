@@ -92,7 +92,8 @@ impl std::error::Error for PlacementError {}
 /// A legal row-based placement of all cells of a netlist.
 ///
 /// The structure keeps per-cell cached coordinates so that cost evaluation is
-/// cheap; the caches are refreshed for a whole row whenever that row changes.
+/// cheap; a mutation updates the changed part of a row's caches (a suffix
+/// shift, or a suffix repack on rows with blocked spans).
 /// Note: deliberately **not** `Serialize`/`Deserialize`. The `uid` field
 /// must be unique per live object (incremental caches key on it), so a
 /// derived round-trip that restored a stored uid verbatim could alias two
@@ -103,13 +104,9 @@ impl std::error::Error for PlacementError {}
 pub struct Placement {
     /// Cells of each row, in left-to-right order.
     rows: Vec<Vec<CellId>>,
-    /// Row of each cell.
-    cell_row: Vec<u32>,
-    /// Cached ordinal index of each cell within its row (maintained by
-    /// [`Placement::rebuild_row_x`], which already walks the row).
-    cell_index: Vec<u32>,
-    /// Cached centre x coordinate of each cell.
-    cell_x: Vec<f64>,
+    /// Cached coordinates of each cell (centre x, row, ordinal in the row),
+    /// one record per cell so a row update touches one cache line per cell.
+    coords: Vec<CellCoord>,
     /// Cached width of each cell (copied from the netlist to avoid lookups).
     cell_width: Vec<u32>,
     /// Total movable width of each row (fixed cells are not row members).
@@ -128,7 +125,7 @@ pub struct Placement {
     /// incremental caches keyed on a placement never confuse two objects that
     /// share a mutation history (e.g. per-rank clones in Type II).
     uid: u64,
-    /// Monotone mutation counter; bumped on every row rebuild.
+    /// Monotone mutation counter; bumped once per mutated row.
     epoch: u64,
     /// For each row, the `epoch` at which it last changed. An incremental
     /// cost cache is valid for a row iff it has seen this epoch.
@@ -139,9 +136,7 @@ impl Clone for Placement {
     fn clone(&self) -> Self {
         Placement {
             rows: self.rows.clone(),
-            cell_row: self.cell_row.clone(),
-            cell_index: self.cell_index.clone(),
-            cell_x: self.cell_x.clone(),
+            coords: self.coords.clone(),
             cell_width: self.cell_width.clone(),
             row_width: self.row_width.clone(),
             fixed: self.fixed.clone(),
@@ -188,11 +183,10 @@ impl Placement {
                 .min_by_key(|&r| p.row_width[r])
                 .expect("num_rows > 0");
             p.rows[row].push(cell);
-            p.cell_row[cell.index()] = row as u32;
             p.row_width[row] += p.cell_width[cell.index()] as u64;
         }
         for r in 0..num_rows {
-            p.rebuild_row_x(r);
+            p.rebuild_row_x_from(r, 0);
         }
         p
     }
@@ -211,9 +205,7 @@ impl Placement {
             .sum();
         let mut p = Placement {
             rows: vec![Vec::with_capacity(n / num_rows + 1); num_rows],
-            cell_row: vec![0; n],
-            cell_index: vec![0; n],
-            cell_x: vec![0.0; n],
+            coords: vec![CellCoord::default(); n],
             cell_width: netlist.cells().iter().map(|c| c.width).collect(),
             row_width: vec![0; num_rows],
             fixed: netlist.cells().iter().map(|c| c.fixed).collect(),
@@ -224,9 +216,8 @@ impl Placement {
             epoch: 0,
             row_epoch: vec![0; num_rows],
         };
-        for (cell, cx, row) in positions {
-            p.cell_x[cell.index()] = cx;
-            p.cell_row[cell.index()] = row;
+        for (cell, x, row) in positions {
+            p.coords[cell.index()] = CellCoord { x, row, index: 0 };
         }
         p
     }
@@ -245,14 +236,9 @@ impl Placement {
         p.rows = rows;
         for r in 0..p.rows.len() {
             let cells = std::mem::take(&mut p.rows[r]);
-            let mut width = 0u64;
-            for &cell in &cells {
-                p.cell_row[cell.index()] = r as u32;
-                width += p.cell_width[cell.index()] as u64;
-            }
-            p.row_width[r] = width;
+            p.row_width[r] = cells.iter().map(|c| p.cell_width[c.index()] as u64).sum();
             p.rows[r] = cells;
-            p.rebuild_row_x(r);
+            p.rebuild_row_x_from(r, 0);
         }
         p
     }
@@ -265,7 +251,7 @@ impl Placement {
 
     /// Number of placed cells.
     pub fn num_cells(&self) -> usize {
-        self.cell_row.len()
+        self.coords.len()
     }
 
     /// The cells of a row in left-to-right order.
@@ -277,7 +263,7 @@ impl Placement {
     /// Row currently containing `cell`.
     #[inline]
     pub fn row_of(&self, cell: CellId) -> usize {
-        self.cell_row[cell.index()] as usize
+        self.coords[cell.index()].row as usize
     }
 
     /// Ordinal index of `cell` within its row. O(1): the ordinal is cached
@@ -286,7 +272,7 @@ impl Placement {
     /// allocation trial loop.
     #[inline]
     pub fn index_in_row(&self, cell: CellId) -> usize {
-        let idx = self.cell_index[cell.index()] as usize;
+        let idx = self.coords[cell.index()].index as usize;
         // Always-on fail-fast, like the linear scan this replaced: an
         // unplaced cell (e.g. a double remove_cell) must panic here, not
         // silently evict whichever cell sits at its stale cached ordinal.
@@ -311,16 +297,23 @@ impl Placement {
     /// [`Placement::position`], without recomputing the y coordinate).
     #[inline]
     pub fn x_of(&self, cell: CellId) -> f64 {
-        self.cell_x[cell.index()]
+        self.coords[cell.index()].x
+    }
+
+    /// Cached left edge of `cell` (`x_of - width / 2`). Cell widths are
+    /// integers, so this is an exact integer-valued double: the insertion
+    /// boundary in front of the cell, equal to the cumulative width sum on
+    /// rows without blocked spans.
+    #[inline]
+    pub fn left_edge(&self, cell: CellId) -> f64 {
+        self.coords[cell.index()].x - self.cell_width[cell.index()] as f64 / 2.0
     }
 
     /// Centre coordinates of `cell` in layout units.
     #[inline]
     pub fn position(&self, cell: CellId) -> (f64, f64) {
-        (
-            self.cell_x[cell.index()],
-            (self.cell_row[cell.index()] as f64 + 0.5) * ROW_HEIGHT,
-        )
+        let c = self.coords[cell.index()];
+        (c.x, (c.row as f64 + 0.5) * ROW_HEIGHT)
     }
 
     /// Total movable width of `row` (blocked spans and fixed cells excluded).
@@ -381,8 +374,9 @@ impl Placement {
         let slot = self.slot_of(cell);
         self.rows[slot.row].remove(slot.index);
         self.row_width[slot.row] -= self.cell_width[cell.index()] as u64;
-        // Cells left of the removal point keep their exact coordinates.
-        self.rebuild_row_x_from(slot.row, slot.index);
+        // The removed cell keeps its last coordinates (see
+        // `kernel::NetLengthCache` on ripped-up cells).
+        self.update_row(slot.row, slot.index, slot.index);
         slot
     }
 
@@ -399,10 +393,8 @@ impl Placement {
         );
         let index = slot.index.min(self.rows[slot.row].len());
         self.rows[slot.row].insert(index, cell);
-        self.cell_row[cell.index()] = slot.row as u32;
         self.row_width[slot.row] += self.cell_width[cell.index()] as u64;
-        // Cells left of the insertion point keep their exact coordinates.
-        self.rebuild_row_x_from(slot.row, index);
+        self.update_row(slot.row, index, index + 1);
     }
 
     /// Moves `cell` to `slot` (remove + insert).
@@ -428,19 +420,16 @@ impl Placement {
         let sb = self.slot_of(b);
         self.rows[sa.row][sa.index] = b;
         self.rows[sb.row][sb.index] = a;
-        self.cell_row[a.index()] = sb.row as u32;
-        self.cell_row[b.index()] = sa.row as u32;
-        let wa = self.cell_width[a.index()] as u64;
-        let wb = self.cell_width[b.index()] as u64;
-        if sa.row != sb.row {
+        if sa.row == sb.row {
+            let (lo, hi) = (sa.index.min(sb.index), sa.index.max(sb.index));
+            self.update_row(sa.row, lo, hi + 1);
+        } else {
+            let wa = self.cell_width[a.index()] as u64;
+            let wb = self.cell_width[b.index()] as u64;
             self.row_width[sa.row] = self.row_width[sa.row] - wa + wb;
             self.row_width[sb.row] = self.row_width[sb.row] - wb + wa;
-        }
-        if sa.row == sb.row {
-            self.rebuild_row_x_from(sa.row, sa.index.min(sb.index));
-        } else {
-            self.rebuild_row_x_from(sa.row, sa.index);
-            self.rebuild_row_x_from(sb.row, sb.index);
+            self.update_row(sa.row, sa.index, sa.index + 1);
+            self.update_row(sb.row, sb.index, sb.index + 1);
         }
     }
 
@@ -457,12 +446,7 @@ impl Placement {
         // the cell would overlap). Cell widths are integers, so every
         // centre/edge is an exact half-integer double and this matches a
         // from-scratch prefix-sum repack bit for bit.
-        let x = if index == 0 {
-            0.0
-        } else {
-            let prev = row[index - 1].index();
-            self.cell_x[prev] + self.cell_width[prev] as f64 / 2.0
-        };
+        let x = cursor_before(&self.coords, &self.cell_width, row, index);
         let w = self.cell_width[cell.index()] as f64;
         let x = next_free(&self.blocked[slot.row], x, w);
         (x + w / 2.0, (slot.row as f64 + 0.5) * ROW_HEIGHT)
@@ -477,9 +461,9 @@ impl Placement {
     /// Checks structural invariants against the netlist: every cell placed
     /// exactly once, bookkeeping consistent.
     pub fn validate(&self, netlist: &Netlist) -> Result<(), PlacementError> {
-        if self.cell_row.len() != netlist.num_cells() {
+        if self.coords.len() != netlist.num_cells() {
             return Err(PlacementError::CellCountMismatch {
-                placed: self.cell_row.len(),
+                placed: self.coords.len(),
                 expected: netlist.num_cells(),
             });
         }
@@ -494,10 +478,8 @@ impl Placement {
                     return Err(PlacementError::DuplicateCell(cell));
                 }
                 seen[cell.index()] = true;
-                if self.cell_row[cell.index()] as usize != r {
-                    return Err(PlacementError::InconsistentRow(cell));
-                }
-                if self.cell_index[cell.index()] as usize != i {
+                let coord = self.coords[cell.index()];
+                if coord.row as usize != r || coord.index as usize != i {
                     return Err(PlacementError::InconsistentRow(cell));
                 }
                 width += self.cell_width[cell.index()] as u64;
@@ -531,46 +513,114 @@ impl Placement {
     /// The epoch at which `row` last changed (monotone across the whole
     /// placement). Together with [`Placement::uid`] this is the invalidation
     /// signal for incremental net-length caches: a row's cells can only move
-    /// (x or y) through a row rebuild, which bumps this value.
+    /// (x or y) through a row mutation, which bumps this value.
     #[inline]
     pub fn row_epoch(&self, row: usize) -> u64 {
         self.row_epoch[row]
     }
 
-    /// Rebuilds the cached x coordinates and ordinals of every cell in `row`
-    /// and records the mutation in the row's epoch.
-    fn rebuild_row_x(&mut self, row: usize) {
-        self.rebuild_row_x_from(row, 0);
+    /// Re-derives the cached coordinates of `row` after a mutation that
+    /// rewrote its ordinals `start..end` (and possibly the row length), and
+    /// records the mutation in the row's epoch. Cells left of `start` keep
+    /// their coordinates.
+    ///
+    /// On a row without blocked spans the cells `start..end` are packed from
+    /// the left neighbour's right edge and every later cell moves by the
+    /// same distance, so the suffix is *shifted* rather than re-packed.
+    /// Cell widths are integers, so every left edge is an exact
+    /// integer-valued double and the shifted coordinates equal a
+    /// from-scratch prefix-sum repack bit for bit. A row with blocked spans
+    /// re-packs its whole suffix instead, because a shifted cell may newly
+    /// overlap (or clear) a span.
+    fn update_row(&mut self, row: usize, start: usize, end: usize) {
+        if !self.blocked[row].is_empty() {
+            self.rebuild_row_x_from(row, start);
+            return;
+        }
+        let cells = &self.rows[row];
+        let widths = &self.cell_width;
+        let coords = &mut self.coords;
+        let mut x = cursor_before(coords, widths, cells, start);
+        for (i, &cell) in cells.iter().enumerate().take(end).skip(start) {
+            let w = widths[cell.index()] as f64;
+            coords[cell.index()] = CellCoord {
+                x: x + w / 2.0,
+                row: row as u32,
+                index: i as u32,
+            };
+            x += w;
+        }
+        if let Some(&first) = cells.get(end) {
+            // The suffix moves as a block: its distance and ordinal offset
+            // are read off its first cell.
+            let old = coords[first.index()];
+            let shift = x - (old.x - widths[first.index()] as f64 / 2.0);
+            if shift != 0.0 || old.index as usize != end {
+                for (i, &cell) in cells.iter().enumerate().skip(end) {
+                    let coord = &mut coords[cell.index()];
+                    coord.x += shift;
+                    coord.index = i as u32;
+                }
+            }
+        }
+        self.row_extent[row] = self.row_width[row] as f64;
+        self.bump_epoch(row);
     }
 
-    /// Rebuilds the cached x coordinates and ordinals of `row` starting at
-    /// ordinal `start`, resuming from the (untouched) left neighbour's right
-    /// edge. Left edges are exact cumulative integer sums in doubles, so the
-    /// resumed prefix sum reproduces a from-zero rebuild bit for bit — this
-    /// is what lets every single-slot mutation repack only the row suffix.
-    /// Records the mutation in the row's epoch regardless of `start`.
+    /// Re-packs the cached coordinates of `row` from ordinal `start` on,
+    /// resuming from the (untouched) left neighbour's right edge and flowing
+    /// around blocked spans. Left edges are exact cumulative integer sums in
+    /// doubles, so the resumed prefix sum reproduces a from-zero rebuild bit
+    /// for bit. Records the mutation in the row's epoch regardless of
+    /// `start`.
     fn rebuild_row_x_from(&mut self, row: usize, start: usize) {
-        // Split borrows: the row list is read while the coordinate cache is
-        // written, so take the row out temporarily.
-        let cells = std::mem::take(&mut self.rows[row]);
+        let cells = &self.rows[row];
+        let widths = &self.cell_width;
+        let coords = &mut self.coords;
         let start = start.min(cells.len());
-        let mut x = if start == 0 {
-            0.0
-        } else {
-            let prev = cells[start - 1].index();
-            self.cell_x[prev] + self.cell_width[prev] as f64 / 2.0
-        };
+        let mut x = cursor_before(coords, widths, cells, start);
         for (i, &cell) in cells.iter().enumerate().skip(start) {
-            let w = self.cell_width[cell.index()] as f64;
+            let w = widths[cell.index()] as f64;
             let left = next_free(&self.blocked[row], x, w);
-            self.cell_x[cell.index()] = left + w / 2.0;
-            self.cell_index[cell.index()] = i as u32;
+            coords[cell.index()] = CellCoord {
+                x: left + w / 2.0,
+                row: row as u32,
+                index: i as u32,
+            };
             x = left + w;
         }
-        self.rows[row] = cells;
         self.row_extent[row] = x;
+        self.bump_epoch(row);
+    }
+
+    /// Records a mutation of `row` in the placement and row epochs.
+    fn bump_epoch(&mut self, row: usize) {
         self.epoch += 1;
         self.row_epoch[row] = self.epoch;
+    }
+}
+
+/// Cached coordinates of one cell. A removed cell keeps its last record.
+#[derive(Debug, Clone, Copy, Default)]
+struct CellCoord {
+    /// Centre x coordinate.
+    x: f64,
+    /// Row holding the cell.
+    row: u32,
+    /// Ordinal of the cell within its row.
+    index: u32,
+}
+
+/// The packing cursor in front of ordinal `index` of a row's `cells`: the
+/// right edge of the cell at `index - 1`, or 0 at the row start.
+#[inline]
+fn cursor_before(coords: &[CellCoord], widths: &[u32], cells: &[CellId], index: usize) -> f64 {
+    match index.checked_sub(1) {
+        None => 0.0,
+        Some(prev) => {
+            let prev = cells[prev].index();
+            coords[prev].x + widths[prev] as f64 / 2.0
+        }
     }
 }
 

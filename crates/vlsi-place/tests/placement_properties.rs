@@ -4,8 +4,8 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
-use vlsi_netlist::generator::{CircuitGenerator, GeneratorConfig};
-use vlsi_netlist::Netlist;
+use vlsi_netlist::generator::{CircuitGenerator, GeneratorConfig, MixedSizeSpec};
+use vlsi_netlist::{CellId, Netlist};
 use vlsi_place::prelude::*;
 use vlsi_place::wirelength::{hpwl, single_trunk_steiner};
 use vlsi_place::FuzzyConfig;
@@ -17,8 +17,132 @@ fn arb_netlist() -> impl Strategy<Value = (Arc<Netlist>, u64)> {
     })
 }
 
+/// A fixed-free circuit, or (`mixed`) one with a pad ring and multi-row
+/// macros, whose placements have blocked spans.
+fn arb_maybe_mixed_netlist() -> impl Strategy<Value = (Arc<Netlist>, u64, bool)> {
+    (80usize..260, any::<u64>(), any::<bool>()).prop_map(|(cells, seed, mixed)| {
+        let mut cfg = GeneratorConfig::sized(format!("prop_rows_{seed}"), cells, seed);
+        if mixed {
+            cfg = cfg.with_mixed(MixedSizeSpec {
+                num_macros: 3,
+                macro_height: 3,
+                pad_ring: true,
+            });
+        }
+        (Arc::new(CircuitGenerator::new(cfg).generate()), seed, mixed)
+    })
+}
+
+/// Asserts that every cached coordinate of `p` equals a from-scratch
+/// `Placement::from_rows` rebuild of its row lists bit for bit. `removed`
+/// is a ripped-up cell, whose stale coordinates the rebuild does not know.
+fn assert_matches_rebuild(netlist: &Netlist, p: &Placement, removed: Option<CellId>) {
+    let rows: Vec<Vec<CellId>> = (0..p.num_rows()).map(|r| p.row(r).to_vec()).collect();
+    let q = Placement::from_rows(netlist, rows);
+    for cell in netlist.cell_ids().filter(|&c| Some(c) != removed) {
+        assert_eq!(
+            p.x_of(cell).to_bits(),
+            q.x_of(cell).to_bits(),
+            "x of {cell}"
+        );
+        assert_eq!(p.row_of(cell), q.row_of(cell), "row of {cell}");
+        if !p.is_fixed(cell) {
+            assert_eq!(
+                p.index_in_row(cell),
+                q.index_in_row(cell),
+                "index of {cell}"
+            );
+        }
+    }
+    for r in 0..p.num_rows() {
+        assert_eq!(
+            p.row_extent(r).to_bits(),
+            q.row_extent(r).to_bits(),
+            "extent of row {r}"
+        );
+        assert_eq!(p.row_width(r), q.row_width(r), "width of row {r}");
+    }
+}
+
+/// Asserts that exactly the rows in `touched` advanced their epoch since
+/// `before` was taken.
+fn assert_epochs_advanced(p: &Placement, before: &[u64], touched: &[usize]) {
+    for (r, &epoch) in before.iter().enumerate() {
+        if touched.contains(&r) {
+            assert!(p.row_epoch(r) > epoch, "touched row {r} kept its epoch");
+        } else {
+            assert_eq!(p.row_epoch(r), epoch, "untouched row {r} changed its epoch");
+        }
+    }
+}
+
+fn epochs(p: &Placement) -> Vec<u64> {
+    (0..p.num_rows()).map(|r| p.row_epoch(r)).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
+
+    /// The incremental row updates (suffix shifts on rows without blocked
+    /// spans, suffix repacks on rows with them) leave every cell's cached
+    /// x, row and ordinal and every row's extent exactly where a fresh
+    /// rebuild puts them, and advance the epoch of exactly the rows they
+    /// change.
+    #[test]
+    fn row_updates_match_a_fresh_rebuild(
+        (netlist, seed, mixed) in arb_maybe_mixed_netlist(),
+        rows in 4usize..12,
+        ops in prop::collection::vec((0u8..4, any::<u64>()), 1..60),
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut p = Placement::random(&netlist, rows, &mut rng);
+        assert_eq!(mixed, (0..rows).any(|r| !p.blocked_spans(r).is_empty()));
+        let movable: Vec<CellId> = netlist.cell_ids().filter(|&c| !p.is_fixed(c)).collect();
+        let m = movable.len();
+        for (op, r) in ops {
+            let cell = movable[(r as usize) % m];
+            let row = (r as usize / m) % rows;
+            let pick = r as usize / m / rows;
+            let before = epochs(&p);
+            match op {
+                0 => {
+                    let slot = p.remove_cell(cell);
+                    assert_epochs_advanced(&p, &before, &[slot.row]);
+                    assert_matches_rebuild(&netlist, &p, Some(cell));
+                    let before = epochs(&p);
+                    let index = pick % (p.row(row).len() + 1);
+                    p.insert_cell(cell, Slot { row, index });
+                    assert_epochs_advanced(&p, &before, &[row]);
+                }
+                1 => {
+                    let from = p.row_of(cell);
+                    let index = pick % (p.row(row).len() + 1);
+                    p.move_cell(cell, Slot { row, index });
+                    assert_epochs_advanced(&p, &before, &[from, row]);
+                }
+                2 => {
+                    let other = movable[pick % m];
+                    let touched = if other == cell {
+                        vec![]
+                    } else {
+                        vec![p.row_of(cell), p.row_of(other)]
+                    };
+                    p.swap_cells(cell, other);
+                    assert_epochs_advanced(&p, &before, &touched);
+                }
+                _ => {
+                    // A swap inside one row: the in-between cells move.
+                    let here = p.row_of(cell);
+                    let other = p.row(here)[pick % p.row(here).len()];
+                    let touched = if other == cell { vec![] } else { vec![here] };
+                    p.swap_cells(cell, other);
+                    assert_epochs_advanced(&p, &before, &touched);
+                }
+            }
+            assert_matches_rebuild(&netlist, &p, None);
+        }
+        p.validate(&netlist).unwrap();
+    }
 
     /// Random placements are always legal and survive a random sequence of
     /// remove/insert/move/swap operations.
