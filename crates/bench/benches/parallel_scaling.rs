@@ -12,20 +12,14 @@
 //! `perf_report` runs the same matrix at reduced scale and emits
 //! `BENCH_PR3.json` with the measured speedups plus the host's available
 //! parallelism, so CI archives the scaling trajectory per run.
-//!
-//! The matrix also carries an **intra-rank axis** (`threaded_w4_ev{2,4}`):
-//! the same runs with the `EvalParallelism` knob chunking each rank's
-//! goodness pass and trial scoring across the shared pool. On the paper tier
-//! the per-chunk work is small, so this axis mostly measures the fan-out
-//! overhead floor; the extended-tier numbers where the knob pays off live in
-//! `BENCH_PR5.json` (`perf_report --only pr5`).
 
 use cluster_sim::timeline::ClusterConfig;
 use criterion::{criterion_group, criterion_main, Criterion};
 use sime_core::engine::{SimEConfig, SimEEngine};
+use sime_parallel::control::FreeRun;
 use sime_parallel::exec::{ExecBackend, Modeled, Threaded};
-use sime_parallel::type2::{run_type2_on, RowPattern, Type2Config};
-use sime_parallel::type3::{run_type3_on, Type3Config};
+use sime_parallel::type2::{run_type2, RowPattern, Type2Config};
+use sime_parallel::type3::{run_type3, Type3Config};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
@@ -51,20 +45,12 @@ fn scaling(c: &mut Criterion) {
         ("threaded_w1", Box::new(Threaded::new(1))),
         ("threaded_w2", Box::new(Threaded::new(2))),
         ("threaded_w4", Box::new(Threaded::new(4))),
-        (
-            "threaded_w4_ev2",
-            Box::new(Threaded::new(4).with_eval_chunks(2)),
-        ),
-        (
-            "threaded_w4_ev4",
-            Box::new(Threaded::new(4).with_eval_chunks(4)),
-        ),
     ];
 
     for (label, backend) in &backends {
         group.bench_function(format!("type3_p5/{label}"), |b| {
             b.iter(|| {
-                black_box(run_type3_on(
+                black_box(run_type3(
                     &engine,
                     ClusterConfig::paper_cluster(5),
                     Type3Config {
@@ -73,6 +59,7 @@ fn scaling(c: &mut Criterion) {
                         retry_threshold: 5,
                     },
                     backend.as_ref(),
+                    &FreeRun,
                 ))
             })
         });
@@ -81,7 +68,7 @@ fn scaling(c: &mut Criterion) {
     for (label, backend) in &backends {
         group.bench_function(format!("type2_random_p4/{label}"), |b| {
             b.iter(|| {
-                black_box(run_type2_on(
+                black_box(run_type2(
                     &engine,
                     ClusterConfig::paper_cluster(4),
                     Type2Config {
@@ -90,6 +77,7 @@ fn scaling(c: &mut Criterion) {
                         pattern: RowPattern::Random,
                     },
                     backend.as_ref(),
+                    &FreeRun,
                 ))
             })
         });

@@ -7,6 +7,8 @@
 use cluster_sim::timeline::ClusterConfig;
 use criterion::{criterion_group, criterion_main, Criterion};
 use sime_core::engine::{SimEConfig, SimEEngine};
+use sime_parallel::control::FreeRun;
+use sime_parallel::exec::Modeled;
 use sime_parallel::type1::{run_type1, Type1Config};
 use sime_parallel::type2::{run_type2, RowPattern, Type2Config};
 use sime_parallel::type3::{run_type3, Type3Config};
@@ -41,6 +43,8 @@ fn strategies(c: &mut Criterion) {
                     ranks: 4,
                     iterations: ITERATIONS,
                 },
+                &Modeled,
+                &FreeRun,
             ))
         })
     });
@@ -55,6 +59,8 @@ fn strategies(c: &mut Criterion) {
                     iterations: ITERATIONS,
                     pattern: RowPattern::Random,
                 },
+                &Modeled,
+                &FreeRun,
             ))
         })
     });
@@ -69,6 +75,8 @@ fn strategies(c: &mut Criterion) {
                     iterations: ITERATIONS,
                     retry_threshold: 5,
                 },
+                &Modeled,
+                &FreeRun,
             ))
         })
     });

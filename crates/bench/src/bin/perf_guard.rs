@@ -19,28 +19,19 @@
 //!     goodness pass cost relative to a naive full evaluation on the same
 //!     host (lower is better).
 //!
-//! * **`--pr6` mode**: gates a fresh `BENCH_PR6.json` (the persistent-epoch
-//!   snapshot) on absolute multi-core speedup floors — the fused windowed
-//!   iteration must reach ≥ 2× on a 4-worker pool versus serial, and the
-//!   exhaustive intra-rank path must not be slower than serial at 2 or 4
-//!   chunks. On a host with fewer than 4 cores the gate skips with a
-//!   notice instead of failing: the floors are statements about parallel
-//!   hardware, and a single-core container can only honestly report ≈ 1×.
-//!
 //! * **`--pr7` mode**: gates a fresh `BENCH_PR7.json` (the bound-pruned
 //!   allocation snapshot) — the pruned serial windowed iteration must be
 //!   ≥ 1.3× faster than the legacy exhaustive arm of the same in-process
 //!   A/B, and the two arms must have agreed bit for bit. Both arms run
-//!   serially on the same host, so the ratio is machine-relative and —
-//!   unlike `--pr6` — there is **no low-core skip**: a single-core runner
-//!   is gated exactly like a 32-core one.
+//!   serially on the same host, so the ratio is machine-relative and there
+//!   is **no low-core skip**: a single-core runner is gated exactly like a
+//!   32-core one.
 //!
 //! Usage:
 //!
 //! ```text
 //! perf_guard [--baseline BENCH_BASELINE.json] [--fresh BENCH_PR2.json]
 //!            [--tolerance 0.25]
-//! perf_guard --pr6 [--fresh BENCH_PR6.json]
 //! perf_guard --pr7 [--fresh BENCH_PR7.json]
 //! ```
 //!
@@ -79,13 +70,6 @@ const GUARDED: [(&str, Direction); 3] = [
         Direction::LowerIsBetter,
     ),
 ];
-
-/// The `--pr6` floors: minimum host parallelism for the gate to apply, the
-/// fused windowed-iteration headline floor, and the intra-rank
-/// no-slower-than-serial floor.
-const PR6_MIN_HOST_PARALLELISM: f64 = 4.0;
-const PR6_WINDOWED_FLOOR: f64 = 2.0;
-const PR6_INTRA_RANK_FLOOR: f64 = 1.0;
 
 /// The `--pr7` floor: the bound-pruned serial windowed iteration versus the
 /// legacy exhaustive arm of the same in-process A/B. Machine-relative, so it
@@ -169,84 +153,13 @@ fn evaluate_baseline_gate(baseline: &Json, fresh: &Json, tolerance: f64) -> Gate
     outcome
 }
 
-/// Evaluates the `--pr6` persistent-epoch gate on a fresh `BENCH_PR6.json`.
-///
-/// Every failure line names the host parallelism and the pool/chunk
-/// configuration of the offending run alongside the achieved-vs-required
-/// ratio pair, so a red CI leg is diagnosable from the log alone.
-fn evaluate_pr6_gate(report: &Json) -> GateOutcome {
-    let mut outcome = GateOutcome::new();
-    let Some(host) = report.number("host_parallelism") else {
-        outcome.fail("host_parallelism: missing from the PR6 report".to_string());
-        return outcome;
-    };
-    let workers = report.number("pool_workers").unwrap_or(4.0) as usize;
-    if host < PR6_MIN_HOST_PARALLELISM {
-        outcome.skip(format!(
-            "persistent-epoch floors: host_parallelism={host} (detected via \
-             std::thread::available_parallelism) is below the \
-             {PR6_MIN_HOST_PARALLELISM} cores the floors assume — a \
-             {host}-core host can only honestly report ≈ 1×; run on a \
-             multi-core runner to gate"
-        ));
-        return outcome;
-    }
-
-    if report.get("bitwise_identical_across_configs") != Some(&Json::Bool(true)) {
-        outcome.fail(format!(
-            "bitwise_identical_across_configs: serial and threaded({workers}) \
-             runs disagreed on host_parallelism={host} — determinism before \
-             speed, fix this first"
-        ));
-    }
-
-    let floors = [
-        (
-            "windowed_speedup_threaded4_vs_serial",
-            PR6_WINDOWED_FLOOR,
-            format!("threaded({workers},ev4) windowed iteration"),
-        ),
-        (
-            "exhaustive_speedup_2_chunks_vs_serial",
-            PR6_INTRA_RANK_FLOOR,
-            format!("threaded({workers},ev2) exhaustive intra-rank path"),
-        ),
-        (
-            "exhaustive_speedup_4_chunks_vs_serial",
-            PR6_INTRA_RANK_FLOOR,
-            format!("threaded({workers},ev4) exhaustive intra-rank path"),
-        ),
-    ];
-    for (path, floor, config) in floors {
-        let Some(speedup) = report.number(path) else {
-            outcome.fail(format!(
-                "{path}: missing from the PR6 report (host_parallelism={host}, {config})"
-            ));
-            continue;
-        };
-        if speedup.is_finite() && speedup >= floor {
-            outcome.pass(format!(
-                "{path}: {speedup:.2}x >= {floor:.2}x floor \
-                 (host_parallelism={host}, {config})"
-            ));
-        } else {
-            outcome.fail(format!(
-                "{path}: {speedup:.2}x vs serial is below the {floor:.2}x floor \
-                 (host_parallelism={host}, {config})"
-            ));
-        }
-    }
-    outcome
-}
-
 /// Evaluates the `--pr7` bound-pruned allocation gate on a fresh
 /// `BENCH_PR7.json`.
 ///
 /// Both arms of the A/B it gates ran serially in the same process, so the
 /// speedup is machine-relative and the floor applies on **every** host —
-/// deliberately no low-core skip, unlike [`evaluate_pr6_gate`]. Failure
-/// lines still name the host parallelism so a red leg is diagnosable from
-/// the log alone.
+/// deliberately no low-core skip. Failure lines still name the host
+/// parallelism so a red leg is diagnosable from the log alone.
 fn evaluate_pr7_gate(report: &Json) -> GateOutcome {
     let mut outcome = GateOutcome::new();
     let host = report.number("host_parallelism").unwrap_or(0.0);
@@ -292,9 +205,9 @@ fn load(path: &str) -> Json {
     })
 }
 
-/// Prints an outcome's lines and exits non-zero on failures (or when a
-/// non-skippable gate checked nothing at all).
-fn finish(outcome: GateOutcome, empty_is_failure: bool, epilogue: &str) -> ! {
+/// Prints an outcome's lines and exits non-zero on failures (or when the
+/// gate checked nothing at all).
+fn finish(outcome: GateOutcome, epilogue: &str) -> ! {
     for line in &outcome.lines {
         if line.trim_start().starts_with("FAIL") {
             eprintln!("{line}");
@@ -302,7 +215,7 @@ fn finish(outcome: GateOutcome, empty_is_failure: bool, epilogue: &str) -> ! {
             println!("{line}");
         }
     }
-    if outcome.checked == 0 && outcome.failures == 0 && empty_is_failure {
+    if outcome.checked == 0 && outcome.failures == 0 {
         eprintln!("perf_guard: no guarded metric was checked — the gate compared nothing");
         std::process::exit(1);
     }
@@ -325,7 +238,6 @@ fn main() {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!(
             "perf_guard [--baseline BENCH_BASELINE.json] [--fresh BENCH_PR2.json] [--tolerance 0.25]\n\
-             perf_guard --pr6 [--fresh BENCH_PR6.json]\n\
              perf_guard --pr7 [--fresh BENCH_PR7.json]"
         );
         return;
@@ -348,23 +260,7 @@ fn main() {
         // always check something — an empty outcome is a failure.
         finish(
             evaluate_pr7_gate(&fresh),
-            true,
             "the floor is machine-relative; investigate the pruned scan before re-running",
-        );
-    }
-
-    if args.iter().any(|a| a == "--pr6") {
-        let fresh_path = arg("--fresh").unwrap_or_else(|| "BENCH_PR6.json".into());
-        let fresh = load(&fresh_path);
-        println!(
-            "perf guard (pr6): {fresh_path} vs the persistent-epoch floors \
-             (windowed >= {PR6_WINDOWED_FLOOR}x, exhaustive >= {PR6_INTRA_RANK_FLOOR}x)"
-        );
-        // A sub-4-core host legitimately checks nothing (skip-with-notice).
-        finish(
-            evaluate_pr6_gate(&fresh),
-            false,
-            "the floors are absolute; investigate the scheduler before re-running",
         );
     }
 
@@ -393,7 +289,6 @@ fn main() {
     );
     finish(
         evaluate_baseline_gate(&baseline, &fresh, tolerance),
-        true,
         &epilogue,
     );
 }
@@ -401,99 +296,6 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn pr6_report(host: f64, windowed: f64, ev2: f64, ev4: f64) -> Json {
-        Json::parse(&format!(
-            r#"{{
-                "report": "BENCH_PR6",
-                "pool_workers": 4,
-                "host_parallelism": {host},
-                "bitwise_identical_across_configs": true,
-                "windowed_speedup_threaded4_vs_serial": {windowed},
-                "exhaustive_speedup_2_chunks_vs_serial": {ev2},
-                "exhaustive_speedup_4_chunks_vs_serial": {ev4}
-            }}"#
-        ))
-        .unwrap()
-    }
-
-    #[test]
-    fn pr6_gate_passes_on_a_fast_multicore_report() {
-        let outcome = evaluate_pr6_gate(&pr6_report(8.0, 2.4, 1.3, 1.9));
-        assert_eq!(outcome.failures, 0);
-        assert_eq!(outcome.checked, 3);
-        assert!(outcome.lines.iter().all(|l| l.contains("PASS")));
-    }
-
-    #[test]
-    fn pr6_gate_skips_with_notice_below_four_cores() {
-        let outcome = evaluate_pr6_gate(&pr6_report(1.0, 0.98, 0.97, 0.95));
-        assert_eq!(outcome.failures, 0, "a 1-core host must not fail the gate");
-        assert_eq!(outcome.checked, 0);
-        let notice = &outcome.lines[0];
-        assert!(notice.contains("SKIP"), "{notice}");
-        assert!(
-            notice.contains("host_parallelism=1"),
-            "the notice must name the host parallelism: {notice}"
-        );
-        assert!(
-            notice.contains("std::thread::available_parallelism"),
-            "the notice must name where the core count came from: {notice}"
-        );
-    }
-
-    #[test]
-    fn pr6_failure_messages_name_host_config_and_ratio_pair() {
-        let outcome = evaluate_pr6_gate(&pr6_report(8.0, 1.37, 1.3, 0.84));
-        assert_eq!(outcome.failures, 2);
-        assert_eq!(outcome.checked, 1);
-        let windowed = outcome
-            .lines
-            .iter()
-            .find(|l| l.contains("windowed_speedup_threaded4_vs_serial"))
-            .unwrap();
-        assert!(windowed.contains("FAIL"), "{windowed}");
-        assert!(
-            windowed.contains("host_parallelism=8"),
-            "failure must name the host parallelism: {windowed}"
-        );
-        assert!(
-            windowed.contains("threaded(4,ev4)"),
-            "failure must name the worker/chunk config: {windowed}"
-        );
-        assert!(
-            windowed.contains("1.37x") && windowed.contains("2.00x"),
-            "failure must show the achieved-vs-required ratio pair: {windowed}"
-        );
-        let ev4 = outcome
-            .lines
-            .iter()
-            .find(|l| l.contains("exhaustive_speedup_4_chunks_vs_serial"))
-            .unwrap();
-        assert!(
-            ev4.contains("FAIL") && ev4.contains("0.84x") && ev4.contains("1.00x"),
-            "{ev4}"
-        );
-    }
-
-    #[test]
-    fn pr6_gate_fails_on_a_bitwise_mismatch() {
-        let mut report = pr6_report(8.0, 2.4, 1.3, 1.9);
-        if let Json::Object(ref mut map) = report {
-            map.insert("bitwise_identical_across_configs".into(), Json::Bool(false));
-        }
-        let outcome = evaluate_pr6_gate(&report);
-        assert!(outcome.failures >= 1);
-        let line = outcome
-            .lines
-            .iter()
-            .find(|l| l.contains("bitwise_identical_across_configs"))
-            .unwrap();
-        assert!(
-            line.contains("FAIL") && line.contains("determinism"),
-            "{line}"
-        );
-    }
 
     fn pr7_report(host: f64, speedup: f64) -> Json {
         Json::parse(&format!(

@@ -17,19 +17,6 @@
 //!   over 1, the host's available parallelism (the speedup ceiling — on a
 //!   single-core host the honest number is ~1×), and a cross-check that
 //!   every backend/worker-count produced bitwise-identical results.
-//! * `BENCH_PR5.json` — the intra-rank scaling snapshot: one full SimE
-//!   iteration on the extended-tier `s15850` circuit (10.3k cells) with the
-//!   `EvalParallelism` knob at 1/2/4 chunks on a shared worker pool, with
-//!   per-chunk-count iteration and Evaluation-phase wall-clock, the speedup
-//!   over the serial path, and a bitwise cross-check. As with PR3, the
-//!   checked-in file from a single-core container honestly records ≈ 1×;
-//!   CI's perf-guardrail job regenerates it on multi-core runners.
-//! * `BENCH_PR6.json` — the persistent-epoch snapshot: one full fused SimE
-//!   iteration on `s15850`, serial versus a persistent 4-worker pool at 2
-//!   and 4 chunks, for both the windowed default allocation (wave-prepared
-//!   on the pool since PR 6) and the exhaustive stress shape. The headline
-//!   `windowed_speedup_threaded4_vs_serial` is what `perf_guard --pr6`
-//!   gates at ≥ 2× on multi-core CI runners.
 //! * `BENCH_PR7.json` — the bound-pruned allocation snapshot: the serial
 //!   windowed iteration on `s15850`, PR 7's default engine (bound-pruned
 //!   trial scoring + incremental goodness cache) versus the legacy
@@ -42,24 +29,21 @@
 //!   `--phases` additionally prints them as a table.
 //!
 //! Usage:
-//! `perf_report [--only pr2|pr3|pr5|pr6|pr7] [--out PATH] [--out3 PATH]
-//! [--out5 PATH] [--out6 PATH] [--out7 PATH] [--iters N] [--scaling-iters N]
-//! [--phases]`
-//! (defaults: all five reports, `BENCH_PR2.json`, `BENCH_PR3.json`,
-//! `BENCH_PR5.json`, `BENCH_PR6.json`, `BENCH_PR7.json`, 10 and 8
-//! iterations; `--only` lets a CI job generate just the part it archives).
+//! `perf_report [--only pr2|pr3|pr7] [--out PATH] [--out3 PATH]
+//! [--out7 PATH] [--iters N] [--scaling-iters N] [--phases]`
+//! (defaults: all three reports, `BENCH_PR2.json`, `BENCH_PR3.json`,
+//! `BENCH_PR7.json`, 10 and 8 iterations; `--only` lets a CI job generate
+//! just the part it archives).
 
-use bench::json::Json;
-use cluster_sim::comm::WorkerPool;
 use cluster_sim::timeline::ClusterConfig;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use sime_core::engine::{SimEConfig, SimEEngine};
-use sime_core::parallel::EvalContext;
 use sime_core::profile::{Phase, ProfileReport};
+use sime_parallel::control::FreeRun;
 use sime_parallel::exec::{ExecBackend, Modeled, Threaded};
-use sime_parallel::type2::{run_type2_on, RowPattern, Type2Config};
-use sime_parallel::type3::{run_type3_on, Type3Config};
+use sime_parallel::type2::{run_type2, RowPattern, Type2Config};
+use sime_parallel::type3::{run_type3, Type3Config};
 use sime_parallel::StrategyOutcome;
 use std::hint::black_box;
 use std::sync::Arc;
@@ -111,7 +95,7 @@ fn parallel_scaling_report(iters: usize) -> String {
         (
             "type3_p5",
             Box::new(|backend: &dyn ExecBackend| {
-                run_type3_on(
+                run_type3(
                     &engine,
                     ClusterConfig::paper_cluster(5),
                     Type3Config {
@@ -120,13 +104,14 @@ fn parallel_scaling_report(iters: usize) -> String {
                         retry_threshold: 5,
                     },
                     backend,
+                    &FreeRun,
                 )
             }),
         ),
         (
             "type2_random_p4",
             Box::new(|backend: &dyn ExecBackend| {
-                run_type2_on(
+                run_type2(
                     &engine,
                     ClusterConfig::paper_cluster(4),
                     Type2Config {
@@ -135,6 +120,7 @@ fn parallel_scaling_report(iters: usize) -> String {
                         pattern: RowPattern::Random,
                     },
                     backend,
+                    &FreeRun,
                 )
             }),
         ),
@@ -220,290 +206,6 @@ fn parallel_scaling_report(iters: usize) -> String {
     )
 }
 
-/// Runs the intra-rank scaling matrix and assembles the `BENCH_PR5` JSON:
-/// one full SimE iteration on `s15850` at 1/2/4 evaluation chunks — the
-/// serial path inline, the chunked paths on a 4-worker pool — with
-/// per-chunk-count wall-clock (best of `REPS` from identical seeded starts),
-/// the Evaluation-phase share, and a bitwise cross-check of the resulting
-/// cost and trajectory.
-///
-/// Two allocation configurations span the knob's envelope:
-///
-/// * `windowed` — the paper's default windowed best fit (48 candidate slots
-///   per cell). Trial scoring stays below the fan-out threshold, so only the
-///   per-cell goodness pass chunks; the iteration-level gain is bounded by
-///   the Evaluation phase's share.
-/// * `exhaustive_s8` — exhaustive best fit at trial stride 8 (~1.3k
-///   candidates per cell on s15850's ≈ 166-slot rows), the extended-tier
-///   stress shape where the chunked trial-scoring loop carries most of the
-///   iteration and the speedup approaches the pool's parallelism on a
-///   multi-core host.
-fn intra_rank_report() -> String {
-    let circuit = SuiteCircuit::Extended(ExtendedCircuit::S15850);
-    let netlist = Arc::new(circuit.generate());
-    let host_parallelism = std::thread::available_parallelism().map_or(1, usize::from);
-    const POOL_WORKERS: usize = 4;
-    const REPS: usize = 2;
-    let pool = WorkerPool::new(POOL_WORKERS);
-
-    let configs: Vec<(&str, SimEConfig)> = vec![
-        (
-            "windowed",
-            SimEConfig::paper_defaults(Objectives::WirelengthPower, circuit.num_rows(), 1),
-        ),
-        ("exhaustive_s8", {
-            let mut config =
-                SimEConfig::paper_defaults(Objectives::WirelengthPower, circuit.num_rows(), 1);
-            config.allocation = sime_core::allocation::AllocationConfig {
-                strategy: sime_core::allocation::AllocationStrategy::SortedBestFit,
-                trial_stride: 8,
-                ..Default::default()
-            };
-            config
-        }),
-    ];
-
-    let mut rows = String::new();
-    let mut bitwise_ok = true;
-    let mut headline_speedup = f64::NAN;
-    let mut first_row = true;
-    for (alloc_label, config) in configs {
-        let engine = SimEEngine::new(Arc::clone(&netlist), config);
-        // One seeded iteration from a fixed initial placement per run; every
-        // chunk count replays the identical start so wall-clock is the only
-        // degree of freedom and the end states compare bit for bit.
-        let mut seed_rng = ChaCha8Rng::seed_from_u64(1);
-        let initial = engine.initial_placement(&mut seed_rng);
-
-        let mut reference_bits: Option<(u64, u64, u64)> = None;
-        let mut serial_ns = 0u128;
-        for &chunks in &[1usize, 2, 4] {
-            let mut best_iter_ns = u128::MAX;
-            let mut best_eval_ns = u128::MAX;
-            let mut end_bits = (0u64, 0u64, 0u64);
-            for _ in 0..REPS {
-                let ctx = if chunks > 1 {
-                    EvalContext::chunked(&pool, chunks)
-                } else {
-                    EvalContext::serial()
-                };
-                let mut rng = ChaCha8Rng::seed_from_u64(7);
-                let mut placement = initial.clone();
-                let mut scratch = engine.new_scratch();
-                let mut profile = ProfileReport::new();
-                let t0 = Instant::now();
-                let (avg, _selected, _stats) = black_box(engine.iterate_on(
-                    &mut placement,
-                    &mut scratch,
-                    &mut rng,
-                    &mut profile,
-                    &[],
-                    &[],
-                    &ctx,
-                ));
-                best_iter_ns = best_iter_ns.min(t0.elapsed().as_nanos());
-                best_eval_ns = best_eval_ns.min(
-                    profile.time(Phase::CostCalculation).as_nanos()
-                        + profile.time(Phase::GoodnessEvaluation).as_nanos(),
-                );
-                let cost = engine.cost_with(&placement, &mut scratch);
-                end_bits = (cost.mu.to_bits(), cost.wirelength.to_bits(), avg.to_bits());
-            }
-            match reference_bits {
-                None => reference_bits = Some(end_bits),
-                Some(reference) => bitwise_ok &= reference == end_bits,
-            }
-            if chunks == 1 {
-                serial_ns = best_iter_ns;
-            }
-            let speedup = if serial_ns > 0 {
-                serial_ns as f64 / best_iter_ns as f64
-            } else {
-                f64::NAN
-            };
-            if alloc_label == "exhaustive_s8" && chunks == 4 {
-                headline_speedup = speedup;
-            }
-            if !first_row {
-                rows.push_str(",\n");
-            }
-            first_row = false;
-            rows.push_str(&format!(
-                "    {{\"allocation\": \"{alloc_label}\", \"eval_chunks\": {chunks}, \
-                 \"reps\": {REPS}, \"iteration_wall_ns\": {best_iter_ns}, \
-                 \"evaluation_wall_ns\": {best_eval_ns}, \"speedup_vs_serial\": {speedup:.2}}}",
-            ));
-        }
-    }
-
-    format!(
-        "{{\n\
-         \x20 \"schema_version\": 1,\n\
-         \x20 \"report\": \"BENCH_PR5\",\n\
-         \x20 \"bench\": \"intra_rank_scaling\",\n\
-         \x20 \"circuit\": \"s15850\",\n\
-         \x20 \"cells\": {cells},\n\
-         \x20 \"nets\": {nets},\n\
-         \x20 \"iterations_per_run\": 1,\n\
-         \x20 \"pool_workers\": {POOL_WORKERS},\n\
-         \x20 \"host_parallelism\": {host_parallelism},\n\
-         \x20 \"bitwise_identical_across_chunk_counts\": {bitwise_ok},\n\
-         \x20 \"exhaustive_speedup_4_chunks_vs_serial\": {speedup},\n\
-         \x20 \"runs\": [\n{rows}\n  ]\n\
-         }}\n",
-        cells = netlist.num_cells(),
-        nets = netlist.num_nets(),
-        speedup = if headline_speedup.is_nan() {
-            "null".to_string()
-        } else {
-            format!("{headline_speedup:.2}")
-        },
-    )
-}
-
-/// Runs the persistent-epoch matrix and assembles the `BENCH_PR6` JSON: one
-/// full SimE iteration on `s15850`, serial versus a 4-worker persistent pool
-/// at 2 and 4 evaluation chunks, for both allocation envelopes. Unlike the
-/// PR 5 snapshot this measures the *fused* per-iteration epoch path: the
-/// wave-prepared windowed allocation, the fanned net-length refresh and the
-/// chunked goodness pass all ride the same long-lived worker lanes, so the
-/// `windowed` shape — ~98 % of serial runtime in allocation, previously
-/// pinned to one core — now scales too and carries the headline
-/// `windowed_speedup_threaded4_vs_serial`. The checked-in file from a
-/// single-core container honestly records ≈ 1×; the CI perf-guardrail job
-/// regenerates it on a multi-core runner and `perf_guard --pr6` gates it.
-fn persistent_epoch_report() -> String {
-    let circuit = SuiteCircuit::Extended(ExtendedCircuit::S15850);
-    let netlist = Arc::new(circuit.generate());
-    let host_parallelism = std::thread::available_parallelism().map_or(1, usize::from);
-    const POOL_WORKERS: usize = 4;
-    const REPS: usize = 2;
-    let pool = WorkerPool::new(POOL_WORKERS);
-
-    let configs: Vec<(&str, SimEConfig)> = vec![
-        (
-            "windowed",
-            SimEConfig::paper_defaults(Objectives::WirelengthPower, circuit.num_rows(), 1),
-        ),
-        ("exhaustive_s8", {
-            let mut config =
-                SimEConfig::paper_defaults(Objectives::WirelengthPower, circuit.num_rows(), 1);
-            config.allocation = sime_core::allocation::AllocationConfig {
-                strategy: sime_core::allocation::AllocationStrategy::SortedBestFit,
-                trial_stride: 8,
-                ..Default::default()
-            };
-            config
-        }),
-    ];
-
-    let mut rows = String::new();
-    let mut bitwise_ok = true;
-    let mut windowed_headline = f64::NAN;
-    let mut exhaustive_ev2 = f64::NAN;
-    let mut exhaustive_ev4 = f64::NAN;
-    let mut first_row = true;
-    for (alloc_label, config) in configs {
-        let engine = SimEEngine::new(Arc::clone(&netlist), config);
-        let mut seed_rng = ChaCha8Rng::seed_from_u64(1);
-        let initial = engine.initial_placement(&mut seed_rng);
-
-        let mut reference_bits: Option<(u64, u64, u64)> = None;
-        let mut serial_ns = 0u128;
-        for &chunks in &[1usize, 2, 4] {
-            let mut best_iter_ns = u128::MAX;
-            let mut best_alloc_ns = u128::MAX;
-            let mut end_bits = (0u64, 0u64, 0u64);
-            for _ in 0..REPS {
-                let ctx = if chunks > 1 {
-                    EvalContext::chunked(&pool, chunks)
-                } else {
-                    EvalContext::serial()
-                };
-                let mut rng = ChaCha8Rng::seed_from_u64(7);
-                let mut placement = initial.clone();
-                let mut scratch = engine.new_scratch();
-                let mut profile = ProfileReport::new();
-                let t0 = Instant::now();
-                let (avg, _selected, _stats) = black_box(engine.iterate_on(
-                    &mut placement,
-                    &mut scratch,
-                    &mut rng,
-                    &mut profile,
-                    &[],
-                    &[],
-                    &ctx,
-                ));
-                best_iter_ns = best_iter_ns.min(t0.elapsed().as_nanos());
-                best_alloc_ns = best_alloc_ns.min(profile.time(Phase::Allocation).as_nanos());
-                let cost = engine.cost_with(&placement, &mut scratch);
-                end_bits = (cost.mu.to_bits(), cost.wirelength.to_bits(), avg.to_bits());
-            }
-            match reference_bits {
-                None => reference_bits = Some(end_bits),
-                Some(reference) => bitwise_ok &= reference == end_bits,
-            }
-            if chunks == 1 {
-                serial_ns = best_iter_ns;
-            }
-            let speedup = if serial_ns > 0 {
-                serial_ns as f64 / best_iter_ns as f64
-            } else {
-                f64::NAN
-            };
-            match (alloc_label, chunks) {
-                ("windowed", 4) => windowed_headline = speedup,
-                ("exhaustive_s8", 2) => exhaustive_ev2 = speedup,
-                ("exhaustive_s8", 4) => exhaustive_ev4 = speedup,
-                _ => {}
-            }
-            if !first_row {
-                rows.push_str(",\n");
-            }
-            first_row = false;
-            rows.push_str(&format!(
-                "    {{\"allocation\": \"{alloc_label}\", \"mode\": \"{mode}\", \
-                 \"eval_chunks\": {chunks}, \"reps\": {REPS}, \
-                 \"iteration_wall_ns\": {best_iter_ns}, \
-                 \"allocation_wall_ns\": {best_alloc_ns}, \
-                 \"speedup_vs_serial\": {speedup:.2}}}",
-                mode = if chunks > 1 { "threaded" } else { "serial" },
-            ));
-        }
-    }
-
-    let fmt_speedup = |s: f64| {
-        if s.is_nan() {
-            "null".to_string()
-        } else {
-            format!("{s:.2}")
-        }
-    };
-    format!(
-        "{{\n\
-         \x20 \"schema_version\": 1,\n\
-         \x20 \"report\": \"BENCH_PR6\",\n\
-         \x20 \"bench\": \"persistent_epoch\",\n\
-         \x20 \"circuit\": \"s15850\",\n\
-         \x20 \"cells\": {cells},\n\
-         \x20 \"nets\": {nets},\n\
-         \x20 \"iterations_per_run\": 1,\n\
-         \x20 \"pool_workers\": {POOL_WORKERS},\n\
-         \x20 \"host_parallelism\": {host_parallelism},\n\
-         \x20 \"bitwise_identical_across_configs\": {bitwise_ok},\n\
-         \x20 \"windowed_speedup_threaded4_vs_serial\": {headline},\n\
-         \x20 \"exhaustive_speedup_2_chunks_vs_serial\": {ev2},\n\
-         \x20 \"exhaustive_speedup_4_chunks_vs_serial\": {ev4},\n\
-         \x20 \"runs\": [\n{rows}\n  ]\n\
-         }}\n",
-        cells = netlist.num_cells(),
-        nets = netlist.num_nets(),
-        headline = fmt_speedup(windowed_headline),
-        ev2 = fmt_speedup(exhaustive_ev2),
-        ev4 = fmt_speedup(exhaustive_ev4),
-    )
-}
-
 /// Runs the bound-pruned allocation A/B and assembles the `BENCH_PR7` JSON.
 ///
 /// Two serial arms from identical seeded starts on the extended-tier
@@ -524,10 +226,7 @@ fn persistent_epoch_report() -> String {
 /// iteration exercises the carried goodness cache), reported per iteration.
 /// Per-arm phase wall shares (cost refresh / goodness / selection /
 /// allocation / delay) come from the fastest repetition; `print_phases`
-/// additionally prints them as a table. The cross-PR
-/// `windowed_serial_speedup_vs_pr6_baseline` reads the *checked-in*
-/// `BENCH_PR6.json` windowed-serial wall when present (null otherwise) —
-/// meaningful on the host that pinned that snapshot, indicative elsewhere.
+/// additionally prints them as a table.
 fn bound_pruned_report(print_phases: bool) -> String {
     let circuit = SuiteCircuit::Extended(ExtendedCircuit::S15850);
     let netlist = Arc::new(circuit.generate());
@@ -550,18 +249,6 @@ fn bound_pruned_report(print_phases: bool) -> String {
         ("pruned_incremental", optimized),
         ("legacy_exhaustive", legacy),
     ];
-
-    // The checked-in PR 6 snapshot's windowed serial wall, for the cross-PR
-    // headline. Validated against the run's labels so a reshuffled report
-    // cannot silently feed the wrong cell.
-    let pr6_baseline_ns: Option<f64> = std::fs::read("BENCH_PR6.json")
-        .ok()
-        .and_then(|bytes| Json::parse_bytes(&bytes).ok())
-        .filter(|report| {
-            report.string("runs.0.allocation") == Some("windowed")
-                && report.string("runs.0.mode") == Some("serial")
-        })
-        .and_then(|report| report.number("runs.0.iteration_wall_ns"));
 
     struct Arm {
         label: &'static str,
@@ -622,7 +309,6 @@ fn bound_pruned_report(print_phases: bool) -> String {
     let optimized_ns = measured[0].per_iter_ns;
     let legacy_ns = measured[1].per_iter_ns;
     let speedup_vs_legacy = legacy_ns as f64 / optimized_ns.max(1) as f64;
-    let speedup_vs_pr6 = pr6_baseline_ns.map(|base| base / optimized_ns.max(1) as f64);
 
     if print_phases {
         println!("per-phase wall shares (windowed serial, s15850, best of {REPS} reps):");
@@ -674,13 +360,11 @@ fn bound_pruned_report(print_phases: bool) -> String {
          \x20 \"windowed_serial_iteration_ns\": {optimized_ns},\n\
          \x20 \"legacy_serial_iteration_ns\": {legacy_ns},\n\
          \x20 \"windowed_serial_speedup_vs_legacy\": {vs_legacy:.2},\n\
-         \x20 \"windowed_serial_speedup_vs_pr6_baseline\": {vs_pr6},\n\
          \x20 \"runs\": [\n{rows}\n  ]\n\
          }}\n",
         cells = netlist.num_cells(),
         nets = netlist.num_nets(),
         vs_legacy = speedup_vs_legacy,
-        vs_pr6 = speedup_vs_pr6.map_or("null".to_string(), |s| format!("{s:.2}")),
     )
 }
 
@@ -693,8 +377,6 @@ fn main() {
     };
     let out_path = arg("--out").unwrap_or_else(|| "BENCH_PR2.json".into());
     let out3_path = arg("--out3").unwrap_or_else(|| "BENCH_PR3.json".into());
-    let out5_path = arg("--out5").unwrap_or_else(|| "BENCH_PR5.json".into());
-    let out6_path = arg("--out6").unwrap_or_else(|| "BENCH_PR6.json".into());
     let out7_path = arg("--out7").unwrap_or_else(|| "BENCH_PR7.json".into());
     let iters: usize = arg("--iters").and_then(|v| v.parse().ok()).unwrap_or(10);
     let scaling_iters: usize = arg("--scaling-iters")
@@ -702,17 +384,13 @@ fn main() {
         .unwrap_or(8);
     let print_phases = args.iter().any(|a| a == "--phases");
     let only = arg("--only");
-    let (run_pr2, run_pr3, run_pr5, run_pr6, run_pr7) = match only.as_deref() {
-        None => (true, true, true, true, true),
-        Some("pr2") => (true, false, false, false, false),
-        Some("pr3") => (false, true, false, false, false),
-        Some("pr5") => (false, false, true, false, false),
-        Some("pr6") => (false, false, false, true, false),
-        Some("pr7") => (false, false, false, false, true),
+    let (run_pr2, run_pr3, run_pr7) = match only.as_deref() {
+        None => (true, true, true),
+        Some("pr2") => (true, false, false),
+        Some("pr3") => (false, true, false),
+        Some("pr7") => (false, false, true),
         Some(other) => {
-            eprintln!(
-                "unknown --only value '{other}' (expected 'pr2', 'pr3', 'pr5', 'pr6' or 'pr7')"
-            );
+            eprintln!("unknown --only value '{other}' (expected 'pr2', 'pr3' or 'pr7')");
             std::process::exit(2);
         }
     };
@@ -723,18 +401,6 @@ fn main() {
             std::fs::write(&out3_path, &json3).expect("write parallel-scaling report");
             println!("wrote {out3_path}");
             print!("{json3}");
-        }
-        if run_pr5 {
-            let json5 = intra_rank_report();
-            std::fs::write(&out5_path, &json5).expect("write intra-rank scaling report");
-            println!("wrote {out5_path}");
-            print!("{json5}");
-        }
-        if run_pr6 {
-            let json6 = persistent_epoch_report();
-            std::fs::write(&out6_path, &json6).expect("write persistent-epoch report");
-            println!("wrote {out6_path}");
-            print!("{json6}");
         }
         if run_pr7 {
             let json7 = bound_pruned_report(print_phases);
@@ -819,9 +485,9 @@ fn main() {
         black_box(cache.refresh(&evaluator, &mut scorer, &placement).len());
     });
 
-    // -- The per-cell goodness pass (the Evaluation-phase cost the intra-rank
-    //    fan-out targets), measured serially against the naive full
-    //    evaluation so the guardrail ratio is machine-relative.
+    // -- The per-cell goodness pass (the Evaluation-phase cost), measured
+    //    against the naive full evaluation so the guardrail ratio is
+    //    machine-relative.
     let goodness_lengths = evaluator.net_lengths(&placement);
     let mut goodness_buf = Vec::new();
     let goodness_ns = time_ns(REPS, || {
@@ -897,20 +563,6 @@ fn main() {
         std::fs::write(&out3_path, &json3).expect("write parallel-scaling report");
         println!("wrote {out3_path}");
         print!("{json3}");
-    }
-    if run_pr5 {
-        // -- Intra-rank scaling snapshot (PR 5).
-        let json5 = intra_rank_report();
-        std::fs::write(&out5_path, &json5).expect("write intra-rank scaling report");
-        println!("wrote {out5_path}");
-        print!("{json5}");
-    }
-    if run_pr6 {
-        // -- Persistent-epoch snapshot (PR 6).
-        let json6 = persistent_epoch_report();
-        std::fs::write(&out6_path, &json6).expect("write persistent-epoch report");
-        println!("wrote {out6_path}");
-        print!("{json6}");
     }
     if run_pr7 {
         // -- Bound-pruned allocation snapshot (PR 7).

@@ -326,7 +326,7 @@ mod tests {
             "{{\"scenario\": \"{circuit}.{strategy}.r{ranks}.i4.{objectives}\", \
              \"circuit\": \"{circuit}\", \"strategy\": \"{strategy}\", \"ranks\": {ranks}, \
              \"iterations\": 4, \"objectives\": \"{objectives}\", \"backend\": \"{backend}\", \
-             \"eval_chunks\": 1, \"best_mu\": {mu}, \"modeled_seconds\": {seconds}, \
+             \"best_mu\": {mu}, \"modeled_seconds\": {seconds}, \
              \"wall_seconds\": 0.1, \"comm_messages\": 3, \"comm_bytes\": 100}}"
         )
     }

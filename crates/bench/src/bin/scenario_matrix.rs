@@ -218,26 +218,15 @@ fn build_grid(
     specs
 }
 
-/// Whether the backend sweep adds an intra-rank-parallel run for this cell:
-/// one `EvalParallelism` cell per extended circuit (the tier where the
-/// intra-rank fan-out has real work to chunk), on the cheapest strategy mix.
-fn wants_intra_rank_cell(spec: &ScenarioSpec) -> bool {
-    SuiteCircuit::from_name(&spec.circuit).is_some_and(|c| c.is_extended())
-        && spec.strategy == StrategyKind::Type2(sime_parallel::RowPattern::Random)
-        && spec.objectives == Objectives::WirelengthPower
-}
-
-/// Runs one cell across the whole backend axis — Modeled, Threaded at each
-/// worker count, plus (for the designated extended-tier cells) one
-/// intra-rank-parallel run — asserting fingerprint equality throughout, and
+/// Runs one cell across the whole backend axis — Modeled and Threaded at
+/// each worker count — asserting fingerprint equality throughout, and
 /// returns the records (Modeled first).
 fn run_cell_all_backends(
     driver: &mut BatchDriver,
     spec: &ScenarioSpec,
     workers: &[usize],
-    eval_chunks: usize,
 ) -> (Vec<ScenarioRecord>, bool) {
-    let mut records = Vec::with_capacity(2 + workers.len());
+    let mut records = Vec::with_capacity(1 + workers.len());
     let modeled = driver.run_cell(spec);
     let mut stable = true;
     for &w in workers {
@@ -250,21 +239,6 @@ fn run_cell_all_backends(
             stable = false;
         }
         records.push(threaded);
-    }
-    if eval_chunks > 1 && wants_intra_rank_cell(spec) {
-        // Two pool workers are enough to exercise the nested fan-out; more
-        // only changes wall-clock.
-        let workers = workers.iter().copied().max().unwrap_or(1).min(2);
-        let intra = driver.run_cell(&spec.on_workers(Some(workers)).with_eval_chunks(eval_chunks));
-        if intra.fingerprint != modeled.fingerprint {
-            eprintln!(
-                "DETERMINISM VIOLATION: {} differs between modeled and {}",
-                spec.id(),
-                intra.outcome.backend
-            );
-            stable = false;
-        }
-        records.push(intra);
     }
     records.insert(0, modeled);
     (records, stable)
@@ -346,11 +320,10 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     // Reject unknown flags up front: a typo like `--ful` must not silently
     // run a different grid than the one asked for.
-    const VALUE_FLAGS: [&str; 7] = [
+    const VALUE_FLAGS: [&str; 6] = [
         "--circuits",
         "--iterations",
         "--workers",
-        "--eval-chunks",
         "--out",
         "--bless",
         "--check",
@@ -385,12 +358,8 @@ fn main() {
     if flag("--help") || flag("-h") {
         println!(
             "scenario_matrix [--quick | --full] [--circuits a,b,c] [--iterations N]\n\
-             \x20               [--workers 1,2,4] [--eval-chunks N] [--out PATH]\n\
-             \x20               [--bless DIR] [--check DIR] [--golden-subset]\n\
-             \n\
-             --eval-chunks N sets the intra-rank EvalParallelism of the one\n\
-             intra-rank cell the sweep adds per extended circuit (default 2;\n\
-             0 disables the intra-rank runs)."
+             \x20               [--workers 1,2,4] [--out PATH]\n\
+             \x20               [--bless DIR] [--check DIR] [--golden-subset]"
         );
         return;
     }
@@ -398,13 +367,6 @@ fn main() {
     let full = flag("--full");
     let out_path = value("--out").unwrap_or_else(|| "SCENARIO_MATRIX.json".into());
     let workers = parse_workers(value("--workers"));
-    let eval_chunks = match value("--eval-chunks") {
-        None => 2,
-        Some(v) => v.parse::<usize>().unwrap_or_else(|_| {
-            eprintln!("--eval-chunks: invalid chunk count `{v}` (need an integer >= 0)");
-            std::process::exit(2);
-        }),
-    };
     let iterations = value("--iterations").map(|v| match v.parse::<usize>() {
         Ok(n) if n >= 1 => n,
         _ => {
@@ -445,15 +407,10 @@ fn main() {
     let grid = grid;
     println!(
         "scenario matrix: {} circuits × strategies/objectives = {} cells, backends = modeled + \
-         threaded{:?}{}",
+         threaded{:?}",
         circuits.len(),
         grid.len(),
         workers,
-        if eval_chunks > 1 {
-            format!(" + intra-rank ev{eval_chunks} on extended-tier cells")
-        } else {
-            String::new()
-        }
     );
 
     let started = std::time::Instant::now();
@@ -461,7 +418,7 @@ fn main() {
     let mut by_id: BTreeMap<String, TrajectoryFingerprint> = BTreeMap::new();
     let mut all_stable = true;
     for (i, spec) in grid.iter().enumerate() {
-        let (records, stable) = run_cell_all_backends(&mut driver, spec, &workers, eval_chunks);
+        let (records, stable) = run_cell_all_backends(&mut driver, spec, &workers);
         all_stable &= stable;
         println!(
             "[{}/{}] {} µ={:.4} modeled={:.1}s {}",

@@ -396,15 +396,15 @@ fn worker_loop(shared: Arc<PoolShared>, me: usize) {
 /// stay bitwise deterministic — see `DESIGN.md` §4 ("Execution backends &
 /// the determinism contract").
 ///
-/// One pool serves both *rank-level* jobs (one task per simulated rank) and
-/// *intra-rank* jobs (the chunked goodness / trial-scoring fan-out inside one
-/// rank's task): a pool **worker** blocked in [`WorkerPool::run_tasks`] or
+/// One pool serves both top-level jobs (one task per simulated rank) and
+/// sub-jobs that a running task submits to the same pool: a pool **worker**
+/// blocked in [`WorkerPool::run_tasks`] or
 /// [`WorkerPool::run_scoped_tasks`] **helps** by draining its own lane and
 /// stealing from its siblings while it waits, so a rank task running *on* a
 /// pool worker can submit sub-jobs to the same pool without risking deadlock
 /// even at one worker. Nested sub-jobs go to the *front* of a lane so a
 /// helping worker never picks up a long queued top-level job ahead of the
-/// short chunk work its barrier is waiting on. External (non-worker) callers
+/// short sub-job its barrier is waiting on. External (non-worker) callers
 /// block passively on the epoch — the worker count stays an honest
 /// throughput knob for the scaling benchmarks.
 ///
@@ -506,8 +506,7 @@ impl WorkerPool {
     }
 
     /// [`WorkerPool::run_tasks`] for tasks that borrow from the caller's
-    /// stack (lifetime `'env`), the substrate of the intra-rank evaluation
-    /// fan-out: chunk tasks borrow the shared engine state and per-chunk
+    /// stack (lifetime `'env`): tasks may borrow shared state and per-task
     /// output buffers instead of cloning them behind `Arc`s.
     ///
     /// # Safety argument

@@ -30,7 +30,6 @@
 
 pub mod allocation;
 pub mod engine;
-pub mod parallel;
 pub mod profile;
 pub mod selection;
 
@@ -38,7 +37,6 @@ pub use allocation::{AllocScratch, AllocationConfig, AllocationStats, Allocation
 pub use engine::{
     IterationStats, SimEConfig, SimEEngine, SimEResult, SimEScratch, StoppingCriteria,
 };
-pub use parallel::{chunk_ranges, EvalContext};
 pub use profile::{Phase, ProfileReport};
 pub use selection::{select, SelectionScheme};
 
@@ -46,7 +44,6 @@ pub use selection::{select, SelectionScheme};
 pub mod prelude {
     pub use crate::allocation::{AllocScratch, AllocationConfig, AllocationStrategy};
     pub use crate::engine::{SimEConfig, SimEEngine, SimEResult, SimEScratch, StoppingCriteria};
-    pub use crate::parallel::EvalContext;
     pub use crate::profile::ProfileReport;
     pub use crate::selection::SelectionScheme;
 }

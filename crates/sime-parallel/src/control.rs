@@ -1,7 +1,7 @@
 //! Run control: progress observation and cooperative cancellation.
 //!
-//! Every strategy driver in this crate runs a fixed per-iteration loop; the
-//! `run_typeN_ctl` entry points thread a [`RunControl`] through that loop,
+//! Every strategy driver in this crate runs a fixed per-iteration loop; each
+//! `run_typeN` entry point threads a [`RunControl`] through that loop,
 //! calling [`RunControl::keep_going`] exactly once **after** each completed
 //! iteration (the µ value of the iteration has been pushed to the history and
 //! the best-so-far bookkeeping has run). The callback is the strategy's only
@@ -43,9 +43,8 @@ pub trait RunControl: Sync {
     fn keep_going(&self, iteration: usize, mu: f64, best_mu: f64) -> bool;
 }
 
-/// The no-op control: observe nothing, never cancel. `run_typeN_on`
-/// delegates to `run_typeN_ctl` with this, so the pre-existing entry points
-/// are bit-for-bit unchanged.
+/// The no-op control: observe nothing, never cancel. Passing it to a
+/// `run_typeN` entry point runs all configured iterations.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FreeRun;
 

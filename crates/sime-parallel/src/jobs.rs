@@ -35,10 +35,10 @@
 use crate::batch::{ScenarioRecord, ScenarioSpec, StrategyKind, TrajectoryFingerprint};
 use crate::control::{FreeRun, RunControl};
 use crate::exec::ExecBackend;
-use crate::portfolio::{run_portfolio_ctl, PortfolioConfig};
-use crate::type1::{run_type1_ctl, Type1Config};
-use crate::type2::{run_type2_ctl, Type2Config};
-use crate::type3::{run_type3_ctl, Type3Config};
+use crate::portfolio::{run_portfolio, PortfolioConfig};
+use crate::type1::{run_type1, Type1Config};
+use crate::type2::{run_type2, Type2Config};
+use crate::type3::{run_type3, Type3Config};
 use cluster_sim::timeline::ClusterConfig;
 use sime_core::engine::{SimEConfig, SimEEngine};
 use std::collections::HashMap;
@@ -78,9 +78,9 @@ pub fn bookshelf_digest(netlist: &Netlist) -> u64 {
 /// part of the scenario identity.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
-    /// The scenario to run. Its `workers`/`eval_chunks` fields are ignored
-    /// by [`JobRunner::run_job`] — the caller chooses the backend — but kept
-    /// so `scenario.id()` stays the golden-comparable identity.
+    /// The scenario to run. Its `workers` field is ignored by
+    /// [`JobRunner::run_job`] — the caller chooses the backend — but kept so
+    /// `scenario.id()` stays the golden-comparable identity.
     pub scenario: ScenarioSpec,
     /// Optional seed override. `None` runs the engine's default seed — the
     /// batch path's behaviour, and the only mode whose fingerprint can match
@@ -116,6 +116,18 @@ pub enum JobError {
         /// The rank count the spec asked for.
         got: usize,
     },
+    /// The rank count exceeds the circuit's row count (carries the strategy
+    /// label, the row count and the offending value). Ranks are capped at
+    /// one per row; an absurd rank count would otherwise size per-rank state
+    /// before the run could be cancelled.
+    TooManyRanks {
+        /// Strategy label (`"type3"`, ...).
+        strategy: String,
+        /// The largest rank count the circuit accepts: its row count.
+        max: usize,
+        /// The rank count the spec asked for.
+        got: usize,
+    },
     /// The spec asks for zero iterations — nothing to run, no trajectory to
     /// fingerprint.
     NoIterations,
@@ -146,6 +158,13 @@ impl fmt::Display for JobError {
             JobError::TooFewRanks { strategy, min, got } => {
                 write!(f, "{strategy} needs at least {min} ranks, spec has {got}")
             }
+            JobError::TooManyRanks { strategy, max, got } => {
+                write!(
+                    f,
+                    "{strategy} takes at most {max} ranks on this circuit (one per row), \
+                     spec has {got}"
+                )
+            }
             JobError::NoIterations => write!(f, "iterations must be at least 1"),
             JobError::BadBookshelf(msg) => write!(f, "bookshelf parse failed: {msg}"),
             JobError::UnknownWarmStart(tag) => write!(f, "unknown warm-start placement `{tag}`"),
@@ -167,6 +186,7 @@ impl JobError {
         match self {
             JobError::UnknownCircuit(_) => "unknown_circuit",
             JobError::TooFewRanks { .. } => "too_few_ranks",
+            JobError::TooManyRanks { .. } => "too_many_ranks",
             JobError::NoIterations => "no_iterations",
             JobError::BadBookshelf(_) => "bad_bookshelf",
             JobError::UnknownWarmStart(_) => "unknown_warm_start",
@@ -455,6 +475,18 @@ impl JobRunner {
                 got: spec.ranks,
             });
         }
+        // Unknown circuits pass here and fail with `UnknownCircuit` once the
+        // runner resolves them.
+        if let Some(circuit) = SuiteCircuit::from_name(&spec.circuit) {
+            let max = circuit.num_rows();
+            if spec.ranks > max {
+                return Err(JobError::TooManyRanks {
+                    strategy: spec.strategy.label().to_string(),
+                    max,
+                    got: spec.ranks,
+                });
+            }
+        }
         Ok(())
     }
 
@@ -486,7 +518,7 @@ impl JobRunner {
         )?;
         let cluster = ClusterConfig::paper_cluster(scenario.ranks);
         let outcome = match scenario.strategy {
-            StrategyKind::Type1 => run_type1_ctl(
+            StrategyKind::Type1 => run_type1(
                 &engine,
                 cluster,
                 Type1Config {
@@ -496,7 +528,7 @@ impl JobRunner {
                 backend,
                 control,
             ),
-            StrategyKind::Type2(pattern) => run_type2_ctl(
+            StrategyKind::Type2(pattern) => run_type2(
                 &engine,
                 cluster,
                 Type2Config {
@@ -507,7 +539,7 @@ impl JobRunner {
                 backend,
                 control,
             ),
-            StrategyKind::Type3 => run_type3_ctl(
+            StrategyKind::Type3 => run_type3(
                 &engine,
                 cluster,
                 Type3Config {
@@ -518,7 +550,7 @@ impl JobRunner {
                 backend,
                 control,
             ),
-            StrategyKind::Portfolio(mix) => run_portfolio_ctl(
+            StrategyKind::Portfolio(mix) => run_portfolio(
                 &engine,
                 cluster,
                 PortfolioConfig::scenario(mix, scenario.ranks, scenario.iterations),
@@ -672,6 +704,24 @@ mod tests {
             }
         );
 
+        let mut many = small_spec();
+        many.strategy = StrategyKind::Type3;
+        many.ranks = 1_000_000_000_000;
+        let rows = SuiteCircuit::from_name("s1196").unwrap().num_rows();
+        let err = runner.run_scenario(&many).unwrap_err();
+        assert_eq!(
+            err,
+            JobError::TooManyRanks {
+                strategy: "type3".into(),
+                max: rows,
+                got: 1_000_000_000_000
+            }
+        );
+        assert_eq!(err.code(), "too_many_ranks");
+        assert_eq!(JobRunner::validate(&many), Err(err));
+        many.ranks = rows;
+        assert_eq!(JobRunner::validate(&many), Ok(()));
+
         let mut empty = small_spec();
         empty.iterations = 0;
         assert_eq!(
@@ -770,6 +820,34 @@ mod tests {
         assert_eq!(cut.outcome.iterations, 2);
         for (a, b) in cut.outcome.mu_history.iter().zip(&full.outcome.mu_history) {
             assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    #[test]
+    fn huge_iteration_counts_do_not_preallocate_the_history() {
+        // Regression: every driver used to reserve `iterations` µ-history
+        // slots up front, so one submit line with `iterations: 1e12` aborted
+        // the whole process on the allocation before the first iteration.
+        let runner = JobRunner::new();
+        for (strategy, ranks) in [
+            (StrategyKind::Type1, 2),
+            (StrategyKind::Type2(RowPattern::Random), 2),
+            (StrategyKind::Type3, 3),
+            (
+                StrategyKind::Portfolio(crate::portfolio::PortfolioMix::Mixed),
+                2,
+            ),
+        ] {
+            let mut spec = small_spec();
+            spec.strategy = strategy;
+            spec.ranks = ranks;
+            spec.iterations = 1_000_000_000_000;
+            let out = runner
+                .run_job(&JobSpec::batch(spec), &Modeled, &CancelAfter(1))
+                .unwrap();
+            assert_eq!(out.outcome.iterations, 2, "{}", strategy.label());
+            assert_eq!(out.outcome.mu_history.len(), 2);
+            assert!(!out.completed());
         }
     }
 

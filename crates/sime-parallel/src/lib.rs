@@ -43,8 +43,8 @@
 //! [`exec::Threaded`] backend executes it on a pool of real OS threads. Both
 //! produce bitwise-identical outcomes — seeds, per-rank RNG streams and the
 //! rank-ordered merge at every synchronisation barrier are backend-
-//! independent — so `run_typeN(...)` and
-//! `run_typeN_on(..., &Threaded::new(n))` differ only in host wall-clock
+//! independent — so `run_typeN(..., &Modeled, ...)` and
+//! `run_typeN(..., &Threaded::new(n), ...)` differ only in host wall-clock
 //! time. The contract is spelled out in [`exec`] and in `DESIGN.md` §4.
 //!
 //! Every strategy returns a [`report::StrategyOutcome`] containing the best
@@ -64,7 +64,7 @@
 //! as **session state** for long-running services: a thread-safe
 //! [`jobs::JobRunner`] with content-addressed circuit and engine caches, the
 //! [`control::RunControl`] hook for progress streaming and cooperative
-//! cancellation (`run_typeN_ctl`), and the [`exec::SharedPool`] backend that
+//! cancellation (the last argument of every strategy entry point), and the [`exec::SharedPool`] backend that
 //! lets many concurrent jobs share one persistent worker pool. The
 //! `sime-server` crate builds its placement-as-a-service daemon on these.
 
@@ -81,37 +81,30 @@ pub mod type2;
 pub mod type3;
 
 pub use batch::{
-    check_goldens, golden_subset, intra_rank_golden_subset, BatchDriver, GoldenCheck,
-    ScenarioRecord, ScenarioSpec, StrategyKind, TrajectoryFingerprint,
+    check_goldens, golden_subset, BatchDriver, GoldenCheck, ScenarioRecord, ScenarioSpec,
+    StrategyKind, TrajectoryFingerprint,
 };
 pub use control::{CancelAfter, CancelToken, FreeRun, ObservedRun, RunControl};
-pub use exec::{backend_from_name, backend_from_spec, ExecBackend, Modeled, SharedPool, Threaded};
+pub use exec::{backend_from_name, ExecBackend, Modeled, SharedPool, Threaded};
 pub use jobs::{pl_digest, JobError, JobOutcome, JobRunner, JobSpec};
-pub use portfolio::{
-    run_portfolio, run_portfolio_ctl, run_portfolio_on, IslandKind, PortfolioConfig, PortfolioMix,
-};
+pub use portfolio::{run_portfolio, IslandKind, PortfolioConfig, PortfolioMix};
 pub use report::{modeled_serial_seconds, run_serial_baseline, SerialBaseline, StrategyOutcome};
-pub use type1::{run_type1, run_type1_ctl, run_type1_on, Type1Config};
-pub use type2::{run_type2, run_type2_ctl, run_type2_on, RowPattern, Type2Config};
-pub use type3::{run_type3, run_type3_ctl, run_type3_on, Type3Config};
+pub use type1::{run_type1, Type1Config};
+pub use type2::{run_type2, RowPattern, Type2Config};
+pub use type3::{run_type3, Type3Config};
 
 /// Convenience prelude bringing the parallel-strategy API into scope.
 pub mod prelude {
     pub use crate::batch::{
-        check_goldens, golden_subset, intra_rank_golden_subset, BatchDriver, GoldenCheck,
-        ScenarioRecord, ScenarioSpec, StrategyKind, TrajectoryFingerprint,
+        check_goldens, golden_subset, BatchDriver, GoldenCheck, ScenarioRecord, ScenarioSpec,
+        StrategyKind, TrajectoryFingerprint,
     };
     pub use crate::control::{CancelAfter, CancelToken, FreeRun, ObservedRun, RunControl};
-    pub use crate::exec::{
-        backend_from_name, backend_from_spec, ExecBackend, Modeled, SharedPool, Threaded,
-    };
+    pub use crate::exec::{backend_from_name, ExecBackend, Modeled, SharedPool, Threaded};
     pub use crate::jobs::{JobError, JobOutcome, JobRunner, JobSpec};
-    pub use crate::portfolio::{
-        run_portfolio, run_portfolio_ctl, run_portfolio_on, IslandKind, PortfolioConfig,
-        PortfolioMix,
-    };
+    pub use crate::portfolio::{run_portfolio, IslandKind, PortfolioConfig, PortfolioMix};
     pub use crate::report::{run_serial_baseline, SerialBaseline, StrategyOutcome};
-    pub use crate::type1::{run_type1, run_type1_ctl, run_type1_on, Type1Config};
-    pub use crate::type2::{run_type2, run_type2_ctl, run_type2_on, RowPattern, Type2Config};
-    pub use crate::type3::{run_type3, run_type3_ctl, run_type3_on, Type3Config};
+    pub use crate::type1::{run_type1, Type1Config};
+    pub use crate::type2::{run_type2, RowPattern, Type2Config};
+    pub use crate::type3::{run_type3, Type3Config};
 }

@@ -32,10 +32,9 @@
 //! target µ — cuts at an epoch boundary, so a stopped run's trajectory is a
 //! bitwise prefix of the free run's.
 
-use crate::control::{FreeRun, RunControl};
-use crate::exec::{ExecBackend, Modeled, Task};
+use crate::control::RunControl;
+use crate::exec::{ExecBackend, Task};
 use crate::report::{StrategyOutcome, BYTES_PER_CELL};
-use cluster_sim::comm::WorkerPool;
 use cluster_sim::machine::Workload;
 use cluster_sim::timeline::{ClusterConfig, ClusterTimeline};
 use metaheuristics::optimizer::{EpochWork, GaIsland, Optimizer, SaIsland, TabuIsland};
@@ -44,7 +43,6 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use sime_core::engine::{SimEEngine, SimEScratch};
-use sime_core::parallel::EvalContext;
 use sime_core::profile::ProfileReport;
 use std::sync::Arc;
 use std::time::Instant;
@@ -154,11 +152,9 @@ impl PortfolioConfig {
 /// Serial-SimE island: one full engine iteration (evaluation, selection,
 /// allocation over all rows) per epoch, over the island's private RNG
 /// stream and scratch. Defined here — not in `metaheuristics` — because it
-/// needs the engine and the intra-rank [`EvalContext`].
+/// needs the engine.
 struct SimeIsland {
     engine: Arc<SimEEngine>,
-    pool: Option<Arc<WorkerPool>>,
-    eval_chunks: usize,
     rng: ChaCha8Rng,
     scratch: SimEScratch,
     placement: Placement,
@@ -171,13 +167,7 @@ struct SimeIsland {
 }
 
 impl SimeIsland {
-    fn new(
-        engine: Arc<SimEEngine>,
-        initial: Placement,
-        seed: u64,
-        pool: Option<Arc<WorkerPool>>,
-        eval_chunks: usize,
-    ) -> Self {
+    fn new(engine: Arc<SimEEngine>, initial: Placement, seed: u64) -> Self {
         let current = engine.evaluator().evaluate(&initial);
         let num_rows = engine.config().num_rows;
         SimeIsland {
@@ -191,8 +181,6 @@ impl SimeIsland {
             best: current,
             evaluations: 1,
             engine,
-            pool,
-            eval_chunks,
         }
     }
 }
@@ -203,20 +191,16 @@ impl Optimizer for SimeIsland {
     }
 
     fn step(&mut self) -> EpochWork {
-        let ctx = EvalContext::from_pool(self.pool.as_deref(), self.eval_chunks);
         let mut profile = ProfileReport::new();
-        let (_avg, _selected, alloc_stats) = self.engine.iterate_on(
+        let (_avg, _selected, alloc_stats) = self.engine.iterate(
             &mut self.placement,
             &mut self.scratch,
             &mut self.rng,
             &mut profile,
             &self.frozen,
             &self.rows,
-            &ctx,
         );
-        self.current = self
-            .engine
-            .cost_with_on(&self.placement, &mut self.scratch, &ctx);
+        self.current = self.engine.cost_with(&self.placement, &mut self.scratch);
         self.evaluations += 1;
         if self.current.mu > self.best.mu {
             self.best = self.current;
@@ -261,20 +245,12 @@ fn build_island(
     index: usize,
     engine: &Arc<SimEEngine>,
     initial: &Placement,
-    pool: Option<Arc<WorkerPool>>,
-    eval_chunks: usize,
 ) -> Box<dyn Optimizer> {
     let seed = engine.config().seed ^ ((index as u64 + 1) << 48);
     let num_rows = engine.config().num_rows;
     let evaluator = engine.evaluator().clone();
     match kind {
-        IslandKind::SimE => Box::new(SimeIsland::new(
-            Arc::clone(engine),
-            initial.clone(),
-            seed,
-            pool,
-            eval_chunks,
-        )),
+        IslandKind::SimE => Box::new(SimeIsland::new(Arc::clone(engine), initial.clone(), seed)),
         IslandKind::Ga => Box::new(GaIsland::new(
             evaluator,
             GaConfig {
@@ -305,30 +281,13 @@ fn build_island(
     }
 }
 
-/// Runs the island portfolio on the default [`Modeled`] backend.
+/// Runs the island portfolio on an execution backend.
+///
+/// `control` observes every completed epoch and may end the run at that
+/// boundary (pass [`crate::control::FreeRun`] to run all epochs); the
+/// target µ (if configured) is checked at the same boundary. Either stop
+/// yields a bitwise prefix of the free run (see the [module docs](self)).
 pub fn run_portfolio(
-    engine: &SimEEngine,
-    cluster: ClusterConfig,
-    config: PortfolioConfig,
-) -> StrategyOutcome {
-    run_portfolio_on(engine, cluster, config, &Modeled)
-}
-
-/// Runs the island portfolio on an explicit execution backend.
-pub fn run_portfolio_on(
-    engine: &SimEEngine,
-    cluster: ClusterConfig,
-    config: PortfolioConfig,
-    backend: &dyn ExecBackend,
-) -> StrategyOutcome {
-    run_portfolio_ctl(engine, cluster, config, backend, &FreeRun)
-}
-
-/// [`run_portfolio_on`] with a [`RunControl`]: the control observes every
-/// completed epoch and may end the run at that boundary; the target µ (if
-/// configured) is checked at the same boundary. Either stop yields a
-/// bitwise prefix of the free run (see the [module docs](self)).
-pub fn run_portfolio_ctl(
     engine: &SimEEngine,
     cluster: ClusterConfig,
     config: PortfolioConfig,
@@ -346,8 +305,6 @@ pub fn run_portfolio_ctl(
     );
     let started = Instant::now();
     let executor = backend.executor();
-    let pool = executor.pool();
-    let eval_chunks = executor.effective_eval_chunks(backend);
 
     let netlist = engine.evaluator().netlist().clone();
     let num_cells = netlist.num_cells();
@@ -364,21 +321,12 @@ pub fn run_portfolio_ctl(
     let mut islands: Vec<Option<Box<dyn Optimizer>>> = composition
         .iter()
         .enumerate()
-        .map(|(i, &kind)| {
-            Some(build_island(
-                kind,
-                i,
-                &shared,
-                &initial,
-                pool.clone(),
-                eval_chunks,
-            ))
-        })
+        .map(|(i, &kind)| Some(build_island(kind, i, &shared, &initial)))
         .collect();
 
     let mut best_cost = engine.evaluator().evaluate(&initial);
     let mut best_placement = initial.clone();
-    let mut mu_history = Vec::with_capacity(config.iterations);
+    let mut mu_history = Vec::new();
 
     for epoch in 0..config.iterations {
         // Fan out: every island advances one epoch as an independent task.
@@ -468,15 +416,14 @@ pub fn run_portfolio_ctl(
         mu_history,
         wall_seconds: started.elapsed().as_secs_f64(),
         backend: backend.label(),
-        eval_chunks,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::control::CancelAfter;
-    use crate::exec::Threaded;
+    use crate::control::{CancelAfter, FreeRun};
+    use crate::exec::{Modeled, Threaded};
     use sime_core::engine::SimEConfig;
     use std::sync::Arc;
     use vlsi_netlist::generator::{CircuitGenerator, GeneratorConfig};
@@ -561,7 +508,13 @@ mod tests {
     #[test]
     fn portfolio_produces_a_legal_placement_and_monotone_history() {
         let engine = engine(4);
-        let outcome = run_portfolio(&engine, ClusterConfig::paper_cluster(4), cfg(4, 4));
+        let outcome = run_portfolio(
+            &engine,
+            ClusterConfig::paper_cluster(4),
+            cfg(4, 4),
+            &Modeled,
+            &FreeRun,
+        );
         outcome
             .best_placement
             .validate(engine.evaluator().netlist())
@@ -579,13 +532,20 @@ mod tests {
     fn portfolio_backends_agree_bitwise() {
         let engine = engine(3);
         let config = cfg(4, 3);
-        let modeled = run_portfolio(&engine, ClusterConfig::paper_cluster(4), config);
+        let modeled = run_portfolio(
+            &engine,
+            ClusterConfig::paper_cluster(4),
+            config,
+            &Modeled,
+            &FreeRun,
+        );
         for workers in [1, 2, 4] {
-            let threaded = run_portfolio_on(
+            let threaded = run_portfolio(
                 &engine,
                 ClusterConfig::paper_cluster(4),
                 config,
                 &Threaded::new(workers),
+                &FreeRun,
             );
             assert_outcomes_bitwise_equal(&modeled, &threaded, &format!("workers={workers}"));
         }
@@ -603,6 +563,8 @@ mod tests {
                 migration_interval: 5,
                 ..cfg(3, 3)
             },
+            &Modeled,
+            &FreeRun,
         );
         let b = run_portfolio(
             &engine,
@@ -611,6 +573,8 @@ mod tests {
                 migration_interval: 97,
                 ..cfg(3, 3)
             },
+            &Modeled,
+            &FreeRun,
         );
         assert_outcomes_bitwise_equal(&a, &b, "intervals 5 vs 97 over 3 epochs");
     }
@@ -619,8 +583,14 @@ mod tests {
     fn portfolio_cancelled_run_is_a_bitwise_prefix() {
         let engine = engine(5);
         let config = cfg(3, 5);
-        let full = run_portfolio(&engine, ClusterConfig::paper_cluster(3), config);
-        let cut = run_portfolio_ctl(
+        let full = run_portfolio(
+            &engine,
+            ClusterConfig::paper_cluster(3),
+            config,
+            &Modeled,
+            &FreeRun,
+        );
+        let cut = run_portfolio(
             &engine,
             ClusterConfig::paper_cluster(3),
             config,
@@ -637,7 +607,13 @@ mod tests {
     fn target_mu_stops_the_race_early_with_a_prefix_trajectory() {
         let engine = engine(5);
         let config = cfg(4, 5);
-        let full = run_portfolio(&engine, ClusterConfig::paper_cluster(4), config);
+        let full = run_portfolio(
+            &engine,
+            ClusterConfig::paper_cluster(4),
+            config,
+            &Modeled,
+            &FreeRun,
+        );
         assert_eq!(full.iterations, 5);
         // Aim for the quality the free run reached after its second epoch:
         // the raced run must stop at (or before) that boundary, bitwise on
@@ -650,6 +626,8 @@ mod tests {
                 target_mu: Some(target),
                 ..config
             },
+            &Modeled,
+            &FreeRun,
         );
         assert!(raced.iterations <= 2, "target must stop the run early");
         assert!(raced.best_mu() >= target);
@@ -662,8 +640,20 @@ mod tests {
     fn portfolio_is_deterministic_across_reruns() {
         let engine = engine(3);
         let config = cfg(5, 3);
-        let a = run_portfolio(&engine, ClusterConfig::paper_cluster(5), config);
-        let b = run_portfolio(&engine, ClusterConfig::paper_cluster(5), config);
+        let a = run_portfolio(
+            &engine,
+            ClusterConfig::paper_cluster(5),
+            config,
+            &Modeled,
+            &FreeRun,
+        );
+        let b = run_portfolio(
+            &engine,
+            ClusterConfig::paper_cluster(5),
+            config,
+            &Modeled,
+            &FreeRun,
+        );
         assert_outcomes_bitwise_equal(&a, &b, "rerun");
     }
 
@@ -671,7 +661,13 @@ mod tests {
     #[should_panic(expected = "at least two islands")]
     fn rejects_single_island() {
         let engine = engine(1);
-        run_portfolio(&engine, ClusterConfig::paper_cluster(1), cfg(1, 1));
+        run_portfolio(
+            &engine,
+            ClusterConfig::paper_cluster(1),
+            cfg(1, 1),
+            &Modeled,
+            &FreeRun,
+        );
     }
 
     #[test]
@@ -685,6 +681,8 @@ mod tests {
                 migration_interval: 0,
                 ..cfg(2, 1)
             },
+            &Modeled,
+            &FreeRun,
         );
     }
 }

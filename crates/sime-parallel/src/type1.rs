@@ -23,8 +23,9 @@
 //! ```
 //! use cluster_sim::timeline::ClusterConfig;
 //! use sime_core::engine::{SimEConfig, SimEEngine};
-//! use sime_parallel::exec::Threaded;
-//! use sime_parallel::type1::{run_type1, run_type1_on, Type1Config};
+//! use sime_parallel::control::FreeRun;
+//! use sime_parallel::exec::{Modeled, Threaded};
+//! use sime_parallel::type1::{run_type1, Type1Config};
 //! use std::sync::Arc;
 //! use vlsi_netlist::generator::{CircuitGenerator, GeneratorConfig};
 //! use vlsi_place::cost::Objectives;
@@ -34,15 +35,16 @@
 //! );
 //! let engine = SimEEngine::new(netlist, SimEConfig::fast(Objectives::WirelengthPower, 6, 3));
 //! let config = Type1Config { ranks: 3, iterations: 3 };
-//! let modeled = run_type1(&engine, ClusterConfig::paper_cluster(3), config);
-//! let threaded = run_type1_on(&engine, ClusterConfig::paper_cluster(3), config, &Threaded::new(2));
+//! let cluster = ClusterConfig::paper_cluster(3);
+//! let modeled = run_type1(&engine, cluster, config, &Modeled, &FreeRun);
+//! let threaded = run_type1(&engine, cluster, config, &Threaded::new(2), &FreeRun);
 //! // The determinism contract: backends agree bit for bit.
 //! assert_eq!(modeled.best_mu().to_bits(), threaded.best_mu().to_bits());
 //! assert_eq!(modeled.modeled_seconds, threaded.modeled_seconds);
 //! ```
 
-use crate::control::{FreeRun, RunControl};
-use crate::exec::{ExecBackend, Modeled, Task};
+use crate::control::RunControl;
+use crate::exec::{ExecBackend, Task};
 use crate::report::{
     partition_evaluation_workload, StrategyOutcome, BYTES_PER_CELL, BYTES_PER_GOODNESS,
 };
@@ -52,7 +54,6 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use sime_core::engine::SimEEngine;
-use sime_core::parallel::{chunk_ranges, EvalContext};
 use sime_core::profile::ProfileReport;
 use std::sync::Arc;
 use std::time::Instant;
@@ -76,9 +77,6 @@ pub struct Type1Config {
 struct EvalScratch {
     lengths: Vec<f64>,
     filled: Vec<bool>,
-    /// Per-chunk goodness output buffers of the intra-rank parallel read-off
-    /// (reused across iterations, like the engine's `SimEScratch`).
-    chunk_goodness: Vec<Vec<f64>>,
 }
 
 impl EvalScratch {
@@ -86,7 +84,6 @@ impl EvalScratch {
         EvalScratch {
             lengths: vec![0.0; num_nets],
             filled: vec![false; num_nets],
-            chunk_goodness: Vec::new(),
         }
     }
 }
@@ -113,31 +110,18 @@ pub fn partition_goodness(
     cells: &[CellId],
 ) -> Vec<f64> {
     let mut scratch = EvalScratch::new(engine.evaluator().netlist().num_nets());
-    partition_goodness_with(
-        engine,
-        placement,
-        cells,
-        &mut scratch,
-        &EvalContext::serial(),
-    )
+    partition_goodness_with(engine, placement, cells, &mut scratch)
 }
 
 /// [`partition_goodness`] over caller-owned buffers (the allocation-free
 /// variant the strategy loop uses). Stale `lengths` entries from earlier
 /// calls are never read: every net a cell's goodness touches is (re)filled
 /// for the current placement before the goodness pass.
-///
-/// Under a chunked [`EvalContext`] the sparse net-length fill stays serial
-/// (it deduplicates through the `filled` mask) and the per-cell goodness
-/// read-off fans out in index-contiguous chunks of the partition, merged in
-/// chunk order — bitwise identical to the serial read-off for any chunk
-/// count (DESIGN.md §4, intra-rank extension).
 fn partition_goodness_with(
     engine: &SimEEngine,
     placement: &Placement,
     cells: &[CellId],
     scratch: &mut EvalScratch,
-    ctx: &EvalContext<'_>,
 ) -> Vec<f64> {
     let goodness = engine.goodness();
     let evaluator = goodness.evaluator();
@@ -159,76 +143,30 @@ fn partition_goodness_with(
             }
         }
     }
-    match ctx.fan_out() {
-        None => cells
-            .iter()
-            .map(|&cell| {
-                goodness
-                    .cell_goodness_from_lengths(cell, &scratch.lengths)
-                    .combined
-            })
-            .collect(),
-        Some((pool, chunks)) => {
-            let ranges = chunk_ranges(cells.len(), chunks);
-            if scratch.chunk_goodness.len() < ranges.len() {
-                scratch.chunk_goodness.resize_with(ranges.len(), Vec::new);
-            }
-            let lengths: &[f64] = &scratch.lengths;
-            let chunks_used = ranges.len();
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = scratch.chunk_goodness[..chunks_used]
-                .iter_mut()
-                .zip(ranges)
-                .map(|(buf, range)| {
-                    Box::new(move || {
-                        buf.clear();
-                        buf.extend(cells[range].iter().map(|&cell| {
-                            goodness.cell_goodness_from_lengths(cell, lengths).combined
-                        }));
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            pool.run_scoped_tasks(tasks);
-            let mut out = Vec::with_capacity(cells.len());
-            for buf in &scratch.chunk_goodness[..chunks_used] {
-                out.extend_from_slice(buf);
-            }
-            out
-        }
-    }
+    cells
+        .iter()
+        .map(|&cell| {
+            goodness
+                .cell_goodness_from_lengths(cell, &scratch.lengths)
+                .combined
+        })
+        .collect()
 }
 
-/// Runs the Type I parallel SimE strategy on the default [`Modeled`] backend.
+/// Runs the Type I parallel SimE strategy on an execution backend.
 ///
 /// The engine's RNG seed determines the (serial-equivalent) search
-/// trajectory; `cluster` describes the simulated machine.
-pub fn run_type1(
-    engine: &SimEEngine,
-    cluster: ClusterConfig,
-    config: Type1Config,
-) -> StrategyOutcome {
-    run_type1_on(engine, cluster, config, &Modeled)
-}
-
-/// Runs the Type I parallel SimE strategy on an explicit execution backend.
+/// trajectory; `cluster` describes the simulated machine. Every backend
+/// produces bitwise-identical outcomes (see the determinism contract in
+/// [`crate::exec`]); a threaded backend executes the per-partition
+/// evaluation tasks on real OS threads.
 ///
-/// Both backends produce bitwise-identical outcomes (see the determinism
-/// contract in [`crate::exec`]); the threaded backend executes the
-/// per-partition evaluation tasks on real OS threads.
-pub fn run_type1_on(
-    engine: &SimEEngine,
-    cluster: ClusterConfig,
-    config: Type1Config,
-    backend: &dyn ExecBackend,
-) -> StrategyOutcome {
-    run_type1_ctl(engine, cluster, config, backend, &FreeRun)
-}
-
-/// [`run_type1_on`] with a [`RunControl`]: the control observes every
-/// completed iteration and may end the run at that boundary (see the
-/// [`crate::control`] docs for the exact call point and the prefix-bitwise
-/// guarantee). [`StrategyOutcome::iterations`] reports the iterations that
-/// actually ran.
-pub fn run_type1_ctl(
+/// `control` observes every completed iteration and may end the run at that
+/// boundary (see the [`crate::control`] docs for the exact call point and
+/// the prefix-bitwise guarantee); pass [`crate::control::FreeRun`] to run
+/// all `config.iterations`. [`StrategyOutcome::iterations`] reports the
+/// iterations that actually ran.
+pub fn run_type1(
     engine: &SimEEngine,
     cluster: ClusterConfig,
     config: Type1Config,
@@ -245,8 +183,6 @@ pub fn run_type1_ctl(
     );
     let started = Instant::now();
     let executor = backend.executor();
-    let pool = executor.pool();
-    let eval_chunks = executor.effective_eval_chunks(backend);
 
     let netlist = engine.evaluator().netlist().clone();
     let num_cells = netlist.num_cells();
@@ -289,7 +225,7 @@ pub fn run_type1_ctl(
 
     let mut best_placement = placement.clone();
     let mut best_cost = engine.evaluator().evaluate(&placement);
-    let mut mu_history = Vec::with_capacity(config.iterations);
+    let mut mu_history = Vec::new();
 
     // Fraction of the allocation's goodness-gain calculations that concern
     // cells outside the master's partition and therefore have to be
@@ -316,11 +252,9 @@ pub fn run_type1_ctl(
                 let snapshot = Arc::clone(&snapshot);
                 let partition = Arc::clone(partition);
                 let mut scratch = slot.take().expect("evaluation scratch in flight");
-                let pool = pool.clone();
                 Box::new(move || {
-                    let ctx = EvalContext::from_pool(pool.as_deref(), eval_chunks);
                     let part =
-                        partition_goodness_with(&engine, &snapshot, &partition, &mut scratch, &ctx);
+                        partition_goodness_with(&engine, &snapshot, &partition, &mut scratch);
                     (part, scratch)
                 }) as Task<EvalOutput>
             })
@@ -346,8 +280,7 @@ pub fn run_type1_ctl(
         //    selection and allocation work is charged to the master, plus the
         //    extra cost recalculations for non-partition cells.
         let mut profile = ProfileReport::new();
-        let master_ctx = EvalContext::from_pool(pool.as_deref(), eval_chunks);
-        let (selected, alloc_stats) = engine.select_and_allocate_on(
+        let (selected, alloc_stats) = engine.select_and_allocate(
             &mut placement,
             &mut scratch,
             &goodness,
@@ -355,7 +288,6 @@ pub fn run_type1_ctl(
             &mut profile,
             &[],
             &[],
-            &master_ctx,
         );
         let alloc_evals = alloc_stats.net_evaluations as f64;
         timeline.charge_compute(
@@ -366,11 +298,7 @@ pub fn run_type1_ctl(
             },
         );
 
-        // The post-iteration cost refresh rides the same epoch machinery as
-        // the rest of the master's work: the wide delta left by the
-        // allocation pass fans its per-net recomputations over the pool
-        // (bitwise identical to the serial refresh).
-        let cost = engine.cost_with_on(&placement, &mut scratch, &master_ctx);
+        let cost = engine.cost_with(&placement, &mut scratch);
         mu_history.push(cost.mu);
         if cost.mu > best_cost.mu {
             best_cost = cost;
@@ -391,14 +319,14 @@ pub fn run_type1_ctl(
         mu_history,
         wall_seconds: started.elapsed().as_secs_f64(),
         backend: backend.label(),
-        eval_chunks,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::Threaded;
+    use crate::control::FreeRun;
+    use crate::exec::{Modeled, Threaded};
     use crate::report::{modeled_serial_seconds, run_serial_baseline};
     use sime_core::engine::SimEConfig;
     use std::sync::Arc;
@@ -428,6 +356,8 @@ mod tests {
                 ranks: 3,
                 iterations: 6,
             },
+            &Modeled,
+            &FreeRun,
         );
         assert!((outcome.best_mu() - serial.best_cost.mu).abs() < 1e-12);
         assert!((outcome.best_cost.wirelength - serial.best_cost.wirelength).abs() < 1e-9);
@@ -446,6 +376,8 @@ mod tests {
                 ranks: 4,
                 iterations: 5,
             },
+            &Modeled,
+            &FreeRun,
         );
         assert_eq!(serial.history.len(), outcome.mu_history.len());
         for (h, &mu) in serial.history.iter().zip(&outcome.mu_history) {
@@ -460,13 +392,20 @@ mod tests {
             ranks: 3,
             iterations: 4,
         };
-        let modeled = run_type1(&engine, ClusterConfig::paper_cluster(3), config);
+        let modeled = run_type1(
+            &engine,
+            ClusterConfig::paper_cluster(3),
+            config,
+            &Modeled,
+            &FreeRun,
+        );
         for workers in [1, 2, 4] {
-            let threaded = run_type1_on(
+            let threaded = run_type1(
                 &engine,
                 ClusterConfig::paper_cluster(3),
                 config,
                 &Threaded::new(workers),
+                &FreeRun,
             );
             assert_eq!(threaded.backend, format!("threaded({workers})"));
             assert_eq!(
@@ -476,36 +415,6 @@ mod tests {
             assert_eq!(modeled.modeled_seconds, threaded.modeled_seconds);
             assert_eq!(modeled.comm, threaded.comm);
             for (a, b) in modeled.mu_history.iter().zip(&threaded.mu_history) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn type1_intra_rank_chunks_agree_bitwise() {
-        // The EvalParallelism knob must change nothing but wall-clock: the
-        // chunked partition read-off and the master's chunked trial scoring
-        // reproduce the modeled trajectory to the bit.
-        let engine = engine(4);
-        let config = Type1Config {
-            ranks: 3,
-            iterations: 4,
-        };
-        let modeled = run_type1(&engine, ClusterConfig::paper_cluster(3), config);
-        assert_eq!(modeled.eval_chunks, 1);
-        for chunks in [2, 4] {
-            let intra = run_type1_on(
-                &engine,
-                ClusterConfig::paper_cluster(3),
-                config,
-                &Threaded::new(2).with_eval_chunks(chunks),
-            );
-            assert_eq!(intra.eval_chunks, chunks);
-            assert_eq!(intra.backend, format!("threaded(2,ev{chunks})"));
-            assert_eq!(modeled.best_cost.mu.to_bits(), intra.best_cost.mu.to_bits());
-            assert_eq!(modeled.modeled_seconds, intra.modeled_seconds);
-            assert_eq!(modeled.comm, intra.comm);
-            for (a, b) in modeled.mu_history.iter().zip(&intra.mu_history) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }
@@ -540,6 +449,8 @@ mod tests {
                     ranks,
                     iterations: 5,
                 },
+                &Modeled,
+                &FreeRun,
             );
             assert!(
                 outcome.modeled_seconds >= baseline.modeled_seconds * 0.95,
@@ -562,6 +473,8 @@ mod tests {
                         ranks,
                         iterations: 5,
                     },
+                    &Modeled,
+                    &FreeRun,
                 )
                 .modeled_seconds
             })
@@ -589,6 +502,8 @@ mod tests {
                 ranks,
                 iterations: 4,
             },
+            &Modeled,
+            &FreeRun,
         );
         // one broadcast + one gather per iteration, each (ranks-1) messages
         assert_eq!(outcome.comm.messages, (2 * (ranks - 1) * 4) as u64);
@@ -620,6 +535,8 @@ mod tests {
                 ranks: 1,
                 iterations: 1,
             },
+            &Modeled,
+            &FreeRun,
         );
     }
 }

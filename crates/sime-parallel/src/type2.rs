@@ -28,8 +28,9 @@
 //! ```
 //! use cluster_sim::timeline::ClusterConfig;
 //! use sime_core::engine::{SimEConfig, SimEEngine};
-//! use sime_parallel::exec::Threaded;
-//! use sime_parallel::type2::{run_type2, run_type2_on, RowPattern, Type2Config};
+//! use sime_parallel::control::FreeRun;
+//! use sime_parallel::exec::{Modeled, Threaded};
+//! use sime_parallel::type2::{run_type2, RowPattern, Type2Config};
 //! use std::sync::Arc;
 //! use vlsi_netlist::generator::{CircuitGenerator, GeneratorConfig};
 //! use vlsi_place::cost::Objectives;
@@ -39,14 +40,15 @@
 //! );
 //! let engine = SimEEngine::new(netlist, SimEConfig::fast(Objectives::WirelengthPower, 6, 3));
 //! let config = Type2Config { ranks: 3, iterations: 3, pattern: RowPattern::Random };
-//! let modeled = run_type2(&engine, ClusterConfig::paper_cluster(3), config);
-//! let threaded = run_type2_on(&engine, ClusterConfig::paper_cluster(3), config, &Threaded::new(2));
+//! let cluster = ClusterConfig::paper_cluster(3);
+//! let modeled = run_type2(&engine, cluster, config, &Modeled, &FreeRun);
+//! let threaded = run_type2(&engine, cluster, config, &Threaded::new(2), &FreeRun);
 //! assert_eq!(modeled.best_mu().to_bits(), threaded.best_mu().to_bits());
 //! assert_eq!(modeled.comm, threaded.comm);
 //! ```
 
-use crate::control::{FreeRun, RunControl};
-use crate::exec::{ExecBackend, Modeled, Task};
+use crate::control::RunControl;
+use crate::exec::{ExecBackend, Task};
 use crate::report::{StrategyOutcome, BYTES_PER_CELL};
 use cluster_sim::machine::Workload;
 use cluster_sim::timeline::{ClusterConfig, ClusterTimeline};
@@ -56,7 +58,6 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use sime_core::allocation::AllocationStats;
 use sime_core::engine::{SimEEngine, SimEScratch};
-use sime_core::parallel::EvalContext;
 use sime_core::profile::ProfileReport;
 use std::sync::Arc;
 use std::time::Instant;
@@ -145,36 +146,19 @@ struct RankState {
 /// owned after its local iteration, and the allocation work it performed.
 type RankOutput = (RankState, Vec<(usize, Vec<CellId>)>, AllocationStats);
 
-/// Runs the Type II parallel SimE strategy on the default [`Modeled`] backend.
-pub fn run_type2(
-    engine: &SimEEngine,
-    cluster: ClusterConfig,
-    config: Type2Config,
-) -> StrategyOutcome {
-    run_type2_on(engine, cluster, config, &Modeled)
-}
-
-/// Runs the Type II parallel SimE strategy on an explicit execution backend.
+/// Runs the Type II parallel SimE strategy on an execution backend.
 ///
 /// Per-rank iterations are independent tasks over seed-derived private RNG
 /// streams (`seed ^ ((rank + 1) << 32)`); the master merges the returned rows
-/// in rank order, so both backends — and any worker count — produce bitwise
+/// in rank order, so every backend — and any worker count — produces bitwise
 /// identical outcomes.
-pub fn run_type2_on(
-    engine: &SimEEngine,
-    cluster: ClusterConfig,
-    config: Type2Config,
-    backend: &dyn ExecBackend,
-) -> StrategyOutcome {
-    run_type2_ctl(engine, cluster, config, backend, &FreeRun)
-}
-
-/// [`run_type2_on`] with a [`RunControl`]: the control observes every
-/// completed iteration and may end the run at that boundary (see the
-/// [`crate::control`] docs for the exact call point and the prefix-bitwise
-/// guarantee). [`StrategyOutcome::iterations`] reports the iterations that
-/// actually ran.
-pub fn run_type2_ctl(
+///
+/// `control` observes every completed iteration and may end the run at that
+/// boundary (see the [`crate::control`] docs for the exact call point and
+/// the prefix-bitwise guarantee); pass [`crate::control::FreeRun`] to run
+/// all `config.iterations`. [`StrategyOutcome::iterations`] reports the
+/// iterations that actually ran.
+pub fn run_type2(
     engine: &SimEEngine,
     cluster: ClusterConfig,
     config: Type2Config,
@@ -193,8 +177,6 @@ pub fn run_type2_ctl(
     );
     let started = Instant::now();
     let executor = backend.executor();
-    let pool = executor.pool();
-    let eval_chunks = executor.effective_eval_chunks(backend);
 
     let netlist = engine.evaluator().netlist().clone();
     let num_cells = netlist.num_cells();
@@ -216,14 +198,10 @@ pub fn run_type2_ctl(
         })
         .collect();
     let mut master_scratch = engine.new_scratch();
-    // The master's merge evaluation rebuilds a fresh placement object every
-    // iteration, so its cost refresh is always a *full* (every-net) pass —
-    // the widest refresh in any driver. Fan it out over the pool.
-    let master_ctx = EvalContext::from_pool(pool.as_deref(), eval_chunks);
 
     let mut best_placement = placement.clone();
     let mut best_cost = engine.evaluator().evaluate(&placement);
-    let mut mu_history = Vec::with_capacity(config.iterations);
+    let mut mu_history = Vec::new();
 
     for iteration in 0..config.iterations {
         // Master: generate the row assignment and broadcast placement + rows.
@@ -263,18 +241,15 @@ pub fn run_type2_ctl(
             let engine = Arc::clone(&shared);
             let mut local = placement.clone();
             let rows = rows.clone();
-            let pool = pool.clone();
             tasks.push(Box::new(move || {
-                let ctx = EvalContext::from_pool(pool.as_deref(), eval_chunks);
                 let mut profile = ProfileReport::new();
-                let (_avg, _selected, alloc_stats) = engine.iterate_on(
+                let (_avg, _selected, alloc_stats) = engine.iterate(
                     &mut local,
                     &mut state.scratch,
                     &mut state.rng,
                     &mut profile,
                     &frozen,
                     &rows,
-                    &ctx,
                 );
                 let out_rows = rows.iter().map(|&r| (r, local.row(r).to_vec())).collect();
                 (state, out_rows, alloc_stats)
@@ -308,7 +283,7 @@ pub fn run_type2_ctl(
         placement = Placement::from_rows(&netlist, merged_rows);
         timeline.charge_compute(0, &Workload::misc(num_cells as u64));
 
-        let cost = engine.cost_with_on(&placement, &mut master_scratch, &master_ctx);
+        let cost = engine.cost_with(&placement, &mut master_scratch);
         mu_history.push(cost.mu);
         if cost.mu > best_cost.mu {
             best_cost = cost;
@@ -329,14 +304,14 @@ pub fn run_type2_ctl(
         mu_history,
         wall_seconds: started.elapsed().as_secs_f64(),
         backend: backend.label(),
-        eval_chunks,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::Threaded;
+    use crate::control::FreeRun;
+    use crate::exec::{Modeled, Threaded};
     use crate::report::run_serial_baseline;
     use sime_core::engine::SimEConfig;
     use std::sync::Arc;
@@ -403,6 +378,8 @@ mod tests {
                 iterations: 8,
                 pattern: RowPattern::Random,
             },
+            &Modeled,
+            &FreeRun,
         );
         outcome
             .best_placement
@@ -421,13 +398,20 @@ mod tests {
                 iterations: 5,
                 pattern,
             };
-            let modeled = run_type2(&engine, ClusterConfig::paper_cluster(4), config);
+            let modeled = run_type2(
+                &engine,
+                ClusterConfig::paper_cluster(4),
+                config,
+                &Modeled,
+                &FreeRun,
+            );
             for workers in [1, 3] {
-                let threaded = run_type2_on(
+                let threaded = run_type2(
                     &engine,
                     ClusterConfig::paper_cluster(4),
                     config,
                     &Threaded::new(workers),
+                    &FreeRun,
                 );
                 assert_eq!(
                     modeled.best_cost.wirelength.to_bits(),
@@ -450,38 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn type2_intra_rank_chunks_agree_bitwise() {
-        let engine = engine(4);
-        let config = Type2Config {
-            ranks: 3,
-            iterations: 4,
-            pattern: RowPattern::Random,
-        };
-        let modeled = run_type2(&engine, ClusterConfig::paper_cluster(3), config);
-        for chunks in [2, 3] {
-            let intra = run_type2_on(
-                &engine,
-                ClusterConfig::paper_cluster(3),
-                config,
-                &Threaded::new(2).with_eval_chunks(chunks),
-            );
-            assert_eq!(intra.eval_chunks, chunks);
-            assert_eq!(
-                modeled.best_cost.wirelength.to_bits(),
-                intra.best_cost.wirelength.to_bits()
-            );
-            assert_eq!(modeled.modeled_seconds, intra.modeled_seconds);
-            assert_eq!(modeled.comm, intra.comm);
-            for row in 0..engine.config().num_rows {
-                assert_eq!(
-                    modeled.best_placement.row(row),
-                    intra.best_placement.row(row)
-                );
-            }
-        }
-    }
-
-    #[test]
     fn type2_is_faster_than_serial_per_iteration() {
         // The paper's central Table 2/3 finding: domain decomposition divides
         // the allocation workload, so the modeled parallel runtime for the
@@ -496,6 +448,8 @@ mod tests {
                 iterations: 6,
                 pattern: RowPattern::Random,
             },
+            &Modeled,
+            &FreeRun,
         );
         assert!(
             outcome.modeled_seconds < baseline.modeled_seconds,
@@ -516,6 +470,8 @@ mod tests {
                 iterations: 5,
                 pattern: RowPattern::Random,
             },
+            &Modeled,
+            &FreeRun,
         )
         .modeled_seconds;
         let t5 = run_type2(
@@ -526,6 +482,8 @@ mod tests {
                 iterations: 5,
                 pattern: RowPattern::Random,
             },
+            &Modeled,
+            &FreeRun,
         )
         .modeled_seconds;
         assert!(
@@ -546,6 +504,8 @@ mod tests {
                     iterations: 4,
                     pattern,
                 },
+                &Modeled,
+                &FreeRun,
             );
             outcome
                 .best_placement
@@ -563,8 +523,14 @@ mod tests {
             iterations: 6,
             pattern: RowPattern::Random,
         };
-        let full = run_type2(&engine, ClusterConfig::paper_cluster(3), cfg);
-        let cut = run_type2_ctl(
+        let full = run_type2(
+            &engine,
+            ClusterConfig::paper_cluster(3),
+            cfg,
+            &Modeled,
+            &FreeRun,
+        );
+        let cut = run_type2(
             &engine,
             ClusterConfig::paper_cluster(3),
             cfg,
@@ -586,8 +552,20 @@ mod tests {
             iterations: 4,
             pattern: RowPattern::Random,
         };
-        let a = run_type2(&engine, ClusterConfig::paper_cluster(3), cfg);
-        let b = run_type2(&engine, ClusterConfig::paper_cluster(3), cfg);
+        let a = run_type2(
+            &engine,
+            ClusterConfig::paper_cluster(3),
+            cfg,
+            &Modeled,
+            &FreeRun,
+        );
+        let b = run_type2(
+            &engine,
+            ClusterConfig::paper_cluster(3),
+            cfg,
+            &Modeled,
+            &FreeRun,
+        );
         assert_eq!(a.best_cost.wirelength, b.best_cost.wirelength);
         assert_eq!(a.modeled_seconds, b.modeled_seconds);
         assert_eq!(a.comm.messages, b.comm.messages);
@@ -605,6 +583,8 @@ mod tests {
                 iterations: 1,
                 pattern: RowPattern::Fixed,
             },
+            &Modeled,
+            &FreeRun,
         );
     }
 }

@@ -30,8 +30,9 @@
 //! ```
 //! use cluster_sim::timeline::ClusterConfig;
 //! use sime_core::engine::{SimEConfig, SimEEngine};
-//! use sime_parallel::exec::Threaded;
-//! use sime_parallel::type3::{run_type3, run_type3_on, Type3Config};
+//! use sime_parallel::control::FreeRun;
+//! use sime_parallel::exec::{Modeled, Threaded};
+//! use sime_parallel::type3::{run_type3, Type3Config};
 //! use std::sync::Arc;
 //! use vlsi_netlist::generator::{CircuitGenerator, GeneratorConfig};
 //! use vlsi_place::cost::Objectives;
@@ -41,14 +42,15 @@
 //! );
 //! let engine = SimEEngine::new(netlist, SimEConfig::fast(Objectives::WirelengthPower, 6, 3));
 //! let config = Type3Config { ranks: 3, iterations: 3, retry_threshold: 2 };
-//! let modeled = run_type3(&engine, ClusterConfig::paper_cluster(3), config);
-//! let threaded = run_type3_on(&engine, ClusterConfig::paper_cluster(3), config, &Threaded::new(2));
+//! let cluster = ClusterConfig::paper_cluster(3);
+//! let modeled = run_type3(&engine, cluster, config, &Modeled, &FreeRun);
+//! let threaded = run_type3(&engine, cluster, config, &Threaded::new(2), &FreeRun);
 //! assert_eq!(modeled.best_mu().to_bits(), threaded.best_mu().to_bits());
 //! assert_eq!(modeled.modeled_seconds, threaded.modeled_seconds);
 //! ```
 
-use crate::control::{FreeRun, RunControl};
-use crate::exec::{ExecBackend, Modeled, Task};
+use crate::control::RunControl;
+use crate::exec::{ExecBackend, Task};
 use crate::report::{StrategyOutcome, BYTES_PER_CELL};
 use cluster_sim::machine::Workload;
 use cluster_sim::timeline::{ClusterConfig, ClusterTimeline};
@@ -57,7 +59,6 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use sime_core::allocation::AllocationStats;
 use sime_core::engine::{SimEEngine, SimEScratch};
-use sime_core::parallel::EvalContext;
 use sime_core::profile::ProfileReport;
 use std::sync::Arc;
 use std::time::Instant;
@@ -96,38 +97,20 @@ struct Worker {
 /// work it performed.
 type WorkerOutput = (Worker, CostBreakdown, AllocationStats);
 
-/// Runs the Type III parallel SimE strategy on the default [`Modeled`]
-/// backend.
-pub fn run_type3(
-    engine: &SimEEngine,
-    cluster: ClusterConfig,
-    config: Type3Config,
-) -> StrategyOutcome {
-    run_type3_on(engine, cluster, config, &Modeled)
-}
-
-/// Runs the Type III parallel SimE strategy on an explicit execution backend.
+/// Runs the Type III parallel SimE strategy on an execution backend.
 ///
 /// Worker iterations fan out as independent tasks over seed-derived private
 /// RNG streams (`seed ^ ((worker + 1) << 40)`); the central store then
-/// applies improvement reports and retry adoptions in worker order, so both
-/// backends — and any worker-thread count — produce bitwise identical
+/// applies improvement reports and retry adoptions in worker order, so every
+/// backend — and any worker-thread count — produces bitwise identical
 /// outcomes.
-pub fn run_type3_on(
-    engine: &SimEEngine,
-    cluster: ClusterConfig,
-    config: Type3Config,
-    backend: &dyn ExecBackend,
-) -> StrategyOutcome {
-    run_type3_ctl(engine, cluster, config, backend, &FreeRun)
-}
-
-/// [`run_type3_on`] with a [`RunControl`]: the control observes every
-/// completed iteration and may end the run at that boundary (see the
-/// [`crate::control`] docs for the exact call point and the prefix-bitwise
-/// guarantee). [`StrategyOutcome::iterations`] reports the iterations that
-/// actually ran.
-pub fn run_type3_ctl(
+///
+/// `control` observes every completed iteration and may end the run at that
+/// boundary (see the [`crate::control`] docs for the exact call point and
+/// the prefix-bitwise guarantee); pass [`crate::control::FreeRun`] to run
+/// all `config.iterations`. [`StrategyOutcome::iterations`] reports the
+/// iterations that actually ran.
+pub fn run_type3(
     engine: &SimEEngine,
     cluster: ClusterConfig,
     config: Type3Config,
@@ -144,8 +127,6 @@ pub fn run_type3_ctl(
     );
     let started = Instant::now();
     let executor = backend.executor();
-    let pool = executor.pool();
-    let eval_chunks = executor.effective_eval_chunks(backend);
 
     let netlist = engine.evaluator().netlist().clone();
     let placement_bytes = BYTES_PER_CELL * netlist.num_cells() as u64;
@@ -179,7 +160,7 @@ pub fn run_type3_ctl(
     // The central store's best solution (kept on rank 0).
     let mut central_cost = initial_cost;
     let mut central_placement = initial.clone();
-    let mut mu_history = Vec::with_capacity(config.iterations);
+    let mut mu_history = Vec::new();
 
     for iteration in 0..config.iterations {
         // Fan out: every worker runs one full serial SimE iteration on its
@@ -190,23 +171,17 @@ pub fn run_type3_ctl(
             .map(|slot| {
                 let mut worker = slot.take().expect("worker state in flight");
                 let engine = Arc::clone(&shared);
-                let pool = pool.clone();
                 Box::new(move || {
-                    let ctx = EvalContext::from_pool(pool.as_deref(), eval_chunks);
                     let mut profile = ProfileReport::new();
-                    let (_avg, _selected, alloc_stats) = engine.iterate_on(
+                    let (_avg, _selected, alloc_stats) = engine.iterate(
                         &mut worker.placement,
                         &mut worker.scratch,
                         &mut worker.rng,
                         &mut profile,
                         &[],
                         &[],
-                        &ctx,
                     );
-                    // The worker's post-iteration cost refresh joins the same
-                    // intra-rank context as its evaluation/allocation fan-outs
-                    // (bitwise identical to the serial refresh).
-                    let cost = engine.cost_with_on(&worker.placement, &mut worker.scratch, &ctx);
+                    let cost = engine.cost_with(&worker.placement, &mut worker.scratch);
                     (worker, cost, alloc_stats)
                 }) as Task<WorkerOutput>
             })
@@ -283,14 +258,14 @@ pub fn run_type3_ctl(
         mu_history,
         wall_seconds: started.elapsed().as_secs_f64(),
         backend: backend.label(),
-        eval_chunks,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::Threaded;
+    use crate::control::FreeRun;
+    use crate::exec::{Modeled, Threaded};
     use crate::report::run_serial_baseline;
     use sime_core::engine::SimEConfig;
     use std::sync::Arc;
@@ -323,6 +298,8 @@ mod tests {
                 iterations: 8,
                 retry_threshold: 3,
             },
+            &Modeled,
+            &FreeRun,
         );
         outcome
             .best_placement
@@ -347,13 +324,20 @@ mod tests {
             iterations: 6,
             retry_threshold: 1,
         };
-        let modeled = run_type3(&engine, ClusterConfig::paper_cluster(4), config);
+        let modeled = run_type3(
+            &engine,
+            ClusterConfig::paper_cluster(4),
+            config,
+            &Modeled,
+            &FreeRun,
+        );
         for workers in [1, 2, 4] {
-            let threaded = run_type3_on(
+            let threaded = run_type3(
                 &engine,
                 ClusterConfig::paper_cluster(4),
                 config,
                 &Threaded::new(workers),
+                &FreeRun,
             );
             assert_eq!(
                 modeled.best_cost.mu.to_bits(),
@@ -362,32 +346,6 @@ mod tests {
             assert_eq!(modeled.modeled_seconds, threaded.modeled_seconds);
             assert_eq!(modeled.comm, threaded.comm);
             for (a, b) in modeled.mu_history.iter().zip(&threaded.mu_history) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn type3_intra_rank_chunks_agree_bitwise() {
-        let engine = engine(5);
-        let config = Type3Config {
-            ranks: 3,
-            iterations: 5,
-            retry_threshold: 2,
-        };
-        let modeled = run_type3(&engine, ClusterConfig::paper_cluster(3), config);
-        for chunks in [2, 4] {
-            let intra = run_type3_on(
-                &engine,
-                ClusterConfig::paper_cluster(3),
-                config,
-                &Threaded::new(2).with_eval_chunks(chunks),
-            );
-            assert_eq!(intra.eval_chunks, chunks);
-            assert_eq!(modeled.best_cost.mu.to_bits(), intra.best_cost.mu.to_bits());
-            assert_eq!(modeled.modeled_seconds, intra.modeled_seconds);
-            assert_eq!(modeled.comm, intra.comm);
-            for (a, b) in modeled.mu_history.iter().zip(&intra.mu_history) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }
@@ -407,6 +365,8 @@ mod tests {
                 iterations: 6,
                 retry_threshold: 100,
             },
+            &Modeled,
+            &FreeRun,
         );
         let ratio = outcome.modeled_seconds / baseline.modeled_seconds;
         assert!(
@@ -426,6 +386,8 @@ mod tests {
                 iterations: 5,
                 retry_threshold: 50,
             },
+            &Modeled,
+            &FreeRun,
         )
         .modeled_seconds;
         let t5 = run_type3(
@@ -436,6 +398,8 @@ mod tests {
                 iterations: 5,
                 retry_threshold: 50,
             },
+            &Modeled,
+            &FreeRun,
         )
         .modeled_seconds;
         assert!(
@@ -456,6 +420,8 @@ mod tests {
                     iterations: 8,
                     retry_threshold: retry,
                 },
+                &Modeled,
+                &FreeRun,
             )
             .comm
         };
@@ -472,8 +438,20 @@ mod tests {
             iterations: 5,
             retry_threshold: 2,
         };
-        let a = run_type3(&engine, ClusterConfig::paper_cluster(3), cfg);
-        let b = run_type3(&engine, ClusterConfig::paper_cluster(3), cfg);
+        let a = run_type3(
+            &engine,
+            ClusterConfig::paper_cluster(3),
+            cfg,
+            &Modeled,
+            &FreeRun,
+        );
+        let b = run_type3(
+            &engine,
+            ClusterConfig::paper_cluster(3),
+            cfg,
+            &Modeled,
+            &FreeRun,
+        );
         assert_eq!(a.best_cost.mu, b.best_cost.mu);
         assert_eq!(a.modeled_seconds, b.modeled_seconds);
     }
@@ -490,6 +468,8 @@ mod tests {
                 iterations: 1,
                 retry_threshold: 10,
             },
+            &Modeled,
+            &FreeRun,
         );
     }
 }

@@ -7,7 +7,7 @@
 use cluster_sim::timeline::ClusterConfig;
 use proptest::prelude::*;
 use sime_core::engine::{SimEConfig, SimEEngine};
-use sime_parallel::exec::{Modeled, Threaded};
+use sime_parallel::exec::{ExecBackend, Modeled, Threaded};
 use sime_parallel::prelude::*;
 use sime_parallel::StrategyOutcome;
 use std::sync::Arc;
@@ -28,6 +28,59 @@ fn engine_for(netlist: Arc<Netlist>, seed: u64, iterations: usize) -> SimEEngine
     let mut config = SimEConfig::fast(Objectives::WirelengthPower, 10, iterations);
     config.seed = seed;
     SimEEngine::new(netlist, config)
+}
+
+/// Runs one strategy entry point on `ranks` simulated processors.
+type EntryPoint = fn(&SimEEngine, usize, usize, &dyn ExecBackend) -> StrategyOutcome;
+
+/// The strategy entry points under test, one row per configuration the
+/// checks below sweep: `(label, run(engine, ranks, iterations, backend))`.
+fn entry_points() -> [(&'static str, EntryPoint); 5] {
+    fn cluster(ranks: usize) -> ClusterConfig {
+        ClusterConfig::paper_cluster(ranks)
+    }
+    [
+        ("type1", |engine, ranks, iterations, backend| {
+            let cfg = Type1Config { ranks, iterations };
+            run_type1(engine, cluster(ranks), cfg, backend, &FreeRun)
+        }),
+        ("type2 fixed", |engine, ranks, iterations, backend| {
+            let pattern = RowPattern::Fixed;
+            let cfg = Type2Config {
+                ranks,
+                iterations,
+                pattern,
+            };
+            run_type2(engine, cluster(ranks), cfg, backend, &FreeRun)
+        }),
+        ("type2 random", |engine, ranks, iterations, backend| {
+            let pattern = RowPattern::Random;
+            let cfg = Type2Config {
+                ranks,
+                iterations,
+                pattern,
+            };
+            run_type2(engine, cluster(ranks), cfg, backend, &FreeRun)
+        }),
+        ("type3", |engine, ranks, iterations, backend| {
+            let cfg = Type3Config {
+                ranks,
+                iterations,
+                retry_threshold: 1,
+            };
+            run_type3(engine, cluster(ranks), cfg, backend, &FreeRun)
+        }),
+        ("portfolio mixed", |engine, ranks, iterations, backend| {
+            let cfg = PortfolioConfig {
+                ranks,
+                iterations,
+                migration_interval: 2,
+                target_mu: None,
+                mix: PortfolioMix::Mixed,
+            };
+            run_portfolio(engine, cluster(ranks), cfg, backend, &FreeRun)
+        }),
+    ]
 }
 
 /// Asserts that two outcomes are bitwise identical in every
@@ -80,76 +133,22 @@ proptest! {
 
     /// Modeled and Threaded (workers = the strategy's machine count, as in
     /// the paper's cluster) walk identical best-cost trajectories on seeded
-    /// s1196-scale netlists, for all three strategy types.
+    /// s1196-scale netlists, for every strategy entry point.
     #[test]
     fn modeled_and_threaded_trajectories_match(
         (netlist, seed) in arb_netlist(),
         iterations in 3usize..6,
     ) {
         let engine = engine_for(netlist, seed, iterations);
-
         let ranks = 4; // the paper's mid-size machine count
-        let cluster = ClusterConfig::paper_cluster(ranks);
         let threaded = Threaded::new(ranks);
-
-        let t1_cfg = Type1Config { ranks, iterations };
-        assert_bitwise_equal(
-            &run_type1(&engine, cluster, t1_cfg),
-            &run_type1_on(&engine, cluster, t1_cfg, &threaded),
-            "type1",
-        );
-
-        for pattern in [RowPattern::Fixed, RowPattern::Random] {
-            let t2_cfg = Type2Config { ranks, iterations, pattern };
+        for (label, run) in entry_points() {
             assert_bitwise_equal(
-                &run_type2(&engine, cluster, t2_cfg),
-                &run_type2_on(&engine, cluster, t2_cfg, &threaded),
-                &format!("type2 {pattern:?}"),
+                &run(&engine, ranks, iterations, &Modeled),
+                &run(&engine, ranks, iterations, &threaded),
+                label,
             );
         }
-
-        let t3_cfg = Type3Config { ranks, iterations, retry_threshold: 1 };
-        assert_bitwise_equal(
-            &run_type3(&engine, cluster, t3_cfg),
-            &run_type3_on(&engine, cluster, t3_cfg, &threaded),
-            "type3",
-        );
-    }
-
-    /// The intra-rank `EvalParallelism` knob is bitwise-neutral on seeded
-    /// paper-tier netlists: chunked goodness/trial-scoring reproduces the
-    /// serial (modeled) trajectory for every strategy and chunk count.
-    #[test]
-    fn intra_rank_chunks_match_serial(
-        (netlist, seed) in arb_netlist(),
-        iterations in 3usize..5,
-        chunks in 2usize..5,
-    ) {
-        let engine = engine_for(netlist, seed, iterations);
-        let ranks = 4;
-        let cluster = ClusterConfig::paper_cluster(ranks);
-        let intra = Threaded::new(2).with_eval_chunks(chunks);
-
-        let t1_cfg = Type1Config { ranks, iterations };
-        assert_bitwise_equal(
-            &run_type1(&engine, cluster, t1_cfg),
-            &run_type1_on(&engine, cluster, t1_cfg, &intra),
-            &format!("type1 ev{chunks}"),
-        );
-
-        let t2_cfg = Type2Config { ranks, iterations, pattern: RowPattern::Random };
-        assert_bitwise_equal(
-            &run_type2(&engine, cluster, t2_cfg),
-            &run_type2_on(&engine, cluster, t2_cfg, &intra),
-            &format!("type2 ev{chunks}"),
-        );
-
-        let t3_cfg = Type3Config { ranks, iterations, retry_threshold: 1 };
-        assert_bitwise_equal(
-            &run_type3(&engine, cluster, t3_cfg),
-            &run_type3_on(&engine, cluster, t3_cfg, &intra),
-            &format!("type3 ev{chunks}"),
-        );
     }
 
     /// The incremental goodness cache is bitwise-neutral under the parallel
@@ -172,15 +171,15 @@ proptest! {
 
         let t2_cfg = Type2Config { ranks, iterations, pattern: RowPattern::Random };
         assert_bitwise_equal(
-            &run_type2(&cached, cluster, t2_cfg),
-            &run_type2(&rebuilt, cluster, t2_cfg),
+            &run_type2(&cached, cluster, t2_cfg, &Modeled, &FreeRun),
+            &run_type2(&rebuilt, cluster, t2_cfg, &Modeled, &FreeRun),
             "type2 cached vs rebuilt (modeled)",
         );
 
         let t3_cfg = Type3Config { ranks, iterations, retry_threshold: 1 };
         assert_bitwise_equal(
-            &run_type3_on(&cached, cluster, t3_cfg, &Threaded::new(2)),
-            &run_type3(&rebuilt, cluster, t3_cfg),
+            &run_type3(&cached, cluster, t3_cfg, &Threaded::new(2), &FreeRun),
+            &run_type3(&rebuilt, cluster, t3_cfg, &Modeled, &FreeRun),
             "type3 cached threaded vs rebuilt modeled",
         );
     }
@@ -202,90 +201,32 @@ proptest! {
         let mix = if baselines_only { PortfolioMix::Baselines } else { PortfolioMix::Mixed };
         let cfg = PortfolioConfig { ranks, iterations, migration_interval: 2, target_mu: None, mix };
         assert_bitwise_equal(
-            &run_portfolio(&engine, cluster, cfg),
-            &run_portfolio_on(&engine, cluster, cfg, &Threaded::new(workers)),
+            &run_portfolio(&engine, cluster, cfg, &Modeled, &FreeRun),
+            &run_portfolio(&engine, cluster, cfg, &Threaded::new(workers), &FreeRun),
             &format!("portfolio {mix:?} workers={workers}"),
         );
     }
 
-    /// The fused-epoch execution path (persistent worker lanes, wave-prepared
-    /// windowed allocation, fanned net-length refresh) is bitwise identical
-    /// to the pre-fusion serial trajectory for a *random* point of the whole
-    /// configuration space: circuit, strategy, seed, worker count (including
-    /// oversubscribed pools) and eval-chunk count are all drawn by proptest.
+    /// The fused-epoch execution path (persistent worker lanes, one epoch
+    /// per rank fan-out) is bitwise identical to the modeled trajectory for
+    /// a *random* point of the configuration space: circuit, strategy entry
+    /// point, seed and worker count (including oversubscribed pools) are all
+    /// drawn by proptest.
     #[test]
     fn fused_epoch_matches_serial(
         (netlist, seed) in arb_netlist(),
         iterations in 3usize..5,
-        strategy in 0usize..3,
+        entry in 0usize..5,
         workers in 1usize..9,
-        chunks in 1usize..8,
     ) {
         let engine = engine_for(netlist, seed, iterations);
         let ranks = 4;
-        let cluster = ClusterConfig::paper_cluster(ranks);
-        let fused = Threaded::new(workers).with_eval_chunks(chunks);
-        let context = format!("fused strategy={strategy} workers={workers} ev{chunks}");
-
-        match strategy {
-            0 => {
-                let cfg = Type1Config { ranks, iterations };
-                assert_bitwise_equal(
-                    &run_type1(&engine, cluster, cfg),
-                    &run_type1_on(&engine, cluster, cfg, &fused),
-                    &context,
-                );
-            }
-            1 => {
-                let cfg = Type2Config { ranks, iterations, pattern: RowPattern::Random };
-                assert_bitwise_equal(
-                    &run_type2(&engine, cluster, cfg),
-                    &run_type2_on(&engine, cluster, cfg, &fused),
-                    &context,
-                );
-            }
-            _ => {
-                let cfg = Type3Config { ranks, iterations, retry_threshold: 1 };
-                assert_bitwise_equal(
-                    &run_type3(&engine, cluster, cfg),
-                    &run_type3_on(&engine, cluster, cfg, &fused),
-                    &context,
-                );
-            }
-        }
-    }
-}
-
-/// The intra-rank contract at extended-tier scale: one engine on the s5378
-/// suite circuit, Type II random replayed with 2 and 4 chunks against the
-/// modeled baseline. (The golden suite additionally pins s9234 this way; the
-/// quick scenario matrix sweeps the remaining extended circuits.)
-#[test]
-fn intra_rank_chunks_match_serial_on_s5378() {
-    use vlsi_netlist::bench_suite::SuiteCircuit;
-    let circuit = SuiteCircuit::from_name("s5378").expect("suite circuit");
-    let netlist = Arc::new(circuit.generate());
-    let iterations = 2;
-    let config =
-        SimEConfig::paper_defaults(Objectives::WirelengthPower, circuit.num_rows(), iterations);
-    let engine = SimEEngine::new(netlist, config);
-    let ranks = 4;
-    let cluster = ClusterConfig::paper_cluster(ranks);
-    let t2_cfg = Type2Config {
-        ranks,
-        iterations,
-        pattern: RowPattern::Random,
-    };
-    let modeled = run_type2(&engine, cluster, t2_cfg);
-    for chunks in [2, 4] {
-        let intra = run_type2_on(
-            &engine,
-            cluster,
-            t2_cfg,
-            &Threaded::new(2).with_eval_chunks(chunks),
+        let (label, run) = entry_points()[entry];
+        assert_bitwise_equal(
+            &run(&engine, ranks, iterations, &Modeled),
+            &run(&engine, ranks, iterations, &Threaded::new(workers)),
+            &format!("fused {label} workers={workers}"),
         );
-        assert_eq!(intra.eval_chunks, chunks);
-        assert_bitwise_equal(&modeled, &intra, &format!("s5378 type2 ev{chunks}"));
     }
 }
 
@@ -299,40 +240,19 @@ fn threaded_rerun_determinism_at_1_2_and_4_workers() {
     let iterations = 5;
     let engine = engine_for(netlist, 42, iterations);
     let ranks = 4;
-    let cluster = ClusterConfig::paper_cluster(ranks);
-
-    let t2_cfg = Type2Config {
-        ranks,
-        iterations,
-        pattern: RowPattern::Random,
-    };
-    let t3_cfg = Type3Config {
-        ranks,
-        iterations,
-        retry_threshold: 2,
-    };
-
-    let reference2 = run_type2(&engine, cluster, t2_cfg);
-    let reference3 = run_type3(&engine, cluster, t3_cfg);
-    for workers in [1, 2, 4] {
-        let backend = Threaded::new(workers);
-        let first2 = run_type2_on(&engine, cluster, t2_cfg, &backend);
-        let second2 = run_type2_on(&engine, cluster, t2_cfg, &backend);
-        assert_bitwise_equal(&first2, &second2, &format!("type2 rerun workers={workers}"));
-        assert_bitwise_equal(
-            &reference2,
-            &first2,
-            &format!("type2 across worker counts, workers={workers}"),
-        );
-
-        let first3 = run_type3_on(&engine, cluster, t3_cfg, &backend);
-        let second3 = run_type3_on(&engine, cluster, t3_cfg, &backend);
-        assert_bitwise_equal(&first3, &second3, &format!("type3 rerun workers={workers}"));
-        assert_bitwise_equal(
-            &reference3,
-            &first3,
-            &format!("type3 across worker counts, workers={workers}"),
-        );
+    for (label, run) in entry_points() {
+        let reference = run(&engine, ranks, iterations, &Modeled);
+        for workers in [1, 2, 4] {
+            let backend = Threaded::new(workers);
+            let first = run(&engine, ranks, iterations, &backend);
+            let second = run(&engine, ranks, iterations, &backend);
+            assert_bitwise_equal(&first, &second, &format!("{label} rerun workers={workers}"));
+            assert_bitwise_equal(
+                &reference,
+                &first,
+                &format!("{label} across worker counts, workers={workers}"),
+            );
+        }
     }
 }
 
@@ -357,9 +277,9 @@ fn portfolio_worker_counts_and_equivalent_migration_intervals_are_wall_clock_kno
         mix: PortfolioMix::Mixed,
     };
 
-    let reference = run_portfolio(&engine, cluster, base);
+    let reference = run_portfolio(&engine, cluster, base, &Modeled, &FreeRun);
     for workers in [1, 2, 4] {
-        let threaded = run_portfolio_on(&engine, cluster, base, &Threaded::new(workers));
+        let threaded = run_portfolio(&engine, cluster, base, &Threaded::new(workers), &FreeRun);
         assert_bitwise_equal(
             &reference,
             &threaded,
@@ -375,6 +295,8 @@ fn portfolio_worker_counts_and_equivalent_migration_intervals_are_wall_clock_kno
             migration_interval: 5,
             ..base
         },
+        &Modeled,
+        &FreeRun,
     );
     let b = run_portfolio(
         &engine,
@@ -383,6 +305,8 @@ fn portfolio_worker_counts_and_equivalent_migration_intervals_are_wall_clock_kno
             migration_interval: 97,
             ..base
         },
+        &Modeled,
+        &FreeRun,
     );
     assert_bitwise_equal(&a, &b, "portfolio migration intervals 5 vs 97");
 }
@@ -411,7 +335,7 @@ fn portfolio_reaches_target_mu_on_s9234_identically_across_backends() {
         mix: PortfolioMix::Mixed,
     };
 
-    let free = run_portfolio(&engine, cluster, free_cfg);
+    let free = run_portfolio(&engine, cluster, free_cfg, &Modeled, &FreeRun);
     assert_eq!(free.iterations, iterations);
 
     // Target the quality the free run reached after its first epoch: the
@@ -420,7 +344,7 @@ fn portfolio_reaches_target_mu_on_s9234_identically_across_backends() {
         target_mu: Some(free.mu_history[0]),
         ..free_cfg
     };
-    let raced = run_portfolio(&engine, cluster, raced_cfg);
+    let raced = run_portfolio(&engine, cluster, raced_cfg, &Modeled, &FreeRun);
     assert_eq!(raced.iterations, 1, "target µ must stop the run early");
     assert!(raced.best_cost.mu >= free.mu_history[0]);
     for (i, (a, b)) in raced.mu_history.iter().zip(&free.mu_history).enumerate() {
@@ -428,7 +352,13 @@ fn portfolio_reaches_target_mu_on_s9234_identically_across_backends() {
     }
 
     for workers in [1, 2, 4] {
-        let threaded = run_portfolio_on(&engine, cluster, raced_cfg, &Threaded::new(workers));
+        let threaded = run_portfolio(
+            &engine,
+            cluster,
+            raced_cfg,
+            &Threaded::new(workers),
+            &FreeRun,
+        );
         assert_bitwise_equal(
             &raced,
             &threaded,
@@ -453,8 +383,8 @@ fn type1_trajectory_equals_serial_on_both_backends() {
         iterations,
     };
     for outcome in [
-        run_type1_on(&engine, cluster, config, &Modeled),
-        run_type1_on(&engine, cluster, config, &Threaded::new(3)),
+        run_type1(&engine, cluster, config, &Modeled, &FreeRun),
+        run_type1(&engine, cluster, config, &Threaded::new(3), &FreeRun),
     ] {
         assert_eq!(serial.history.len(), outcome.mu_history.len());
         for (h, mu) in serial.history.iter().zip(&outcome.mu_history) {

@@ -59,7 +59,7 @@ use std::fmt;
 /// | `job_finished` | a cancel arrived after the job already finished |
 /// | `queue_full` | admission control rejected the job (queue at capacity) |
 /// | `server_shutdown` | the server is draining and accepts no new jobs |
-/// | `unknown_circuit`, `too_few_ranks`, `no_iterations`, `bad_bookshelf` | passed through from [`sime_parallel::JobError::code`] |
+/// | `unknown_circuit`, `too_few_ranks`, `too_many_ranks`, `no_iterations`, `bad_bookshelf` | passed through from [`sime_parallel::JobError::code`] |
 /// | `unknown_warm_start`, `bad_placement`, `fixed_cells_unsupported` | likewise passed through: the submit's `warm_start` tag is unregistered, its `.pl` is invalid for the circuit, or the strategy cannot host fixed cells |
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProtocolError {
@@ -103,8 +103,9 @@ impl From<&sime_parallel::JobError> for ProtocolError {
 pub struct SubmitRequest {
     /// Client-chosen job identifier; must be unique per server lifetime.
     pub id: String,
-    /// What to run. `spec.scenario.workers`/`eval_chunks` are the per-job
-    /// backend knobs; `spec.seed` overrides the batch-path default seed.
+    /// What to run. `spec.scenario.workers` is carried on the wire but the
+    /// server runs every job on its shared pool; `spec.seed` overrides the
+    /// batch-path default seed.
     pub spec: JobSpec,
 }
 
@@ -210,10 +211,6 @@ impl Request {
                     }
                 };
                 let workers = obj_opt_u64(&map, "workers")?.map(|w| w as usize);
-                let eval_chunks = match map.get("eval_chunks") {
-                    None => 1,
-                    Some(_) => obj_usize(&map, "eval_chunks")?.max(1),
-                };
                 let seed = obj_opt_u64(&map, "seed")?;
                 let warm_start = match map.get("warm_start") {
                     None | Some(Json::Null) => None,
@@ -234,7 +231,7 @@ impl Request {
                             iterations,
                             objectives,
                             workers,
-                            eval_chunks,
+                            eval_chunks: 1,
                             warm_start,
                         },
                         seed,
@@ -278,12 +275,6 @@ impl Request {
                 );
                 if let Some(workers) = scenario.workers {
                     map.insert("workers".into(), Json::Number(workers as f64));
-                }
-                if scenario.eval_chunks != 1 {
-                    map.insert(
-                        "eval_chunks".into(),
-                        Json::Number(scenario.eval_chunks as f64),
-                    );
                 }
                 if let Some(seed) = submit.spec.seed {
                     map.insert("seed".into(), Json::Number(seed as f64));
@@ -560,7 +551,7 @@ mod tests {
                     iterations: 5,
                     objectives: Objectives::WirelengthPower,
                     workers: Some(2),
-                    eval_chunks: 2,
+                    eval_chunks: 1,
                     warm_start: None,
                 },
                 seed: Some(42),
@@ -592,6 +583,19 @@ mod tests {
             assert!(!line.contains('\n'), "{line}");
             assert_eq!(Request::parse_line(&line, 4096).unwrap(), req, "{line}");
         }
+    }
+
+    #[test]
+    fn eval_chunks_on_the_wire_is_ignored() {
+        // Older clients may still send the removed intra-rank knob; like any
+        // unknown submit field it must parse to the request it would be
+        // without it.
+        let base = "{\"op\":\"submit\",\"id\":\"a\",\"circuit\":\"s1196\",\
+                    \"strategy\":\"type2_random\",\"ranks\":3,\"iterations\":5,\"workers\":2";
+        let without = Request::parse_line(&format!("{base}}}"), 4096).unwrap();
+        let with = Request::parse_line(&format!("{base},\"eval_chunks\":4}}"), 4096).unwrap();
+        assert_eq!(with, without);
+        assert!(!with.render().contains("eval_chunks"));
     }
 
     #[test]
@@ -689,7 +693,6 @@ mod tests {
                     scenario.workers, None,
                     "default backend is modeled-equivalent"
                 );
-                assert_eq!(scenario.eval_chunks, 1);
                 assert_eq!(submit.spec.seed, None);
             }
             other => panic!("unexpected request {other:?}"),

@@ -102,6 +102,47 @@ fn malformed_and_invalid_requests_return_typed_errors_and_leave_the_pool_usable(
 }
 
 #[test]
+fn one_submit_line_with_huge_counts_cannot_abort_the_server() {
+    // Regression: both lines used to pass parsing and validation and then
+    // abort the whole process on a multi-terabyte preallocation.
+    let server = Server::new(ServerConfig::default());
+    let session = Session::new(Arc::clone(&server));
+
+    session.handle_line(
+        "{\"op\":\"submit\",\"id\":\"many-ranks\",\"circuit\":\"s1196\",\
+         \"strategy\":\"type3\",\"ranks\":1e12,\"iterations\":1}",
+    );
+    expect_error(&session, "too_many_ranks");
+
+    session.handle_line(
+        "{\"op\":\"submit\",\"id\":\"many-iterations\",\"circuit\":\"s1196\",\
+         \"strategy\":\"type1\",\"ranks\":2,\"iterations\":1e12}",
+    );
+    assert!(matches!(
+        session.next_event(TIMEOUT),
+        Some(Event::Accepted { .. })
+    ));
+    loop {
+        match session.next_event(TIMEOUT) {
+            Some(Event::Progress { iteration: 0, .. }) => break,
+            Some(Event::Progress { .. }) => continue,
+            other => panic!("expected first progress checkpoint, got {other:?}"),
+        }
+    }
+    session.request(Request::Cancel {
+        id: "many-iterations".into(),
+    });
+    let events = session
+        .wait_for_terminal("many-iterations", TIMEOUT)
+        .expect("the huge job reaches a terminal event");
+    assert!(
+        matches!(events.last(), Some(Event::Cancelled { .. })),
+        "{events:?}"
+    );
+    assert_drained_clean(&server);
+}
+
+#[test]
 fn warm_start_registration_and_errors_flow_through_the_wire() {
     let server = Server::new(ServerConfig::default());
     let session = Session::new(Arc::clone(&server));

@@ -157,8 +157,7 @@ impl GoodnessEvaluator {
     }
 
     /// Combined goodness of the cells whose indices lie in `range`, written
-    /// into a caller-owned buffer — one chunk of the intra-rank parallel
-    /// goodness pass. Each cell's value is computed exactly as the full
+    /// into a caller-owned buffer. Each cell's value is computed exactly as the full
     /// [`GoodnessEvaluator::all_goodness_into`] pass computes it (same
     /// inputs, same per-cell arithmetic, no cross-cell state), so
     /// concatenating the chunks of any index partition in ascending order

@@ -11,8 +11,6 @@
 //!   --backend <modeled|threaded>  execution backend (default: modeled)
 //!   --workers <N>                 OS worker threads for the threaded
 //!                                 backend (default: 4; ignored by modeled)
-//!   --eval-chunks <N>             intra-rank EvalParallelism chunks on the
-//!                                 threaded backend (default: 1 = serial)
 //!   --iterations <N>              SimE iterations per strategy (default: 120)
 //!   --help                        print this help text
 //! ```
@@ -37,14 +35,11 @@ Options:
   --backend <modeled|threaded>  execution backend (default: modeled)
   --workers <N>                 OS worker threads for --backend threaded
                                 (default: 4; ignored by the modeled backend)
-  --eval-chunks <N>             intra-rank EvalParallelism chunks for
-                                --backend threaded (default: 1 = serial)
   --iterations <N>              SimE iterations per strategy (default: 120)
   --help                        print this help text
 
-Seeded results are bitwise identical across backends, worker counts and
-eval-chunk counts; only wall-clock time changes (see DESIGN.md §4, the
-determinism contract and its intra-rank extension).";
+Seeded results are bitwise identical across backends and worker counts;
+only wall-clock time changes (see DESIGN.md §4, the determinism contract).";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -59,13 +54,10 @@ fn main() {
     };
     let backend_name = arg("--backend").unwrap_or_else(|| "modeled".into());
     let workers: usize = arg("--workers").and_then(|v| v.parse().ok()).unwrap_or(4);
-    let eval_chunks: usize = arg("--eval-chunks")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
     let iterations: usize = arg("--iterations")
         .and_then(|v| v.parse().ok())
         .unwrap_or(120);
-    let backend = match backend_from_spec(&backend_name, workers, eval_chunks) {
+    let backend = match backend_from_name(&backend_name, workers) {
         Some(b) => b,
         None => {
             eprintln!("unknown backend '{backend_name}' (expected 'modeled' or 'threaded')\n");
@@ -116,16 +108,17 @@ fn main() {
         );
     };
 
-    let t1 = run_type1_on(
+    let t1 = run_type1(
         &engine,
         cluster,
         Type1Config { ranks, iterations },
         backend.as_ref(),
+        &FreeRun,
     );
     row("Type I  (low-level, p=4)", &t1);
 
     for pattern in [RowPattern::Fixed, RowPattern::Random] {
-        let t2 = run_type2_on(
+        let t2 = run_type2(
             &engine,
             cluster,
             Type2Config {
@@ -134,11 +127,12 @@ fn main() {
                 pattern,
             },
             backend.as_ref(),
+            &FreeRun,
         );
         row(&format!("Type II ({} rows, p=4)", pattern.label()), &t2);
     }
 
-    let t3 = run_type3_on(
+    let t3 = run_type3(
         &engine,
         cluster,
         Type3Config {
@@ -147,6 +141,7 @@ fn main() {
             retry_threshold: 10,
         },
         backend.as_ref(),
+        &FreeRun,
     );
     row("Type III (coop. search, p=4)", &t3);
 

@@ -44,6 +44,8 @@ fn main() {
                     iterations,
                     pattern,
                 },
+                &Modeled,
+                &FreeRun,
             );
             println!(
                 "{:<10} {:>4} {:>12} {:>10.1} {:>10.2} {:>11.0}%",

@@ -44,6 +44,8 @@ fn the_three_strategies_reproduce_the_papers_relative_ordering() {
             ranks: 4,
             iterations: 8,
         },
+        &Modeled,
+        &FreeRun,
     );
     let t2 = run_type2(
         &engine,
@@ -53,6 +55,8 @@ fn the_three_strategies_reproduce_the_papers_relative_ordering() {
             iterations: 8,
             pattern: RowPattern::Random,
         },
+        &Modeled,
+        &FreeRun,
     );
     let t3 = run_type3(
         &engine,
@@ -62,6 +66,8 @@ fn the_three_strategies_reproduce_the_papers_relative_ordering() {
             iterations: 8,
             retry_threshold: 3,
         },
+        &Modeled,
+        &FreeRun,
     );
 
     assert!(
@@ -105,6 +111,8 @@ fn type2_placements_stay_legal_for_both_patterns_and_objectives() {
                     iterations: 5,
                     pattern,
                 },
+                &Modeled,
+                &FreeRun,
             );
             outcome
                 .best_placement
@@ -124,15 +132,14 @@ fn threaded_backend_is_bitwise_identical_to_modeled_for_every_strategy() {
     // The PR 3 determinism contract through the facade: for each strategy,
     // the Threaded backend at 1, 2 and 4 workers reproduces the Modeled run
     // bit for bit — best cost, modeled time, comm stats and the whole µ(s)
-    // trajectory — and so does the intra-rank EvalParallelism path (PR 5).
-    // Only wall-clock may differ.
+    // trajectory. Only wall-clock may differ.
     let engine = small_engine(Objectives::WirelengthPower, 6, 23);
     let cluster = ClusterConfig::paper_cluster(4);
     let runs: Vec<(&str, StrategyRunner<'_>)> = vec![
         (
             "type1",
             Box::new(|b: &dyn ExecBackend| {
-                run_type1_on(
+                run_type1(
                     &engine,
                     cluster,
                     Type1Config {
@@ -140,13 +147,14 @@ fn threaded_backend_is_bitwise_identical_to_modeled_for_every_strategy() {
                         iterations: 6,
                     },
                     b,
+                    &FreeRun,
                 )
             }),
         ),
         (
             "type2",
             Box::new(|b: &dyn ExecBackend| {
-                run_type2_on(
+                run_type2(
                     &engine,
                     cluster,
                     Type2Config {
@@ -155,13 +163,14 @@ fn threaded_backend_is_bitwise_identical_to_modeled_for_every_strategy() {
                         pattern: RowPattern::Random,
                     },
                     b,
+                    &FreeRun,
                 )
             }),
         ),
         (
             "type3",
             Box::new(|b: &dyn ExecBackend| {
-                run_type3_on(
+                run_type3(
                     &engine,
                     cluster,
                     Type3Config {
@@ -170,6 +179,7 @@ fn threaded_backend_is_bitwise_identical_to_modeled_for_every_strategy() {
                         retry_threshold: 3,
                     },
                     b,
+                    &FreeRun,
                 )
             }),
         ),
@@ -216,21 +226,6 @@ fn threaded_backend_is_bitwise_identical_to_modeled_for_every_strategy() {
                     "{name} best placement diverged in row {row} at {workers} workers"
                 );
             }
-        }
-        for chunks in [2, 4] {
-            let intra = run(&Threaded::new(2).with_eval_chunks(chunks));
-            assert_eq!(intra.backend, format!("threaded(2,ev{chunks})"));
-            assert_eq!(intra.eval_chunks, chunks);
-            assert_eq!(
-                modeled.best_cost.mu.to_bits(),
-                intra.best_cost.mu.to_bits(),
-                "{name} best µ diverged at {chunks} intra-rank chunks"
-            );
-            assert_eq!(
-                modeled.modeled_seconds.to_bits(),
-                intra.modeled_seconds.to_bits(),
-                "{name} modeled time diverged at {chunks} intra-rank chunks"
-            );
         }
     }
 }
@@ -320,6 +315,8 @@ fn modeled_cluster_runtimes_are_scale_invariant_in_the_comparison() {
             iterations: 6,
             pattern: RowPattern::Random,
         },
+        &Modeled,
+        &FreeRun,
     );
     let t2_fast = run_type2(
         &engine,
@@ -329,6 +326,8 @@ fn modeled_cluster_runtimes_are_scale_invariant_in_the_comparison() {
             iterations: 6,
             pattern: RowPattern::Random,
         },
+        &Modeled,
+        &FreeRun,
     );
     let speedup_slow = t2_slow.speedup_versus(serial_slow.modeled_seconds);
     let speedup_fast = t2_fast.speedup_versus(serial_fast.modeled_seconds);

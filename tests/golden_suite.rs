@@ -18,9 +18,7 @@
 //!
 //! and the re-bless must be called out in the PR description.
 
-use sime_parallel::batch::{
-    golden_subset, intra_rank_golden_subset, BatchDriver, ScenarioSpec, TrajectoryFingerprint,
-};
+use sime_parallel::batch::{golden_subset, BatchDriver, ScenarioSpec, TrajectoryFingerprint};
 use std::path::PathBuf;
 
 fn golden_dir() -> PathBuf {
@@ -130,32 +128,33 @@ fn golden_trajectories_replay_bitwise_on_the_threaded_backend() {
 
 #[test]
 fn extended_tier_goldens_replay_bitwise_with_intra_rank_parallelism() {
-    // The intra-rank extension of the contract, file-backed: the pinned
-    // extended-tier scenarios (currently s9234 and s5378) replayed with the
-    // EvalParallelism knob at 1, 2 and 4 chunks must reproduce the pinned
-    // serial fingerprints to the bit. 1 chunk doubles as the plain threaded
-    // control; 2 and 4 exercise the chunked goodness pass and trial scoring
-    // at two different boundary layouts.
-    let dir = golden_dir();
-    let mut driver = BatchDriver::new();
-    let intra = intra_rank_golden_subset();
+    // The intra-rank fan-out is gone; what is left of it is the ignored
+    // `ScenarioSpec::eval_chunks` field, which the `placebench` benchmark
+    // still sets. Replaying the pinned extended-tier scenarios (currently
+    // s9234 and s5378) on threaded(2) with that field at 1, 2 and 4 must
+    // reproduce the pinned serial fingerprints to the bit.
+    let extended: Vec<_> = load_goldens()
+        .into_iter()
+        .filter(|(_, spec, _)| {
+            vlsi_netlist::bench_suite::SuiteCircuit::from_name(&spec.circuit)
+                .is_some_and(|c| c.is_extended())
+        })
+        .collect();
     assert!(
-        !intra.is_empty(),
-        "the intra-rank golden subset must pin at least one extended-tier scenario"
+        !extended.is_empty(),
+        "the golden subset must pin at least one extended-tier scenario"
     );
-    for spec in intra {
-        let path = dir.join(format!("{}.golden", spec.id()));
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-        let (_, pinned) = TrajectoryFingerprint::parse_text(&text)
-            .unwrap_or_else(|e| panic!("cannot parse {}: {e}", path.display()));
+    let mut driver = BatchDriver::new();
+    for (file, spec, pinned) in extended {
         for chunks in [1usize, 2, 4] {
-            let record = driver.run_cell(&spec.on_workers(Some(2)).with_eval_chunks(chunks));
+            let record = driver.run_cell(&ScenarioSpec {
+                eval_chunks: chunks,
+                ..spec.on_workers(Some(2))
+            });
             assert_eq!(
-                record.fingerprint,
-                pinned,
-                "threaded(2,ev{chunks}) diverged from the pinned fingerprint of {}",
-                spec.id()
+                record.fingerprint, pinned,
+                "threaded(2) with eval_chunks = {chunks} diverged from the \
+                 pinned fingerprint of {file}"
             );
         }
     }
