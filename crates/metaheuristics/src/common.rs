@@ -17,13 +17,26 @@ pub enum MoveKind {
     Relocate(CellId, Slot),
 }
 
-/// Draws a random neighbourhood move for `placement`.
+/// Draws a random neighbourhood move for `placement`. Only movable cells
+/// are drawn: fixed cells (pads, macros) are redrawn, so a fixed-free
+/// circuit consumes exactly one draw per cell it picks.
+///
+/// # Panics
+///
+/// Panics if `placement` has no movable cell.
 pub fn neighbour_move<R: Rng + ?Sized>(placement: &Placement, rng: &mut R) -> MoveKind {
     let n = placement.num_cells();
-    let a = CellId::from(rng.gen_range(0..n));
+    let movable: usize = (0..placement.num_rows())
+        .map(|r| placement.row(r).len())
+        .sum();
+    assert!(movable > 0, "placement has no movable cell");
+    let mut a = CellId::from(rng.gen_range(0..n));
+    while placement.is_fixed(a) {
+        a = CellId::from(rng.gen_range(0..n));
+    }
     if rng.gen_bool(0.5) {
         let mut b = CellId::from(rng.gen_range(0..n));
-        while b == a && n > 1 {
+        while placement.is_fixed(b) || (b == a && movable > 1) {
             b = CellId::from(rng.gen_range(0..n));
         }
         MoveKind::Swap(a, b)
@@ -106,6 +119,7 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use vlsi_netlist::bench_suite::{mixed_circuit, MixedCircuit};
     use vlsi_netlist::generator::{CircuitGenerator, GeneratorConfig};
 
     fn placement() -> (vlsi_netlist::Netlist, Placement) {
@@ -153,31 +167,71 @@ mod tests {
         // Across a random move/undo sequence (the SA/TS probing pattern)
         // and a switch to a fresh placement object (a GA decode or an
         // adopted migrant), the cached evaluation must equal the
-        // allocating oracle to the bit.
+        // allocating oracle to the bit — on a fixed-free circuit and on one
+        // with fixed pads and macros (blocked spans).
         use std::sync::Arc;
         use vlsi_place::cost::Objectives;
-        let (nl, mut p) = placement();
-        let nl = Arc::new(nl);
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        for objectives in [
-            Objectives::WirelengthPower,
-            Objectives::WirelengthPowerDelay,
-        ] {
-            let eval = CostEvaluator::new(Arc::clone(&nl), objectives);
-            let mut cost = CostCache::new(&eval);
-            for step in 0..120 {
-                let mv = neighbour_move(&p, &mut rng);
-                let undo = apply_move(&mut p, mv);
-                if step % 3 == 0 {
-                    apply_move(&mut p, undo);
+        let mixed = mixed_circuit(MixedCircuit::Mix600);
+        let mixed_p = Placement::round_robin(&mixed, MixedCircuit::Mix600.num_rows());
+        for (nl, mut p) in [placement(), (mixed, mixed_p)] {
+            let nl = Arc::new(nl);
+            let mut rng = ChaCha8Rng::seed_from_u64(3);
+            for objectives in [
+                Objectives::WirelengthPower,
+                Objectives::WirelengthPowerDelay,
+            ] {
+                let eval = CostEvaluator::new(Arc::clone(&nl), objectives);
+                let mut cost = CostCache::new(&eval);
+                for step in 0..120 {
+                    let mv = neighbour_move(&p, &mut rng);
+                    let undo = apply_move(&mut p, mv);
+                    if step % 3 == 0 {
+                        apply_move(&mut p, undo);
+                    }
+                    if step % 40 == 39 {
+                        p = p.clone();
+                    }
+                    let cached = cost.evaluate(&eval, &p);
+                    let oracle = eval.evaluate(&p);
+                    assert_eq!(format!("{cached:?}"), format!("{oracle:?}"), "step {step}");
+                    assert_eq!(cached.mu.to_bits(), oracle.mu.to_bits(), "step {step}");
                 }
-                if step % 40 == 39 {
-                    p = p.clone();
-                }
-                let cached = cost.evaluate(&eval, &p);
-                let oracle = eval.evaluate(&p);
-                assert_eq!(format!("{cached:?}"), format!("{oracle:?}"), "step {step}");
-                assert_eq!(cached.mu.to_bits(), oracle.mu.to_bits(), "step {step}");
+            }
+        }
+    }
+
+    #[test]
+    fn heuristics_never_move_fixed_cells() {
+        // SA and TS draw moves from `neighbour_move`, GA decodes its orders
+        // through `Placement::from_order`; on a circuit with a pad ring and
+        // macros every fixed cell must end where it started, to the bit.
+        use crate::{
+            GaConfig, GeneticPlacer, SaConfig, SimulatedAnnealingPlacer, TabuConfig,
+            TabuSearchPlacer,
+        };
+        use std::sync::Arc;
+        use vlsi_place::cost::Objectives;
+        let circuit = MixedCircuit::Mix600;
+        let nl = Arc::new(mixed_circuit(circuit));
+        let eval = CostEvaluator::new(Arc::clone(&nl), Objectives::WirelengthPower);
+        let initial = Placement::round_robin(&nl, circuit.num_rows());
+        let fixed: Vec<CellId> = nl.cell_ids().filter(|&c| initial.is_fixed(c)).collect();
+        assert!(!fixed.is_empty());
+        let results = [
+            SimulatedAnnealingPlacer::new(eval.clone(), SaConfig::fast(5)).run(initial.clone()),
+            TabuSearchPlacer::new(eval.clone(), TabuConfig::fast(5)).run(initial.clone()),
+            GeneticPlacer::new(eval.clone(), GaConfig::fast(circuit.num_rows(), 5))
+                .run(initial.clone()),
+        ];
+        for result in results {
+            result.best_placement.validate(&nl).unwrap();
+            for &c in &fixed {
+                assert_eq!(
+                    result.best_placement.x_of(c).to_bits(),
+                    initial.x_of(c).to_bits(),
+                    "fixed cell {c} moved"
+                );
+                assert_eq!(result.best_placement.row_of(c), initial.row_of(c));
             }
         }
     }

@@ -666,7 +666,9 @@ impl SimEEngine {
         let mut scratch = self.new_scratch();
 
         let mut best_placement = placement.clone();
-        let mut best_cost = self.evaluator.evaluate(&placement);
+        // Priced on the scratch that goes on to iterate `placement`, so the
+        // first iteration's refresh finds nothing to re-price.
+        let mut best_cost = self.cost_with(&placement, &mut scratch);
         let mut stall = 0usize;
 
         let mut iterations = 0usize;

@@ -168,11 +168,12 @@ struct SimeIsland {
 
 impl SimeIsland {
     fn new(engine: Arc<SimEEngine>, initial: Placement, seed: u64) -> Self {
-        let current = engine.evaluator().evaluate(&initial);
+        let mut scratch = engine.new_scratch();
+        let current = engine.cost_with(&initial, &mut scratch);
         let num_rows = engine.config().num_rows;
         SimeIsland {
             rng: ChaCha8Rng::seed_from_u64(seed),
-            scratch: engine.new_scratch(),
+            scratch,
             frozen: vec![false; engine.evaluator().netlist().num_cells()],
             rows: (0..num_rows).collect(),
             best_placement: initial.clone(),

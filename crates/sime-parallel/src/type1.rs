@@ -224,7 +224,7 @@ pub fn run_type1(
     let mut goodness = vec![0.0f64; num_cells];
 
     let mut best_placement = placement.clone();
-    let mut best_cost = engine.evaluator().evaluate(&placement);
+    let mut best_cost = engine.cost_with(&placement, &mut scratch);
     let mut mu_history = Vec::new();
 
     // Fraction of the allocation's goodness-gain calculations that concern

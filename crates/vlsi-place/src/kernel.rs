@@ -12,8 +12,9 @@
 //!   are discrete multiples of [`ROW_HEIGHT`], so a counting pass over the
 //!   pin rows finds the median without sorting.
 //! * [`NetLengthCache`] keeps the per-net length vector of a placement alive
-//!   across SimE iterations and re-evaluates only the nets *dirtied* since
-//!   the last refresh, using the placement's per-row mutation epochs.
+//!   across SimE iterations and re-evaluates only the nets with a pin whose
+//!   coordinates changed since the last refresh, found through the
+//!   placement's per-row mutation epochs.
 //!
 //! # Bitwise determinism
 //!
@@ -34,12 +35,18 @@
 //! * cached entries are keyed on [`Placement::uid`]; evaluating a *different*
 //!   placement object (including clones, which take a fresh uid) triggers a
 //!   full recompute,
-//! * a net is re-evaluated iff it touches a cell of a row whose
-//!   [`Placement::row_epoch`] advanced since the last refresh,
+//! * a net is re-evaluated iff one of its pins changed `(x, row)` since the
+//!   last refresh. A net's length is a pure function of its pins'
+//!   coordinates, so every skipped net keeps a bit-identical length,
+//! * moved pins are found by walking only the rows whose
+//!   [`Placement::row_epoch`] advanced: a cell's coordinates only change
+//!   through a mutation of the row it ends up in, and each visited cell is
+//!   compared with the `(x bits, row)` snapshot the cache took of it at its
+//!   last refresh (every cell is snapshotted on a full refresh),
 //! * a cell that is ripped up (`remove_cell`) keeps its last coordinates, so
 //!   nets that reference it mid-allocation evaluate exactly as the oracle
-//!   does; its eventual re-insertion dirties the target row and restores
-//!   freshness.
+//!   does; its eventual re-insertion dirties the target row, where the walk
+//!   compares it with its snapshot and restores freshness.
 
 use crate::cost::{CellCost, CostEvaluator};
 use crate::layout::{Placement, ROW_HEIGHT};
@@ -808,8 +815,9 @@ impl<'a> PreparedSummaries<'a> {
 ///
 /// [`NetLengthCache::refresh`] returns the same vector
 /// [`CostEvaluator::net_lengths`] would, but after the first (full) refresh
-/// of a placement object it re-evaluates only the nets touching rows whose
-/// epoch advanced. See the module docs for the exact invalidation invariants.
+/// of a placement object it re-evaluates only the nets with a pin whose
+/// coordinates changed. See the module docs for the exact invalidation
+/// invariants.
 #[derive(Debug, Clone, Default)]
 pub struct NetLengthCache {
     lengths: Vec<f64>,
@@ -817,8 +825,10 @@ pub struct NetLengthCache {
     placement_uid: u64,
     /// Per-row epochs at the last refresh.
     row_epoch_seen: Vec<u64>,
+    /// Per-cell `(x bits, row)` at the last refresh that visited the cell.
+    cell_seen: Vec<(u64, u32)>,
     /// Per-net visit stamp of the current delta pass (avoids re-evaluating a
-    /// net reachable from several dirty rows).
+    /// net with several moved pins).
     net_stamp: Vec<u32>,
     stamp: u32,
     /// Reusable dirty-net list for the monolithic [`NetLengthCache::refresh`].
@@ -879,10 +889,11 @@ impl NetLengthCache {
     }
 
     /// Phase 1 of a split refresh: advances all cache bookkeeping (row
-    /// epochs, net stamps, placement uid, the work counters) and fills
-    /// `dirty` with the nets whose lengths must be recomputed — every net on
-    /// a full refresh (returns `true`), only the nets touching changed rows
-    /// on a delta refresh (`false`). Each net appears at most once.
+    /// epochs, cell snapshots, net stamps, placement uid, the work counters)
+    /// and fills `dirty` with the nets whose lengths must be recomputed —
+    /// every net on a full refresh (returns `true`), only the nets with a pin
+    /// whose coordinates changed on a delta refresh (`false`). Each net
+    /// appears at most once.
     ///
     /// The caller *must* complete the plan by computing each listed net's
     /// length against the same placement and handing the results to
@@ -909,6 +920,9 @@ impl NetLengthCache {
             self.row_epoch_seen.clear();
             self.row_epoch_seen
                 .extend((0..num_rows).map(|r| placement.row_epoch(r)));
+            self.cell_seen.clear();
+            self.cell_seen
+                .extend(netlist.cell_ids().map(|c| pin_coords(placement, c)));
             self.net_stamp.clear();
             self.net_stamp.resize(num_nets, 0);
             self.stamp = 0;
@@ -927,6 +941,12 @@ impl NetLengthCache {
                 }
                 self.row_epoch_seen[r] = epoch;
                 for &c in placement.row(r) {
+                    let coords = pin_coords(placement, c);
+                    let seen = &mut self.cell_seen[c.index()];
+                    if *seen == coords {
+                        continue;
+                    }
+                    *seen = coords;
                     for &net in netlist.nets_of_cell(c) {
                         let i = net.index();
                         if self.net_stamp[i] != self.stamp {
@@ -950,6 +970,16 @@ impl NetLengthCache {
     pub fn store_length(&mut self, net: NetId, length: f64) {
         self.lengths[net.index()] = length;
     }
+}
+
+/// The coordinates a net length reads from `cell`, in the exact form the
+/// cache compares them: the x bits and the row.
+#[inline]
+fn pin_coords(placement: &Placement, cell: CellId) -> (u64, u32) {
+    (
+        placement.x_of(cell).to_bits(),
+        placement.row_of(cell) as u32,
+    )
 }
 
 #[cfg(test)]
@@ -1154,6 +1184,95 @@ mod tests {
         cache.refresh(&eval, &mut scorer, &placement);
         assert_eq!(cache.nets_recomputed(), before);
         assert_eq!(cache.full_refreshes(), 1);
+    }
+
+    /// Every cell's `(x bits, row)`, the coordinates a net length reads.
+    fn coordinate_snapshot(placement: &Placement) -> Vec<(u64, usize)> {
+        (0..placement.num_cells())
+            .map(|i| {
+                let c = CellId::from(i);
+                (placement.x_of(c).to_bits(), placement.row_of(c))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn undone_move_reprices_nothing() {
+        // A move and its undo advance the epochs of the rows they touch but
+        // leave every pin where it was, so the next refresh has nothing to
+        // re-price.
+        let (eval, mut placement) = setup(WirelengthModel::SingleTrunkSteiner);
+        let mut scorer = TrialScorer::for_evaluator(&eval);
+        let mut cache = NetLengthCache::new();
+        cache.refresh(&eval, &mut scorer, &placement);
+        let before = cache.nets_recomputed();
+        let (a, b) = (CellId(3), CellId(150));
+        assert_ne!(placement.row_of(a), placement.row_of(b));
+        placement.swap_cells(a, b);
+        placement.swap_cells(a, b);
+        let back = placement.slot_of(a);
+        placement.move_cell(a, Slot { row: 0, index: 2 });
+        placement.move_cell(a, back);
+        let cached = cache.refresh(&eval, &mut scorer, &placement).to_vec();
+        assert_eq!(cache.nets_recomputed(), before);
+        assert_eq!(cache.full_refreshes(), 1);
+        for (a, b) in cached.iter().zip(&eval.net_lengths(&placement)) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    #[test]
+    fn delta_refresh_reprices_exactly_the_nets_with_a_moved_pin() {
+        use vlsi_netlist::generator::MixedSizeSpec;
+        let plain = GeneratorConfig::sized("kernel_delta", 170, 29);
+        let blocked =
+            GeneratorConfig::sized("kernel_delta_blocked", 200, 31).with_mixed(MixedSizeSpec {
+                num_macros: 3,
+                macro_height: 3,
+                pad_ring: true,
+            });
+        for cfg in [plain, blocked] {
+            let nl = Arc::new(CircuitGenerator::new(cfg).generate());
+            let eval = CostEvaluator::new(Arc::clone(&nl), Objectives::WirelengthPowerDelay);
+            let mut placement = Placement::round_robin(&nl, 9);
+            let has_spans = (0..9).any(|r| !placement.blocked_spans(r).is_empty());
+            assert_eq!(has_spans, nl.has_fixed_cells());
+            let movable: Vec<CellId> = nl.cell_ids().filter(|&c| !placement.is_fixed(c)).collect();
+            let mut scorer = TrialScorer::for_evaluator(&eval);
+            let mut cache = NetLengthCache::new();
+            cache.refresh(&eval, &mut scorer, &placement);
+            let mut rng = ChaCha8Rng::seed_from_u64(17);
+            for round in 0..60 {
+                let old = coordinate_snapshot(&placement);
+                for _ in 0..rng.gen_range(1..4) {
+                    let a = movable[rng.gen_range(0..movable.len())];
+                    if rng.gen_bool(0.5) {
+                        let b = movable[rng.gen_range(0..movable.len())];
+                        placement.swap_cells(a, b);
+                    } else {
+                        let row = rng.gen_range(0..placement.num_rows());
+                        let index = rng.gen_range(0..placement.slots_in_row(row));
+                        placement.move_cell(a, Slot { row, index });
+                    }
+                }
+                let new = coordinate_snapshot(&placement);
+                let moved = nl
+                    .net_ids()
+                    .filter(|&net| {
+                        eval.net_cells(net)
+                            .iter()
+                            .any(|c| old[c.index()] != new[c.index()])
+                    })
+                    .count() as u64;
+                let before = cache.nets_recomputed();
+                let cached = cache.refresh(&eval, &mut scorer, &placement).to_vec();
+                assert_eq!(cache.nets_recomputed() - before, moved, "round {round}");
+                for (n, (a, b)) in cached.iter().zip(&eval.net_lengths(&placement)).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "round {round} net {n}");
+                }
+            }
+            assert_eq!(cache.full_refreshes(), 1);
+        }
     }
 
     #[test]
