@@ -1,154 +1,16 @@
-//! Thread-backed message-passing layer with an MPI-like rank API.
+//! The persistent worker pool behind the `Threaded` execution backend.
 //!
-//! [`Cluster::run`] spawns one thread per rank and hands each a
-//! [`RankHandle`] through which it can exchange point-to-point messages
-//! (with tag/source matching), participate in linear broadcasts and gathers,
-//! and synchronise on barriers. Payloads are raw byte vectors; callers
-//! serialise whatever they need (the SimE strategies exchange goodness
-//! vectors and placement row assignments).
-//!
-//! This layer provides real concurrency and real message-passing semantics;
-//! it deliberately mirrors the subset of MPI that the paper's programs use
-//! (`MPI_Send`/`MPI_Recv`/`MPI_Bcast`/`MPI_Gather`/`MPI_Barrier`). The
-//! modeled *runtimes* of the reproduction come from
-//! [`ClusterTimeline`](crate::timeline::ClusterTimeline) instead, because
-//! wall-clock measurements of threads on one shared-memory machine cannot
-//! reproduce a fast-Ethernet cluster's communication behaviour.
+//! [`WorkerPool`] runs batches of tasks on long-lived OS threads and hands
+//! the results back in submission order. The modeled *runtimes* of the
+//! reproduction come from [`ClusterTimeline`](crate::timeline::ClusterTimeline)
+//! instead, because wall-clock measurements of threads on one shared-memory
+//! machine cannot reproduce a fast-Ethernet cluster's communication
+//! behaviour.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use crossbeam::lane::{PopError, WorkLane};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
-
-/// A point-to-point message: source rank, tag, payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Message {
-    /// Rank that sent the message.
-    pub from: usize,
-    /// Application-defined tag used for matching.
-    pub tag: u64,
-    /// Payload bytes.
-    pub payload: Vec<u8>,
-}
-
-/// Handle held by one rank while [`Cluster::run`] executes.
-pub struct RankHandle {
-    rank: usize,
-    ranks: usize,
-    senders: Vec<Sender<Message>>,
-    receiver: Receiver<Message>,
-    barrier: Arc<Barrier>,
-    /// Messages received but not yet matched by a `recv_matching` call.
-    pending: Vec<Message>,
-}
-
-impl RankHandle {
-    /// This rank's index.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
-    /// Total number of ranks.
-    pub fn ranks(&self) -> usize {
-        self.ranks
-    }
-
-    /// Sends `payload` with `tag` to rank `to`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `to` is out of range or if the destination rank has already
-    /// finished and dropped its receiver.
-    pub fn send(&self, to: usize, tag: u64, payload: Vec<u8>) {
-        self.senders[to]
-            .send(Message {
-                from: self.rank,
-                tag,
-                payload,
-            })
-            .expect("destination rank has exited");
-    }
-
-    /// Receives the next message from any source with any tag.
-    pub fn recv_any(&mut self) -> Message {
-        if !self.pending.is_empty() {
-            return self.pending.remove(0);
-        }
-        self.receiver.recv().expect("all senders dropped")
-    }
-
-    /// Receives the next message matching the given source and/or tag,
-    /// buffering any other messages that arrive in the meantime.
-    pub fn recv_matching(&mut self, from: Option<usize>, tag: Option<u64>) -> Message {
-        let matches =
-            |m: &Message| from.is_none_or(|f| m.from == f) && tag.is_none_or(|t| m.tag == t);
-        if let Some(pos) = self.pending.iter().position(matches) {
-            return self.pending.remove(pos);
-        }
-        loop {
-            let m = self.receiver.recv().expect("all senders dropped");
-            if matches(&m) {
-                return m;
-            }
-            self.pending.push(m);
-        }
-    }
-
-    /// Non-blocking receive of a matching message, if one is already queued.
-    pub fn try_recv_matching(&mut self, from: Option<usize>, tag: Option<u64>) -> Option<Message> {
-        let matches =
-            |m: &Message| from.is_none_or(|f| m.from == f) && tag.is_none_or(|t| m.tag == t);
-        if let Some(pos) = self.pending.iter().position(matches) {
-            return Some(self.pending.remove(pos));
-        }
-        while let Ok(m) = self.receiver.try_recv() {
-            if matches(&m) {
-                return Some(m);
-            }
-            self.pending.push(m);
-        }
-        None
-    }
-
-    /// Linear broadcast: the root sends `data` to every other rank; every
-    /// rank (including the root) returns the broadcast payload.
-    pub fn broadcast_from(&mut self, root: usize, data: Vec<u8>, tag: u64) -> Vec<u8> {
-        if self.rank == root {
-            for to in 0..self.ranks {
-                if to != root {
-                    self.send(to, tag, data.clone());
-                }
-            }
-            data
-        } else {
-            self.recv_matching(Some(root), Some(tag)).payload
-        }
-    }
-
-    /// Linear gather: every rank sends `data` to the root; the root returns
-    /// the payloads in rank order (its own contribution included), other
-    /// ranks return `None`.
-    pub fn gather_to(&mut self, root: usize, data: Vec<u8>, tag: u64) -> Option<Vec<Vec<u8>>> {
-        if self.rank == root {
-            let mut out: Vec<Vec<u8>> = vec![Vec::new(); self.ranks];
-            out[root] = data;
-            for _ in 0..self.ranks - 1 {
-                let m = self.recv_matching(None, Some(tag));
-                out[m.from] = m.payload;
-            }
-            Some(out)
-        } else {
-            self.send(root, tag, data);
-            None
-        }
-    }
-
-    /// Blocks until every rank has reached the barrier.
-    pub fn barrier(&self) {
-        self.barrier.wait();
-    }
-}
 
 /// An opaque unit of work executed by a [`WorkerPool`] thread.
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -633,159 +495,9 @@ impl std::fmt::Debug for WorkerPool {
     }
 }
 
-/// Thread-backed cluster launcher.
-pub struct Cluster;
-
-impl Cluster {
-    /// Spawns `ranks` threads, runs `f` on each with its [`RankHandle`], and
-    /// returns the per-rank results in rank order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ranks` is zero or if any rank panics.
-    pub fn run<T, F>(ranks: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(RankHandle) -> T + Send + Sync,
-    {
-        assert!(ranks >= 1, "a cluster needs at least one rank");
-        let mut senders = Vec::with_capacity(ranks);
-        let mut receivers = Vec::with_capacity(ranks);
-        for _ in 0..ranks {
-            let (s, r) = unbounded();
-            senders.push(s);
-            receivers.push(r);
-        }
-        let barrier = Arc::new(Barrier::new(ranks));
-        let f = &f;
-
-        let mut handles: Vec<RankHandle> = receivers
-            .into_iter()
-            .enumerate()
-            .map(|(rank, receiver)| RankHandle {
-                rank,
-                ranks,
-                senders: senders.clone(),
-                receiver,
-                barrier: Arc::clone(&barrier),
-                pending: Vec::new(),
-            })
-            .collect();
-        // Drop the original senders so channels close when all ranks finish.
-        drop(senders);
-
-        std::thread::scope(|scope| {
-            let mut joins = Vec::with_capacity(ranks);
-            for handle in handles.drain(..) {
-                joins.push(scope.spawn(move || f(handle)));
-            }
-            joins
-                .into_iter()
-                .map(|j| j.join().expect("rank thread panicked"))
-                .collect()
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ranks_know_their_identity() {
-        let ids = Cluster::run(4, |h| (h.rank(), h.ranks()));
-        assert_eq!(ids, vec![(0, 4), (1, 4), (2, 4), (3, 4)]);
-    }
-
-    #[test]
-    fn ring_pass_accumulates_contributions() {
-        // Each rank adds its id and forwards to the next; rank 0 starts and
-        // finally receives the total.
-        let totals = Cluster::run(5, |mut h| {
-            let next = (h.rank() + 1) % h.ranks();
-            if h.rank() == 0 {
-                h.send(next, 1, vec![0]);
-                let m = h.recv_matching(None, Some(1));
-                m.payload[0]
-            } else {
-                let m = h.recv_matching(None, Some(1));
-                h.send(next, 1, vec![m.payload[0] + h.rank() as u8]);
-                0
-            }
-        });
-        assert_eq!(totals[0], (1 + 2 + 3 + 4) as u8);
-    }
-
-    #[test]
-    fn broadcast_delivers_to_every_rank() {
-        let out = Cluster::run(4, |mut h| {
-            let data = if h.rank() == 2 { vec![7, 7, 7] } else { vec![] };
-            h.broadcast_from(2, data, 9)
-        });
-        for payload in out {
-            assert_eq!(payload, vec![7, 7, 7]);
-        }
-    }
-
-    #[test]
-    fn gather_collects_in_rank_order() {
-        let out = Cluster::run(4, |mut h| h.gather_to(0, vec![h.rank() as u8; 2], 3));
-        let gathered = out[0].as_ref().unwrap();
-        assert_eq!(gathered.len(), 4);
-        for (rank, payload) in gathered.iter().enumerate() {
-            assert_eq!(payload, &vec![rank as u8; 2]);
-        }
-        assert!(out[1].is_none() && out[2].is_none() && out[3].is_none());
-    }
-
-    #[test]
-    fn tag_matching_buffers_out_of_order_messages() {
-        let out = Cluster::run(2, |mut h| {
-            if h.rank() == 0 {
-                // Send tag 2 first, then tag 1; the receiver asks for tag 1
-                // first and must still see both, in the order it asked.
-                h.send(1, 2, vec![2]);
-                h.send(1, 1, vec![1]);
-                vec![]
-            } else {
-                let first = h.recv_matching(Some(0), Some(1)).payload;
-                let second = h.recv_matching(Some(0), Some(2)).payload;
-                vec![first[0], second[0]]
-            }
-        });
-        assert_eq!(out[1], vec![1, 2]);
-    }
-
-    #[test]
-    fn try_recv_returns_none_when_nothing_queued() {
-        let out = Cluster::run(2, |mut h| {
-            if h.rank() == 0 {
-                h.barrier();
-                // after the barrier rank 1 has already checked its queue
-                h.send(1, 5, vec![9]);
-                true
-            } else {
-                let nothing = h.try_recv_matching(None, None).is_none();
-                h.barrier();
-                let msg = h.recv_matching(Some(0), Some(5));
-                nothing && msg.payload == vec![9]
-            }
-        });
-        assert!(out[1]);
-    }
-
-    #[test]
-    fn barrier_synchronises_phases() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let counter = AtomicUsize::new(0);
-        let out = Cluster::run(6, |h| {
-            counter.fetch_add(1, Ordering::SeqCst);
-            h.barrier();
-            // After the barrier every rank must observe all 6 increments.
-            counter.load(Ordering::SeqCst)
-        });
-        assert!(out.iter().all(|&v| v == 6));
-    }
 
     #[test]
     fn pool_results_arrive_in_submission_order() {
@@ -940,15 +652,5 @@ mod tests {
         // run_tasks is a join point: every submitted job has been popped and
         // completed, so the lanes must be empty again.
         assert_eq!(pool.queued_jobs(), 0);
-    }
-
-    #[test]
-    fn single_rank_cluster_works() {
-        let out = Cluster::run(1, |mut h| {
-            let data = h.broadcast_from(0, vec![1, 2, 3], 0);
-            let gathered = h.gather_to(0, data, 1).unwrap();
-            gathered.len()
-        });
-        assert_eq!(out, vec![1]);
     }
 }

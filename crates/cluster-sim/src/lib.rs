@@ -19,14 +19,8 @@
 //!   this is what captures the paper's central finding that fast-Ethernet
 //!   communication overheads erase the gains of Type I parallelization.
 //!
-//! * [`comm::Cluster`] — a small **thread-backed message-passing layer**
-//!   (send / receive / broadcast / gather / barrier over crossbeam channels)
-//!   with an MPI-like rank API. It demonstrates that the same strategies can
-//!   run with real concurrency, and it is used by the wall-clock execution
-//!   mode and by tests of message-passing semantics.
-//!
-//! * [`comm::WorkerPool`] — a persistent pool of OS worker threads fed
-//!   through a crossbeam MPMC job channel, with results merged back **in
+//! * [`comm::WorkerPool`] — a persistent pool of OS worker threads, each
+//!   fed through its own work lane, with results merged back **in
 //!   submission order**. This is the backend seam the `sime-parallel` crate's
 //!   `Threaded` execution backend builds on: strategies execute their
 //!   per-rank work as pool tasks for real shared-memory parallelism while the
@@ -44,14 +38,14 @@ pub mod machine;
 pub mod network;
 pub mod timeline;
 
-pub use comm::{Cluster, RankHandle, WorkerPool};
+pub use comm::WorkerPool;
 pub use machine::{ComputeModel, Workload};
 pub use network::NetworkModel;
 pub use timeline::{ClusterConfig, ClusterTimeline, CommStats};
 
 /// Convenience prelude bringing the common cluster-simulation types into scope.
 pub mod prelude {
-    pub use crate::comm::{Cluster, RankHandle, WorkerPool};
+    pub use crate::comm::WorkerPool;
     pub use crate::machine::{ComputeModel, Workload};
     pub use crate::network::NetworkModel;
     pub use crate::timeline::{ClusterConfig, ClusterTimeline, CommStats};

@@ -547,72 +547,7 @@ impl SimEEngine {
     ) -> (f64, usize, AllocationStats) {
         let (_net_lengths, goodness) = self.evaluate_with(placement, scratch, profile);
         let avg_goodness = goodness.iter().sum::<f64>() / goodness.len().max(1) as f64;
-        let (selected, alloc_stats) = self.select_allocate_from_scratch(
-            placement,
-            scratch,
-            rng,
-            profile,
-            frozen,
-            allowed_rows,
-        );
-        (avg_goodness, selected, alloc_stats)
-    }
 
-    /// The Selection and Allocation steps of one iteration, driven by a
-    /// caller-supplied combined-goodness vector instead of the engine's own
-    /// Evaluation step.
-    ///
-    /// This is the master-side half of the Type I split: the slaves compute
-    /// the partial goodness vectors, the master gathers them into `goodness`
-    /// (one entry per cell, in cell-id order) and runs the unchanged serial
-    /// Selection → Allocation pipeline. When `goodness` is bitwise identical
-    /// to what [`SimEEngine::evaluate_with`] would produce — which the
-    /// distributed evaluation guarantees, because both paths price every net
-    /// with the same estimator — the resulting search trajectory is bitwise
-    /// identical to [`SimEEngine::iterate`]'s.
-    ///
-    /// Consumes exactly the same RNG stream as the selection/allocation half
-    /// of [`SimEEngine::iterate`]. Returns the selection-set size and the
-    /// allocation work counts.
-    #[allow(clippy::too_many_arguments)]
-    pub fn select_and_allocate<R: Rng + ?Sized>(
-        &self,
-        placement: &mut Placement,
-        scratch: &mut SimEScratch,
-        goodness: &[f64],
-        rng: &mut R,
-        profile: &mut ProfileReport,
-        frozen: &[bool],
-        allowed_rows: &[usize],
-    ) -> (usize, AllocationStats) {
-        assert_eq!(
-            goodness.len(),
-            self.evaluator.netlist().num_cells(),
-            "goodness vector must have one entry per cell"
-        );
-        scratch.goodness.clear();
-        scratch.goodness.extend_from_slice(goodness);
-        // The staged vector came from outside the engine's Evaluation step;
-        // conservatively drop it as an incremental-goodness baseline (the
-        // Type I master re-gathers a fresh vector every iteration anyway).
-        scratch.goodness_valid = false;
-        scratch.pending_cells.clear();
-        scratch.cell_stamp_cur = scratch.cell_stamp_cur.wrapping_add(1);
-        self.select_allocate_from_scratch(placement, scratch, rng, profile, frozen, allowed_rows)
-    }
-
-    /// Shared Selection → Allocation tail of [`SimEEngine::iterate`] and
-    /// [`SimEEngine::select_and_allocate`]; reads the goodness vector already
-    /// staged in `scratch.goodness`.
-    fn select_allocate_from_scratch<R: Rng + ?Sized>(
-        &self,
-        placement: &mut Placement,
-        scratch: &mut SimEScratch,
-        rng: &mut R,
-        profile: &mut ProfileReport,
-        frozen: &[bool],
-        allowed_rows: &[usize],
-    ) -> (usize, AllocationStats) {
         let t0 = Instant::now();
         // Fixed cells (pads, macros) must never enter the selection set. The
         // mask is empty on fixed-free circuits, so that path — including its
@@ -647,7 +582,7 @@ impl SimEEngine {
         profile.trial_positions += alloc_stats.trial_positions as u64;
         profile.iterations += 1;
 
-        (selected.len(), alloc_stats)
+        (avg_goodness, selected.len(), alloc_stats)
     }
 
     /// Runs the full SimE loop from a fresh random initial placement.
@@ -990,80 +925,6 @@ mod tests {
         fn assert_send<T: Send>() {}
         assert_send::<Placement>();
         assert_send::<ChaCha8Rng>();
-    }
-
-    #[test]
-    fn select_and_allocate_matches_iterate_bitwise() {
-        // Driving Selection → Allocation from an externally supplied goodness
-        // vector (the Type I master path) must reproduce `iterate` exactly
-        // when that vector equals the evaluation's output.
-        let nl = netlist(150, 22);
-        let config = SimEConfig::fast(Objectives::WirelengthPower, 7, 1);
-        let engine = SimEEngine::new(nl, config);
-
-        let mut rng_a = ChaCha8Rng::seed_from_u64(9);
-        let mut rng_b = ChaCha8Rng::seed_from_u64(9);
-        let mut placement_a = engine.initial_placement(&mut rng_a);
-        let mut placement_b = engine.initial_placement(&mut rng_b);
-        let mut scratch_a = engine.new_scratch();
-        let mut scratch_b = engine.new_scratch();
-
-        for _ in 0..4 {
-            let mut profile_a = ProfileReport::new();
-            let (_avg, sel_a, stats_a) = engine.iterate(
-                &mut placement_a,
-                &mut scratch_a,
-                &mut rng_a,
-                &mut profile_a,
-                &[],
-                &[],
-            );
-
-            // Reproduce the evaluation outside the engine, then hand the
-            // goodness vector in through the split API.
-            let mut profile_b = ProfileReport::new();
-            let goodness: Vec<f64> = {
-                let (_lengths, g) =
-                    engine.evaluate_with(&placement_b, &mut scratch_b, &mut profile_b);
-                g.to_vec()
-            };
-            let (sel_b, stats_b) = engine.select_and_allocate(
-                &mut placement_b,
-                &mut scratch_b,
-                &goodness,
-                &mut rng_b,
-                &mut profile_b,
-                &[],
-                &[],
-            );
-
-            assert_eq!(sel_a, sel_b);
-            assert_eq!(stats_a.net_evaluations, stats_b.net_evaluations);
-            let cost_a = engine.cost_with(&placement_a, &mut scratch_a);
-            let cost_b = engine.cost_with(&placement_b, &mut scratch_b);
-            assert_eq!(cost_a.mu.to_bits(), cost_b.mu.to_bits());
-            assert_eq!(cost_a.wirelength.to_bits(), cost_b.wirelength.to_bits());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "one entry per cell")]
-    fn select_and_allocate_rejects_mismatched_goodness() {
-        let nl = netlist(80, 23);
-        let engine = SimEEngine::new(nl, SimEConfig::fast(Objectives::WirelengthPower, 5, 1));
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let mut placement = engine.initial_placement(&mut rng);
-        let mut scratch = engine.new_scratch();
-        let mut profile = ProfileReport::new();
-        engine.select_and_allocate(
-            &mut placement,
-            &mut scratch,
-            &[0.5; 3],
-            &mut rng,
-            &mut profile,
-            &[],
-            &[],
-        );
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! iteration **fans out** one task per simulated rank (the paper's broadcast
 //! step), runs the tasks, and **merges** their results back in rank order
 //! (the gather step), charging the [`cluster_sim::timeline::ClusterTimeline`]
-//! for the cluster cost of the same schedule. The [`ExecBackend`] trait
-//! chooses how the fan-out actually executes:
+//! for the cluster cost of the same schedule. Type I is the exception: it has
+//! no rank task (its distributed evaluation is charged, not executed), so it
+//! runs inline on every backend. The [`ExecBackend`] trait chooses how the
+//! fan-out actually executes:
 //!
 //! * [`Modeled`] — tasks run inline on the calling thread, one after another,
 //!   exactly as in the original reproduction. Wall-clock time is serial; the

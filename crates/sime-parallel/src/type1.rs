@@ -11,14 +11,17 @@
 //!    nets, which is what forces those duplicates,
 //! 3. the slaves send their partial goodness vectors back to the master,
 //! 4. the master runs Selection and Allocation exactly as the serial
-//!    algorithm does, via [`SimEEngine::select_and_allocate`].
+//!    algorithm does.
 //!
-//! Because the search operators run unchanged on the master with the gathered
-//! goodness vector — which is bitwise identical to a serial evaluation — the
-//! search trajectory and the final solution quality are identical to the
-//! serial algorithm; only the runtime differs. The modeled runtime comes from
-//! a [`ClusterTimeline`]; under the `Threaded` backend the per-partition
-//! evaluation tasks of step 2 additionally run on real OS threads.
+//! The gathered goodness vector is, by construction, the serial one: every
+//! partition prices its cells with the same per-net estimator. So this
+//! driver runs the ordinary serial iteration ([`SimEEngine::iterate`]) on one
+//! scratch and only *charges* steps 1–3 to a [`ClusterTimeline`]: the
+//! broadcast, each partition's evaluation workload and the gather are
+//! charged, not executed. The search trajectory and the final solution
+//! quality are therefore identical to the serial algorithm; only the modeled
+//! runtime differs. With no per-rank task left, Type I runs inline on every
+//! execution backend.
 //!
 //! ```
 //! use cluster_sim::timeline::ClusterConfig;
@@ -44,7 +47,7 @@
 //! ```
 
 use crate::control::RunControl;
-use crate::exec::{ExecBackend, Task};
+use crate::exec::ExecBackend;
 use crate::report::{
     partition_evaluation_workload, StrategyOutcome, BYTES_PER_CELL, BYTES_PER_GOODNESS,
 };
@@ -55,10 +58,8 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use sime_core::engine::SimEEngine;
 use sime_core::profile::ProfileReport;
-use std::sync::Arc;
 use std::time::Instant;
 use vlsi_netlist::CellId;
-use vlsi_place::layout::Placement;
 
 /// Configuration of a Type I run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -69,97 +70,13 @@ pub struct Type1Config {
     pub iterations: usize,
 }
 
-/// Reusable buffers for one partition's evaluation task: the sparse
-/// net-length buffer and its fill mask. One instance per simulated slave,
-/// moved into the slave's task at fan-out and returned with its result, so
-/// the per-iteration evaluation stays allocation-free (matching the E7
-/// kernel discipline on the serial path).
-struct EvalScratch {
-    lengths: Vec<f64>,
-    filled: Vec<bool>,
-}
-
-impl EvalScratch {
-    fn new(num_nets: usize) -> Self {
-        EvalScratch {
-            lengths: vec![0.0; num_nets],
-            filled: vec![false; num_nets],
-        }
-    }
-}
-
-/// What one slave's evaluation task sends back: the partition's combined
-/// goodness values and the slave's reusable buffers.
-type EvalOutput = (Vec<f64>, EvalScratch);
-
-/// Computes the combined goodness of one cell partition under `placement` —
-/// the work one Type I processor performs in step 2 of every iteration.
-///
-/// Fills a sparse net-length buffer with exactly the nets the partition's
-/// cells depend on (incident nets, plus the nets of stored critical paths
-/// through the cells when the delay objective is active) using the same
-/// per-net estimator as the full evaluation, then reads each cell's goodness
-/// off that buffer. The result is bitwise identical to the corresponding
-/// entries of a dense [`GoodnessEvaluator::all_goodness`] pass — the property
-/// the Type I determinism argument rests on.
-///
-/// [`GoodnessEvaluator::all_goodness`]: vlsi_place::goodness::GoodnessEvaluator::all_goodness
-pub fn partition_goodness(
-    engine: &SimEEngine,
-    placement: &Placement,
-    cells: &[CellId],
-) -> Vec<f64> {
-    let mut scratch = EvalScratch::new(engine.evaluator().netlist().num_nets());
-    partition_goodness_with(engine, placement, cells, &mut scratch)
-}
-
-/// [`partition_goodness`] over caller-owned buffers (the allocation-free
-/// variant the strategy loop uses). Stale `lengths` entries from earlier
-/// calls are never read: every net a cell's goodness touches is (re)filled
-/// for the current placement before the goodness pass.
-fn partition_goodness_with(
-    engine: &SimEEngine,
-    placement: &Placement,
-    cells: &[CellId],
-    scratch: &mut EvalScratch,
-) -> Vec<f64> {
-    let goodness = engine.goodness();
-    let evaluator = goodness.evaluator();
-    let netlist = evaluator.netlist();
-    scratch.filled.fill(false);
-    for &cell in cells {
-        for &net in netlist.nets_of_cell(cell) {
-            if !scratch.filled[net.index()] {
-                scratch.filled[net.index()] = true;
-                scratch.lengths[net.index()] = evaluator.net_length(placement, net);
-            }
-        }
-        for &pi in goodness.paths_of_cell(cell) {
-            for &net in &evaluator.paths()[pi as usize].nets {
-                if !scratch.filled[net.index()] {
-                    scratch.filled[net.index()] = true;
-                    scratch.lengths[net.index()] = evaluator.net_length(placement, net);
-                }
-            }
-        }
-    }
-    cells
-        .iter()
-        .map(|&cell| {
-            goodness
-                .cell_goodness_from_lengths(cell, &scratch.lengths)
-                .combined
-        })
-        .collect()
-}
-
-/// Runs the Type I parallel SimE strategy on an execution backend.
+/// Runs the Type I parallel SimE strategy.
 ///
 /// The engine's RNG seed determines the (serial-equivalent) search
-/// trajectory; `cluster` describes the simulated machine. Every backend
-/// produces bitwise-identical outcomes (see the determinism contract in
-/// [`crate::exec`]); a threaded backend executes the per-partition
-/// evaluation tasks on real OS threads.
+/// trajectory; `cluster` describes the simulated machine. The iteration runs
+/// inline on every backend, so every backend produces bitwise-identical
+/// outcomes (see the determinism contract in [`crate::exec`]); `backend`
+/// only labels the outcome.
 ///
 /// `control` observes every completed iteration and may end the run at that
 /// boundary (see the [`crate::control`] docs for the exact call point and
@@ -182,20 +99,15 @@ pub fn run_type1(
         "cluster configuration and strategy configuration disagree on the rank count"
     );
     let started = Instant::now();
-    let executor = backend.executor();
 
-    let netlist = engine.evaluator().netlist().clone();
+    let netlist = engine.evaluator().netlist();
     let num_cells = netlist.num_cells();
     let placement_bytes = BYTES_PER_CELL * num_cells as u64;
 
-    // Static cell partition (contiguous blocks, as in the paper's
-    // implementation); the master holds partition 0. Tasks capture the engine
-    // behind an Arc so the same closures run inline or on pool threads.
-    let shared = Arc::new(engine.clone());
+    // Static cell partition (contiguous cell-id blocks, as in the paper's
+    // implementation); the master holds partition 0.
     let cells: Vec<CellId> = netlist.cell_ids().collect();
-    let chunk = num_cells.div_ceil(config.ranks);
-    let partitions: Vec<Arc<Vec<CellId>>> =
-        cells.chunks(chunk).map(|c| Arc::new(c.to_vec())).collect();
+    let partitions: Vec<&[CellId]> = cells.chunks(num_cells.div_ceil(config.ranks)).collect();
     let partition_work: Vec<Workload> = (0..config.ranks)
         .map(|r| {
             partitions
@@ -203,9 +115,6 @@ pub fn run_type1(
                 .map(|p| partition_evaluation_workload(engine, p))
                 .unwrap_or_default()
         })
-        .collect();
-    let mut eval_scratch: Vec<Option<EvalScratch>> = (0..partitions.len())
-        .map(|_| Some(EvalScratch::new(netlist.num_nets())))
         .collect();
     let goodness_bytes: Vec<u64> = (0..config.ranks)
         .map(|r| {
@@ -218,10 +127,7 @@ pub fn run_type1(
     let mut timeline = ClusterTimeline::new(cluster);
     let mut rng = ChaCha8Rng::seed_from_u64(engine.config().seed);
     let mut placement = engine.initial_placement(&mut rng);
-    // The master mutates one placement in place across iterations, so its
-    // scratch's net-length cache stays on the delta path.
     let mut scratch = engine.new_scratch();
-    let mut goodness = vec![0.0f64; num_cells];
 
     let mut best_placement = placement.clone();
     let mut best_cost = engine.cost_with(&placement, &mut scratch);
@@ -238,52 +144,23 @@ pub fn run_type1(
         // 1. Broadcast the current placement (binomial tree, as MPI_Bcast in
         //    MPICH 1.x does).
         timeline.broadcast_tree(0, placement_bytes);
-
-        // 2. Distributed evaluation: one task per partition (the duplicates
-        //    across partitions are inherent to the partitioning). Each slave
-        //    carries its reusable buffers through the task and hands them
-        //    back with the result.
-        let snapshot = Arc::new(placement.clone());
-        let tasks: Vec<Task<EvalOutput>> = partitions
-            .iter()
-            .zip(eval_scratch.iter_mut())
-            .map(|(partition, slot)| {
-                let engine = Arc::clone(&shared);
-                let snapshot = Arc::clone(&snapshot);
-                let partition = Arc::clone(partition);
-                let mut scratch = slot.take().expect("evaluation scratch in flight");
-                Box::new(move || {
-                    let part =
-                        partition_goodness_with(&engine, &snapshot, &partition, &mut scratch);
-                    (part, scratch)
-                }) as Task<EvalOutput>
-            })
-            .collect();
-        let partial = executor.run_tasks(tasks);
+        // 2. Distributed evaluation: each rank prices its partition (the
+        //    duplicates across partitions are inherent to the partitioning).
         for (rank, work) in partition_work.iter().enumerate() {
             timeline.charge_compute(rank, work);
         }
-
-        // 3. Gather the partial goodness vectors at the master; partitions
-        //    are contiguous chunks in cell-id order, so the merge is a
-        //    concatenation in rank order.
+        // 3. Gather the partial goodness vectors at the master.
         timeline.gather(0, &goodness_bytes);
-        let mut next = 0usize;
-        for (rank, (part, scratch)) in partial.into_iter().enumerate() {
-            goodness[next..next + part.len()].copy_from_slice(&part);
-            next += part.len();
-            eval_scratch[rank] = Some(scratch);
-        }
 
-        // 4. The master runs Selection and Allocation exactly as the serial
-        //    algorithm does, driven by the gathered goodness vector. Only the
-        //    selection and allocation work is charged to the master, plus the
-        //    extra cost recalculations for non-partition cells.
+        // 4. The master runs Selection and Allocation on the gathered
+        //    vector. That vector is the serial evaluation's, so steps 2–4
+        //    together are exactly one serial iteration. Only the selection
+        //    and allocation work is charged to the master, plus the extra
+        //    cost recalculations for non-partition cells.
         let mut profile = ProfileReport::new();
-        let (selected, alloc_stats) = engine.select_and_allocate(
+        let (_avg_goodness, selected, alloc_stats) = engine.iterate(
             &mut placement,
             &mut scratch,
-            &goodness,
             &mut rng,
             &mut profile,
             &[],
@@ -330,8 +207,10 @@ mod tests {
     use crate::report::{modeled_serial_seconds, run_serial_baseline};
     use sime_core::engine::SimEConfig;
     use std::sync::Arc;
+    use vlsi_netlist::bench_suite::{mixed_circuit, MixedCircuit};
     use vlsi_netlist::generator::{CircuitGenerator, GeneratorConfig};
     use vlsi_place::cost::Objectives;
+    use vlsi_place::layout::Placement;
 
     fn engine(iterations: usize) -> SimEEngine {
         let nl = Arc::new(
@@ -365,23 +244,56 @@ mod tests {
 
     #[test]
     fn type1_trajectory_is_bitwise_serial() {
-        // Stronger than quality equality: the gathered-goodness master path
-        // reproduces the serial per-iteration µ trace to the bit.
-        let engine = engine(5);
-        let serial = engine.run();
-        let outcome = run_type1(
-            &engine,
-            ClusterConfig::paper_cluster(4),
-            Type1Config {
-                ranks: 4,
-                iterations: 5,
-            },
-            &Modeled,
-            &FreeRun,
+        // Stronger than quality equality: the master reproduces the serial
+        // per-iteration µ trace and best placement to the bit, with and
+        // without the delay objective, on a mixed-size circuit with fixed
+        // cells, and from a warm start.
+        let small = Arc::new(
+            CircuitGenerator::new(GeneratorConfig::sized("type1_test", 150, 7)).generate(),
         );
-        assert_eq!(serial.history.len(), outcome.mu_history.len());
-        for (h, &mu) in serial.history.iter().zip(&outcome.mu_history) {
-            assert_eq!(h.mu.to_bits(), mu.to_bits());
+        let mix = MixedCircuit::Mix600;
+        let circuits = [(small, 8), (Arc::new(mixed_circuit(mix)), mix.num_rows())];
+        for (netlist, num_rows) in circuits {
+            for objectives in [
+                Objectives::WirelengthPower,
+                Objectives::WirelengthPowerDelay,
+            ] {
+                for warm in [false, true] {
+                    let config = SimEConfig::paper_defaults(objectives, num_rows, 4);
+                    let mut engine = SimEEngine::new(Arc::clone(&netlist), config);
+                    if warm {
+                        let rr = Placement::round_robin(&netlist, num_rows);
+                        engine = engine.with_initial(Arc::new(rr));
+                    }
+                    let serial = engine.run();
+                    let outcome = run_type1(
+                        &engine,
+                        ClusterConfig::paper_cluster(4),
+                        Type1Config {
+                            ranks: 4,
+                            iterations: 4,
+                        },
+                        &Modeled,
+                        &FreeRun,
+                    );
+                    let label = format!("{} {objectives:?} warm={warm}", netlist.name());
+                    let serial_mu: Vec<u64> =
+                        serial.history.iter().map(|h| h.mu.to_bits()).collect();
+                    let type1_mu: Vec<u64> =
+                        outcome.mu_history.iter().map(|mu| mu.to_bits()).collect();
+                    assert_eq!(serial_mu, type1_mu, "{label}");
+                    assert_eq!(
+                        serial.best_cost.mu.to_bits(),
+                        outcome.best_cost.mu.to_bits(),
+                        "{label}"
+                    );
+                    for cell in netlist.cell_ids() {
+                        let (a, b) = (&serial.best_placement, &outcome.best_placement);
+                        assert_eq!(a.row_of(cell), b.row_of(cell), "{label}");
+                        assert_eq!(a.x_of(cell).to_bits(), b.x_of(cell).to_bits(), "{label}");
+                    }
+                }
+            }
         }
     }
 
@@ -416,21 +328,6 @@ mod tests {
             assert_eq!(modeled.comm, threaded.comm);
             for (a, b) in modeled.mu_history.iter().zip(&threaded.mu_history) {
                 assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn partition_goodness_matches_dense_evaluation() {
-        let engine = engine(1);
-        let mut rng = ChaCha8Rng::seed_from_u64(11);
-        let placement = engine.initial_placement(&mut rng);
-        let dense = engine.goodness().all_goodness(&placement);
-        let cells: Vec<CellId> = engine.evaluator().netlist().cell_ids().collect();
-        for part in cells.chunks(47) {
-            let partial = partition_goodness(&engine, &placement, part);
-            for (cell, g) in part.iter().zip(partial) {
-                assert_eq!(dense[cell.index()].to_bits(), g.to_bits());
             }
         }
     }

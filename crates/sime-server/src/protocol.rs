@@ -146,11 +146,20 @@ fn obj_string(map: &BTreeMap<String, Json>, key: &str) -> Result<String, Protoco
     }
 }
 
+/// 2^53: from here on an `f64` no longer holds every integer, so a wire
+/// integer at or above it may already have been rounded by the JSON reader.
+const MAX_EXACT_INTEGER: f64 = 9_007_199_254_740_992.0;
+
+/// Whether `n` is a non-negative integer that the wire carried exactly.
+fn exact_integer(n: f64) -> bool {
+    (0.0..MAX_EXACT_INTEGER).contains(&n) && n.fract() == 0.0
+}
+
 fn obj_usize(map: &BTreeMap<String, Json>, key: &str) -> Result<usize, ProtocolError> {
     match map.get(key) {
-        Some(Json::Number(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as usize),
+        Some(Json::Number(n)) if exact_integer(*n) => Ok(*n as usize),
         Some(_) => Err(ProtocolError::malformed(format!(
-            "field `{key}` must be a non-negative integer"
+            "field `{key}` must be a non-negative integer below 2^53"
         ))),
         None => Err(ProtocolError::malformed(format!(
             "missing required field `{key}`"
@@ -161,9 +170,9 @@ fn obj_usize(map: &BTreeMap<String, Json>, key: &str) -> Result<usize, ProtocolE
 fn obj_opt_u64(map: &BTreeMap<String, Json>, key: &str) -> Result<Option<u64>, ProtocolError> {
     match map.get(key) {
         None | Some(Json::Null) => Ok(None),
-        Some(Json::Number(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(Some(*n as u64)),
+        Some(Json::Number(n)) if exact_integer(*n) => Ok(Some(*n as u64)),
         Some(_) => Err(ProtocolError::malformed(format!(
-            "field `{key}` must be a non-negative integer"
+            "field `{key}` must be a non-negative integer below 2^53"
         ))),
     }
 }

@@ -67,6 +67,20 @@ fn malformed_and_invalid_requests_return_typed_errors_and_leave_the_pool_usable(
     session.handle_line("{\"op\":\"fly\"}");
     expect_error(&session, "malformed_request");
 
+    // Nesting past the JSON reader's depth limit is a typed error, not a
+    // stack overflow; the line is well under `max_request_bytes`.
+    session.handle_line(&"[".repeat(60_000));
+    expect_error(&session, "malformed_request");
+
+    // An integer at or above 2^53 would reach the job already rounded (this
+    // seed reads back as 2^53), so two distinct requests could replay one
+    // trajectory: it is rejected instead.
+    session.handle_line(
+        "{\"op\":\"submit\",\"id\":\"big-seed\",\"circuit\":\"s1196\",\
+         \"strategy\":\"type1\",\"ranks\":2,\"iterations\":1,\"seed\":9007199254740993}",
+    );
+    expect_error(&session, "malformed_request");
+
     // Unknown circuit: rejected at admission, never queued.
     let mut bad = spec(2);
     bad.scenario.circuit = "not_a_circuit".into();

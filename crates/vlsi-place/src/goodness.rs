@@ -63,18 +63,6 @@ impl GoodnessEvaluator {
         &self.evaluator
     }
 
-    /// Indices (into [`CostEvaluator::paths`]) of the stored critical paths
-    /// passing through `cell`. Empty when the cell is on no stored path.
-    ///
-    /// A distributed evaluation of `cell`'s goodness needs the lengths of the
-    /// nets on exactly these paths (in addition to the cell's incident nets);
-    /// exposing the mapping lets the Type I partitioned evaluation fill the
-    /// same sparse length buffer that [`GoodnessEvaluator::cell_goodness`]
-    /// fills internally.
-    pub fn paths_of_cell(&self, cell: CellId) -> &[u32] {
-        &self.cell_paths[cell.index()]
-    }
-
     /// Goodness of a single cell, given precomputed per-net lengths for the
     /// current placement (so that evaluating all cells costs one pass over
     /// the pins instead of many).
@@ -153,28 +141,11 @@ impl GoodnessEvaluator {
     /// into a caller-owned buffer (the allocation-free variant used by the
     /// engine's per-iteration scratch space).
     pub fn all_goodness_into(&self, net_lengths: &[f64], out: &mut Vec<f64>) {
-        self.goodness_range_into(net_lengths, 0..self.evaluator.netlist().num_cells(), out);
-    }
-
-    /// Combined goodness of the cells whose indices lie in `range`, written
-    /// into a caller-owned buffer. Each cell's value is computed exactly as the full
-    /// [`GoodnessEvaluator::all_goodness_into`] pass computes it (same
-    /// inputs, same per-cell arithmetic, no cross-cell state), so
-    /// concatenating the chunks of any index partition in ascending order
-    /// reproduces the full pass bitwise.
-    pub fn goodness_range_into(
-        &self,
-        net_lengths: &[f64],
-        range: std::ops::Range<usize>,
-        out: &mut Vec<f64>,
-    ) {
         out.clear();
         out.extend(
             self.evaluator
                 .netlist()
                 .cell_ids()
-                .skip(range.start)
-                .take(range.len())
                 .map(|c| self.cell_goodness_from_lengths(c, net_lengths).combined),
         );
     }
@@ -269,30 +240,6 @@ mod tests {
         let lengths = ge.evaluator().net_lengths(&placement);
         for cell in nl.cell_ids().take(25) {
             assert_eq!(ge.cell_goodness_from_lengths(cell, &lengths).delay, 1.0);
-        }
-    }
-
-    #[test]
-    fn range_chunks_concatenate_to_the_full_pass_bitwise() {
-        let (nl, ge, placement) = setup(Objectives::WirelengthPowerDelay);
-        let lengths = ge.evaluator().net_lengths(&placement);
-        let mut full = Vec::new();
-        ge.all_goodness_into(&lengths, &mut full);
-        for chunks in [1usize, 2, 3, 7] {
-            let size = nl.num_cells().div_ceil(chunks);
-            let mut merged = Vec::new();
-            let mut buf = Vec::new();
-            let mut start = 0;
-            while start < nl.num_cells() {
-                let end = (start + size).min(nl.num_cells());
-                ge.goodness_range_into(&lengths, start..end, &mut buf);
-                merged.extend_from_slice(&buf);
-                start = end;
-            }
-            assert_eq!(full.len(), merged.len());
-            for (a, b) in full.iter().zip(&merged) {
-                assert_eq!(a.to_bits(), b.to_bits(), "chunks={chunks}");
-            }
         }
     }
 

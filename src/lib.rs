@@ -11,7 +11,8 @@
 //! * [`place`] — row-based placement, multiobjective cost functions and the
 //!   fuzzy quality measure µ(s) ([`vlsi_place`]),
 //! * [`sime`] — the serial Simulated Evolution engine ([`sime_core`]),
-//! * [`cluster`] — the simulated message-passing cluster ([`cluster_sim`]),
+//! * [`cluster`] — the modeled cluster timeline and the worker pool behind
+//!   the threaded backend ([`cluster_sim`]),
 //! * [`parallel`] — the Type I / II / III parallel strategies
 //!   ([`sime_parallel`]),
 //! * [`baselines`] — SA / GA / TS comparison placers ([`metaheuristics`]).

@@ -276,26 +276,6 @@ fn baseline_heuristics_run_on_the_same_cost_model_as_sime() {
 }
 
 #[test]
-fn thread_backed_cluster_agrees_with_a_serial_reduction() {
-    // Sanity check of the message-passing substrate through the facade: a
-    // gather of per-rank partial sums equals the serial sum.
-    let values: Vec<u64> = (0..64).collect();
-    let total: u64 = values.iter().sum();
-    let per_rank: Vec<u64> = Cluster::run(4, |mut h| {
-        let share: u64 = values.iter().skip(h.rank()).step_by(h.ranks()).sum();
-        let gathered = h.gather_to(0, share.to_le_bytes().to_vec(), 1);
-        match gathered {
-            Some(parts) => parts
-                .iter()
-                .map(|b| u64::from_le_bytes(b.as_slice().try_into().unwrap()))
-                .sum(),
-            None => 0,
-        }
-    });
-    assert_eq!(per_rank[0], total);
-}
-
-#[test]
 fn modeled_cluster_runtimes_are_scale_invariant_in_the_comparison() {
     // The Type II speed-up over serial should not depend on the absolute node
     // speed (both scale identically), only on the network/compute balance.
