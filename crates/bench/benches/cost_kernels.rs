@@ -11,7 +11,7 @@ use std::time::Duration;
 use vlsi_netlist::bench_suite::{paper_circuit, PaperCircuit};
 use vlsi_netlist::CellId;
 use vlsi_place::cost::{CostEvaluator, Objectives};
-use vlsi_place::goodness::GoodnessEvaluator;
+use vlsi_place::goodness::{GoodnessEvaluator, GoodnessScratch};
 use vlsi_place::kernel::{NetLengthCache, TrialScorer};
 use vlsi_place::layout::{Placement, Slot};
 use vlsi_place::wirelength::{hpwl, single_trunk_steiner};
@@ -67,12 +67,14 @@ fn bench_goodness(c: &mut Criterion) {
     group
         .measurement_time(Duration::from_secs(3))
         .sample_size(30);
+    let lengths = evaluator.net_lengths(&placement);
+    let mut scratch = GoodnessScratch::for_evaluator(&evaluator);
+    let mut out = Vec::new();
     group.bench_function("all_cells", |b| {
-        b.iter_batched(
-            || evaluator.net_lengths(&placement),
-            |lengths| black_box(goodness.all_goodness_from_lengths(&lengths)),
-            BatchSize::SmallInput,
-        )
+        b.iter(|| {
+            goodness.all_goodness_with(&mut scratch, &placement, &lengths, &[], &mut out);
+            black_box(out.len())
+        })
     });
     group.finish();
 }

@@ -50,6 +50,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use vlsi_netlist::bench_suite::{paper_circuit, ExtendedCircuit, PaperCircuit, SuiteCircuit};
 use vlsi_place::cost::Objectives;
+use vlsi_place::goodness::GoodnessScratch;
 use vlsi_place::kernel::{NetLengthCache, TrialScorer};
 use vlsi_place::layout::Slot;
 
@@ -485,15 +486,21 @@ fn main() {
         black_box(cache.refresh(&evaluator, &mut scorer, &placement).len());
     });
 
-    // -- The per-cell goodness pass (the Evaluation-phase cost), measured
+    // -- The engine's full per-cell goodness pass (the Evaluation-phase
+    //    cost: each cell's optimal-position cost on the kernel), measured
     //    against the naive full evaluation so the guardrail ratio is
     //    machine-relative.
     let goodness_lengths = evaluator.net_lengths(&placement);
+    let mut goodness_scratch = GoodnessScratch::for_evaluator(&evaluator);
     let mut goodness_buf = Vec::new();
     let goodness_ns = time_ns(REPS, || {
-        engine
-            .goodness()
-            .all_goodness_into(&goodness_lengths, &mut goodness_buf);
+        engine.goodness().all_goodness_with(
+            &mut goodness_scratch,
+            &placement,
+            &goodness_lengths,
+            &[],
+            &mut goodness_buf,
+        );
         black_box(goodness_buf.len());
     });
 

@@ -81,6 +81,19 @@ impl GeneticPlacer {
         Placement::from_order(self.evaluator.netlist(), self.config.num_rows, order)
     }
 
+    /// The order of the individual seeded from `initial`: its movable cells
+    /// row-major, then the fixed cells in id order, so that it lists every
+    /// cell like the random individuals do (crossover pairs orders of equal
+    /// length). [`Placement::from_order`] skips the fixed cells when
+    /// decoding, so they never change the decoded placement.
+    pub fn seed_order(&self, initial: &Placement) -> Vec<CellId> {
+        let netlist = self.evaluator.netlist();
+        (0..initial.num_rows())
+            .flat_map(|r| initial.row(r).iter().copied())
+            .chain(netlist.cell_ids().filter(|&c| netlist.cell(c).fixed))
+            .collect()
+    }
+
     fn fitness(&self, cost: &mut CostCache, order: &[CellId]) -> f64 {
         cost.evaluate(&self.evaluator, &self.decode(order)).mu
     }
@@ -151,10 +164,7 @@ impl GeneticPlacer {
         let mut cost = CostCache::new(&self.evaluator);
         let mut evaluations = 0usize;
 
-        // Seed individual from the provided placement: row-major order.
-        let seed_order: Vec<CellId> = (0..initial.num_rows())
-            .flat_map(|r| initial.row(r).to_vec())
-            .collect();
+        let seed_order = self.seed_order(&initial);
 
         let mut population: Vec<Individual> = Vec::with_capacity(self.config.population);
         population.push(Individual {
@@ -253,6 +263,35 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, a, "child must be a permutation of all cells");
         let _ = p;
+    }
+
+    #[test]
+    fn crossover_of_the_seed_individual_is_a_permutation_on_mixed_size_circuits() {
+        // The seed individual must list the fixed cells too: crossing a
+        // movable-only order with a random all-cell order indexed `used`
+        // out of bounds.
+        use vlsi_netlist::bench_suite::{MixedCircuit, SuiteCircuit};
+        let circuit = SuiteCircuit::Mixed(MixedCircuit::Mix600);
+        let nl = Arc::new(circuit.generate());
+        assert!(nl.has_fixed_cells());
+        let eval = CostEvaluator::new(Arc::clone(&nl), Objectives::WirelengthPower);
+        let placer = GeneticPlacer::new(eval, GaConfig::fast(circuit.num_rows(), 1));
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let initial = Placement::random(&nl, circuit.num_rows(), &mut rng);
+        let seed = placer.seed_order(&initial);
+        let all: Vec<CellId> = nl.cell_ids().collect();
+        for _ in 0..20 {
+            let mut random = all.clone();
+            random.shuffle(&mut rng);
+            for child in [
+                placer.crossover(&seed, &random, &mut rng),
+                placer.crossover(&random, &seed, &mut rng),
+            ] {
+                let mut sorted = child;
+                sorted.sort_unstable();
+                assert_eq!(sorted, all, "child must be a permutation of all cells");
+            }
+        }
     }
 
     #[test]

@@ -195,9 +195,9 @@ pub struct GaIsland {
 
 impl GaIsland {
     /// An island whose population is seeded exactly like
-    /// [`GeneticPlacer::run`]: one individual decodes `initial` (row-major
-    /// order), the rest are random permutations from the island's own RNG
-    /// stream.
+    /// [`GeneticPlacer::run`]: one individual decodes `initial`
+    /// ([`GeneticPlacer::seed_order`]), the rest are random permutations
+    /// from the island's own RNG stream.
     pub fn new(evaluator: CostEvaluator, config: GaConfig, initial: Placement) -> Self {
         let placer = GeneticPlacer::new(evaluator.clone(), config);
         let netlist = evaluator.netlist().clone();
@@ -206,9 +206,7 @@ impl GaIsland {
         let mut evaluations = 0usize;
 
         let decode = |order: &[CellId]| Placement::from_order(&netlist, config.num_rows, order);
-        let seed_order: Vec<CellId> = (0..initial.num_rows())
-            .flat_map(|r| initial.row(r).to_vec())
-            .collect();
+        let seed_order = placer.seed_order(&initial);
         let mut population = Vec::with_capacity(config.population);
         population.push(GaIndividual {
             mu: cost.evaluate(&evaluator, &decode(&seed_order)).mu,

@@ -17,6 +17,11 @@
 //! Besides best fit, a first-fit and a random-window variant are provided for
 //! the ablation study (experiment E6 in `DESIGN.md`) and as building blocks
 //! for the search-diversification ideas discussed in Section 7 of the paper.
+//!
+//! Every strategy treats the layout-width constraint as hard: a cell is only
+//! offered rows whose movable width stays within `(1 + α) · w_avg` once the
+//! cell is added. The rows are filtered before candidates are enumerated, so
+//! the bound-pruned scan stays bitwise equal to the unpruned one.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -42,6 +47,9 @@ pub struct AllocScratch {
     rows: Vec<usize>,
     /// The same rows in ascending order (the nearest-row merge's input).
     sorted_rows: Vec<usize>,
+    /// The allowed rows the current cell fits in, in `rows` order (the
+    /// exhaustive strategies' enumeration).
+    feasible_rows: Vec<usize>,
     /// Candidate slots for the current cell.
     candidates: Vec<Slot>,
     /// Connected-cell x coordinates (windowed search median).
@@ -50,8 +58,8 @@ pub struct AllocScratch {
     ys: Vec<f64>,
     /// Allowed rows nearest the optimal y, nearest first (windowed search).
     rows_by_distance: Vec<usize>,
-    /// Per-row counting scratch for the summary-derived y median of the
-    /// pruned windowed search (left all-zero between uses).
+    /// Row scratch for the summary-derived y median of the pruned windowed
+    /// search.
     row_merge: Vec<u32>,
 }
 
@@ -62,6 +70,7 @@ impl AllocScratch {
             scorer: TrialScorer::for_evaluator(evaluator),
             rows: Vec::new(),
             sorted_rows: Vec::new(),
+            feasible_rows: Vec::new(),
             candidates: Vec::new(),
             xs: Vec::new(),
             ys: Vec::new(),
@@ -187,6 +196,42 @@ impl AllocationStats {
     }
 }
 
+/// The width budget of one cell's allocation: a row can take the cell iff
+/// its movable width plus the cell's stays within `(1 + α) · w_avg`, where
+/// `α` is the fuzzy width-constraint ratio and `w_avg` the average row width.
+/// Rows are compared by [`Placement::row_width`], which excludes blocked
+/// spans and fixed cells.
+#[derive(Debug, Clone, Copy)]
+struct RowBudget {
+    limit: f64,
+    width: u64,
+}
+
+impl RowBudget {
+    /// The budget of `cell` under `placement`.
+    fn new(evaluator: &CostEvaluator, placement: &Placement, cell: CellId) -> Self {
+        RowBudget {
+            limit: (1.0 + evaluator.fuzzy().alpha_width) * placement.avg_row_width(),
+            width: evaluator.netlist().cell(cell).width as u64,
+        }
+    }
+
+    /// `true` when `row` can take the cell without exceeding the limit.
+    #[inline]
+    fn fits(&self, placement: &Placement, row: usize) -> bool {
+        (placement.row_width(row) + self.width) as f64 <= self.limit
+    }
+}
+
+/// The fallback row when no allowed row fits: the least-filled one, the
+/// lowest index breaking ties.
+fn least_filled(placement: &Placement, rows: &[usize]) -> usize {
+    rows.iter()
+        .copied()
+        .min_by_key(|&row| (placement.row_width(row), row))
+        .expect("at least one allowed row")
+}
+
 /// Sorts the selection set for allocation: cells with the lowest goodness
 /// (i.e. the worst placed) are allocated first, ties broken by cell id for
 /// determinism. This is the "sorted" part of sorted individual best fit.
@@ -239,13 +284,28 @@ fn allocate_cell_inner<R: Rng + ?Sized>(
     // re-walking the CSR.
     scratch.scorer.prepare_cell(evaluator, placement, cell);
 
-    // Enumerate candidate slots according to the strategy.
+    // Enumerate candidate slots according to the strategy, in the allowed
+    // rows the cell fits in.
+    let budget = RowBudget::new(evaluator, placement, cell);
     scratch.candidates.clear();
     if config.strategy == AllocationStrategy::WindowedBestFit {
-        windowed_candidates(evaluator, placement, cell, config, scratch);
+        windowed_candidates(evaluator, placement, cell, config, &budget, scratch);
     } else {
-        for r in 0..scratch.rows.len() {
-            let row = scratch.rows[r];
+        scratch.feasible_rows.clear();
+        scratch.feasible_rows.extend(
+            scratch
+                .rows
+                .iter()
+                .copied()
+                .filter(|&row| budget.fits(placement, row)),
+        );
+        if scratch.feasible_rows.is_empty() {
+            scratch
+                .feasible_rows
+                .push(least_filled(placement, &scratch.rows));
+        }
+        for r in 0..scratch.feasible_rows.len() {
+            let row = scratch.feasible_rows[r];
             let slots = placement.slots_in_row(row);
             let mut index = 0;
             while index < slots {
@@ -321,10 +381,8 @@ fn allocate_cell_inner<R: Rng + ?Sized>(
         stats.net_evaluations += scratch.candidates.len() * nets_of_cell;
     }
 
-    let slot = best_slot.unwrap_or(Slot {
-        row: scratch.rows[0],
-        index: 0,
-    });
+    // Every enumerated row contributes at least one candidate.
+    let slot = best_slot.unwrap_or(scratch.candidates[0]);
     placement.insert_cell(cell, slot);
     stats
 }
@@ -445,21 +503,23 @@ fn scan_candidates(
 /// Candidate slots for [`AllocationStrategy::WindowedBestFit`]: the cell's
 /// optimal position is the median of the positions of the other cells it
 /// connects to; candidates are the insertion indices closest to that x
-/// coordinate in the allowed rows closest to the optimal row, capped at
+/// coordinate in the allowed rows closest to the optimal row that fit the
+/// cell (the least-filled allowed row when none does), capped at
 /// `config.best_fit_window` slots in total.
 ///
-/// The nearest rows come from one outward merge over the sorted allowed
-/// rows ([`nearest_rows`]). With `config.bound_pruning` the optimal position
-/// comes straight from the prepared per-net summaries (one CSR walk, already
-/// performed) instead of a fresh gather-and-sort, and the per-row insertion
-/// index from a binary search over the rows' exact cached left edges — both
-/// bitwise identical to the legacy path, which is kept as the `false` branch
-/// (the A/B baseline).
+/// The nearest rows come from one outward merge over the sorted allowed rows
+/// that skips the rows over budget ([`nearest_rows`]). With
+/// `config.bound_pruning` the optimal position comes straight from the
+/// prepared per-net summaries (one CSR walk, already performed) instead of a
+/// fresh gather-and-sort, and the per-row insertion index from a binary
+/// search over the rows' exact cached left edges — both bitwise identical to
+/// the legacy path, which is kept as the `false` branch (the A/B baseline).
 fn windowed_candidates(
     evaluator: &CostEvaluator,
     placement: &Placement,
     cell: CellId,
     config: &AllocationConfig,
+    budget: &RowBudget,
     scratch: &mut AllocScratch,
 ) {
     let netlist = evaluator.netlist();
@@ -503,15 +563,19 @@ fn windowed_candidates(
         }
     };
 
-    // Rows nearest the optimal y, limited to `best_fit_rows`. The allowed
-    // rows are deduplicated, so the per-row windows below cannot emit the
-    // same slot twice.
+    // Rows nearest the optimal y that fit the cell, limited to
+    // `best_fit_rows`. The allowed rows are deduplicated, so the per-row
+    // windows below cannot emit the same slot twice.
     nearest_rows(
         sorted_rows,
         opt_y,
         config.best_fit_rows.max(1),
+        |row| budget.fits(placement, row),
         rows_by_distance,
     );
+    if rows_by_distance.is_empty() {
+        rows_by_distance.push(least_filled(placement, sorted_rows));
+    }
 
     let per_row = (config.best_fit_window.max(1) / rows_by_distance.len()).max(1);
     for &row in rows_by_distance.iter() {
@@ -589,34 +653,48 @@ fn windowed_candidates(
 }
 
 /// Writes the (at most) `k` rows of `sorted_rows` (ascending, duplicate-free)
-/// nearest to `opt_y` into `out`, in ascending `(distance, row)` order —
-/// the prefix a full sort by that key would produce. Row centres increase
-/// with the row index, so distances fall up to the first row centred at or
-/// above `opt_y` and rise after it. Walking outward from that split, two
-/// rows on one side never tie (distinct rows sit at least a row height
-/// apart), and a tie across the split goes to the left, smaller row — the
-/// sort's tie-break. O(k + log n) per cell instead of a pass over every
-/// allowed row.
-fn nearest_rows(sorted_rows: &[usize], opt_y: f64, k: usize, out: &mut Vec<usize>) {
+/// that satisfy `fits` and lie nearest to `opt_y` into `out`, in ascending
+/// `(distance, row)` order — the prefix a filter and a full sort by that key
+/// would produce. Row centres increase with the row index, so distances fall
+/// up to the first row centred at or above `opt_y` and rise after it.
+/// Walking outward from that split, skipping rows that do not fit, two rows
+/// on one side never tie (distinct rows sit at least a row height apart),
+/// and a tie across the split goes to the left, smaller row — the sort's
+/// tie-break. O(k + log n + skipped rows) per cell instead of a pass over
+/// every allowed row.
+fn nearest_rows(
+    sorted_rows: &[usize],
+    opt_y: f64,
+    k: usize,
+    fits: impl Fn(usize) -> bool,
+    out: &mut Vec<usize>,
+) {
     out.clear();
     let centre = |row: usize| (row as f64 + 0.5) * row_height();
-    let mut hi = sorted_rows.partition_point(|&row| centre(row) < opt_y);
-    let mut lo = hi;
+    // Index of the nearest fitting row left of `end` / at or right of `start`.
+    let left_of = |end: usize| sorted_rows[..end].iter().rposition(|&row| fits(row));
+    let right_of = |start: usize| {
+        sorted_rows[start..]
+            .iter()
+            .position(|&row| fits(row))
+            .map(|i| start + i)
+    };
+    let split = sorted_rows.partition_point(|&row| centre(row) < opt_y);
+    let mut left = left_of(split);
+    let mut right = right_of(split);
+    let distance = |i: usize| (centre(sorted_rows[i]) - opt_y).abs();
     while out.len() < k {
-        let take_left = match (lo.checked_sub(1), sorted_rows.get(hi)) {
-            (None, None) => break,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (Some(left), Some(&right)) => {
-                (centre(sorted_rows[left]) - opt_y).abs() <= (centre(right) - opt_y).abs()
+        match (left, right) {
+            (Some(l), r) if r.is_none_or(|r| distance(l) <= distance(r)) => {
+                out.push(sorted_rows[l]);
+                left = left_of(l);
             }
-        };
-        if take_left {
-            lo -= 1;
-            out.push(sorted_rows[lo]);
-        } else {
-            out.push(sorted_rows[hi]);
-            hi += 1;
+            (_, Some(r)) => {
+                out.push(sorted_rows[r]);
+                right = right_of(r + 1);
+            }
+            // Neither side has a fitting row left.
+            _ => break,
         }
     }
 }
@@ -924,9 +1002,10 @@ mod tests {
     #[test]
     fn nearest_rows_matches_the_sort_by_distance_then_row() {
         // Differential: the outward merge must return exactly the rows, in
-        // exactly the order, of deduplicating the allowed list, sorting it
-        // by (distance to opt_y, row) and truncating to k.
-        let oracle = |allowed: &[usize], num_rows: usize, opt_y: f64, k: usize| {
+        // exactly the order, of deduplicating the allowed list, dropping the
+        // rows that do not fit, sorting the rest by (distance to opt_y, row)
+        // and truncating to k.
+        let oracle = |allowed: &[usize], fits: &[bool], num_rows: usize, opt_y: f64, k: usize| {
             let mut rows: Vec<usize> = Vec::new();
             if allowed.is_empty() {
                 rows.extend(0..num_rows);
@@ -937,6 +1016,7 @@ mod tests {
                     }
                 }
             }
+            rows.retain(|&row| fits[row]);
             let dist = |r: usize| ((r as f64 + 0.5) * row_height() - opt_y).abs();
             rows.sort_by(|&a, &b| dist(a).partial_cmp(&dist(b)).unwrap().then(a.cmp(&b)));
             rows.truncate(k);
@@ -974,12 +1054,17 @@ mod tests {
                 _ => rng.gen::<f64>() * span - 2.0 * row_height(),
             };
             let k = rng.gen_range(1..6);
+            // Every row fits, a random share fits, or (rarely) none does.
+            let fit_share = [1.0, 0.7, 0.3, 0.0][case % 7 % 4];
+            let fits: Vec<bool> = (0..num_rows)
+                .map(|_| rng.gen::<f64>() < fit_share)
+                .collect();
             scratch.set_allowed_rows(num_rows, &allowed);
-            nearest_rows(&scratch.sorted_rows, opt_y, k, &mut out);
+            nearest_rows(&scratch.sorted_rows, opt_y, k, |row| fits[row], &mut out);
             assert_eq!(
                 out,
-                oracle(&allowed, num_rows, opt_y, k),
-                "allowed {allowed:?}, opt_y {opt_y}, k {k}"
+                oracle(&allowed, &fits, num_rows, opt_y, k),
+                "allowed {allowed:?}, fits {fits:?}, opt_y {opt_y}, k {k}"
             );
         }
     }

@@ -2,7 +2,7 @@
 
 use crate::allocation::{allocate_all, AllocScratch, AllocationConfig, AllocationStats};
 use crate::profile::{Phase, ProfileReport};
-use crate::selection::{select, SelectionScheme};
+use crate::selection::{select, selectable_average, SelectionScheme};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use vlsi_netlist::{CellId, NetId, Netlist};
 use vlsi_place::cost::{CostBreakdown, CostEvaluator, Objectives};
-use vlsi_place::goodness::GoodnessEvaluator;
+use vlsi_place::goodness::{GoodnessEvaluator, GoodnessScratch};
 use vlsi_place::kernel::NetLengthCache;
 use vlsi_place::layout::Placement;
 
@@ -31,6 +31,8 @@ pub struct SimEScratch {
     pub alloc: AllocScratch,
     /// Incremental per-net length cache (delta evaluation across iterations).
     pub cache: NetLengthCache,
+    /// Buffers of the kernel goodness pass.
+    eval: GoodnessScratch,
     /// Reused per-cell goodness buffer.
     goodness: Vec<f64>,
     /// Dirty-net plan buffer of the refresh.
@@ -39,16 +41,18 @@ pub struct SimEScratch {
     /// net lengths, except for the cells listed in `pending_cells`. `false`
     /// forces the next Evaluation to rebuild the whole vector.
     goodness_valid: bool,
-    /// Cells whose cached goodness is stale (some incident net or some
-    /// critical path through them was re-priced since the vector was last
-    /// completed). Deduplicated via `cell_stamp`; accumulates across
-    /// refreshes until the next goodness pass consumes it.
+    /// Cells whose cached goodness is stale: some incident net or some
+    /// critical path through them was re-priced since their value was last
+    /// computed, or they were frozen when the pass ran. Deduplicated via
+    /// `cell_stamp`; accumulates across refreshes until a goodness pass
+    /// finds the cell selectable.
     pending_cells: Vec<CellId>,
     /// Per-cell membership stamps for `pending_cells` (`== cell_stamp_cur`
     /// means already pending).
     cell_stamp: Vec<u64>,
     /// Current pending-set stamp; advanced whenever `pending_cells` is
-    /// consumed or discarded, which empties the set in O(1).
+    /// consumed or discarded, which empties the set in O(1) (cells kept
+    /// pending are re-stamped).
     cell_stamp_cur: u64,
     /// Cells recomputed through the incremental goodness path (telemetry for
     /// differential tests; the full rebuilds are not counted).
@@ -64,6 +68,7 @@ impl SimEScratch {
         SimEScratch {
             alloc: AllocScratch::for_evaluator(engine.evaluator()),
             cache: NetLengthCache::new(),
+            eval: GoodnessScratch::for_evaluator(engine.evaluator()),
             goodness: Vec::new(),
             dirty_nets: Vec::new(),
             goodness_valid: false,
@@ -80,6 +85,19 @@ impl SimEScratch {
     /// values themselves are bitwise identical either way.
     pub fn goodness_delta_recomputes(&self) -> u64 {
         self.goodness_delta_recomputes
+    }
+
+    /// Empties the pending set in O(1), sizing the stamp table to
+    /// `num_cells` first if needed.
+    fn reset_pending(&mut self, num_cells: usize) {
+        if self.cell_stamp.len() != num_cells {
+            self.cell_stamp.clear();
+            self.cell_stamp.resize(num_cells, 0);
+            // Stamp 0 is reserved as "never pending" for freshly zeroed slots.
+            self.cell_stamp_cur = 0;
+        }
+        self.pending_cells.clear();
+        self.cell_stamp_cur = self.cell_stamp_cur.wrapping_add(1);
     }
 }
 
@@ -362,7 +380,8 @@ impl SimEEngine {
     /// values through the incremental kernel; this method is kept as the
     /// ground truth for differential tests and one-shot callers.
     ///
-    /// Returns `(net_lengths, goodness)` and charges the cost-calculation and
+    /// Returns `(net_lengths, goodness)` with the goodness of every cell,
+    /// fixed ones included, and charges the cost-calculation and
     /// goodness-evaluation phases of `profile`.
     pub fn evaluate(
         &self,
@@ -375,7 +394,7 @@ impl SimEEngine {
         profile.add_net_evals(Phase::CostCalculation, net_lengths.len() as u64);
 
         let t1 = Instant::now();
-        let goodness = self.goodness.all_goodness_from_lengths(&net_lengths);
+        let goodness = self.goodness.all_goodness(placement);
         profile.add_time(Phase::GoodnessEvaluation, t1.elapsed());
         profile.add_net_evals(Phase::GoodnessEvaluation, self.pins);
 
@@ -386,18 +405,21 @@ impl SimEEngine {
 
     /// The Evaluation step on the incremental kernel: refreshes the scratch's
     /// [`NetLengthCache`] (re-evaluating only nets dirtied since the last
-    /// refresh) and fills the scratch goodness buffer. Bitwise identical to
-    /// [`SimEEngine::evaluate`].
+    /// refresh) and fills the scratch goodness buffer for every selectable
+    /// cell — those neither marked in `frozen` (empty: none) nor fixed.
+    /// Entries of the other cells are unspecified. Bitwise identical to
+    /// [`SimEEngine::evaluate`] on every selectable cell.
     ///
-    /// The per-cell goodness pass — the dominant Evaluation cost on the
-    /// extended tier — is incremental when
+    /// The per-cell goodness pass is incremental when
     /// [`SimEConfig::incremental_goodness`] is on: the goodness vector is
     /// carried in the scratch across iterations and only the cells
     /// invalidated by the re-priced nets (and, under the delay objective,
-    /// re-priced critical paths) are recomputed. Per-cell goodness is a pure
-    /// function of the net lengths the cell reads and untouched cells kept
-    /// bit-identical lengths, so the result is bitwise identical to the full
-    /// rebuild (invalidation rules in DESIGN.md §3a).
+    /// re-priced critical paths) are recomputed. A cell's goodness is a pure
+    /// function of the positions of the pins on its incident nets (and the
+    /// lengths of the critical paths through it), and every untouched cell
+    /// kept bit-identical inputs, so the result is bitwise identical to the
+    /// full rebuild (invalidation rules in DESIGN.md §3a). Cells skipped as
+    /// frozen stay pending until a pass finds them selectable.
     ///
     /// The profile is charged the same *work counts* as the naive path — the
     /// counts model the algorithm's nominal workload, which is what the
@@ -408,7 +430,43 @@ impl SimEEngine {
         placement: &Placement,
         scratch: &'s mut SimEScratch,
         profile: &mut ProfileReport,
+        frozen: &[bool],
     ) -> (&'s [f64], &'s [f64]) {
+        let mut merge = std::mem::take(&mut scratch.frozen_merge);
+        self.evaluate_masked(
+            placement,
+            scratch,
+            profile,
+            self.unselectable(frozen, &mut merge),
+        );
+        scratch.frozen_merge = merge;
+        (scratch.cache.lengths(), &scratch.goodness)
+    }
+
+    /// The caller's `frozen` mask merged with the engine's fixed-cell mask:
+    /// `true` for every cell Selection must skip. Borrows whichever input
+    /// already is the merge, so fixed-free circuits never copy a mask.
+    fn unselectable<'a>(&'a self, frozen: &'a [bool], merge: &'a mut Vec<bool>) -> &'a [bool] {
+        if self.fixed_frozen.is_empty() {
+            frozen
+        } else if frozen.is_empty() {
+            &self.fixed_frozen
+        } else {
+            merge.clear();
+            merge.extend(frozen.iter().zip(&self.fixed_frozen).map(|(&a, &b)| a || b));
+            merge
+        }
+    }
+
+    /// The body of [`SimEEngine::evaluate_with`] for an already merged
+    /// `frozen` mask.
+    fn evaluate_masked(
+        &self,
+        placement: &Placement,
+        scratch: &mut SimEScratch,
+        profile: &mut ProfileReport,
+        frozen: &[bool],
+    ) {
         let t0 = Instant::now();
         self.refresh(placement, scratch);
         profile.add_time(Phase::CostCalculation, t0.elapsed());
@@ -416,35 +474,61 @@ impl SimEEngine {
 
         let t1 = Instant::now();
         let num_cells = self.evaluator.netlist().num_cells();
-        let lengths: &[f64] = scratch.cache.lengths();
+        let is_frozen = |cell: CellId| !frozen.is_empty() && frozen[cell.index()];
         let use_delta = self.config.incremental_goodness
             && scratch.goodness_valid
             && scratch.goodness.len() == num_cells;
         if use_delta {
-            // Only the cells invalidated since the vector was last completed
-            // are recomputed, in place.
-            scratch.goodness_delta_recomputes += scratch.pending_cells.len() as u64;
-            for &cell in &scratch.pending_cells {
-                scratch.goodness[cell.index()] = self
+            // Only the cells invalidated since their value was last computed
+            // are recomputed, in place; frozen ones stay pending.
+            let SimEScratch {
+                cache,
+                eval,
+                goodness,
+                pending_cells,
+                cell_stamp,
+                cell_stamp_cur,
+                goodness_delta_recomputes,
+                ..
+            } = scratch;
+            let lengths = cache.lengths();
+            let stamp = cell_stamp_cur.wrapping_add(1);
+            pending_cells.retain(|&cell| {
+                if is_frozen(cell) {
+                    cell_stamp[cell.index()] = stamp;
+                    return true;
+                }
+                *goodness_delta_recomputes += 1;
+                goodness[cell.index()] = self
                     .goodness
-                    .cell_goodness_from_lengths(cell, lengths)
+                    .cell_goodness_with(eval, placement, cell, lengths)
                     .combined;
-            }
+                false
+            });
+            *cell_stamp_cur = stamp;
         } else {
-            self.goodness
-                .all_goodness_into(lengths, &mut scratch.goodness);
+            self.goodness.all_goodness_with(
+                &mut scratch.eval,
+                placement,
+                scratch.cache.lengths(),
+                frozen,
+                &mut scratch.goodness,
+            );
             scratch.goodness_valid = self.config.incremental_goodness;
+            scratch.reset_pending(num_cells);
+            if scratch.goodness_valid {
+                // Skipped cells have no value yet: keep them pending.
+                let stamp = scratch.cell_stamp_cur;
+                for (i, _) in frozen.iter().enumerate().filter(|&(_, &f)| f) {
+                    scratch.cell_stamp[i] = stamp;
+                    scratch.pending_cells.push(CellId::from(i));
+                }
+            }
         }
-        // The vector is complete for the cache's current lengths: empty the
-        // pending set (stamp advance keeps the dedup table consistent).
-        scratch.pending_cells.clear();
-        scratch.cell_stamp_cur = scratch.cell_stamp_cur.wrapping_add(1);
         profile.add_time(Phase::GoodnessEvaluation, t1.elapsed());
         profile.add_net_evals(Phase::GoodnessEvaluation, self.pins);
 
         self.profile_delay(scratch.cache.lengths(), profile);
-
-        (scratch.cache.lengths(), &scratch.goodness)
     }
 
     /// Brings `scratch.cache` in sync with `placement`, re-evaluating only
@@ -459,8 +543,7 @@ impl SimEEngine {
             // Every net was re-priced (fresh scratch, placement swap, size
             // change): the carried goodness vector has no usable baseline.
             scratch.goodness_valid = false;
-            scratch.pending_cells.clear();
-            scratch.cell_stamp_cur = scratch.cell_stamp_cur.wrapping_add(1);
+            scratch.reset_pending(self.evaluator.netlist().num_cells());
         } else if self.config.incremental_goodness && scratch.goodness_valid && !dirty.is_empty() {
             self.note_dirty_cells(scratch, &dirty);
         }
@@ -481,14 +564,6 @@ impl SimEEngine {
     /// stamp-deduplicated into `scratch.pending_cells`, which accumulates
     /// across refreshes until the next goodness pass consumes it.
     fn note_dirty_cells(&self, scratch: &mut SimEScratch, dirty: &[NetId]) {
-        let num_cells = self.evaluator.netlist().num_cells();
-        if scratch.cell_stamp.len() != num_cells {
-            scratch.cell_stamp.clear();
-            scratch.cell_stamp.resize(num_cells, 0);
-            // Stamp 0 is reserved as "never pending" for freshly zeroed slots.
-            scratch.cell_stamp_cur = 1;
-            scratch.pending_cells.clear();
-        }
         let stamp = scratch.cell_stamp_cur;
         let include_paths = self.config.objectives.includes_delay();
         for &net in dirty {
@@ -545,25 +620,17 @@ impl SimEEngine {
         frozen: &[bool],
         allowed_rows: &[usize],
     ) -> (f64, usize, AllocationStats) {
-        let (_net_lengths, goodness) = self.evaluate_with(placement, scratch, profile);
-        let avg_goodness = goodness.iter().sum::<f64>() / goodness.len().max(1) as f64;
+        // Fixed cells (pads, macros) must never enter the selection set. The
+        // fixed mask is empty on fixed-free circuits, so that path —
+        // including its RNG stream — never merges masks.
+        let mut merge = std::mem::take(&mut scratch.frozen_merge);
+        let frozen = self.unselectable(frozen, &mut merge);
+        self.evaluate_masked(placement, scratch, profile, frozen);
+        let avg_goodness = selectable_average(&scratch.goodness, frozen);
 
         let t0 = Instant::now();
-        // Fixed cells (pads, macros) must never enter the selection set. The
-        // mask is empty on fixed-free circuits, so that path — including its
-        // RNG stream — is bitwise identical to the pre-mixed-size engine.
-        let frozen = if self.fixed_frozen.is_empty() {
-            frozen
-        } else if frozen.is_empty() {
-            &self.fixed_frozen
-        } else {
-            scratch.frozen_merge.clear();
-            scratch
-                .frozen_merge
-                .extend(frozen.iter().zip(&self.fixed_frozen).map(|(&a, &b)| a || b));
-            &scratch.frozen_merge
-        };
         let mut selected = select(&scratch.goodness, self.config.selection, rng, frozen);
+        scratch.frozen_merge = merge;
         profile.add_time(Phase::Selection, t0.elapsed());
 
         let t1 = Instant::now();
@@ -795,7 +862,7 @@ mod tests {
             let mut p1 = ProfileReport::new();
             let (naive_lengths, naive_goodness) = engine.evaluate(&placement, &mut p1);
             let mut p2 = ProfileReport::new();
-            let (lengths, goodness) = engine.evaluate_with(&placement, &mut scratch, &mut p2);
+            let (lengths, goodness) = engine.evaluate_with(&placement, &mut scratch, &mut p2, &[]);
             assert_eq!(naive_lengths.len(), lengths.len());
             for (a, b) in naive_lengths.iter().zip(lengths.iter()) {
                 assert_eq!(a.to_bits(), b.to_bits());

@@ -42,24 +42,36 @@ impl SelectionScheme {
     }
 }
 
+/// Average goodness `ḡ` over the cells not marked in `frozen` (every cell
+/// when `frozen` is empty); 0 when no cell is selectable. Frozen entries are
+/// never read, so their values may be unspecified.
+pub fn selectable_average(goodness: &[f64], frozen: &[bool]) -> f64 {
+    let (sum, count) = goodness
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| frozen.is_empty() || !frozen[i])
+        .fold((0.0, 0usize), |(sum, count), (_, &g)| (sum + g, count + 1));
+    if count == 0 {
+        0.0
+    } else {
+        sum / count as f64
+    }
+}
+
 /// Runs the selection operator over all cells.
 ///
 /// `goodness[i]` is the combined goodness of cell `i`. Returns the selection
-/// set `S` in cell-id order. Cells listed in `frozen` (used by the Type II
-/// row decomposition to exclude cells outside the local partition) are never
-/// selected; pass an empty slice otherwise.
+/// set `S` in cell-id order. Cells listed in `frozen` (fixed cells, and the
+/// cells outside the local partition of the Type II row decomposition) are
+/// never selected and do not count towards the biasless average; pass an
+/// empty slice otherwise.
 pub fn select<R: Rng + ?Sized>(
     goodness: &[f64],
     scheme: SelectionScheme,
     rng: &mut R,
     frozen: &[bool],
 ) -> Vec<CellId> {
-    let avg = if goodness.is_empty() {
-        0.0
-    } else {
-        goodness.iter().sum::<f64>() / goodness.len() as f64
-    };
-    let bias = scheme.effective_bias(avg);
+    let bias = scheme.effective_bias(selectable_average(goodness, frozen));
     let mut selected = Vec::new();
     for (i, &g) in goodness.iter().enumerate() {
         if !frozen.is_empty() && frozen[i] {
@@ -138,6 +150,17 @@ mod tests {
         assert_eq!(SelectionScheme::Biasless.effective_bias(1.0), 0.0);
         assert!((SelectionScheme::Biasless.effective_bias(0.6) + 0.4).abs() < 1e-12);
         assert_eq!(SelectionScheme::FixedBias(0.2).effective_bias(0.1), 0.2);
+    }
+
+    #[test]
+    fn biasless_average_ignores_frozen_cells() {
+        // Frozen entries (fixed cells, other ranks' cells) may hold anything;
+        // the biasless average is taken over the selectable cells only.
+        let goodness = vec![0.2, f64::NAN, 0.6, 7.0];
+        let frozen = vec![false, true, false, true];
+        assert!((selectable_average(&goodness, &frozen) - 0.4).abs() < 1e-12);
+        assert!((selectable_average(&goodness[..1], &[]) - 0.2).abs() < 1e-12);
+        assert_eq!(selectable_average(&goodness, &[true; 4]), 0.0);
     }
 
     #[test]

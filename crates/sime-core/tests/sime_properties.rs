@@ -1,6 +1,7 @@
 //! Property-based tests for the SimE operators and engine.
 
 use proptest::prelude::*;
+use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use sime_core::allocation::{allocate_all, AllocationConfig, AllocationStrategy};
@@ -8,12 +9,21 @@ use sime_core::engine::{SimEConfig, SimEEngine};
 use sime_core::profile::ProfileReport;
 use sime_core::selection::{select, SelectionScheme};
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use vlsi_netlist::bench_suite::{MixedCircuit, SuiteCircuit};
 use vlsi_netlist::generator::{CircuitGenerator, GeneratorConfig};
 use vlsi_netlist::{CellId, Netlist};
 use vlsi_place::cost::{CostEvaluator, Objectives};
 use vlsi_place::goodness::GoodnessEvaluator;
 use vlsi_place::layout::Placement;
+
+/// The mixed-size mix600 circuit (fixed pads and macros), generated once.
+fn mix600() -> Arc<Netlist> {
+    static MIX600: OnceLock<Arc<Netlist>> = OnceLock::new();
+    Arc::clone(
+        MIX600.get_or_init(|| Arc::new(SuiteCircuit::Mixed(MixedCircuit::Mix600).generate())),
+    )
+}
 
 fn arb_netlist() -> impl Strategy<Value = Arc<Netlist>> {
     (70usize..220, any::<u64>()).prop_map(|(cells, seed)| {
@@ -177,19 +187,54 @@ proptest! {
     /// The carried goodness vector tracks the from-scratch oracle bit for bit
     /// through random interleavings of iterations, cost refreshes and
     /// evaluations — each op invalidates a different random net subset — and
-    /// the incremental path actually fires.
+    /// the incremental path actually fires. Half the cases run on mix600,
+    /// whose fixed cells are never evaluated, and some ops iterate or
+    /// evaluate under a Type II-style mask (the cells of a random half of the
+    /// rows are owned, the rest frozen), so cells skipped while frozen must
+    /// be caught up once they become selectable again.
     #[test]
     fn incremental_goodness_matches_oracle_through_random_sequences(
         netlist in arb_netlist(),
+        mixed in proptest::bool::ANY,
+        masked_start in proptest::bool::ANY,
         seed in any::<u64>(),
-        ops in prop::collection::vec(0u8..3, 3..12),
+        ops in prop::collection::vec(0u8..5, 3..12),
     ) {
-        let config = SimEConfig::fast(Objectives::WirelengthPowerDelay, 6, 1);
+        let (netlist, num_rows) = if mixed {
+            (mix600(), MixedCircuit::Mix600.num_rows())
+        } else {
+            (netlist, 6)
+        };
+        let config = SimEConfig::fast(Objectives::WirelengthPowerDelay, num_rows, 1);
         let engine = SimEEngine::new(Arc::clone(&netlist), config);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut placement = engine.initial_placement(&mut rng);
         let mut scratch = engine.new_scratch();
         let mut profile = ProfileReport::new();
+        // A rank's view: the cells of a random half of the rows are owned.
+        let type2_mask = |placement: &Placement, rng: &mut ChaCha8Rng| {
+            let mut rows: Vec<usize> = (0..num_rows).collect();
+            rows.shuffle(rng);
+            rows.truncate(num_rows / 2);
+            rows.sort_unstable();
+            let owned: Vec<CellId> = netlist
+                .cell_ids()
+                .filter(|&c| !netlist.cell(c).fixed && rows.contains(&placement.row_of(c)))
+                .collect();
+            (engine.frozen_mask_from_owned(&owned), rows)
+        };
+        if masked_start {
+            // A full pass that skips a rank's foreign cells, then an unmasked
+            // pass over the unchanged placement, whose only pending cells are
+            // the skipped ones.
+            let (frozen, _) = type2_mask(&placement, &mut rng);
+            engine.evaluate_with(&placement, &mut scratch, &mut profile, &frozen);
+            let (_, naive_goodness) = engine.evaluate(&placement, &mut ProfileReport::new());
+            let (_, goodness) = engine.evaluate_with(&placement, &mut scratch, &mut profile, &[]);
+            for c in netlist.cell_ids().filter(|&c| !netlist.cell(c).fixed) {
+                prop_assert_eq!(naive_goodness[c.index()].to_bits(), goodness[c.index()].to_bits());
+            }
+        }
         // Two unconditional iterations guarantee at least one post-mutation
         // delta pass before the random interleaving starts.
         for _ in 0..2 {
@@ -206,26 +251,38 @@ proptest! {
                     prop_assert_eq!(cached.mu.to_bits(), oracle.mu.to_bits());
                     prop_assert_eq!(cached.wirelength.to_bits(), oracle.wirelength.to_bits());
                 }
+                2 => {
+                    let (frozen, rows) = type2_mask(&placement, &mut rng);
+                    engine.iterate(&mut placement, &mut scratch, &mut rng, &mut profile, &frozen, &rows);
+                }
                 _ => {
+                    let frozen = if op == 3 {
+                        Vec::new()
+                    } else {
+                        type2_mask(&placement, &mut rng).0
+                    };
                     let (naive_lengths, naive_goodness) =
                         engine.evaluate(&placement, &mut ProfileReport::new());
                     let (lengths, goodness) =
-                        engine.evaluate_with(&placement, &mut scratch, &mut profile);
+                        engine.evaluate_with(&placement, &mut scratch, &mut profile, &frozen);
                     prop_assert_eq!(naive_lengths.len(), lengths.len());
                     prop_assert_eq!(naive_goodness.len(), goodness.len());
                     for (a, b) in naive_lengths.iter().zip(lengths.iter()) {
                         prop_assert_eq!(a.to_bits(), b.to_bits());
                     }
-                    for (a, b) in naive_goodness.iter().zip(goodness.iter()) {
-                        prop_assert_eq!(a.to_bits(), b.to_bits());
+                    for c in netlist.cell_ids() {
+                        let skipped = netlist.cell(c).fixed || (!frozen.is_empty() && frozen[c.index()]);
+                        if !skipped {
+                            prop_assert_eq!(naive_goodness[c.index()].to_bits(), goodness[c.index()].to_bits());
+                        }
                     }
                 }
             }
         }
         let (_, naive_goodness) = engine.evaluate(&placement, &mut ProfileReport::new());
-        let (_, goodness) = engine.evaluate_with(&placement, &mut scratch, &mut profile);
-        for (a, b) in naive_goodness.iter().zip(goodness.iter()) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
+        let (_, goodness) = engine.evaluate_with(&placement, &mut scratch, &mut profile, &[]);
+        for c in netlist.cell_ids().filter(|&c| !netlist.cell(c).fixed) {
+            prop_assert_eq!(naive_goodness[c.index()].to_bits(), goodness[c.index()].to_bits());
         }
         prop_assert!(
             scratch.goodness_delta_recomputes() > 0,

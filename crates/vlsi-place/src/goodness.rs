@@ -6,16 +6,34 @@
 //! multiobjective, each cell gets one goodness per objective and the values
 //! are folded with the same fuzzy AND used for the solution-level quality:
 //!
-//! * **wirelength goodness** — ratio of the lower bound to the actual summed
-//!   length of the nets incident to the cell. Computing the actual length
-//!   requires the positions of all fan-in cells, which is exactly the data
-//!   dependency that complicates the paper's Type I partitioning.
+//! * **wirelength goodness** — `Oᵢ` is the summed length of the cell's
+//!   incident nets with the cell moved to its *optimal position*, the median
+//!   of the other pins of those nets (the optimum the windowed allocation
+//!   centres its window on); `Cᵢ` is their summed length at the cell's actual
+//!   position. A cell at its own optimum scores 1 however spread out its
+//!   neighbours are, so the goodness measures how well the cell sits
+//!   *relative to the rest of the placement*, and the biasless selection set
+//!   shrinks as the placement converges.
 //! * **power goodness** — same ratio with switching-weighted lengths.
 //! * **delay goodness** — for cells on stored critical paths, the ratio of
-//!   the best achievable delay of those paths to their current delay; cells
-//!   on no stored path have delay goodness 1.
+//!   the best achievable delay of those paths (their packed lower bound) to
+//!   their current delay; cells on no stored path have delay goodness 1.
+//!
+//! `Oᵢ` reads only the positions of the *other* pins of the cell's incident
+//! nets and `Cᵢ` only those nets' lengths, so a cell's wirelength and power
+//! goodness can change only when an incident net has a pin that moved —
+//! exactly the nets an incremental length cache re-prices.
+//!
+//! Two implementations produce bit-identical values: the reference oracle
+//! ([`GoodnessEvaluator::cell_goodness`], [`GoodnessEvaluator::all_goodness`]:
+//! sort-based median, [`CostEvaluator::cell_cost_at`]) and the engine's pass
+//! on the allocation kernel ([`GoodnessEvaluator::all_goodness_with`]:
+//! [`TrialScorer::prepare_cell`], then
+//! [`crate::kernel::PreparedSummaries::median_position`], then
+//! [`TrialScorer::prepared_cost_at`]).
 
-use crate::cost::{CostEvaluator, Objectives};
+use crate::cost::{CellCost, CostEvaluator, Objectives};
+use crate::kernel::TrialScorer;
 use crate::layout::Placement;
 use vlsi_netlist::CellId;
 
@@ -32,6 +50,27 @@ pub struct GoodnessVector {
     /// Fuzzy-combined goodness in [0, 1]; this is the value SimE selection
     /// uses.
     pub combined: f64,
+}
+
+/// Reusable buffers of the kernel goodness pass: the trial scorer that
+/// prepares each cell's per-net summaries and the median scratch. One
+/// instance per worker thread.
+#[derive(Debug, Clone)]
+pub struct GoodnessScratch {
+    scorer: TrialScorer,
+    xs: Vec<f64>,
+    rows: Vec<u32>,
+}
+
+impl GoodnessScratch {
+    /// Creates scratch space matching an evaluator's wirelength model.
+    pub fn for_evaluator(evaluator: &CostEvaluator) -> Self {
+        GoodnessScratch {
+            scorer: TrialScorer::for_evaluator(evaluator),
+            xs: Vec::new(),
+            rows: Vec::new(),
+        }
+    }
 }
 
 /// Computes per-cell goodness values from a [`CostEvaluator`].
@@ -63,13 +102,17 @@ impl GoodnessEvaluator {
         &self.evaluator
     }
 
-    /// Goodness of a single cell, given precomputed per-net lengths for the
-    /// current placement (so that evaluating all cells costs one pass over
-    /// the pins instead of many).
-    pub fn cell_goodness_from_lengths(&self, cell: CellId, net_lengths: &[f64]) -> GoodnessVector {
+    /// Goodness of `cell` given its optimal incident-net cost `optimal`
+    /// (`Oᵢ`) and per-net lengths of the current placement (`Cᵢ` is summed
+    /// from the incident entries; delay goodness reads the lengths of the
+    /// critical paths through the cell).
+    pub fn goodness_from_lengths(
+        &self,
+        cell: CellId,
+        optimal: &CellCost,
+        net_lengths: &[f64],
+    ) -> GoodnessVector {
         let netlist = self.evaluator.netlist();
-        let bounds = self.evaluator.bounds();
-
         let mut wire_cost = 0.0;
         let mut power_cost = 0.0;
         for &net in netlist.nets_of_cell(cell) {
@@ -77,10 +120,8 @@ impl GoodnessEvaluator {
             wire_cost += len;
             power_cost += len * netlist.net(net).switching_prob;
         }
-        let wire_lb = bounds.cell_wire_lower[cell.index()];
-        let power_lb = bounds.cell_power_lower[cell.index()];
-        let wirelength = ratio_goodness(wire_lb, wire_cost);
-        let power = ratio_goodness(power_lb, power_cost);
+        let wirelength = ratio_goodness(optimal.wirelength, wire_cost);
+        let power = ratio_goodness(optimal.power, power_cost);
 
         let delay = if self.evaluator.objectives().includes_delay()
             && !self.cell_paths[cell.index()].is_empty()
@@ -106,8 +147,33 @@ impl GoodnessEvaluator {
         }
     }
 
-    /// Goodness of a single cell under `placement` (computes the incident net
-    /// lengths on the fly; prefer the `_from_lengths` variant in loops).
+    /// Reference `Oᵢ`: the incident-net cost of `cell` at the median of the
+    /// other pins' positions, found by gathering and sorting them and priced
+    /// by [`CostEvaluator::cell_cost_at`]. Zero when the cell connects to no
+    /// other pin.
+    pub fn optimal_cost(&self, placement: &Placement, cell: CellId) -> CellCost {
+        let mut xs = Vec::new();
+        let mut ys = Vec::new();
+        for &net in self.evaluator.netlist().nets_of_cell(cell) {
+            for &other in self.evaluator.net_cells(net) {
+                if other != cell {
+                    let (x, y) = placement.position(other);
+                    xs.push(x);
+                    ys.push(y);
+                }
+            }
+        }
+        if xs.is_empty() {
+            return CellCost::default();
+        }
+        xs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        ys.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        let median = (xs[xs.len() / 2], ys[ys.len() / 2]);
+        self.evaluator.cell_cost_at(placement, cell, median)
+    }
+
+    /// Goodness of a single cell under `placement` — the reference oracle:
+    /// computes the incident net lengths and `Oᵢ` from scratch.
     pub fn cell_goodness(&self, placement: &Placement, cell: CellId) -> GoodnessVector {
         let netlist = self.evaluator.netlist();
         // Only the incident nets and the paths through the cell are needed;
@@ -121,33 +187,86 @@ impl GoodnessEvaluator {
                 lengths[net.index()] = self.evaluator.net_length(placement, net);
             }
         }
-        self.cell_goodness_from_lengths(cell, &lengths)
+        let optimal = self.optimal_cost(placement, cell);
+        self.goodness_from_lengths(cell, &optimal, &lengths)
     }
 
-    /// Combined goodness of every cell under `placement`.
+    /// Combined goodness of every cell under `placement` — the reference
+    /// oracle of [`GoodnessEvaluator::all_goodness_with`].
     pub fn all_goodness(&self, placement: &Placement) -> Vec<f64> {
         let lengths = self.evaluator.net_lengths(placement);
-        self.all_goodness_from_lengths(&lengths)
+        self.evaluator
+            .netlist()
+            .cell_ids()
+            .map(|c| {
+                let optimal = self.optimal_cost(placement, c);
+                self.goodness_from_lengths(c, &optimal, &lengths).combined
+            })
+            .collect()
     }
 
-    /// Combined goodness of every cell from precomputed net lengths.
-    pub fn all_goodness_from_lengths(&self, net_lengths: &[f64]) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.all_goodness_into(net_lengths, &mut out);
-        out
+    /// Goodness of a single cell on the kernel: `Oᵢ` from the cell's
+    /// prepared per-net summaries, `Cᵢ` from `net_lengths` (the per-net
+    /// lengths of `placement`). Bitwise identical to
+    /// [`GoodnessEvaluator::cell_goodness`].
+    pub fn cell_goodness_with(
+        &self,
+        scratch: &mut GoodnessScratch,
+        placement: &Placement,
+        cell: CellId,
+        net_lengths: &[f64],
+    ) -> GoodnessVector {
+        let GoodnessScratch { scorer, xs, rows } = scratch;
+        scorer.prepare_cell(&self.evaluator, placement, cell);
+        let optimal = match scorer.prepared_summaries().median_position(xs, rows) {
+            Some(median) => scorer.prepared_cost_at(median),
+            None => CellCost::default(),
+        };
+        self.goodness_from_lengths(cell, &optimal, net_lengths)
     }
 
-    /// Combined goodness of every cell from precomputed net lengths, written
-    /// into a caller-owned buffer (the allocation-free variant used by the
-    /// engine's per-iteration scratch space).
-    pub fn all_goodness_into(&self, net_lengths: &[f64], out: &mut Vec<f64>) {
+    /// Combined goodness of every cell not marked in `frozen` (all cells
+    /// when `frozen` is empty), written into `out` — the engine's Evaluation
+    /// pass. Frozen cells are not evaluated: their entries are unspecified
+    /// and no consumer reads them. Bitwise identical to
+    /// [`GoodnessEvaluator::all_goodness`] on every evaluated cell.
+    pub fn all_goodness_with(
+        &self,
+        scratch: &mut GoodnessScratch,
+        placement: &Placement,
+        net_lengths: &[f64],
+        frozen: &[bool],
+        out: &mut Vec<f64>,
+    ) {
         out.clear();
-        out.extend(
-            self.evaluator
-                .netlist()
-                .cell_ids()
-                .map(|c| self.cell_goodness_from_lengths(c, net_lengths).combined),
-        );
+        out.resize(self.evaluator.netlist().num_cells(), 1.0);
+        for cell in self.evaluator.netlist().cell_ids() {
+            if frozen.is_empty() || !frozen[cell.index()] {
+                out[cell.index()] = self
+                    .cell_goodness_with(scratch, placement, cell, net_lengths)
+                    .combined;
+            }
+        }
+    }
+
+    /// Combined goodness of every cell measured against the placement-free
+    /// packed lower bound (`Bounds::cell_wire_lower` /
+    /// `Bounds::cell_power_lower`) instead of the cell's optimal position.
+    /// The engine no longer selects on this ratio: the bound assumes every
+    /// net packed into one row, so the ratio stays near 0.01 on real
+    /// placements and biasless selection picks every cell. Kept for the
+    /// benchmark's goodness-pass probe.
+    pub fn all_goodness_into(&self, net_lengths: &[f64], out: &mut Vec<f64>) {
+        let bounds = self.evaluator.bounds();
+        out.clear();
+        out.extend(self.evaluator.netlist().cell_ids().map(|c| {
+            let bound = CellCost {
+                wirelength: bounds.cell_wire_lower[c.index()],
+                power: bounds.cell_power_lower[c.index()],
+                critical_wirelength: 0.0,
+            };
+            self.goodness_from_lengths(c, &bound, net_lengths).combined
+        }));
     }
 
     /// Average combined goodness of a goodness vector — SimE's convergence
@@ -172,11 +291,11 @@ impl GoodnessEvaluator {
 }
 
 /// `O / C` clamped to [0, 1]; 1 when the actual cost is zero (isolated cell).
-fn ratio_goodness(lower_bound: f64, actual: f64) -> f64 {
+fn ratio_goodness(optimal: f64, actual: f64) -> f64 {
     if actual <= 0.0 {
         1.0
     } else {
-        (lower_bound / actual).clamp(0.0, 1.0)
+        (optimal / actual).clamp(0.0, 1.0)
     }
 }
 
@@ -197,12 +316,19 @@ mod tests {
         (nl, GoodnessEvaluator::new(eval), placement)
     }
 
+    fn kernel_pass(ge: &GoodnessEvaluator, placement: &Placement, frozen: &[bool]) -> Vec<f64> {
+        let lengths = ge.evaluator().net_lengths(placement);
+        let mut scratch = GoodnessScratch::for_evaluator(ge.evaluator());
+        let mut out = Vec::new();
+        ge.all_goodness_with(&mut scratch, placement, &lengths, frozen, &mut out);
+        out
+    }
+
     #[test]
     fn goodness_values_are_in_unit_interval() {
         let (nl, ge, placement) = setup(Objectives::WirelengthPowerDelay);
-        let lengths = ge.evaluator().net_lengths(&placement);
         for cell in nl.cell_ids() {
-            let g = ge.cell_goodness_from_lengths(cell, &lengths);
+            let g = ge.cell_goodness(&placement, cell);
             for v in [g.wirelength, g.power, g.delay, g.combined] {
                 assert!((0.0..=1.0).contains(&v), "goodness {v} out of range");
             }
@@ -214,32 +340,49 @@ mod tests {
         let (nl, ge, placement) = setup(Objectives::WirelengthPower);
         let all = ge.all_goodness(&placement);
         assert_eq!(all.len(), nl.num_cells());
-        let lengths = ge.evaluator().net_lengths(&placement);
         for cell in nl.cell_ids().take(20) {
-            let g = ge.cell_goodness_from_lengths(cell, &lengths);
-            assert!((all[cell.index()] - g.combined).abs() < 1e-12);
+            let g = ge.cell_goodness(&placement, cell);
+            assert_eq!(all[cell.index()].to_bits(), g.combined.to_bits());
         }
     }
 
     #[test]
     fn sparse_cell_goodness_agrees_with_dense() {
+        // The kernel pass (dense lengths, prepared summaries) reproduces the
+        // sparse from-scratch oracle to the bit, per objective.
         let (nl, ge, placement) = setup(Objectives::WirelengthPowerDelay);
         let lengths = ge.evaluator().net_lengths(&placement);
-        for cell in nl.cell_ids().take(25) {
-            let dense = ge.cell_goodness_from_lengths(cell, &lengths);
+        let mut scratch = GoodnessScratch::for_evaluator(ge.evaluator());
+        for cell in nl.cell_ids() {
+            let dense = ge.cell_goodness_with(&mut scratch, &placement, cell, &lengths);
             let sparse = ge.cell_goodness(&placement, cell);
-            assert!((dense.wirelength - sparse.wirelength).abs() < 1e-12);
-            assert!((dense.power - sparse.power).abs() < 1e-12);
-            assert!((dense.delay - sparse.delay).abs() < 1e-12);
+            assert_eq!(dense.wirelength.to_bits(), sparse.wirelength.to_bits());
+            assert_eq!(dense.power.to_bits(), sparse.power.to_bits());
+            assert_eq!(dense.delay.to_bits(), sparse.delay.to_bits());
+            assert_eq!(dense.combined.to_bits(), sparse.combined.to_bits());
+        }
+        let all = ge.all_goodness(&placement);
+        for (a, b) in all.iter().zip(kernel_pass(&ge, &placement, &[])) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    #[test]
+    fn frozen_cells_are_skipped_by_the_kernel_pass() {
+        let (nl, ge, placement) = setup(Objectives::WirelengthPower);
+        let frozen: Vec<bool> = nl.cell_ids().map(|c| c.index() % 3 == 0).collect();
+        let oracle = ge.all_goodness(&placement);
+        let masked = kernel_pass(&ge, &placement, &frozen);
+        for c in nl.cell_ids().filter(|c| !frozen[c.index()]) {
+            assert_eq!(masked[c.index()].to_bits(), oracle[c.index()].to_bits());
         }
     }
 
     #[test]
     fn delay_goodness_is_one_without_delay_objective() {
         let (nl, ge, placement) = setup(Objectives::WirelengthPower);
-        let lengths = ge.evaluator().net_lengths(&placement);
         for cell in nl.cell_ids().take(25) {
-            assert_eq!(ge.cell_goodness_from_lengths(cell, &lengths).delay, 1.0);
+            assert_eq!(ge.cell_goodness(&placement, cell).delay, 1.0);
         }
     }
 
@@ -252,21 +395,63 @@ mod tests {
     #[test]
     fn improving_a_cells_nets_improves_its_goodness() {
         let (nl, ge, placement) = setup(Objectives::WirelengthPower);
-        // Take a logic cell and compare its goodness in the current placement
-        // vs a fake length vector where its incident nets are at their bound.
+        // Compare a logic cell's goodness in the current placement with fake
+        // length vectors where its incident nets are shorter.
         let cell = nl
             .cell_ids()
             .find(|&c| nl.nets_of_cell(c).len() >= 2)
             .unwrap();
         let lengths = ge.evaluator().net_lengths(&placement);
-        let actual = ge.cell_goodness_from_lengths(cell, &lengths);
+        let optimal = ge.optimal_cost(&placement, cell);
+        let actual = ge.goodness_from_lengths(cell, &optimal, &lengths);
+        let mut shorter = lengths.clone();
         let mut ideal = lengths.clone();
         for &net in nl.nets_of_cell(cell) {
-            ideal[net.index()] = ge.evaluator().bounds().net_lower[net.index()];
+            shorter[net.index()] *= 0.5;
+            ideal[net.index()] = 0.0;
         }
-        let better = ge.cell_goodness_from_lengths(cell, &ideal);
+        let better = ge.goodness_from_lengths(cell, &optimal, &shorter);
         assert!(better.combined >= actual.combined);
-        assert!((better.wirelength - 1.0).abs() < 1e-9);
+        assert!(better.wirelength >= actual.wirelength);
+        let best = ge.goodness_from_lengths(cell, &optimal, &ideal);
+        assert_eq!(best.wirelength, 1.0);
+        assert!(best.combined >= better.combined);
+    }
+
+    #[test]
+    fn a_cell_at_its_optimum_has_full_wirelength_goodness() {
+        // Moving a cell onto its median position (other cells unmoved) makes
+        // its actual cost equal its optimal cost.
+        let (nl, ge, placement) = setup(Objectives::WirelengthPower);
+        for cell in nl.cell_ids().take(40) {
+            let optimal = ge.optimal_cost(&placement, cell);
+            let mut lengths = vec![0.0; nl.num_nets()];
+            let mut xs: Vec<f64> = Vec::new();
+            let mut ys: Vec<f64> = Vec::new();
+            for &net in nl.nets_of_cell(cell) {
+                for &other in ge.evaluator().net_cells(net) {
+                    if other != cell {
+                        let (x, y) = placement.position(other);
+                        xs.push(x);
+                        ys.push(y);
+                    }
+                }
+            }
+            if xs.is_empty() {
+                continue;
+            }
+            xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            ys.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let median = (xs[xs.len() / 2], ys[ys.len() / 2]);
+            for &net in nl.nets_of_cell(cell) {
+                lengths[net.index()] = ge
+                    .evaluator()
+                    .net_length_with_override(&placement, net, cell, median);
+            }
+            let g = ge.goodness_from_lengths(cell, &optimal, &lengths);
+            assert_eq!(g.wirelength, 1.0, "cell {cell}");
+            assert_eq!(g.power, 1.0, "cell {cell}");
+        }
     }
 
     #[test]

@@ -177,6 +177,9 @@ pub struct TrialScorer {
     /// incidence, duplicates included, exactly the multiset the legacy
     /// windowed-candidate gather produced.
     pin_xs: Vec<f64>,
+    /// The rows of the same pins, one entry per incidence; each net's range
+    /// is sorted ascending (the histogram is its run-length encoding).
+    pin_rows: Vec<u32>,
 }
 
 impl TrialScorer {
@@ -190,6 +193,7 @@ impl TrialScorer {
             prepared: Vec::new(),
             hist: Vec::new(),
             pin_xs: Vec::new(),
+            pin_rows: Vec::new(),
         }
     }
 
@@ -291,10 +295,10 @@ impl TrialScorer {
             placement,
             cell,
             self.model,
-            &mut self.row_counts,
             &mut self.prepared,
             &mut self.hist,
             &mut self.pin_xs,
+            &mut self.pin_rows,
         );
     }
 
@@ -308,6 +312,7 @@ impl TrialScorer {
             prepared: &self.prepared,
             hist: &self.hist,
             xs: &self.pin_xs,
+            rows: &self.pin_rows,
         }
     }
 
@@ -378,34 +383,35 @@ impl TrialScorer {
 }
 
 /// Builds the per-net summaries of `cell`'s incident nets into
-/// `prepared`/`hist`, using `row_counts` as the per-row counting scratch
-/// (left all-zero afterwards). The body of [`TrialScorer::prepare_cell`];
-/// a pure function of the *other* pins' positions.
+/// `prepared`/`hist`. The body of [`TrialScorer::prepare_cell`]; a pure
+/// function of the *other* pins' positions.
 ///
 /// Also fills `pin_xs` with every other pin's x coordinate in canonical
-/// walk order (the legacy windowed-candidate gather multiset) and computes
-/// each net's `min_branch` — both byproducts of the walk the pass already
-/// performs.
+/// walk order (the legacy windowed-candidate gather multiset) and `pin_rows`
+/// with their rows, sorted within each net, and computes each net's
+/// `min_branch` — byproducts of the walk the pass already performs. Each
+/// net's histogram is the run-length encoding of its sorted rows, so its
+/// cost follows the net's pin count, not its row span.
 #[allow(clippy::too_many_arguments)]
 fn build_cell_summaries(
     evaluator: &CostEvaluator,
     placement: &Placement,
     cell: CellId,
     model: WirelengthModel,
-    row_counts: &mut Vec<u32>,
     prepared: &mut Vec<NetSummary>,
     hist: &mut Vec<(u32, u32)>,
     pin_xs: &mut Vec<f64>,
+    pin_rows: &mut Vec<u32>,
 ) {
     let netlist = evaluator.netlist();
     prepared.clear();
     hist.clear();
     pin_xs.clear();
+    pin_rows.clear();
     for &net in netlist.nets_of_cell(cell) {
         let cells = evaluator.net_cells(net);
         let (mut min_x, mut max_x) = (f64::INFINITY, f64::NEG_INFINITY);
-        let (mut min_row, mut max_row) = (u32::MAX, 0u32);
-        let mut others = 0usize;
+        let rows_start = pin_rows.len();
         for &c in cells {
             if c == cell {
                 continue;
@@ -414,23 +420,20 @@ fn build_cell_summaries(
             pin_xs.push(x);
             min_x = min_x.min(x);
             max_x = max_x.max(x);
-            let r = placement.row_of(c) as u32;
-            min_row = min_row.min(r);
-            max_row = max_row.max(r);
-            if r as usize >= row_counts.len() {
-                row_counts.resize(r as usize + 1, 0);
-            }
-            row_counts[r as usize] += 1;
-            others += 1;
+            pin_rows.push(placement.row_of(c) as u32);
         }
+        let rows = &mut pin_rows[rows_start..];
+        rows.sort_unstable();
+        let others = rows.len();
+        let (min_row, max_row) = match (rows.first(), rows.last()) {
+            (Some(&lo), Some(&hi)) => (lo, hi),
+            _ => (u32::MAX, 0u32),
+        };
         let hist_start = hist.len() as u32;
-        if min_row != u32::MAX {
-            for r in min_row..=max_row {
-                let c = row_counts[r as usize];
-                if c > 0 {
-                    hist.push((r, c));
-                    row_counts[r as usize] = 0;
-                }
+        for &r in rows.iter() {
+            match hist[hist_start as usize..].last_mut() {
+                Some((last, count)) if *last == r => *count += 1,
+                _ => hist.push((r, 1)),
             }
         }
         let mut min_branch = 0.0f64;
@@ -586,6 +589,7 @@ pub struct PreparedSummaries<'a> {
     prepared: &'a [NetSummary],
     hist: &'a [(u32, u32)],
     xs: &'a [f64],
+    rows: &'a [u32],
 }
 
 /// Per-net length lower bound at candidate row `row`, independent of the
@@ -624,12 +628,11 @@ impl<'a> PreparedSummaries<'a> {
     /// to sorting the gathered x and y vectors and taking index `len / 2` —
     /// the optimum the windowed allocation strategy centres its window on.
     /// Returns `None` when the cell has no connected pins. `xs_scratch` and
-    /// `row_counts` are caller scratch (contents irrelevant; `row_counts`
-    /// is left all-zero).
+    /// `rows_scratch` are caller scratch (contents irrelevant).
     pub fn median_position(
         &self,
         xs_scratch: &mut Vec<f64>,
-        row_counts: &mut Vec<u32>,
+        rows_scratch: &mut Vec<u32>,
     ) -> Option<(f64, f64)> {
         if self.xs.is_empty() {
             return None;
@@ -641,32 +644,11 @@ impl<'a> PreparedSummaries<'a> {
         // pin x's are positive finite doubles, so equal values share bits.
         let (_, &mut opt_x, _) = xs_scratch
             .select_nth_unstable_by(k, |a, b| a.partial_cmp(b).expect("pin x must be finite"));
-        // Counting median over the merged per-net row histograms: the row
-        // lattice is monotone in the row index, so the first row whose
-        // cumulative merged count exceeds k holds sorted_ys[k].
-        let (mut min_row, mut max_row) = (u32::MAX, 0u32);
-        for s in self.prepared {
-            for &(r, c) in &self.hist[s.hist_start as usize..s.hist_end as usize] {
-                if r as usize >= row_counts.len() {
-                    row_counts.resize(r as usize + 1, 0);
-                }
-                row_counts[r as usize] += c;
-                min_row = min_row.min(r);
-                max_row = max_row.max(r);
-            }
-        }
-        let mut acc = 0usize;
-        let mut median_row = max_row;
-        for r in min_row..=max_row {
-            acc += row_counts[r as usize] as usize;
-            if acc > k {
-                median_row = r;
-                break;
-            }
-        }
-        for r in min_row..=max_row {
-            row_counts[r as usize] = 0;
-        }
+        // The row lattice is monotone in the row index, so the k-th smallest
+        // row holds sorted_ys[k].
+        rows_scratch.clear();
+        rows_scratch.extend_from_slice(self.rows);
+        let (_, &mut median_row, _) = rows_scratch.select_nth_unstable(k);
         Some((opt_x, (median_row as f64 + 0.5) * ROW_HEIGHT))
     }
 

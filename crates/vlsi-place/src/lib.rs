@@ -39,7 +39,7 @@ pub mod wirelength;
 
 pub use cost::{CostBreakdown, CostEvaluator, Objectives, TimingModel};
 pub use fuzzy::{FuzzyConfig, FuzzyLevel};
-pub use goodness::{GoodnessEvaluator, GoodnessVector};
+pub use goodness::{GoodnessEvaluator, GoodnessScratch, GoodnessVector};
 pub use interchange::{placement_from_pl, placement_to_pl, rows_to_scl, PlConvertError};
 pub use kernel::{NetLengthCache, TrialScorer};
 pub use layout::{Placement, PlacementError, Slot};

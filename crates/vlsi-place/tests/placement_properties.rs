@@ -8,7 +8,7 @@ use vlsi_netlist::generator::{CircuitGenerator, GeneratorConfig, MixedSizeSpec};
 use vlsi_netlist::{CellId, Netlist};
 use vlsi_place::prelude::*;
 use vlsi_place::wirelength::{hpwl, single_trunk_steiner};
-use vlsi_place::FuzzyConfig;
+use vlsi_place::{FuzzyConfig, GoodnessScratch};
 
 fn arb_netlist() -> impl Strategy<Value = (Arc<Netlist>, u64)> {
     (80usize..260, any::<u64>()).prop_map(|(cells, seed)| {
@@ -224,8 +224,8 @@ proptest! {
         }
     }
 
-    /// Per-cell goodness is always within [0, 1] and the average goodness of
-    /// an ideal (lower-bound) length vector is 1.
+    /// Per-cell goodness is always within [0, 1], the kernel pass matches the
+    /// oracle bit for bit, and cells whose nets cost nothing score ~1.
     #[test]
     fn goodness_is_bounded((netlist, seed) in arb_netlist(), rows in 4usize..10) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x1234);
@@ -237,10 +237,17 @@ proptest! {
         for &g in &all {
             prop_assert!((0.0..=1.0).contains(&g));
         }
-        let ideal = ge.evaluator().bounds().net_lower.clone();
-        let ideal_goodness = ge.all_goodness_from_lengths(&ideal);
-        for &g in &ideal_goodness {
-            prop_assert!(g > 0.99, "goodness at the lower bound must be ~1, got {g}");
+        let lengths = ge.evaluator().net_lengths(&placement);
+        let mut scratch = GoodnessScratch::for_evaluator(ge.evaluator());
+        let mut kernel = Vec::new();
+        ge.all_goodness_with(&mut scratch, &placement, &lengths, &[], &mut kernel);
+        for (a, b) in all.iter().zip(&kernel) {
+            prop_assert_eq!(a.to_bits(), b.to_bits());
+        }
+        let ideal = vec![0.0; netlist.num_nets()];
+        ge.all_goodness_with(&mut scratch, &placement, &ideal, &[], &mut kernel);
+        for &g in &kernel {
+            prop_assert!(g > 0.99, "goodness at zero cost must be ~1, got {g}");
         }
     }
 
