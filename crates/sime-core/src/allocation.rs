@@ -58,9 +58,9 @@ pub struct AllocScratch {
     ys: Vec<f64>,
     /// Allowed rows nearest the optimal y, nearest first (windowed search).
     rows_by_distance: Vec<usize>,
-    /// Row scratch for the summary-derived y median of the pruned windowed
-    /// search.
-    row_merge: Vec<u32>,
+    /// Per-row counts of the summary-derived y median of the pruned windowed
+    /// search (all zero between calls).
+    row_counts: Vec<u32>,
 }
 
 impl AllocScratch {
@@ -75,7 +75,7 @@ impl AllocScratch {
             xs: Vec::new(),
             ys: Vec::new(),
             rows_by_distance: Vec::new(),
-            row_merge: Vec::new(),
+            row_counts: Vec::new(),
         }
     }
 
@@ -511,9 +511,10 @@ fn scan_candidates(
 /// that skips the rows over budget ([`nearest_rows`]). With
 /// `config.bound_pruning` the optimal position comes straight from the
 /// prepared per-net summaries (one CSR walk, already performed) instead of a
-/// fresh gather-and-sort, and the per-row insertion index from a binary
-/// search over the rows' exact cached left edges — both bitwise identical to
-/// the legacy path, which is kept as the `false` branch (the A/B baseline).
+/// fresh gather-and-sort, and the per-row insertion index from a walk over
+/// the rows' exact cached left edges ([`first_edge_at_or_above`]) — both
+/// bitwise identical to the legacy path, which is kept as the `false` branch
+/// (the A/B baseline).
 fn windowed_candidates(
     evaluator: &CostEvaluator,
     placement: &Placement,
@@ -531,14 +532,14 @@ fn windowed_candidates(
         xs,
         ys,
         rows_by_distance,
-        row_merge,
+        row_counts,
         ..
     } = scratch;
 
     let (opt_x, opt_y) = if config.bound_pruning {
         scorer
             .prepared_summaries()
-            .median_position(xs, row_merge)
+            .median_position(xs, row_counts)
             .unwrap_or_else(|| placement.position(cell))
     } else {
         // Legacy gather: median of connected-cell coordinates via sort.
@@ -582,15 +583,14 @@ fn windowed_candidates(
         let cells_in_row = placement.row(row);
         let len = cells_in_row.len();
         let best_index = if config.bound_pruning {
-            // Binary search over the row's insertion boundaries. Boundary i
-            // is cell i's exact left edge (`x_of - width/2`, an exact
-            // integer equal to the legacy cumulative-width sum), boundary
-            // `len` the row's right extent (which accounts for gaps forced
-            // by blocked macro spans); boundaries are non-decreasing, so
-            // `partition_point` finds the first boundary ≥ opt_x and the
-            // winner is that boundary or its left neighbour — ties and
-            // bit-equal plateaus (zero-width cells) resolve to the smallest
-            // index, exactly the legacy scan's first-wins rule.
+            // Boundary i is cell i's exact left edge (`x_of - width/2`, an
+            // exact integer equal to the legacy cumulative-width sum),
+            // boundary `len` the row's right extent (which accounts for gaps
+            // forced by blocked macro spans). Cell widths are positive
+            // (`Netlist` rejects zero-width cells), so boundaries strictly
+            // increase: the winner is the first boundary ≥ opt_x or its left
+            // neighbour, and a tie resolves to the left one — the legacy
+            // scan's first-wins rule.
             let end_edge = placement.row_extent(row);
             let boundary = |i: usize| {
                 if i < len {
@@ -599,13 +599,13 @@ fn windowed_candidates(
                     end_edge
                 }
             };
-            let j = cells_in_row.partition_point(|&c| placement.left_edge(c) < opt_x);
+            let j = first_edge_at_or_above(placement, row, opt_x);
             let jb = if j == len && end_edge < opt_x {
                 len + 1
             } else {
                 j
             };
-            let mut best = if jb == 0 {
+            let best = if jb == 0 {
                 0
             } else if jb == len + 1 {
                 len
@@ -618,9 +618,7 @@ fn windowed_candidates(
                     jb - 1
                 }
             };
-            while best > 0 && boundary(best - 1) == boundary(best) {
-                best -= 1;
-            }
+            debug_assert!(best == 0 || boundary(best - 1) < boundary(best));
             best
         } else {
             // Legacy: linear scan over the row's insertion boundaries. Each
@@ -650,6 +648,33 @@ fn windowed_candidates(
         }
     }
     candidates.truncate(config.best_fit_window.max(1));
+}
+
+/// Index of the first cell in `row` whose left edge is `≥ opt_x` (the row's
+/// length when there is none) — `partition_point` over the row's left
+/// edges, without its dependent probes. Left edges never decrease along a
+/// row, so walking from the proportional guess `⌊opt_x / extent · len⌋` to
+/// the first edge `≥ opt_x` is exact, and short when the row's cells have
+/// similar widths.
+fn first_edge_at_or_above(placement: &Placement, row: usize, opt_x: f64) -> usize {
+    let cells = placement.row(row);
+    let len = cells.len();
+    let edge = |i: usize| placement.left_edge(cells[i]);
+    // `as` saturates: a guess below 0 (or NaN from an empty row) becomes 0.
+    let mut j = ((opt_x / placement.row_extent(row) * len as f64) as usize).min(len);
+    // At most one of the two walks moves: after a step right, edge(j - 1)
+    // is below opt_x.
+    while j < len && edge(j) < opt_x {
+        j += 1;
+    }
+    while j > 0 && edge(j - 1) >= opt_x {
+        j -= 1;
+    }
+    debug_assert_eq!(
+        j,
+        cells.partition_point(|&c| placement.left_edge(c) < opt_x)
+    );
+    j
 }
 
 /// Writes the (at most) `k` rows of `sorted_rows` (ascending, duplicate-free)
@@ -1210,6 +1235,47 @@ mod tests {
                     );
                 }
                 pruned_placement.validate(&nl).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn boundary_walk_matches_partition_point_on_every_row() {
+        // The windowed search's row walk against the binary search it
+        // replaces, on every row of s1196 and of mix600 (whose blocked
+        // spans open gaps between left edges), plus one emptied row.
+        // Probes: below 0, past the row extent, on every left edge, and at
+        // the half-integers around each edge.
+        use vlsi_netlist::bench_suite::{MixedCircuit, PaperCircuit, SuiteCircuit};
+        for circuit in [
+            SuiteCircuit::Paper(PaperCircuit::S1196),
+            SuiteCircuit::Mixed(MixedCircuit::Mix600),
+        ] {
+            let nl = circuit.generate();
+            let mut placement = Placement::round_robin(&nl, circuit.num_rows());
+            let emptied = circuit.num_rows() - 1;
+            for cell in placement.row(emptied).to_vec() {
+                placement.remove_cell(cell);
+            }
+            assert!(placement.row(emptied).is_empty());
+            if circuit.is_mixed() {
+                assert!((0..circuit.num_rows()).any(|r| !placement.blocked_spans(r).is_empty()));
+            }
+            for row in 0..placement.num_rows() {
+                let cells = placement.row(row);
+                let extent = placement.row_extent(row);
+                let mut probes = vec![-7.5, -0.5, 0.0, extent, extent + 0.5, extent + 1e3];
+                for &c in cells {
+                    let edge = placement.left_edge(c);
+                    probes.extend([edge - 0.5, edge, edge + 0.5]);
+                }
+                for opt_x in probes {
+                    assert_eq!(
+                        first_edge_at_or_above(&placement, row, opt_x),
+                        cells.partition_point(|&c| placement.left_edge(c) < opt_x),
+                        "{circuit}: row {row}, opt_x {opt_x}"
+                    );
+                }
             }
         }
     }

@@ -13,6 +13,7 @@ use sime_core::profile::ProfileReport;
 use std::sync::Arc;
 use vlsi_netlist::bench_suite::{PaperCircuit, SuiteCircuit};
 use vlsi_place::cost::Objectives;
+use vlsi_place::goodness::GoodnessScratch;
 
 /// Per-iteration selected fraction and the best µ, after checking the width
 /// constraint after every allocation.
@@ -67,4 +68,43 @@ fn sime_beats_its_random_start_and_shrinks_selection_on_s3330() {
         "iteration 3 still selects {:.0} % of the cells",
         selected[2] * 100.0
     );
+}
+
+#[test]
+fn iterations_on_s3330_hold_every_debug_oracle_and_the_reference_goodness() {
+    // Two delay-aware iterations on s3330 (1.5k cells), where nets and
+    // rows are real-sized: under `cargo test` every `debug_assertions`
+    // oracle of the kernel and the allocation scan runs, and after each
+    // iteration the engine's goodness pass must equal the sort-based
+    // reference on every cell.
+    let circuit = SuiteCircuit::Paper(PaperCircuit::S3330);
+    let netlist = Arc::new(circuit.generate());
+    let config =
+        SimEConfig::paper_defaults(Objectives::WirelengthPowerDelay, circuit.num_rows(), 2);
+    let engine = SimEEngine::new(Arc::clone(&netlist), config);
+    let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
+    let mut placement = engine.initial_placement(&mut rng);
+    let mut scratch = engine.new_scratch();
+    let mut profile = ProfileReport::new();
+    let mut gscratch = GoodnessScratch::for_evaluator(engine.evaluator());
+    let mut kernel = Vec::new();
+    for _ in 0..2 {
+        engine.iterate(
+            &mut placement,
+            &mut scratch,
+            &mut rng,
+            &mut profile,
+            &[],
+            &[],
+        );
+        let lengths = engine.evaluator().net_lengths(&placement);
+        engine
+            .goodness()
+            .all_goodness_with(&mut gscratch, &placement, &lengths, &[], &mut kernel);
+        let reference = engine.goodness().all_goodness(&placement);
+        for (cell, (a, b)) in reference.iter().zip(&kernel).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "cell {cell}");
+        }
+    }
+    placement.validate(&netlist).unwrap();
 }

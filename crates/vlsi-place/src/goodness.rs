@@ -27,13 +27,12 @@
 //! Two implementations produce bit-identical values: the reference oracle
 //! ([`GoodnessEvaluator::cell_goodness`], [`GoodnessEvaluator::all_goodness`]:
 //! sort-based median, [`CostEvaluator::cell_cost_at`]) and the engine's pass
-//! on the allocation kernel ([`GoodnessEvaluator::all_goodness_with`]:
-//! [`TrialScorer::prepare_cell`], then
-//! [`crate::kernel::PreparedSummaries::median_position`], then
-//! [`TrialScorer::prepared_cost_at`]).
+//! on the kernel ([`GoodnessEvaluator::all_goodness_with`]:
+//! [`OptimumScorer::optimal_and_actual`], one walk per incident net that
+//! sums `Cᵢ` and prices `Oᵢ` at the other pins' median without sorting).
 
 use crate::cost::{CellCost, CostEvaluator, Objectives};
-use crate::kernel::TrialScorer;
+use crate::kernel::OptimumScorer;
 use crate::layout::Placement;
 use vlsi_netlist::CellId;
 
@@ -52,23 +51,18 @@ pub struct GoodnessVector {
     pub combined: f64,
 }
 
-/// Reusable buffers of the kernel goodness pass: the trial scorer that
-/// prepares each cell's per-net summaries and the median scratch. One
-/// instance per worker thread.
+/// Reusable buffers of the kernel goodness pass. One instance per worker
+/// thread.
 #[derive(Debug, Clone)]
 pub struct GoodnessScratch {
-    scorer: TrialScorer,
-    xs: Vec<f64>,
-    rows: Vec<u32>,
+    scorer: OptimumScorer,
 }
 
 impl GoodnessScratch {
     /// Creates scratch space matching an evaluator's wirelength model.
     pub fn for_evaluator(evaluator: &CostEvaluator) -> Self {
         GoodnessScratch {
-            scorer: TrialScorer::for_evaluator(evaluator),
-            xs: Vec::new(),
-            rows: Vec::new(),
+            scorer: OptimumScorer::for_evaluator(evaluator),
         }
     }
 }
@@ -113,15 +107,26 @@ impl GoodnessEvaluator {
         net_lengths: &[f64],
     ) -> GoodnessVector {
         let netlist = self.evaluator.netlist();
-        let mut wire_cost = 0.0;
-        let mut power_cost = 0.0;
+        let mut actual = CellCost::default();
         for &net in netlist.nets_of_cell(cell) {
             let len = net_lengths[net.index()];
-            wire_cost += len;
-            power_cost += len * netlist.net(net).switching_prob;
+            actual.wirelength += len;
+            actual.power += len * netlist.net(net).switching_prob;
         }
-        let wirelength = ratio_goodness(optimal.wirelength, wire_cost);
-        let power = ratio_goodness(optimal.power, power_cost);
+        self.goodness_from_costs(cell, optimal, &actual, net_lengths)
+    }
+
+    /// [`GoodnessEvaluator::goodness_from_lengths`] with the actual
+    /// incident-net cost `actual` (`Cᵢ`) already summed.
+    fn goodness_from_costs(
+        &self,
+        cell: CellId,
+        optimal: &CellCost,
+        actual: &CellCost,
+        net_lengths: &[f64],
+    ) -> GoodnessVector {
+        let wirelength = ratio_goodness(optimal.wirelength, actual.wirelength);
+        let power = ratio_goodness(optimal.power, actual.power);
 
         let delay = if self.evaluator.objectives().includes_delay()
             && !self.cell_paths[cell.index()].is_empty()
@@ -205,10 +210,10 @@ impl GoodnessEvaluator {
             .collect()
     }
 
-    /// Goodness of a single cell on the kernel: `Oᵢ` from the cell's
-    /// prepared per-net summaries, `Cᵢ` from `net_lengths` (the per-net
-    /// lengths of `placement`). Bitwise identical to
-    /// [`GoodnessEvaluator::cell_goodness`].
+    /// Goodness of a single cell on the kernel: `Oᵢ` and `Cᵢ` from one
+    /// [`OptimumScorer`] walk over the cell's incident nets, `Cᵢ` read from
+    /// `net_lengths` (the per-net lengths of `placement`). Bitwise identical
+    /// to [`GoodnessEvaluator::cell_goodness`].
     pub fn cell_goodness_with(
         &self,
         scratch: &mut GoodnessScratch,
@@ -216,13 +221,11 @@ impl GoodnessEvaluator {
         cell: CellId,
         net_lengths: &[f64],
     ) -> GoodnessVector {
-        let GoodnessScratch { scorer, xs, rows } = scratch;
-        scorer.prepare_cell(&self.evaluator, placement, cell);
-        let optimal = match scorer.prepared_summaries().median_position(xs, rows) {
-            Some(median) => scorer.prepared_cost_at(median),
-            None => CellCost::default(),
-        };
-        self.goodness_from_lengths(cell, &optimal, net_lengths)
+        let (optimal, actual) =
+            scratch
+                .scorer
+                .optimal_and_actual(&self.evaluator, placement, cell, net_lengths);
+        self.goodness_from_costs(cell, &optimal, &actual, net_lengths)
     }
 
     /// Combined goodness of every cell not marked in `frozen` (all cells
@@ -346,35 +349,86 @@ mod tests {
         }
     }
 
+    /// The kernel pass's test matrix: the default circuit and mixed-size
+    /// mix600 (fixed pads and macros), each under both wirelength models.
+    fn kernel_cases(objectives: Objectives) -> Vec<(String, GoodnessEvaluator, Placement)> {
+        use crate::wirelength::WirelengthModel;
+        use vlsi_netlist::bench_suite::{mixed_circuit, MixedCircuit};
+        let (generated, _, generated_placement) = setup(objectives);
+        let mix = Arc::new(mixed_circuit(MixedCircuit::Mix600));
+        let mix_placement = Placement::round_robin(&mix, MixedCircuit::Mix600.num_rows());
+        let mut cases = Vec::new();
+        for (nl, placement) in [(generated, generated_placement), (mix, mix_placement)] {
+            for model in [
+                WirelengthModel::SingleTrunkSteiner,
+                WirelengthModel::HalfPerimeter,
+            ] {
+                let eval = CostEvaluator::with_models(
+                    Arc::clone(&nl),
+                    objectives,
+                    model,
+                    Default::default(),
+                    Default::default(),
+                    Default::default(),
+                );
+                let name = format!("{}/{model:?}", nl.name());
+                cases.push((name, GoodnessEvaluator::new(eval), placement.clone()));
+            }
+        }
+        cases
+    }
+
     #[test]
     fn sparse_cell_goodness_agrees_with_dense() {
-        // The kernel pass (dense lengths, prepared summaries) reproduces the
-        // sparse from-scratch oracle to the bit, per objective.
-        let (nl, ge, placement) = setup(Objectives::WirelengthPowerDelay);
-        let lengths = ge.evaluator().net_lengths(&placement);
-        let mut scratch = GoodnessScratch::for_evaluator(ge.evaluator());
-        for cell in nl.cell_ids() {
-            let dense = ge.cell_goodness_with(&mut scratch, &placement, cell, &lengths);
-            let sparse = ge.cell_goodness(&placement, cell);
-            assert_eq!(dense.wirelength.to_bits(), sparse.wirelength.to_bits());
-            assert_eq!(dense.power.to_bits(), sparse.power.to_bits());
-            assert_eq!(dense.delay.to_bits(), sparse.delay.to_bits());
-            assert_eq!(dense.combined.to_bits(), sparse.combined.to_bits());
-        }
-        let all = ge.all_goodness(&placement);
-        for (a, b) in all.iter().zip(kernel_pass(&ge, &placement, &[])) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        // The kernel pass (dense lengths, one gather per incident net)
+        // reproduces the sparse from-scratch oracle to the bit, per
+        // objective, under both wirelength models and on mixed-size cells.
+        for (name, ge, placement) in kernel_cases(Objectives::WirelengthPowerDelay) {
+            let nl = ge.evaluator().netlist().clone();
+            let lengths = ge.evaluator().net_lengths(&placement);
+            let mut scratch = GoodnessScratch::for_evaluator(ge.evaluator());
+            for cell in nl.cell_ids() {
+                let dense = ge.cell_goodness_with(&mut scratch, &placement, cell, &lengths);
+                let sparse = ge.cell_goodness(&placement, cell);
+                assert_eq!(
+                    dense.wirelength.to_bits(),
+                    sparse.wirelength.to_bits(),
+                    "{name}"
+                );
+                assert_eq!(dense.power.to_bits(), sparse.power.to_bits(), "{name}");
+                assert_eq!(dense.delay.to_bits(), sparse.delay.to_bits(), "{name}");
+                assert_eq!(
+                    dense.combined.to_bits(),
+                    sparse.combined.to_bits(),
+                    "{name}"
+                );
+            }
+            let all = ge.all_goodness(&placement);
+            for (a, b) in all.iter().zip(kernel_pass(&ge, &placement, &[])) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{name}");
+            }
         }
     }
 
     #[test]
     fn frozen_cells_are_skipped_by_the_kernel_pass() {
-        let (nl, ge, placement) = setup(Objectives::WirelengthPower);
-        let frozen: Vec<bool> = nl.cell_ids().map(|c| c.index() % 3 == 0).collect();
-        let oracle = ge.all_goodness(&placement);
-        let masked = kernel_pass(&ge, &placement, &frozen);
-        for c in nl.cell_ids().filter(|c| !frozen[c.index()]) {
-            assert_eq!(masked[c.index()].to_bits(), oracle[c.index()].to_bits());
+        // A Type II-style mask: the rank owns the movable cells of the even
+        // rows; fixed cells and every other row are frozen.
+        for (name, ge, placement) in kernel_cases(Objectives::WirelengthPower) {
+            let nl = ge.evaluator().netlist().clone();
+            let frozen: Vec<bool> = nl
+                .cell_ids()
+                .map(|c| placement.is_fixed(c) || placement.row_of(c) % 2 == 1)
+                .collect();
+            let oracle = ge.all_goodness(&placement);
+            let masked = kernel_pass(&ge, &placement, &frozen);
+            for c in nl.cell_ids().filter(|c| !frozen[c.index()]) {
+                assert_eq!(
+                    masked[c.index()].to_bits(),
+                    oracle[c.index()].to_bits(),
+                    "{name}"
+                );
+            }
         }
     }
 

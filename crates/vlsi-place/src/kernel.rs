@@ -11,6 +11,16 @@
 //!   single-trunk-Steiner median by *per-row counting* — cell y coordinates
 //!   are discrete multiples of [`ROW_HEIGHT`], so a counting pass over the
 //!   pin rows finds the median without sorting.
+//! * [`PreparedSummaries`], its view over one ripped-up cell, scores the
+//!   allocation candidates. Each candidate row's vertical term comes from
+//!   order statistics of the other pins' sorted rows in `O(1)` per net
+//!   ([`PreparedSummaries::prepare_row`]); the cell's median position comes
+//!   from a rank count over x and per-row counting over y, without a sort.
+//!   [`TrialScorer::prepared_cost_at`] keeps the `O(distinct rows)` histogram
+//!   walk as the independent reference the pruned scan cross-checks against
+//!   under `debug_assertions`.
+//! * [`OptimumScorer`] serves the goodness pass: one gather per incident net
+//!   and the same order statistics, without what only allocation needs.
 //! * [`NetLengthCache`] keeps the per-net length vector of a placement alive
 //!   across SimE iterations and re-evaluates only the nets with a pin whose
 //!   coordinates changed since the last refresh, found through the
@@ -18,13 +28,14 @@
 //!
 //! # Bitwise determinism
 //!
-//! Both structures are drop-in replacements for the naive path at the bit
+//! These structures are drop-in replacements for the naive path at the bit
 //! level: pins are visited in the same canonical order (the netlist's sorted
 //! CSR `net_cells` arena), partial sums are accumulated in the same order,
-//! and the counting median selects exactly the element the sort-based median
-//! picks. `tests/kernel_differential.rs` asserts `==` (not approximate
-//! equality) against the [`crate::cost::CostEvaluator`] oracle across random
-//! placements and mutation sequences.
+//! every vertical term is an exact integer multiple of [`ROW_HEIGHT`], and
+//! the counting and rank-count medians select exactly the element the
+//! sort-based median picks. `tests/kernel_differential.rs` asserts `==` (not
+//! approximate equality) against the [`crate::cost::CostEvaluator`] oracle
+//! across random placements and mutation sequences.
 //!
 //! # Cache invalidation invariants
 //!
@@ -67,15 +78,16 @@ fn row_of_lattice_y(y: f64) -> u32 {
 }
 
 /// Precomputed summary of one net incident to a prepared cell: everything
-/// about the *other* pins that trial scoring needs, so each candidate slot is
-/// scored in `O(distinct rows)` instead of `O(pins)`.
+/// about the *other* pins that trial scoring needs, so each candidate row's
+/// vertical term costs `O(1)` per net instead of `O(pins)`.
 ///
 /// The summaries rely on two exactness facts that make the reductions
 /// order-independent (and therefore bit-compatible with the oracle's
 /// pin-order loops): `f64::min`/`f64::max` are commutative for finite values,
 /// and every vertical distance is an exact multiple of [`ROW_HEIGHT`] (cell x
 /// coordinates are exact half-integers, y coordinates exact lattice points),
-/// so the branch sums incur no rounding in any summation order.
+/// so the branch sums incur no rounding in any summation order — they equal
+/// an integer row count times [`ROW_HEIGHT`].
 #[derive(Debug, Clone, Copy)]
 struct NetSummary {
     /// Total pin count of the net, including the prepared cell.
@@ -86,7 +98,17 @@ struct NetSummary {
     /// Extent of the other pins' rows.
     min_row: u32,
     max_row: u32,
-    /// Range of this net's `(row, count)` histogram in the scorer's arena.
+    /// Order statistics of the other pins' sorted rows `r` behind the `O(1)`
+    /// single-trunk-Steiner vertical term (see [`steiner_vertical`]), with
+    /// `k = total_pins / 2` the merged median index: `lo = r[k - 1]`,
+    /// `hi = r[k]` (`u32::MAX` when `k` indexes past the other pins),
+    /// `s_lo = Σ |r − lo|` and `slope = 2k − others`.
+    lo: u32,
+    hi: u32,
+    slope: u32,
+    s_lo: u64,
+    /// Range of this net's `(row, count)` histogram in the scorer's arena
+    /// (empty in the goodness pass, which never walks it).
     hist_start: u32,
     hist_end: u32,
     /// Net switching probability (power weight).
@@ -97,11 +119,26 @@ struct NetSummary {
     /// inside the other pins' row extent, under the prepare-time wirelength
     /// model. For half-perimeter this is `(max_row - min_row) * ROW_HEIGHT`
     /// (exact); for single-trunk Steiner it is the other pins' branch sum at
-    /// their own counting upper median, which lower-bounds the merged branch
-    /// sum for *any* trunk row the full score can pick. Exact multiple of
+    /// their own upper median, which lower-bounds the merged branch sum for
+    /// *any* trunk row the full score can pick. Exact multiple of
     /// [`ROW_HEIGHT`]. Candidate rows outside the extent additionally pay a
     /// `gap * ROW_HEIGHT` term (see [`PreparedSummaries::bound_floor`]).
     min_branch: f64,
+}
+
+/// Single-trunk-Steiner vertical term of net `s` with the prepared cell in
+/// `row`, in `O(1)`. The merged median row is `m = clamp(row, lo, hi)`: the
+/// extra pin shifts the other pins' order statistics by at most one place.
+/// Moving the trunk from `lo` up to `m` changes the other pins' branch sum
+/// by `slope` rows per row (`k` pins lie at or below `lo`, `others − k` at or
+/// above `hi`), and the cell's own branch adds `|row − m|`. Every term is an
+/// exact integer, so the product with [`ROW_HEIGHT`] equals the per-pin
+/// branch sum of the oracle bit for bit.
+#[inline]
+fn steiner_vertical(s: &NetSummary, row: u32) -> f64 {
+    let m = row.clamp(s.lo, s.hi);
+    let rows = s.s_lo + u64::from(m - s.lo) * u64::from(s.slope) + u64::from(row.abs_diff(m));
+    rows as f64 * ROW_HEIGHT
 }
 
 /// Row holding the `k`-th (0-based) smallest pin y among a sorted-by-row
@@ -152,6 +189,70 @@ fn merged_median_row(hist: &[(u32, u32)], extra_row: u32, k: usize) -> u32 {
         unreachable!("k must index into the merged pin multiset");
     }
     extra_row
+}
+
+/// Inputs up to this length take [`kth_smallest`]'s rank count, quadratic
+/// but branch-free and short for a typical cell's few nets of few pins;
+/// longer ones its selection fallback.
+const RANK_COUNT_MAX: usize = 32;
+
+/// The `k`-th smallest (0-based) of `xs` — the value `xs` sorted ascending
+/// holds at index `k`. Pin x's are finite and never `-0.0`, so equal values
+/// share bits and any element of the right rank is the sorted one. Up to
+/// [`RANK_COUNT_MAX`] values a branch-free rank count finds the element with
+/// `#less ≤ k < #less + #equal`; longer inputs are copied into `scratch`
+/// and selected with `select_nth_unstable_by(f64::total_cmp)`.
+fn kth_smallest(xs: &[f64], k: usize, scratch: &mut Vec<f64>) -> f64 {
+    debug_assert!(k < xs.len());
+    if xs.len() <= RANK_COUNT_MAX {
+        for &x in xs {
+            let (mut less, mut equal) = (0usize, 0usize);
+            for &y in xs {
+                less += usize::from(y < x);
+                equal += usize::from(y == x);
+            }
+            if less <= k && k < less + equal {
+                return x;
+            }
+        }
+        unreachable!("some element has rank k < len");
+    }
+    scratch.clear();
+    scratch.extend_from_slice(xs);
+    *scratch.select_nth_unstable_by(k, f64::total_cmp).1
+}
+
+/// The `k`-th smallest (0-based) of `rows`, found by counting: rows are
+/// small integers, so one pass fills per-row counts and a walk over the
+/// counted span finds the row whose cumulative count first exceeds `k`.
+/// `counts` is indexed by row and grown on demand; it must be all zero on
+/// entry and is all zero again on return.
+fn kth_smallest_row(rows: &[u32], k: usize, counts: &mut Vec<u32>) -> u32 {
+    debug_assert!(k < rows.len());
+    let (mut lo, mut hi) = (u32::MAX, 0u32);
+    for &r in rows {
+        lo = lo.min(r);
+        hi = hi.max(r);
+    }
+    if hi as usize >= counts.len() {
+        counts.resize(hi as usize + 1, 0);
+    }
+    for &r in rows {
+        counts[r as usize] += 1;
+    }
+    let mut acc = 0usize;
+    let mut median = hi;
+    for r in lo..=hi {
+        acc += counts[r as usize] as usize;
+        if acc > k {
+            median = r;
+            break;
+        }
+    }
+    for &r in rows {
+        counts[r as usize] = 0;
+    }
+    median
 }
 
 /// Reusable, allocation-free scorer for net lengths and allocation trial
@@ -310,7 +411,6 @@ impl TrialScorer {
         PreparedSummaries {
             model: self.model,
             prepared: &self.prepared,
-            hist: &self.hist,
             xs: &self.pin_xs,
             rows: &self.pin_rows,
         }
@@ -382,16 +482,160 @@ impl TrialScorer {
     }
 }
 
+/// Reusable, allocation-free scorer of the two sides of a cell's
+/// wirelength and power goodness ratio — the kernel of the SimE Evaluation
+/// pass. One walk per incident net gathers the other pins and sums the
+/// cell's actual cost; the optimal cost is then priced at the other pins'
+/// median with `O(1)` per net. Unlike [`TrialScorer::prepare_cell`] it builds
+/// none of what only allocation needs (row histograms, `min_branch`,
+/// critical flags). One instance per worker thread.
+#[derive(Debug, Clone)]
+pub struct OptimumScorer {
+    model: WirelengthModel,
+    prepared: Vec<NetSummary>,
+    pin_xs: Vec<f64>,
+    pin_rows: Vec<u32>,
+    xs_scratch: Vec<f64>,
+    /// All-zero between calls (see [`kth_smallest_row`]).
+    row_counts: Vec<u32>,
+    vertical: Vec<f64>,
+}
+
+impl OptimumScorer {
+    /// Creates a scorer matching an evaluator's wirelength model.
+    pub fn for_evaluator(evaluator: &CostEvaluator) -> Self {
+        OptimumScorer {
+            model: evaluator.wirelength_model(),
+            prepared: Vec::new(),
+            pin_xs: Vec::new(),
+            pin_rows: Vec::new(),
+            xs_scratch: Vec::new(),
+            row_counts: Vec::new(),
+            vertical: Vec::new(),
+        }
+    }
+
+    /// `(optimal, actual)` incident-net cost of `cell`. `optimal` (`Oᵢ`) is
+    /// the cost with the cell at the median of the other pins' positions —
+    /// zero when it connects to no other pin — bitwise equal to
+    /// [`CostEvaluator::cell_cost_at`] at the sort-based median. `actual`
+    /// (`Cᵢ`) sums `net_lengths` (the per-net lengths of `placement`) over
+    /// the same nets, in net order. Neither computes the critical
+    /// wirelength, which goodness does not read: it is zero in both.
+    pub fn optimal_and_actual(
+        &mut self,
+        evaluator: &CostEvaluator,
+        placement: &Placement,
+        cell: CellId,
+        net_lengths: &[f64],
+    ) -> (CellCost, CellCost) {
+        self.prepared.clear();
+        self.pin_xs.clear();
+        self.pin_rows.clear();
+        let mut actual = CellCost::default();
+        for &net in evaluator.netlist().nets_of_cell(cell) {
+            let s = summarize_net(
+                evaluator,
+                placement,
+                cell,
+                net,
+                &mut self.pin_xs,
+                &mut self.pin_rows,
+            );
+            let len = net_lengths[net.index()];
+            actual.wirelength += len;
+            actual.power += len * s.switching_prob;
+            self.prepared.push(s);
+        }
+        let view = PreparedSummaries {
+            model: self.model,
+            prepared: &self.prepared,
+            xs: &self.pin_xs,
+            rows: &self.pin_rows,
+        };
+        let optimal = match view.median_x_row(&mut self.xs_scratch, &mut self.row_counts) {
+            Some((x, row)) => {
+                view.prepare_row(row, &mut self.vertical);
+                view.cost_at_in_row(x, &self.vertical)
+            }
+            None => CellCost::default(),
+        };
+        (optimal, actual)
+    }
+}
+
+/// Gathers the other pins of `net` (every pin but `cell`): appends their x
+/// coordinates to `pin_xs` in canonical pin order and their rows, sorted, to
+/// `pin_rows`, and returns the net's summary without the allocation-only
+/// parts (an empty histogram range, `min_branch` 0, `critical` false), which
+/// [`build_cell_summaries`] adds.
+fn summarize_net(
+    evaluator: &CostEvaluator,
+    placement: &Placement,
+    cell: CellId,
+    net: NetId,
+    pin_xs: &mut Vec<f64>,
+    pin_rows: &mut Vec<u32>,
+) -> NetSummary {
+    let cells = evaluator.net_cells(net);
+    let (mut min_x, mut max_x) = (f64::INFINITY, f64::NEG_INFINITY);
+    let rows_start = pin_rows.len();
+    for &c in cells {
+        if c == cell {
+            continue;
+        }
+        let x = placement.x_of(c);
+        pin_xs.push(x);
+        min_x = min_x.min(x);
+        max_x = max_x.max(x);
+        pin_rows.push(placement.row_of(c) as u32);
+    }
+    let rows = &mut pin_rows[rows_start..];
+    rows.sort_unstable();
+    let (min_row, max_row) = match (rows.first(), rows.last()) {
+        (Some(&lo), Some(&hi)) => (lo, hi),
+        _ => (u32::MAX, 0u32),
+    };
+    let (mut lo, mut hi, mut slope, mut s_lo) = (0u32, u32::MAX, 0u32, 0u64);
+    if cells.len() >= 2 && !rows.is_empty() {
+        // Net pins are distinct, so the other pins are all pins but one and
+        // `1 ≤ k ≤ others`.
+        debug_assert_eq!(rows.len() + 1, cells.len());
+        let k = cells.len() / 2;
+        lo = rows[k - 1];
+        hi = rows.get(k).copied().unwrap_or(u32::MAX);
+        slope = (2 * k - rows.len()) as u32;
+        s_lo = rows.iter().map(|&r| u64::from(r.abs_diff(lo))).sum();
+    }
+    NetSummary {
+        total_pins: cells.len() as u32,
+        min_x,
+        max_x,
+        min_row,
+        max_row,
+        lo,
+        hi,
+        slope,
+        s_lo,
+        hist_start: 0,
+        hist_end: 0,
+        switching_prob: evaluator.netlist().net(net).switching_prob,
+        critical: false,
+        min_branch: 0.0,
+    }
+}
+
 /// Builds the per-net summaries of `cell`'s incident nets into
 /// `prepared`/`hist`. The body of [`TrialScorer::prepare_cell`]; a pure
 /// function of the *other* pins' positions.
 ///
 /// Also fills `pin_xs` with every other pin's x coordinate in canonical
 /// walk order (the legacy windowed-candidate gather multiset) and `pin_rows`
-/// with their rows, sorted within each net, and computes each net's
-/// `min_branch` — byproducts of the walk the pass already performs. Each
-/// net's histogram is the run-length encoding of its sorted rows, so its
-/// cost follows the net's pin count, not its row span.
+/// with their rows, sorted within each net. On top of [`summarize_net`] it
+/// adds the allocation-only parts: each net's `(row, count)` histogram (the
+/// run-length encoding of its sorted rows, walked only by the reference
+/// scorer [`TrialScorer::prepared_cost_at`]), `min_branch` and the critical
+/// flag.
 #[allow(clippy::too_many_arguments)]
 fn build_cell_summaries(
     evaluator: &CostEvaluator,
@@ -403,87 +647,38 @@ fn build_cell_summaries(
     pin_xs: &mut Vec<f64>,
     pin_rows: &mut Vec<u32>,
 ) {
-    let netlist = evaluator.netlist();
     prepared.clear();
     hist.clear();
     pin_xs.clear();
     pin_rows.clear();
-    for &net in netlist.nets_of_cell(cell) {
-        let cells = evaluator.net_cells(net);
-        let (mut min_x, mut max_x) = (f64::INFINITY, f64::NEG_INFINITY);
+    for &net in evaluator.netlist().nets_of_cell(cell) {
         let rows_start = pin_rows.len();
-        for &c in cells {
-            if c == cell {
-                continue;
-            }
-            let x = placement.x_of(c);
-            pin_xs.push(x);
-            min_x = min_x.min(x);
-            max_x = max_x.max(x);
-            pin_rows.push(placement.row_of(c) as u32);
-        }
-        let rows = &mut pin_rows[rows_start..];
-        rows.sort_unstable();
-        let others = rows.len();
-        let (min_row, max_row) = match (rows.first(), rows.last()) {
-            (Some(&lo), Some(&hi)) => (lo, hi),
-            _ => (u32::MAX, 0u32),
-        };
-        let hist_start = hist.len() as u32;
-        for &r in rows.iter() {
-            match hist[hist_start as usize..].last_mut() {
+        let mut s = summarize_net(evaluator, placement, cell, net, pin_xs, pin_rows);
+        let rows = &pin_rows[rows_start..];
+        s.hist_start = hist.len() as u32;
+        for &r in rows {
+            match hist[s.hist_start as usize..].last_mut() {
                 Some((last, count)) if *last == r => *count += 1,
                 _ => hist.push((r, 1)),
             }
         }
-        let mut min_branch = 0.0f64;
-        if cells.len() >= 2 && min_row != u32::MAX {
-            min_branch = match model {
-                WirelengthModel::HalfPerimeter => (max_row - min_row) as f64 * ROW_HEIGHT,
+        s.hist_end = hist.len() as u32;
+        s.critical = evaluator.net_is_critical(net);
+        if s.total_pins >= 2 && !rows.is_empty() {
+            s.min_branch = match model {
+                WirelengthModel::HalfPerimeter => (s.max_row - s.min_row) as f64 * ROW_HEIGHT,
                 WirelengthModel::SingleTrunkSteiner => {
-                    // Branch sum of the other pins at their own counting
-                    // upper median m* (k = others / 2): any trunk row m the
-                    // merged median can pick satisfies Σ|r_p − m| ≥ Σ|r_p −
-                    // m*| because a weighted median minimises the sum of
-                    // absolute deviations. Every term is an exact multiple
-                    // of ROW_HEIGHT, so the sum is exact.
-                    let h = &hist[hist_start as usize..];
-                    let k = others / 2;
-                    let mut acc = 0usize;
-                    let mut m = max_row;
-                    for &(r, c) in h {
-                        acc += c as usize;
-                        if acc > k {
-                            m = r;
-                            break;
-                        }
-                    }
-                    let mf = m as f64;
-                    let mut sum = 0.0f64;
-                    for &(r, c) in h {
-                        let d = if r < m {
-                            (mf - r as f64) * ROW_HEIGHT
-                        } else {
-                            (r as f64 - mf) * ROW_HEIGHT
-                        };
-                        sum += c as f64 * d;
-                    }
-                    sum
+                    // Branch sum of the other pins at their own upper median
+                    // m* = r[others / 2]: any trunk row m the merged median
+                    // can pick satisfies Σ|r_p − m| ≥ Σ|r_p − m*| because a
+                    // median minimises the sum of absolute deviations.
+                    let m = rows[rows.len() / 2];
+                    let sum: u64 = rows.iter().map(|&r| u64::from(r.abs_diff(m))).sum();
+                    sum as f64 * ROW_HEIGHT
                 }
             };
         }
-        prepared.push(NetSummary {
-            total_pins: cells.len() as u32,
-            min_x,
-            max_x,
-            min_row,
-            max_row,
-            hist_start,
-            hist_end: hist.len() as u32,
-            switching_prob: netlist.net(net).switching_prob,
-            critical: evaluator.net_is_critical(net),
-            min_branch,
-        });
+        prepared.push(s);
     }
 }
 
@@ -579,15 +774,19 @@ fn summaries_cost_at(
 /// Beyond the bounds, the view exposes the **row-hoisted exact score**: at a
 /// fixed candidate row, each net's vertical (branch) contribution is a
 /// constant — only the horizontal trunk depends on the candidate `x`.
-/// [`PreparedSummaries::prepare_row`] computes those per-net constants once
-/// (bit-identical to the walk the full per-candidate scorer performs)
-/// and [`PreparedSummaries::cost_at_in_row`] then scores each candidate of
-/// the row in a handful of flops, still bit-identical to the full score.
+/// [`PreparedSummaries::prepare_row`] computes those per-net constants once,
+/// in `O(1)` per net from the other pins' row order statistics (for
+/// single-trunk Steiner: with `k = total_pins / 2`, the merged median is
+/// `clamp(row, r[k - 1], r[k])` and the branch sum is linear in it between
+/// those two rows), bit-identical to the histogram walk the full
+/// per-candidate scorer [`TrialScorer::prepared_cost_at`] performs, which
+/// stays as the independent reference. [`PreparedSummaries::cost_at_in_row`]
+/// then scores each candidate of the row in a handful of flops, still
+/// bit-identical to the full score.
 #[derive(Debug, Clone, Copy)]
 pub struct PreparedSummaries<'a> {
     model: WirelengthModel,
     prepared: &'a [NetSummary],
-    hist: &'a [(u32, u32)],
     xs: &'a [f64],
     rows: &'a [u32],
 }
@@ -627,29 +826,36 @@ impl<'a> PreparedSummaries<'a> {
     /// Median position `(opt_x, opt_y)` of the other pins, bitwise identical
     /// to sorting the gathered x and y vectors and taking index `len / 2` —
     /// the optimum the windowed allocation strategy centres its window on.
-    /// Returns `None` when the cell has no connected pins. `xs_scratch` and
-    /// `rows_scratch` are caller scratch (contents irrelevant).
+    /// Returns `None` when the cell has no connected pins. Neither median
+    /// sorts: x comes from a branch-free rank count (a selection above 32
+    /// values), the row from per-row counting. `xs_scratch` is caller
+    /// scratch (contents irrelevant); `row_counts` must be all zero and is
+    /// all zero again on return.
     pub fn median_position(
         &self,
         xs_scratch: &mut Vec<f64>,
-        rows_scratch: &mut Vec<u32>,
+        row_counts: &mut Vec<u32>,
     ) -> Option<(f64, f64)> {
+        self.median_x_row(xs_scratch, row_counts)
+            .map(|(x, row)| (x, (row as f64 + 0.5) * ROW_HEIGHT))
+    }
+
+    /// [`PreparedSummaries::median_position`] with the row index in place of
+    /// its lattice y (the row lattice is monotone in the row index, so the
+    /// `k`-th smallest row holds `sorted_ys[k]`).
+    fn median_x_row(
+        &self,
+        xs_scratch: &mut Vec<f64>,
+        row_counts: &mut Vec<u32>,
+    ) -> Option<(f64, u32)> {
         if self.xs.is_empty() {
             return None;
         }
         let k = self.xs.len() / 2;
-        xs_scratch.clear();
-        xs_scratch.extend_from_slice(self.xs);
-        // k-th smallest: the same *value* sort_by + index k selects, and all
-        // pin x's are positive finite doubles, so equal values share bits.
-        let (_, &mut opt_x, _) = xs_scratch
-            .select_nth_unstable_by(k, |a, b| a.partial_cmp(b).expect("pin x must be finite"));
-        // The row lattice is monotone in the row index, so the k-th smallest
-        // row holds sorted_ys[k].
-        rows_scratch.clear();
-        rows_scratch.extend_from_slice(self.rows);
-        let (_, &mut median_row, _) = rows_scratch.select_nth_unstable(k);
-        Some((opt_x, (median_row as f64 + 0.5) * ROW_HEIGHT))
+        Some((
+            kth_smallest(self.xs, k, xs_scratch),
+            kth_smallest_row(self.rows, k, row_counts),
+        ))
     }
 
     /// Row-dependent, position-independent floor of the score bound: each
@@ -692,42 +898,29 @@ impl<'a> PreparedSummaries<'a> {
 
     /// Fills `vertical` with each prepared net's vertical (branch)
     /// contribution to the score of **any** candidate in `row` — one entry
-    /// per net, in net order, with unscoreable nets as `0.0`. The walk is
-    /// bit-identical to the per-candidate walk of the full score, so
+    /// per net, in net order, with unscoreable nets as `0.0`. Each constant
+    /// is `O(1)` per net (the half-perimeter row span, or the single-trunk
+    /// Steiner branch sum from the other pins' order statistics) and
+    /// bit-identical to
+    /// the histogram walk of the full score, so
     /// [`PreparedSummaries::cost_at_in_row`] over these constants reproduces
     /// [`TrialScorer::prepared_cost_at`] exactly. Compute once per
     /// contiguous same-row candidate run.
     pub fn prepare_row(&self, row: u32, vertical: &mut Vec<f64>) {
         vertical.clear();
-        for s in self.prepared {
+        vertical.extend(self.prepared.iter().map(|s| {
             if s.total_pins < 2 {
-                vertical.push(0.0);
-                continue;
+                return 0.0;
             }
-            let v = match self.model {
+            match self.model {
                 WirelengthModel::HalfPerimeter => {
                     let min_row = s.min_row.min(row);
                     let max_row = s.max_row.max(row);
                     (max_row - min_row) as f64 * ROW_HEIGHT
                 }
-                WirelengthModel::SingleTrunkSteiner => {
-                    let hist = &self.hist[s.hist_start as usize..s.hist_end as usize];
-                    let median_row = merged_median_row(hist, row, s.total_pins as usize / 2);
-                    let m = median_row as f64;
-                    let split = hist.partition_point(|&(r, _)| r < median_row);
-                    let mut branches = 0.0f64;
-                    for &(r, c) in &hist[..split] {
-                        branches += c as f64 * ((m - r as f64) * ROW_HEIGHT);
-                    }
-                    for &(r, c) in &hist[split..] {
-                        branches += c as f64 * ((r as f64 - m) * ROW_HEIGHT);
-                    }
-                    branches += ((row as f64 - m) * ROW_HEIGHT).abs();
-                    branches
-                }
-            };
-            vertical.push(v);
-        }
+                WirelengthModel::SingleTrunkSteiner => steiner_vertical(s, row),
+            }
+        }));
     }
 
     /// Exact score of a candidate at horizontal position `x` in the row
@@ -1333,6 +1526,79 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn order_statistics_match_sort_at_every_rank() {
+        // Every length from 1 to 80 (both sides of the rank-count /
+        // selection split at RANK_COUNT_MAX), values drawn from a few
+        // distinct half-integers so ties are heavy, every k.
+        let mut rng = ChaCha8Rng::seed_from_u64(21);
+        let mut scratch = Vec::new();
+        let mut counts = Vec::new();
+        for len in 1..=80usize {
+            for distinct in [1u32, 3, 9, 200] {
+                let rows: Vec<u32> = (0..len).map(|_| rng.gen_range(0..distinct) * 3).collect();
+                let xs: Vec<f64> = rows.iter().map(|&r| r as f64 * 2.5 + 0.5).collect();
+                let mut sorted_rows = rows.clone();
+                sorted_rows.sort_unstable();
+                let mut sorted_xs = xs.clone();
+                sorted_xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                for k in 0..len {
+                    assert_eq!(
+                        kth_smallest(&xs, k, &mut scratch).to_bits(),
+                        sorted_xs[k].to_bits(),
+                        "len {len}, distinct {distinct}, k {k}"
+                    );
+                    assert_eq!(
+                        kth_smallest_row(&rows, k, &mut counts),
+                        sorted_rows[k],
+                        "len {len}, distinct {distinct}, k {k}"
+                    );
+                    assert!(counts.iter().all(|&c| c == 0), "row counts left dirty");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn median_position_matches_sort_past_the_rank_count_limit() {
+        // A cell with more other pins than the rank count handles takes the
+        // selection fallback for x; its median must still be the sort's.
+        let nl = Arc::new(
+            CircuitGenerator::new(GeneratorConfig::sized("kernel_wide", 600, 5)).generate(),
+        );
+        let eval = CostEvaluator::new(Arc::clone(&nl), Objectives::WirelengthPower);
+        let mut placement = Placement::random(&nl, 12, &mut ChaCha8Rng::seed_from_u64(5));
+        let others = |c: CellId| -> usize {
+            nl.nets_of_cell(c)
+                .iter()
+                .map(|&n| eval.net_cells(n).len() - 1)
+                .sum()
+        };
+        let cell = nl.cell_ids().max_by_key(|&c| others(c)).unwrap();
+        assert!(others(cell) > RANK_COUNT_MAX, "{} other pins", others(cell));
+        placement.remove_cell(cell);
+        let mut scorer = TrialScorer::for_evaluator(&eval);
+        scorer.prepare_cell(&eval, &placement, cell);
+        let (mut gx, mut gy) = (Vec::new(), Vec::new());
+        for &net in nl.nets_of_cell(cell) {
+            for &other in eval.net_cells(net).iter().filter(|&&c| c != cell) {
+                let (x, y) = placement.position(other);
+                gx.push(x);
+                gy.push(y);
+            }
+        }
+        gx.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        gy.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let mut counts = Vec::new();
+        let (opt_x, opt_y) = scorer
+            .prepared_summaries()
+            .median_position(&mut Vec::new(), &mut counts)
+            .unwrap();
+        assert_eq!(opt_x.to_bits(), gx[gx.len() / 2].to_bits());
+        assert_eq!(opt_y.to_bits(), gy[gy.len() / 2].to_bits());
+        assert!(counts.iter().all(|&c| c == 0), "row counts left dirty");
     }
 
     #[test]

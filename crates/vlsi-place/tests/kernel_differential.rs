@@ -228,3 +228,72 @@ proptest! {
         }
     }
 }
+
+/// The row-hoisted score (`prepare_row`'s O(1) vertical term +
+/// `cost_at_in_row`) equals the reference histogram walk of
+/// `prepared_cost_at` to the bit for every candidate row of every movable
+/// cell — rows inside and outside the other pins' extent, past the layout's
+/// last row too — on a random s1196 placement and on mixed-size mix600,
+/// under both wirelength models. The circuits must contain 2-pin nets, nets
+/// whose other pins share one row, and nets with even and odd pin counts,
+/// the cases an off-by-one in the order statistics would miss.
+#[test]
+fn hoisted_vertical_term_matches_the_histogram_walk_on_every_row() {
+    use vlsi_netlist::bench_suite::{MixedCircuit, PaperCircuit, SuiteCircuit};
+    for circuit in [
+        SuiteCircuit::Paper(PaperCircuit::S1196),
+        SuiteCircuit::Mixed(MixedCircuit::Mix600),
+    ] {
+        let netlist = Arc::new(circuit.generate());
+        let rows = circuit.num_rows();
+        let (mut two_pin, mut one_row, mut even, mut odd) = (false, false, false, false);
+        for model in MODELS {
+            let eval = evaluator(&netlist, model, Objectives::WirelengthPowerDelay);
+            let mut rng = ChaCha8Rng::seed_from_u64(0x5EED);
+            let mut placement = Placement::random(&netlist, rows, &mut rng);
+            let mut scorer = TrialScorer::for_evaluator(&eval);
+            let mut vertical = Vec::new();
+            for cell in netlist.cell_ids().filter(|&c| !netlist.cell(c).fixed) {
+                let home = placement.remove_cell(cell);
+                for &net in netlist.nets_of_cell(cell) {
+                    let pins = eval.net_cells(net);
+                    two_pin |= pins.len() == 2;
+                    even |= pins.len().is_multiple_of(2);
+                    odd |= !pins.len().is_multiple_of(2);
+                    let mut other_rows = pins
+                        .iter()
+                        .filter(|&&c| c != cell)
+                        .map(|&c| placement.row_of(c));
+                    let first = other_rows.next();
+                    one_row |= pins.len() > 2 && other_rows.all(|r| Some(r) == first);
+                }
+                scorer.prepare_cell(&eval, &placement, cell);
+                let view = scorer.prepared_summaries();
+                for row in 0..rows + 3 {
+                    view.prepare_row(row as u32, &mut vertical);
+                    let y = (row as f64 + 0.5) * vlsi_place::layout::ROW_HEIGHT;
+                    for x in [0.5, placement.x_of(cell), 1e4 + 0.5] {
+                        let exact = scorer.prepared_cost_at((x, y));
+                        let hoisted = view.cost_at_in_row(x, &vertical);
+                        for (a, b) in [
+                            (exact.wirelength, hoisted.wirelength),
+                            (exact.power, hoisted.power),
+                            (exact.critical_wirelength, hoisted.critical_wirelength),
+                        ] {
+                            assert_eq!(
+                                a.to_bits(),
+                                b.to_bits(),
+                                "{circuit}/{model:?}: cell {cell} row {row} x {x}"
+                            );
+                        }
+                    }
+                }
+                placement.insert_cell(cell, home);
+            }
+        }
+        assert!(
+            two_pin && one_row && even && odd,
+            "{circuit}: 2-pin {two_pin}, one-row {one_row}, even {even}, odd {odd}"
+        );
+    }
+}
