@@ -11,19 +11,18 @@
 //!   in `head_to_head` are what the CI perf-guardrail job compares against
 //!   the checked-in `BENCH_BASELINE.json` (see the `perf_guard` binary).
 //! * `BENCH_PR3.json` — the execution-backend scaling snapshot: the
-//!   `parallel_scaling` matrix (Type III at p = 5, Type II random at p = 4)
+//!   E8 scaling matrix (Type III at p = 5, Type II random at p = 4)
 //!   on the `Modeled` backend and the `Threaded` backend at 1, 2 and 4 OS
 //!   workers, with measured wall-clock per run, the speedup of 4 workers
 //!   over 1, the host's available parallelism (the speedup ceiling — on a
 //!   single-core host the honest number is ~1×), and a cross-check that
 //!   every backend/worker-count produced bitwise-identical results.
 //! * `BENCH_PR7.json` — the bound-pruned allocation snapshot: the serial
-//!   windowed iteration on `s15850`, PR 7's default engine (bound-pruned
-//!   trial scoring + incremental goodness cache) versus the legacy
-//!   exhaustive configuration, A/B'd in the same process from identical
-//!   seeded starts. Both arms are serial, so the headline
-//!   `windowed_serial_speedup_vs_legacy` is machine-relative and
-//!   `perf_guard --pr7` gates it at ≥ 1.3× on **every** runner,
+//!   windowed iteration on `s15850`, the default engine (bound-pruned
+//!   trial scoring) versus the legacy full-scan configuration, A/B'd in the
+//!   same process from identical seeded starts. Both arms are serial, so
+//!   the headline `windowed_serial_speedup_vs_legacy` is machine-relative
+//!   and `perf_guard --pr7` gates it at ≥ 1.3× on **every** runner,
 //!   single-core included. The report also carries per-phase wall shares
 //!   (Evaluation / Selection / Allocation / cost refresh) for both arms;
 //!   `--phases` additionally prints them as a table.
@@ -212,19 +211,18 @@ fn parallel_scaling_report(iters: usize) -> String {
 /// Two serial arms from identical seeded starts on the extended-tier
 /// `s15850` circuit, windowed allocation:
 ///
-/// * `pruned_incremental` — PR 7's defaults: bound-pruned trial scoring
-///   with row-hoisted exact rescoring plus the incremental per-cell
-///   goodness cache;
-/// * `legacy_exhaustive` — the pre-PR 7 engine (`bound_pruning` off,
-///   `incremental_goodness` off), every candidate scored in full and the
-///   goodness vector rebuilt from scratch each refresh.
+/// * `pruned` — the default engine: bound-pruned trial scoring with
+///   row-hoisted exact rescoring;
+/// * `legacy_exhaustive` — `bound_pruning` off: every candidate scored in
+///   full.
 ///
 /// Both arms run in the same process on the same host, so the headline
 /// `windowed_serial_speedup_vs_legacy` is machine-relative — a single-core
 /// container measures it as honestly as a 32-core runner, which is why
 /// `perf_guard --pr7` gates it without a low-core skip. Wall-clock is the
 /// best of `REPS` repetitions of an `ITERS`-iteration run (the second
-/// iteration exercises the carried goodness cache), reported per iteration.
+/// iteration re-prices only the nets the first one dirtied), reported per
+/// iteration.
 /// Per-arm phase wall shares (cost refresh / goodness / selection /
 /// allocation / delay) come from the fastest repetition; `print_phases`
 /// additionally prints them as a table.
@@ -237,19 +235,15 @@ fn bound_pruned_report(print_phases: bool) -> String {
 
     let optimized = SimEConfig::paper_defaults(Objectives::WirelengthPower, circuit.num_rows(), 1);
     assert!(
-        optimized.allocation.bound_pruning && optimized.incremental_goodness,
-        "PR 7 fast paths must be the default"
+        optimized.allocation.bound_pruning,
+        "bound pruning must be the default"
     );
     let legacy = {
         let mut config = optimized;
         config.allocation.bound_pruning = false;
-        config.incremental_goodness = false;
         config
     };
-    let arms: [(&str, SimEConfig); 2] = [
-        ("pruned_incremental", optimized),
-        ("legacy_exhaustive", legacy),
-    ];
+    let arms: [(&str, SimEConfig); 2] = [("pruned", optimized), ("legacy_exhaustive", legacy)];
 
     struct Arm {
         label: &'static str,

@@ -33,7 +33,7 @@ pub mod engine;
 pub mod profile;
 pub mod selection;
 
-pub use allocation::{AllocScratch, AllocationConfig, AllocationStats, AllocationStrategy};
+pub use allocation::{AllocScratch, AllocationConfig, AllocationStats};
 pub use engine::{
     IterationStats, SimEConfig, SimEEngine, SimEResult, SimEScratch, StoppingCriteria,
 };
@@ -42,7 +42,7 @@ pub use selection::{select, SelectionScheme};
 
 /// Convenience prelude bringing the common SimE types into scope.
 pub mod prelude {
-    pub use crate::allocation::{AllocScratch, AllocationConfig, AllocationStrategy};
+    pub use crate::allocation::{AllocScratch, AllocationConfig};
     pub use crate::engine::{SimEConfig, SimEEngine, SimEResult, SimEScratch, StoppingCriteria};
     pub use crate::profile::ProfileReport;
     pub use crate::selection::SelectionScheme;

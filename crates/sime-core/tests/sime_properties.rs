@@ -2,9 +2,9 @@
 
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use sime_core::allocation::{allocate_all, AllocationConfig, AllocationStrategy};
+use sime_core::allocation::{allocate_all, AllocScratch, AllocationConfig};
 use sime_core::engine::{SimEConfig, SimEEngine};
 use sime_core::profile::ProfileReport;
 use sime_core::selection::{select, SelectionScheme};
@@ -67,53 +67,48 @@ proptest! {
         }
     }
 
-    /// Allocation, with any strategy, always returns a legal placement that
-    /// still contains every cell exactly once, and never moves unselected
-    /// cells to another row.
+    /// Allocation, pruned or not, always returns a legal placement that
+    /// still contains every cell exactly once, never moves unselected cells
+    /// to another row, and puts every selected cell in an allowed row. The
+    /// allowed rows are a random subset in random order (a Type II rank's
+    /// rows), and the selection is drawn from the cells in them.
     #[test]
     fn allocation_preserves_legality_and_unselected_rows(
         netlist in arb_netlist(),
         rows in 4usize..10,
-        strategy_pick in 0u8..3,
-        stride in 1usize..5,
+        bound_pruning in proptest::bool::ANY,
         seed in any::<u64>(),
     ) {
-        let strategy = match strategy_pick {
-            0 => AllocationStrategy::SortedBestFit,
-            1 => AllocationStrategy::FirstFit,
-            _ => AllocationStrategy::RandomWindow,
-        };
         let evaluator = CostEvaluator::new(Arc::clone(&netlist), Objectives::WirelengthPower);
         let ge = GoodnessEvaluator::new(evaluator.clone());
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut placement = Placement::random(&netlist, rows, &mut rng);
         let goodness = ge.all_goodness(&placement);
+        let mut allowed: Vec<usize> = (0..rows).collect();
+        allowed.shuffle(&mut rng);
+        allowed.truncate(rng.gen_range(1..=rows));
 
         let mut selected: Vec<CellId> = netlist
             .cell_ids()
-            .filter(|c| c.index() % 4 == 0)
+            .filter(|&c| c.index() % 2 == 0 && allowed.contains(&placement.row_of(c)))
             .collect();
         let selected_set: HashSet<CellId> = selected.iter().copied().collect();
         let rows_before: Vec<usize> = netlist.cell_ids().map(|c| placement.row_of(c)).collect();
 
         allocate_all(
             &evaluator,
-            &mut sime_core::allocation::AllocScratch::for_evaluator(&evaluator),
+            &mut AllocScratch::for_evaluator(&evaluator),
             &mut placement,
             &mut selected,
             &goodness,
-            &AllocationConfig {
-                strategy,
-                trial_stride: stride,
-                random_window: 16,
-                ..Default::default()
-            },
-            &[],
-            &mut rng,
+            &AllocationConfig { bound_pruning },
+            &allowed,
         );
         placement.validate(&netlist).unwrap();
         for c in netlist.cell_ids() {
-            if !selected_set.contains(&c) {
+            if selected_set.contains(&c) {
+                prop_assert!(allowed.contains(&placement.row_of(c)));
+            } else {
                 prop_assert_eq!(placement.row_of(c), rows_before[c.index()]);
             }
         }
@@ -124,7 +119,7 @@ proptest! {
     /// reproducible from the returned placement.
     #[test]
     fn engine_run_invariants(netlist in arb_netlist(), seed in any::<u64>()) {
-        let mut config = SimEConfig::fast(Objectives::WirelengthPower, 6, 8);
+        let mut config = SimEConfig::paper_defaults(Objectives::WirelengthPower, 6, 8);
         config.seed = seed;
         let engine = SimEEngine::new(Arc::clone(&netlist), config);
         let result = engine.run();
@@ -141,7 +136,7 @@ proptest! {
     /// (determinism is what makes the table harnesses reproducible).
     #[test]
     fn engine_is_deterministic(netlist in arb_netlist(), seed in any::<u64>()) {
-        let mut config = SimEConfig::fast(Objectives::WirelengthPower, 5, 5);
+        let mut config = SimEConfig::paper_defaults(Objectives::WirelengthPower, 5, 5);
         config.seed = seed;
         let a = SimEEngine::new(Arc::clone(&netlist), config).run();
         let b = SimEEngine::new(Arc::clone(&netlist), config).run();
@@ -165,7 +160,7 @@ proptest! {
         } else {
             Objectives::WirelengthPower
         };
-        let mut config = SimEConfig::fast(objectives, 6, 6);
+        let mut config = SimEConfig::paper_defaults(objectives, 6, 6);
         config.seed = seed;
         prop_assert!(config.allocation.bound_pruning, "pruning must be the default");
         let mut legacy = config;
@@ -184,16 +179,16 @@ proptest! {
         }
     }
 
-    /// The carried goodness vector tracks the from-scratch oracle bit for bit
-    /// through random interleavings of iterations, cost refreshes and
-    /// evaluations — each op invalidates a different random net subset — and
-    /// the incremental path actually fires. Half the cases run on mix600,
-    /// whose fixed cells are never evaluated, and some ops iterate or
-    /// evaluate under a Type II-style mask (the cells of a random half of the
-    /// rows are owned, the rest frozen), so cells skipped while frozen must
-    /// be caught up once they become selectable again.
+    /// The kernel Evaluation (net-length cache + goodness pass) tracks the
+    /// from-scratch oracle bit for bit through random interleavings of
+    /// iterations, cost refreshes and evaluations — each op dirties a
+    /// different random net subset. Half the cases run on mix600, whose
+    /// fixed cells are never evaluated, and some ops iterate or evaluate
+    /// under a Type II-style mask (the cells of a random half of the rows
+    /// are owned, the rest frozen), so cells skipped while frozen must be
+    /// evaluated correctly once they become selectable again.
     #[test]
-    fn incremental_goodness_matches_oracle_through_random_sequences(
+    fn kernel_goodness_matches_oracle_through_random_sequences(
         netlist in arb_netlist(),
         mixed in proptest::bool::ANY,
         masked_start in proptest::bool::ANY,
@@ -205,7 +200,7 @@ proptest! {
         } else {
             (netlist, 6)
         };
-        let config = SimEConfig::fast(Objectives::WirelengthPowerDelay, num_rows, 1);
+        let config = SimEConfig::paper_defaults(Objectives::WirelengthPowerDelay, num_rows, 1);
         let engine = SimEEngine::new(Arc::clone(&netlist), config);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut placement = engine.initial_placement(&mut rng);
@@ -224,9 +219,9 @@ proptest! {
             (engine.frozen_mask_from_owned(&owned), rows)
         };
         if masked_start {
-            // A full pass that skips a rank's foreign cells, then an unmasked
-            // pass over the unchanged placement, whose only pending cells are
-            // the skipped ones.
+            // A pass that skips a rank's foreign cells, then an unmasked pass
+            // over the unchanged placement, which must evaluate the skipped
+            // ones.
             let (frozen, _) = type2_mask(&placement, &mut rng);
             engine.evaluate_with(&placement, &mut scratch, &mut profile, &frozen);
             let (_, naive_goodness) = engine.evaluate(&placement, &mut ProfileReport::new());
@@ -235,8 +230,8 @@ proptest! {
                 prop_assert_eq!(naive_goodness[c.index()].to_bits(), goodness[c.index()].to_bits());
             }
         }
-        // Two unconditional iterations guarantee at least one post-mutation
-        // delta pass before the random interleaving starts.
+        // Two unconditional iterations guarantee at least one pass over a
+        // mutated placement before the random interleaving starts.
         for _ in 0..2 {
             engine.iterate(&mut placement, &mut scratch, &mut rng, &mut profile, &[], &[]);
         }
@@ -284,16 +279,12 @@ proptest! {
         for c in netlist.cell_ids().filter(|&c| !netlist.cell(c).fixed) {
             prop_assert_eq!(naive_goodness[c.index()].to_bits(), goodness[c.index()].to_bits());
         }
-        prop_assert!(
-            scratch.goodness_delta_recomputes() > 0,
-            "the incremental goodness path never fired"
-        );
     }
 
     /// Iterating with a frozen mask never moves frozen cells between rows.
     #[test]
     fn frozen_cells_never_change_rows(netlist in arb_netlist(), seed in any::<u64>()) {
-        let config = SimEConfig::fast(Objectives::WirelengthPower, 6, 1);
+        let config = SimEConfig::paper_defaults(Objectives::WirelengthPower, 6, 1);
         let engine = SimEEngine::new(Arc::clone(&netlist), config);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut placement = engine.initial_placement(&mut rng);

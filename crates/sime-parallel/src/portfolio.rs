@@ -436,7 +436,7 @@ mod tests {
         );
         SimEEngine::new(
             nl,
-            SimEConfig::fast(Objectives::WirelengthPower, 8, iterations),
+            SimEConfig::paper_defaults(Objectives::WirelengthPower, 8, iterations),
         )
     }
 

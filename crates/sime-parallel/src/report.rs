@@ -147,7 +147,10 @@ mod tests {
         let nl = Arc::new(
             CircuitGenerator::new(GeneratorConfig::sized("report_test", 120, 3)).generate(),
         );
-        SimEEngine::new(nl, SimEConfig::fast(Objectives::WirelengthPower, 6, 5))
+        SimEEngine::new(
+            nl,
+            SimEConfig::paper_defaults(Objectives::WirelengthPower, 6, 5),
+        )
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! let netlist = Arc::new(
 //!     CircuitGenerator::new(GeneratorConfig::sized("type1_doc", 120, 1)).generate(),
 //! );
-//! let engine = SimEEngine::new(netlist, SimEConfig::fast(Objectives::WirelengthPower, 6, 3));
+//! let engine = SimEEngine::new(netlist, SimEConfig::paper_defaults(Objectives::WirelengthPower, 6, 3));
 //! let config = Type1Config { ranks: 3, iterations: 3 };
 //! let cluster = ClusterConfig::paper_cluster(3);
 //! let modeled = run_type1(&engine, cluster, config, &Modeled, &FreeRun);

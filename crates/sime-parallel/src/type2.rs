@@ -38,7 +38,7 @@
 //! let netlist = Arc::new(
 //!     CircuitGenerator::new(GeneratorConfig::sized("type2_doc", 120, 2)).generate(),
 //! );
-//! let engine = SimEEngine::new(netlist, SimEConfig::fast(Objectives::WirelengthPower, 6, 3));
+//! let engine = SimEEngine::new(netlist, SimEConfig::paper_defaults(Objectives::WirelengthPower, 6, 3));
 //! let config = Type2Config { ranks: 3, iterations: 3, pattern: RowPattern::Random };
 //! let cluster = ClusterConfig::paper_cluster(3);
 //! let modeled = run_type2(&engine, cluster, config, &Modeled, &FreeRun);

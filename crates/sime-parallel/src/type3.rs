@@ -40,7 +40,7 @@
 //! let netlist = Arc::new(
 //!     CircuitGenerator::new(GeneratorConfig::sized("type3_doc", 120, 3)).generate(),
 //! );
-//! let engine = SimEEngine::new(netlist, SimEConfig::fast(Objectives::WirelengthPower, 6, 3));
+//! let engine = SimEEngine::new(netlist, SimEConfig::paper_defaults(Objectives::WirelengthPower, 6, 3));
 //! let config = Type3Config { ranks: 3, iterations: 3, retry_threshold: 2 };
 //! let cluster = ClusterConfig::paper_cluster(3);
 //! let modeled = run_type3(&engine, cluster, config, &Modeled, &FreeRun);

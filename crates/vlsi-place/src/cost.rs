@@ -100,8 +100,6 @@ pub struct CostEvaluator {
     timing: TimingModel,
     fuzzy: FuzzyConfig,
     paths: Arc<Vec<Path>>,
-    /// For each net, the indices of the stored paths that contain it.
-    net_in_paths: Arc<Vec<Vec<u32>>>,
     /// `net_on_path[n]` is `true` iff net `n` lies on a stored critical path
     /// (flat lookup for the allocation hot loop).
     net_on_path: Arc<Vec<bool>>,
@@ -135,14 +133,13 @@ impl CostEvaluator {
         } else {
             Vec::new()
         };
-        let mut net_in_paths = vec![Vec::new(); netlist.num_nets()];
-        for (pi, p) in paths.iter().enumerate() {
+        let mut net_on_path = vec![false; netlist.num_nets()];
+        for p in &paths {
             for &n in &p.nets {
-                net_in_paths[n.index()].push(pi as u32);
+                net_on_path[n.index()] = true;
             }
         }
         let bounds = Bounds::compute(&netlist, &paths, &timing);
-        let net_on_path: Vec<bool> = net_in_paths.iter().map(|p| !p.is_empty()).collect();
         CostEvaluator {
             netlist,
             objectives,
@@ -150,7 +147,6 @@ impl CostEvaluator {
             timing,
             fuzzy,
             paths: Arc::new(paths),
-            net_in_paths: Arc::new(net_in_paths),
             net_on_path: Arc::new(net_on_path),
             bounds: Arc::new(bounds),
         }
@@ -377,12 +373,6 @@ impl CostEvaluator {
             score += cost.critical_wirelength;
         }
         score
-    }
-
-    /// Indices (into [`CostEvaluator::paths`]) of the stored paths containing
-    /// `net`.
-    pub fn paths_through_net(&self, net: NetId) -> &[u32] {
-        &self.net_in_paths[net.index()]
     }
 
     /// `true` iff `net` lies on at least one stored critical path.

@@ -1063,24 +1063,17 @@ impl NetLengthCache {
         &self.lengths
     }
 
-    /// Phase 1 of a split refresh: advances all cache bookkeeping (row
-    /// epochs, cell snapshots, net stamps, placement uid, the work counters)
+    /// The bookkeeping half of [`NetLengthCache::refresh`]: advances the row
+    /// epochs, cell snapshots, net stamps, placement uid and work counters,
     /// and fills `dirty` with the nets whose lengths must be recomputed —
-    /// every net on a full refresh (returns `true`), only the nets with a pin
-    /// whose coordinates changed on a delta refresh (`false`). Each net
-    /// appears at most once.
-    ///
-    /// The caller *must* complete the plan by computing each listed net's
-    /// length against the same placement and handing the results to
-    /// [`NetLengthCache::store_length`] before the next refresh — per-net
-    /// length is a pure function of the placement, so the completed vector
-    /// is bitwise identical to a monolithic [`NetLengthCache::refresh`].
-    pub fn plan_refresh(
+    /// every net on a full refresh, only the nets with a pin whose
+    /// coordinates changed on a delta refresh. Each net appears at most once.
+    fn plan_refresh(
         &mut self,
         evaluator: &CostEvaluator,
         placement: &Placement,
         dirty: &mut Vec<NetId>,
-    ) -> bool {
+    ) {
         dirty.clear();
         let netlist = evaluator.netlist();
         let num_nets = netlist.num_nets();
@@ -1136,14 +1129,6 @@ impl NetLengthCache {
             }
             self.nets_recomputed += dirty.len() as u64;
         }
-        full
-    }
-
-    /// Phase 2 of a split refresh: records one computed net length. `net`
-    /// must come from the current [`NetLengthCache::plan_refresh`] plan.
-    #[inline]
-    pub fn store_length(&mut self, net: NetId, length: f64) {
-        self.lengths[net.index()] = length;
     }
 }
 

@@ -20,7 +20,7 @@ fn main() {
         let nl = Arc::new(
             CircuitGenerator::new(GeneratorConfig::sized("probe", cells, seed)).generate(),
         );
-        let mut config = SimEConfig::fast(obj, 6, 15);
+        let mut config = SimEConfig::paper_defaults(obj, 6, 15);
         config.seed = seed;
         let r = SimEEngine::new(nl, config).run();
         println!("cells={cells} seed={seed} obj={:?}", obj);
