@@ -17,6 +17,39 @@ pub enum MoveKind {
     Relocate(CellId, Slot),
 }
 
+impl MoveKind {
+    /// The cells whose slot the move changes — both cells of a swap in
+    /// order, the relocated cell otherwise — held inline, without allocating.
+    pub fn cells(&self) -> MovedCells {
+        match *self {
+            MoveKind::Swap(a, b) => MovedCells {
+                cells: [a, b],
+                len: 2,
+            },
+            MoveKind::Relocate(c, _) => MovedCells {
+                cells: [c, c],
+                len: 1,
+            },
+        }
+    }
+}
+
+/// The one or two cells of a [`MoveKind`] (see [`MoveKind::cells`]);
+/// dereferences to a slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MovedCells {
+    cells: [CellId; 2],
+    len: usize,
+}
+
+impl std::ops::Deref for MovedCells {
+    type Target = [CellId];
+
+    fn deref(&self) -> &[CellId] {
+        &self.cells[..self.len]
+    }
+}
+
 /// Draws a random neighbourhood move for `placement`. Only movable cells
 /// are drawn: fixed cells (pads, macros) are redrawn, so a fixed-free
 /// circuit consumes exactly one draw per cell it picks.
@@ -149,6 +182,15 @@ mod tests {
         apply_move(&mut p, undo);
         p.validate(&nl).unwrap();
         assert_eq!(p.slot_of(cell).row, before.row);
+    }
+
+    #[test]
+    fn move_cells_lists_the_moved_cells_in_order() {
+        let (a, b) = (CellId(4), CellId(9));
+        assert_eq!(&*MoveKind::Swap(a, b).cells(), &[a, b]);
+        assert_eq!(&*MoveKind::Swap(b, a).cells(), &[b, a]);
+        let relocate = MoveKind::Relocate(b, Slot { row: 1, index: 0 });
+        assert_eq!(&*relocate.cells(), &[b]);
     }
 
     #[test]

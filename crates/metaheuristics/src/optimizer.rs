@@ -392,10 +392,6 @@ impl Optimizer for TabuIsland {
         let mut best_candidate: Option<(MoveKind, f64)> = None;
         for _ in 0..self.config.candidates_per_iteration {
             let mv = neighbour_move(&self.placement, &mut self.rng);
-            let moved_cells: Vec<CellId> = match mv {
-                MoveKind::Swap(a, b) => vec![a, b],
-                MoveKind::Relocate(c, _) => vec![c],
-            };
             let undo = apply_move(&mut self.placement, mv);
             let candidate = self.cost.evaluate(&self.evaluator, &self.placement);
             self.evaluations += 1;
@@ -403,7 +399,7 @@ impl Optimizer for TabuIsland {
             apply_move(&mut self.placement, undo);
 
             let aspires = candidate.mu > self.best.mu;
-            if self.tabu.is_tabu(&moved_cells) && !aspires {
+            if self.tabu.is_tabu(&mv.cells()) && !aspires {
                 continue;
             }
             if best_candidate.is_none_or(|(_, mu)| candidate.mu > mu) {
@@ -411,15 +407,11 @@ impl Optimizer for TabuIsland {
             }
         }
         if let Some((mv, _)) = best_candidate {
-            let moved_cells: Vec<CellId> = match mv {
-                MoveKind::Swap(a, b) => vec![a, b],
-                MoveKind::Relocate(c, _) => vec![c],
-            };
             apply_move(&mut self.placement, mv);
             self.current = self.cost.evaluate(&self.evaluator, &self.placement);
             self.evaluations += 1;
             evals_this_epoch += 1;
-            self.tabu.admit(&moved_cells);
+            self.tabu.admit(&mv.cells());
             if self.current.mu > self.best.mu {
                 self.best = self.current;
                 self.best_placement = self.placement.clone();

@@ -134,17 +134,13 @@ impl TabuSearchPlacer {
             let mut best_candidate: Option<(MoveKind, f64)> = None;
             for _ in 0..self.config.candidates_per_iteration {
                 let mv = neighbour_move(&placement, &mut rng);
-                let moved_cells: Vec<CellId> = match mv {
-                    MoveKind::Swap(a, b) => vec![a, b],
-                    MoveKind::Relocate(c, _) => vec![c],
-                };
                 let undo = apply_move(&mut placement, mv);
                 let candidate = cost.evaluate(&self.evaluator, &placement);
                 evaluations += 1;
                 apply_move(&mut placement, undo);
 
                 let aspires = candidate.mu > best.mu;
-                if tabu.is_tabu(&moved_cells) && !aspires {
+                if tabu.is_tabu(&mv.cells()) && !aspires {
                     continue;
                 }
                 if best_candidate.is_none_or(|(_, mu)| candidate.mu > mu) {
@@ -153,14 +149,10 @@ impl TabuSearchPlacer {
             }
 
             if let Some((mv, _)) = best_candidate {
-                let moved_cells: Vec<CellId> = match mv {
-                    MoveKind::Swap(a, b) => vec![a, b],
-                    MoveKind::Relocate(c, _) => vec![c],
-                };
                 apply_move(&mut placement, mv);
                 current = cost.evaluate(&self.evaluator, &placement);
                 evaluations += 1;
-                tabu.admit(&moved_cells);
+                tabu.admit(&mv.cells());
                 if current.mu > best.mu {
                     best = current;
                     best_placement = placement.clone();

@@ -661,7 +661,7 @@ pub fn check_goldens(
 /// into `tests/golden/` and replayed by the `golden_suite` integration test
 /// on every push. Small circuits and short runs — the gate must stay cheap —
 /// but covering all three SimE strategies (Type II in both row patterns),
-/// the island portfolio, both objective mixes, two extended-tier circuits,
+/// the island portfolio under both objective mixes, two extended-tier circuits,
 /// one mixed-size circuit with fixed pads and multi-row macros, and one
 /// warm-started run replayed from a written `.pl` layout.
 pub fn golden_subset() -> Vec<ScenarioSpec> {
@@ -714,6 +714,19 @@ pub fn golden_subset() -> Vec<ScenarioSpec> {
             ranks: 4,
             iterations: 4,
             objectives: wp,
+            workers: None,
+            eval_chunks: 1,
+            warm_start: None,
+        },
+        // SA/TS-heavy portfolio golden: all four island kinds on the largest
+        // paper circuit under the delay objective, so the move/undo cost
+        // cache the baselines run on is on a pinned trajectory.
+        ScenarioSpec {
+            circuit: "s3330".into(),
+            strategy: StrategyKind::Portfolio(PortfolioMix::Mixed),
+            ranks: 5,
+            iterations: 4,
+            objectives: wpd,
             workers: None,
             eval_chunks: 1,
             warm_start: None,

@@ -7,10 +7,12 @@
 //! Steiner estimate (the median pin y). This module provides the equivalent
 //! hot path with zero allocations per call:
 //!
-//! * [`TrialScorer`] owns reusable scratch buffers and computes the
-//!   single-trunk-Steiner median by *per-row counting* — cell y coordinates
-//!   are discrete multiples of [`ROW_HEIGHT`], so a counting pass over the
-//!   pin rows finds the median without sorting.
+//! * [`TrialScorer`] owns reusable scratch buffers and prices a net in one
+//!   gather: the x extent is folded as the pins are read, the
+//!   single-trunk-Steiner median row comes from a rank count (per-row
+//!   counting for large nets) instead of a sort — cell y coordinates are
+//!   discrete row-lattice points — and the branches are summed as an integer
+//!   row count times [`ROW_HEIGHT`].
 //! * [`PreparedSummaries`], its view over one ripped-up cell, scores the
 //!   allocation candidates. Each candidate row's vertical term comes from
 //!   order statistics of the other pins' sorted rows in `O(1)` per net
@@ -24,7 +26,8 @@
 //! * [`NetLengthCache`] keeps the per-net length vector of a placement alive
 //!   across SimE iterations and re-evaluates only the nets with a pin whose
 //!   coordinates changed since the last refresh, found through the
-//!   placement's per-row mutation epochs.
+//!   placement's per-row mutation epochs. A net none of whose pins changed
+//!   row re-prices its trunk only.
 //!
 //! # Bitwise determinism
 //!
@@ -49,6 +52,13 @@
 //! * a net is re-evaluated iff one of its pins changed `(x, row)` since the
 //!   last refresh. A net's length is a pure function of its pins'
 //!   coordinates, so every skipped net keeps a bit-identical length,
+//! * a net's length is `trunk + vertical`, where the trunk (max x − min x)
+//!   reads the pins' x and the vertical term (HPWL row span or Steiner branch
+//!   sum) their rows only. A re-evaluated net is re-priced in full iff one of
+//!   its pins' rows differs from its snapshot; otherwise only its trunk is
+//!   recomputed and added to the vertical term cached at its last full
+//!   re-price (every net is re-priced in full on a full refresh). Both terms
+//!   are exact, so the sum equals the oracle's length bit for bit,
 //! * moved pins are found by walking only the rows whose
 //!   [`Placement::row_epoch`] advanced: a cell's coordinates only change
 //!   through a mutation of the row it ends up in, and each visited cell is
@@ -191,31 +201,40 @@ fn merged_median_row(hist: &[(u32, u32)], extra_row: u32, k: usize) -> u32 {
     extra_row
 }
 
-/// Inputs up to this length take [`kth_smallest`]'s rank count, quadratic
-/// but branch-free and short for a typical cell's few nets of few pins;
-/// longer ones its selection fallback.
+/// Inputs up to this length take [`rank_select`], quadratic but branch-free
+/// and short for a typical cell's few nets of few pins or a typical net's
+/// few pins; longer ones a selection or counting fallback.
 const RANK_COUNT_MAX: usize = 32;
+
+/// The `k`-th smallest (0-based) of `values` by a branch-free rank count:
+/// the element with `#less ≤ k < #less + #equal`. Equal values are
+/// interchangeable, so this is the value `values` sorted ascending holds at
+/// index `k`. Quadratic; meant for inputs up to [`RANK_COUNT_MAX`].
+fn rank_select<T: Copy + PartialOrd>(values: &[T], k: usize) -> T {
+    debug_assert!(k < values.len());
+    for &x in values {
+        let (mut less, mut equal) = (0usize, 0usize);
+        for &y in values {
+            less += usize::from(y < x);
+            equal += usize::from(y == x);
+        }
+        if less <= k && k < less + equal {
+            return x;
+        }
+    }
+    unreachable!("some element has rank k < len");
+}
 
 /// The `k`-th smallest (0-based) of `xs` — the value `xs` sorted ascending
 /// holds at index `k`. Pin x's are finite and never `-0.0`, so equal values
 /// share bits and any element of the right rank is the sorted one. Up to
-/// [`RANK_COUNT_MAX`] values a branch-free rank count finds the element with
-/// `#less ≤ k < #less + #equal`; longer inputs are copied into `scratch`
-/// and selected with `select_nth_unstable_by(f64::total_cmp)`.
+/// [`RANK_COUNT_MAX`] values [`rank_select`] finds it; longer inputs are
+/// copied into `scratch` and selected with
+/// `select_nth_unstable_by(f64::total_cmp)`.
 fn kth_smallest(xs: &[f64], k: usize, scratch: &mut Vec<f64>) -> f64 {
     debug_assert!(k < xs.len());
     if xs.len() <= RANK_COUNT_MAX {
-        for &x in xs {
-            let (mut less, mut equal) = (0usize, 0usize);
-            for &y in xs {
-                less += usize::from(y < x);
-                equal += usize::from(y == x);
-            }
-            if less <= k && k < less + equal {
-                return x;
-            }
-        }
-        unreachable!("some element has rank k < len");
+        return rank_select(xs, k);
     }
     scratch.clear();
     scratch.extend_from_slice(xs);
@@ -261,12 +280,11 @@ fn kth_smallest_row(rows: &[u32], k: usize, counts: &mut Vec<u32>) -> u32 {
 #[derive(Debug, Clone)]
 pub struct TrialScorer {
     model: WirelengthModel,
-    /// Pin x coordinates of the net being scored, in canonical pin order.
-    xs: Vec<f64>,
-    /// Pin row indices, parallel to `xs`.
+    /// Pin rows of the net being scored, in canonical pin order (its x
+    /// extent is folded during the same gather).
     rows: Vec<u32>,
-    /// Per-row pin counts used by the counting median; indexed by row,
-    /// grown on demand, cleared after every estimate.
+    /// Per-row pin counts of the counting median above [`RANK_COUNT_MAX`]
+    /// pins; all zero between calls (see [`kth_smallest_row`]).
     row_counts: Vec<u32>,
     /// Per-incident-net summaries of the currently prepared cell.
     prepared: Vec<NetSummary>,
@@ -288,7 +306,6 @@ impl TrialScorer {
     pub fn new(model: WirelengthModel) -> Self {
         TrialScorer {
             model,
-            xs: Vec::with_capacity(16),
             rows: Vec::with_capacity(16),
             row_counts: Vec::new(),
             prepared: Vec::new(),
@@ -316,17 +333,31 @@ impl TrialScorer {
         placement: &Placement,
         net: NetId,
     ) -> f64 {
+        self.net_length_parts(evaluator, placement, net).0
+    }
+
+    /// `(length, vertical)` of `net` under `placement`: the length of
+    /// [`TrialScorer::net_length`] and its vertical term, which depends only
+    /// on the pins' rows (see [`TrialScorer::estimate`]).
+    fn net_length_parts(
+        &mut self,
+        evaluator: &CostEvaluator,
+        placement: &Placement,
+        net: NetId,
+    ) -> (f64, f64) {
         let cells = evaluator.net_cells(net);
         if cells.len() < 2 {
-            return 0.0;
+            return (0.0, 0.0);
         }
-        self.xs.clear();
         self.rows.clear();
+        let (mut min_x, mut max_x) = (f64::INFINITY, f64::NEG_INFINITY);
         for &c in cells {
-            self.xs.push(placement.x_of(c));
+            let x = placement.x_of(c);
+            min_x = min_x.min(x);
+            max_x = max_x.max(x);
             self.rows.push(placement.row_of(c) as u32);
         }
-        self.estimate()
+        self.estimate(max_x - min_x)
     }
 
     /// Estimated length of `net` with the position of `cell` overridden to
@@ -346,18 +377,19 @@ impl TrialScorer {
             return 0.0;
         }
         let override_row = row_of_lattice_y(pos.1);
-        self.xs.clear();
         self.rows.clear();
+        let (mut min_x, mut max_x) = (f64::INFINITY, f64::NEG_INFINITY);
         for &c in cells {
-            if c == cell {
-                self.xs.push(pos.0);
-                self.rows.push(override_row);
+            let (x, row) = if c == cell {
+                (pos.0, override_row)
             } else {
-                self.xs.push(placement.x_of(c));
-                self.rows.push(placement.row_of(c) as u32);
-            }
+                (placement.x_of(c), placement.row_of(c) as u32)
+            };
+            min_x = min_x.min(x);
+            max_x = max_x.max(x);
+            self.rows.push(row);
         }
-        self.estimate()
+        self.estimate(max_x - min_x).0
     }
 
     /// Cost of the nets incident to `cell` if it sat at `pos`. Bitwise
@@ -424,61 +456,39 @@ impl TrialScorer {
         summaries_cost_at(&self.prepared, &self.hist, self.model, pos)
     }
 
-    /// Estimates the gathered pins (`xs`/`rows`) under the scorer's model.
-    fn estimate(&mut self) -> f64 {
-        let n = self.xs.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let (mut min_x, mut max_x) = (f64::INFINITY, f64::NEG_INFINITY);
-        for &x in &self.xs {
-            min_x = min_x.min(x);
-            max_x = max_x.max(x);
-        }
-        let (mut min_row, mut max_row) = (u32::MAX, 0u32);
-        for &r in &self.rows {
-            min_row = min_row.min(r);
-            max_row = max_row.max(r);
-        }
-        match self.model {
+    /// `(length, vertical)` of the gathered pins under the scorer's model,
+    /// given their horizontal extent `trunk` (max x − min x) and their rows in
+    /// `rows`. The vertical term is the half-perimeter row span or the
+    /// single-trunk-Steiner branch sum, both an integer row count times
+    /// [`ROW_HEIGHT`] and so exact (see [`steiner_vertical`]); the trunk is an
+    /// exact difference of half-integers, so `trunk + vertical` is the
+    /// oracle's length bit for bit. The Steiner trunk row is the `n / 2`-th
+    /// smallest row — the oracle's `sorted_ys[n / 2]` — found by a rank count
+    /// up to [`RANK_COUNT_MAX`] pins and by per-row counting above it.
+    fn estimate(&mut self, trunk: f64) -> (f64, f64) {
+        let rows = &self.rows;
+        debug_assert!(rows.len() >= 2);
+        let vertical_rows = match self.model {
             WirelengthModel::HalfPerimeter => {
-                let min_y = (min_row as f64 + 0.5) * ROW_HEIGHT;
-                let max_y = (max_row as f64 + 0.5) * ROW_HEIGHT;
-                (max_x - min_x) + (max_y - min_y)
+                let (mut lo, mut hi) = (u32::MAX, 0u32);
+                for &r in rows {
+                    lo = lo.min(r);
+                    hi = hi.max(r);
+                }
+                u64::from(hi - lo)
             }
             WirelengthModel::SingleTrunkSteiner => {
-                // Counting median over the discrete rows: the sort-based
-                // oracle picks sorted_ys[n / 2], i.e. the (n/2)-th smallest
-                // (0-based); the first row whose cumulative count exceeds
-                // n / 2 holds exactly that element.
-                if max_row as usize >= self.row_counts.len() {
-                    self.row_counts.resize(max_row as usize + 1, 0);
-                }
-                for &r in &self.rows {
-                    self.row_counts[r as usize] += 1;
-                }
-                let k = n / 2;
-                let mut acc = 0usize;
-                let mut median_row = max_row;
-                for r in min_row..=max_row {
-                    acc += self.row_counts[r as usize] as usize;
-                    if acc > k {
-                        median_row = r;
-                        break;
-                    }
-                }
-                for r in min_row..=max_row {
-                    self.row_counts[r as usize] = 0;
-                }
-                let trunk_y = (median_row as f64 + 0.5) * ROW_HEIGHT;
-                let trunk = max_x - min_x;
-                let mut branches = 0.0f64;
-                for &r in &self.rows {
-                    branches += ((r as f64 + 0.5) * ROW_HEIGHT - trunk_y).abs();
-                }
-                trunk + branches
+                let k = rows.len() / 2;
+                let median = if rows.len() <= RANK_COUNT_MAX {
+                    rank_select(rows, k)
+                } else {
+                    kth_smallest_row(rows, k, &mut self.row_counts)
+                };
+                rows.iter().map(|&r| u64::from(r.abs_diff(median))).sum()
             }
-        }
+        };
+        let vertical = vertical_rows as f64 * ROW_HEIGHT;
+        (trunk + vertical, vertical)
     }
 }
 
@@ -991,11 +1001,18 @@ impl<'a> PreparedSummaries<'a> {
 /// [`NetLengthCache::refresh`] returns the same vector
 /// [`CostEvaluator::net_lengths`] would, but after the first (full) refresh
 /// of a placement object it re-evaluates only the nets with a pin whose
-/// coordinates changed. See the module docs for the exact invalidation
-/// invariants.
+/// coordinates changed. A net's length is `trunk + vertical`: the trunk is
+/// its pins' horizontal extent, the vertical term (HPWL row span or Steiner
+/// branch sum) depends on their rows alone. The cache keeps each net's
+/// vertical term from its last full re-price, so a net whose moved pins all
+/// stayed in their rows — the neighbours a swap or relocate slides along a
+/// row — is re-priced by recomputing its trunk only. See the module docs for
+/// the exact invalidation invariants.
 #[derive(Debug, Clone, Default)]
 pub struct NetLengthCache {
     lengths: Vec<f64>,
+    /// Per-net vertical term of the last full re-price of the net.
+    vertical: Vec<f64>,
     /// `uid` of the placement the cache is synchronised with (0 = none).
     placement_uid: u64,
     /// Per-row epochs at the last refresh.
@@ -1005,12 +1022,16 @@ pub struct NetLengthCache {
     /// Per-net visit stamp of the current delta pass (avoids re-evaluating a
     /// net with several moved pins).
     net_stamp: Vec<u32>,
+    /// Per-net stamp of the last delta pass in which a pin of the net
+    /// changed row: equal to `stamp` iff the net needs a full re-price.
+    net_row_stamp: Vec<u32>,
     stamp: u32,
     /// Reusable dirty-net list for the monolithic [`NetLengthCache::refresh`].
     dirty_scratch: Vec<NetId>,
     full_refreshes: u64,
     delta_refreshes: u64,
     nets_recomputed: u64,
+    nets_trunk_only: u64,
 }
 
 impl NetLengthCache {
@@ -1040,9 +1061,16 @@ impl NetLengthCache {
         self.delta_refreshes
     }
 
-    /// Number of individual net re-evaluations performed by delta refreshes.
+    /// Number of individual net re-evaluations performed by delta refreshes,
+    /// full and trunk-only alike.
     pub fn nets_recomputed(&self) -> u64 {
         self.nets_recomputed
+    }
+
+    /// How many of [`NetLengthCache::nets_recomputed`] recomputed only the
+    /// trunk, because none of the net's pins changed row.
+    pub fn nets_trunk_only(&self) -> u64 {
+        self.nets_trunk_only
     }
 
     /// Brings the cache in sync with `placement` and returns the per-net
@@ -1054,10 +1082,17 @@ impl NetLengthCache {
         placement: &Placement,
     ) -> &[f64] {
         let mut dirty = std::mem::take(&mut self.dirty_scratch);
-        self.plan_refresh(evaluator, placement, &mut dirty);
+        let full = self.plan_refresh(evaluator, placement, &mut dirty);
         for &net in &dirty {
-            let length = scorer.net_length(evaluator, placement, net);
-            self.lengths[net.index()] = length;
+            let i = net.index();
+            if full || self.net_row_stamp[i] == self.stamp {
+                let (length, vertical) = scorer.net_length_parts(evaluator, placement, net);
+                self.lengths[i] = length;
+                self.vertical[i] = vertical;
+            } else {
+                self.lengths[i] = net_trunk(evaluator, placement, net) + self.vertical[i];
+                self.nets_trunk_only += 1;
+            }
         }
         self.dirty_scratch = dirty;
         &self.lengths
@@ -1067,13 +1102,15 @@ impl NetLengthCache {
     /// epochs, cell snapshots, net stamps, placement uid and work counters,
     /// and fills `dirty` with the nets whose lengths must be recomputed —
     /// every net on a full refresh, only the nets with a pin whose
-    /// coordinates changed on a delta refresh. Each net appears at most once.
+    /// coordinates changed on a delta refresh, each net at most once. A
+    /// delta pass stamps `net_row_stamp` of every net with a pin that changed
+    /// row. Returns whether the refresh is a full one.
     fn plan_refresh(
         &mut self,
         evaluator: &CostEvaluator,
         placement: &Placement,
         dirty: &mut Vec<NetId>,
-    ) {
+    ) -> bool {
         dirty.clear();
         let netlist = evaluator.netlist();
         let num_nets = netlist.num_nets();
@@ -1084,6 +1121,8 @@ impl NetLengthCache {
         if full {
             self.lengths.clear();
             self.lengths.resize(num_nets, 0.0);
+            self.vertical.clear();
+            self.vertical.resize(num_nets, 0.0);
             dirty.extend(netlist.net_ids());
             self.row_epoch_seen.clear();
             self.row_epoch_seen
@@ -1091,15 +1130,14 @@ impl NetLengthCache {
             self.cell_seen.clear();
             self.cell_seen
                 .extend(netlist.cell_ids().map(|c| pin_coords(placement, c)));
-            self.net_stamp.clear();
-            self.net_stamp.resize(num_nets, 0);
+            self.reset_stamps(num_nets);
             self.stamp = 0;
             self.placement_uid = placement.uid();
             self.full_refreshes += 1;
         } else {
             self.stamp = self.stamp.wrapping_add(1);
             if self.stamp == 0 {
-                self.net_stamp.iter_mut().for_each(|s| *s = 0);
+                self.reset_stamps(num_nets);
                 self.stamp = 1;
             }
             for r in 0..num_rows {
@@ -1114,12 +1152,16 @@ impl NetLengthCache {
                     if *seen == coords {
                         continue;
                     }
+                    let row_changed = seen.1 != coords.1;
                     *seen = coords;
                     for &net in netlist.nets_of_cell(c) {
                         let i = net.index();
                         if self.net_stamp[i] != self.stamp {
                             self.net_stamp[i] = self.stamp;
                             dirty.push(net);
+                        }
+                        if row_changed {
+                            self.net_row_stamp[i] = self.stamp;
                         }
                     }
                 }
@@ -1129,7 +1171,32 @@ impl NetLengthCache {
             }
             self.nets_recomputed += dirty.len() as u64;
         }
+        full
     }
+
+    /// Zeroes both per-net stamp vectors, sized to `num_nets`.
+    fn reset_stamps(&mut self, num_nets: usize) {
+        for stamps in [&mut self.net_stamp, &mut self.net_row_stamp] {
+            stamps.clear();
+            stamps.resize(num_nets, 0);
+        }
+    }
+}
+
+/// Horizontal extent (max x − min x) of `net`'s pins, the trunk half of its
+/// length; zero for a net of fewer than two pins, like the length itself.
+fn net_trunk(evaluator: &CostEvaluator, placement: &Placement, net: NetId) -> f64 {
+    let cells = evaluator.net_cells(net);
+    if cells.len() < 2 {
+        return 0.0;
+    }
+    let (mut min_x, mut max_x) = (f64::INFINITY, f64::NEG_INFINITY);
+    for &c in cells {
+        let x = placement.x_of(c);
+        min_x = min_x.min(x);
+        max_x = max_x.max(x);
+    }
+    max_x - min_x
 }
 
 /// The coordinates a net length reads from `cell`, in the exact form the
@@ -1416,22 +1483,55 @@ mod tests {
                     }
                 }
                 let new = coordinate_snapshot(&placement);
-                let moved = nl
-                    .net_ids()
-                    .filter(|&net| {
-                        eval.net_cells(net)
-                            .iter()
-                            .any(|c| old[c.index()] != new[c.index()])
-                    })
-                    .count() as u64;
-                let before = cache.nets_recomputed();
+                let count = |changed: &dyn Fn(usize) -> bool| {
+                    nl.net_ids()
+                        .filter(|&net| eval.net_cells(net).iter().any(|c| changed(c.index())))
+                        .count() as u64
+                };
+                let moved = count(&|i| old[i] != new[i]);
+                let rerouted = count(&|i| old[i].1 != new[i].1);
+                let before = (cache.nets_recomputed(), cache.nets_trunk_only());
                 let cached = cache.refresh(&eval, &mut scorer, &placement).to_vec();
-                assert_eq!(cache.nets_recomputed() - before, moved, "round {round}");
+                assert_eq!(cache.nets_recomputed() - before.0, moved, "round {round}");
+                assert_eq!(
+                    cache.nets_trunk_only() - before.1,
+                    moved - rerouted,
+                    "round {round}: trunk-only iff no pin changed row"
+                );
                 for (n, (a, b)) in cached.iter().zip(&eval.net_lengths(&placement)).enumerate() {
                     assert_eq!(a.to_bits(), b.to_bits(), "round {round} net {n}");
                 }
             }
             assert_eq!(cache.full_refreshes(), 1);
+        }
+    }
+
+    #[test]
+    fn stamp_wrap_around_keeps_the_next_delta_refresh_exact() {
+        let (eval, mut placement) = setup(WirelengthModel::SingleTrunkSteiner);
+        let mut scorer = TrialScorer::for_evaluator(&eval);
+        let mut cache = NetLengthCache::new();
+        cache.refresh(&eval, &mut scorer, &placement);
+        // Markers left by earlier passes: every net looks visited and
+        // re-routed at stamp 1, and the next pass wraps the stamp round.
+        cache.net_stamp.fill(1);
+        cache.net_row_stamp.fill(1);
+        cache.stamp = u32::MAX;
+        // A swap inside one row moves pins along the row only, so every
+        // net it dirties is a trunk-only re-price — unless a stale
+        // "re-routed" marker survived the wrap.
+        let row = placement.row(0);
+        let (a, b) = (row[0], row[row.len() - 1]);
+        placement.swap_cells(a, b);
+        let cached = cache.refresh(&eval, &mut scorer, &placement).to_vec();
+        assert_eq!(cache.stamp, 1);
+        assert!(
+            cache.nets_recomputed() > 0,
+            "stale visit stamps hid dirty nets"
+        );
+        assert_eq!(cache.nets_trunk_only(), cache.nets_recomputed());
+        for (n, (a, b)) in cached.iter().zip(&eval.net_lengths(&placement)).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "net {n}");
         }
     }
 

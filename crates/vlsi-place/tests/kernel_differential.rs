@@ -211,6 +211,35 @@ proptest! {
         }
     }
 
+    /// The trunk-only re-price of nets whose pins only slid along their rows
+    /// stays bit-identical to the oracle through the SA/TS move mix — swaps
+    /// inside a row and across rows, moves inside a row, and a relocate
+    /// undone before the next refresh — on generated circuits under both
+    /// wirelength models, and both the trunk-only and the full path fire.
+    #[test]
+    fn trunk_only_refresh_is_bit_identical_through_row_slides(
+        (netlist, seed) in arb_netlist(),
+        rows in 3usize..9,
+        steps in 8usize..32,
+    ) {
+        for model in MODELS {
+            let eval = evaluator(&netlist, model, Objectives::WirelengthPowerDelay);
+            drive_row_slides(&eval, rows, seed ^ 0x51DE, steps);
+        }
+    }
+
+    /// The same on mixed-size mix600, whose blocked spans re-pack the row
+    /// suffix behind a moved cell around fixed macros.
+    #[test]
+    fn trunk_only_refresh_is_bit_identical_on_blocked_rows(seed in any::<u64>()) {
+        use vlsi_netlist::bench_suite::{mixed_circuit, MixedCircuit};
+        let netlist = Arc::new(mixed_circuit(MixedCircuit::Mix600));
+        for model in MODELS {
+            let eval = evaluator(&netlist, model, Objectives::WirelengthPowerDelay);
+            drive_row_slides(&eval, MixedCircuit::Mix600.num_rows(), seed, 24);
+        }
+    }
+
     /// Scorer-computed single net lengths equal the oracle's for every net of
     /// a random placement (the cache's building block, checked directly).
     #[test]
@@ -296,4 +325,65 @@ fn hoisted_vertical_term_matches_the_histogram_walk_on_every_row() {
             "{circuit}: 2-pin {two_pin}, one-row {one_row}, even {even}, odd {odd}"
         );
     }
+}
+
+/// Applies `steps` SA/TS-style mutations to a random placement, cycling
+/// through a swap inside one row, a swap across rows, a move inside a row
+/// and a relocate followed by its undo, and refreshes a [`NetLengthCache`]
+/// after each; every refresh must equal `eval.net_lengths` to the bit.
+/// Asserts that both the trunk-only and the full re-price fired.
+fn drive_row_slides(eval: &CostEvaluator, rows: usize, seed: u64, steps: usize) {
+    let netlist = eval.netlist();
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut placement = Placement::random(netlist, rows, &mut rng);
+    let movable: Vec<CellId> = netlist
+        .cell_ids()
+        .filter(|&c| !placement.is_fixed(c))
+        .collect();
+    let mut scorer = TrialScorer::for_evaluator(eval);
+    let mut cache = NetLengthCache::new();
+    cache.refresh(eval, &mut scorer, &placement);
+    for step in 0..steps {
+        let a = movable[rng.gen_range(0..movable.len())];
+        let row = placement.row_of(a);
+        // A movable cell other than `a`, inside `a`'s row or outside it.
+        let mut mate = |same_row: bool, placement: &Placement| {
+            let mates: Vec<CellId> = movable
+                .iter()
+                .copied()
+                .filter(|&c| c != a && (placement.row_of(c) == row) == same_row)
+                .collect();
+            (!mates.is_empty()).then(|| mates[rng.gen_range(0..mates.len())])
+        };
+        match step % 4 {
+            0 | 1 => {
+                if let Some(b) = mate(step % 4 == 0, &placement) {
+                    placement.swap_cells(a, b);
+                }
+            }
+            2 => {
+                let index = rng.gen_range(0..placement.row(row).len());
+                placement.move_cell(a, Slot { row, index });
+            }
+            _ => {
+                let home = placement.slot_of(a);
+                let to = rng.gen_range(0..rows);
+                let index = rng.gen_range(0..placement.slots_in_row(to));
+                placement.move_cell(a, Slot { row: to, index });
+                placement.move_cell(a, home);
+            }
+        }
+        let cached = cache.refresh(eval, &mut scorer, &placement);
+        let oracle = eval.net_lengths(&placement);
+        for (n, (x, y)) in cached.iter().zip(&oracle).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "step {step} net {n}");
+        }
+    }
+    assert_eq!(cache.full_refreshes(), 1);
+    let trunk_only = cache.nets_trunk_only();
+    let full = cache.nets_recomputed() - trunk_only;
+    assert!(
+        trunk_only > 0 && full > 0,
+        "trunk-only {trunk_only}, full {full}"
+    );
 }
