@@ -19,8 +19,8 @@
 //!     goodness pass cost relative to a naive full evaluation on the same
 //!     host (lower is better).
 //!
-//! * **`--pr7` mode**: gates a fresh `BENCH_PR7.json` (the bound-pruned
-//!   allocation snapshot) — the pruned serial windowed iteration must be
+//! * **`--pr7` mode**: gates a fresh `BENCH_PR7.json` (the searched
+//!   allocation snapshot) — the searched serial windowed iteration must be
 //!   ≥ 1.3× faster than the legacy exhaustive arm of the same in-process
 //!   A/B, and the two arms must have agreed bit for bit. Both arms run
 //!   serially on the same host, so the ratio is machine-relative and there
@@ -71,7 +71,7 @@ const GUARDED: [(&str, Direction); 3] = [
     ),
 ];
 
-/// The `--pr7` floor: the bound-pruned serial windowed iteration versus the
+/// The `--pr7` floor: the searched serial windowed iteration versus the
 /// legacy exhaustive arm of the same in-process A/B. Machine-relative, so it
 /// applies on every core count — there is no low-core skip.
 const PR7_SERIAL_FLOOR: f64 = 1.3;
@@ -153,7 +153,7 @@ fn evaluate_baseline_gate(baseline: &Json, fresh: &Json, tolerance: f64) -> Gate
     outcome
 }
 
-/// Evaluates the `--pr7` bound-pruned allocation gate on a fresh
+/// Evaluates the `--pr7` searched-allocation gate on a fresh
 /// `BENCH_PR7.json`.
 ///
 /// Both arms of the A/B it gates ran serially in the same process, so the
@@ -252,7 +252,7 @@ fn main() {
         let fresh_path = arg("--fresh").unwrap_or_else(|| "BENCH_PR7.json".into());
         let fresh = load(&fresh_path);
         println!(
-            "perf guard (pr7): {fresh_path} vs the bound-pruned allocation floor \
+            "perf guard (pr7): {fresh_path} vs the searched allocation floor \
              (serial windowed >= {PR7_SERIAL_FLOOR}x over the legacy exhaustive arm; \
              machine-relative, no low-core skip)"
         );

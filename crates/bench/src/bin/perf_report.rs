@@ -17,9 +17,9 @@
 //!   over 1, the host's available parallelism (the speedup ceiling — on a
 //!   single-core host the honest number is ~1×), and a cross-check that
 //!   every backend/worker-count produced bitwise-identical results.
-//! * `BENCH_PR7.json` — the bound-pruned allocation snapshot: the serial
-//!   windowed iteration on `s15850`, the default engine (bound-pruned
-//!   trial scoring) versus the legacy full-scan configuration, A/B'd in the
+//! * `BENCH_PR7.json` — the searched allocation snapshot: the serial
+//!   windowed iteration on `s15850`, the default engine (monotone-branch
+//!   trial search) versus the legacy full-scan configuration, A/B'd in the
 //!   same process from identical seeded starts. Both arms are serial, so
 //!   the headline `windowed_serial_speedup_vs_legacy` is machine-relative
 //!   and `perf_guard --pr7` gates it at ≥ 1.3× on **every** runner,
@@ -206,13 +206,13 @@ fn parallel_scaling_report(iters: usize) -> String {
     )
 }
 
-/// Runs the bound-pruned allocation A/B and assembles the `BENCH_PR7` JSON.
+/// Runs the searched-allocation A/B and assembles the `BENCH_PR7` JSON.
 ///
 /// Two serial arms from identical seeded starts on the extended-tier
 /// `s15850` circuit, windowed allocation:
 ///
-/// * `pruned` — the default engine: bound-pruned trial scoring with
-///   row-hoisted exact rescoring;
+/// * `pruned` — the default engine: the monotone-branch trial search with
+///   row-hoisted exact scores;
 /// * `legacy_exhaustive` — `bound_pruning` off: every candidate scored in
 ///   full.
 ///
@@ -236,7 +236,7 @@ fn bound_pruned_report(print_phases: bool) -> String {
     let optimized = SimEConfig::paper_defaults(Objectives::WirelengthPower, circuit.num_rows(), 1);
     assert!(
         optimized.allocation.bound_pruning,
-        "bound pruning must be the default"
+        "the searched scan must be the default"
     );
     let legacy = {
         let mut config = optimized;

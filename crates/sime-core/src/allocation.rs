@@ -22,7 +22,7 @@
 //! Allocation treats the layout-width constraint as hard: a cell is only
 //! offered rows whose movable width stays within `(1 + α) · w_avg` once the
 //! cell is added. The rows are filtered before candidates are enumerated, so
-//! the bound-pruned scan stays bitwise equal to the unpruned one.
+//! the monotone-branch search stays bitwise equal to the exhaustive scan.
 
 use serde::{Deserialize, Serialize};
 use vlsi_netlist::CellId;
@@ -60,9 +60,11 @@ pub struct AllocScratch {
     ys: Vec<f64>,
     /// Allowed rows nearest the optimal y, nearest first (windowed search).
     rows_by_distance: Vec<usize>,
-    /// Per-row counts of the summary-derived y median of the pruned windowed
+    /// Per-row counts of the summary-derived y median of the windowed
     /// search (all zero between calls).
     row_counts: Vec<u32>,
+    /// Per-net vertical terms of the row run being scanned.
+    vertical: Vec<f64>,
 }
 
 impl AllocScratch {
@@ -76,6 +78,7 @@ impl AllocScratch {
             ys: Vec::new(),
             rows_by_distance: Vec::new(),
             row_counts: Vec::new(),
+            vertical: Vec::new(),
         }
     }
 
@@ -99,14 +102,15 @@ impl AllocScratch {
 /// Configuration of the allocation operator.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AllocationConfig {
-    /// Enable the bound-pruned trial scan (and the summary-derived windowed
-    /// candidate search it feeds): candidates whose score lower bound
-    /// (exact per-net length bounds folded in the score's own accumulation
-    /// order) already exceeds the best score seen are skipped without being
-    /// scored. The strict-inequality rule keeps the argmin and its
+    /// Enable the monotone-branch trial search (and the summary-derived
+    /// windowed candidate search it feeds): along each row run it scores
+    /// only the candidates that can hold the argmin, using that the score is
+    /// non-increasing up to the smallest other-pin `max_x` and
+    /// non-decreasing from the largest other-pin `min_x`. The argmin and its
     /// first-index tie-break — and therefore every placement, trajectory and
-    /// work count — bitwise identical to the exhaustive scan; `false` forces
-    /// the legacy full scan (A/B baseline and differential tests).
+    /// work count — stay bitwise identical to the exhaustive scan; `false`
+    /// forces the exhaustive scan through the reference scorer (A/B
+    /// baseline and oracle of the differential tests).
     pub bound_pruning: bool,
 }
 
@@ -218,10 +222,9 @@ fn allocate_cell_inner(
     let nets_of_cell = evaluator.netlist().nets_of_cell(cell).len();
 
     // One pass over the cell's pins up front; every candidate slot below is
-    // then scored from the per-net summaries in O(distinct rows). The pass
-    // runs before candidate enumeration because the pruned windowed search
-    // derives its optimal position from the same summaries instead of
-    // re-walking the CSR.
+    // then scored from the per-net summaries. The pass runs before candidate
+    // enumeration because the windowed search derives its optimal position
+    // from the same summaries instead of re-walking the CSR.
     scratch.scorer.prepare_cell(evaluator, placement, cell);
 
     // Enumerate the candidate window in the allowed rows the cell fits in.
@@ -235,13 +238,14 @@ fn allocate_cell_inner(
         &scratch.scorer,
         &scratch.candidates,
         config.bound_pruning,
+        &mut scratch.vertical,
     );
     // Every enumerated row contributes at least one candidate.
     let slot = scratch.candidates[if index == usize::MAX { 0 } else { index }];
     // The nominal work counts charge the full candidate list whether or not
-    // the bound pruned individual scores: they feed the modeled cluster time
-    // and the cross-config stats-equality tests, and the *algorithmic* work
-    // of the operator is unchanged.
+    // the search skipped individual scores: they feed the modeled cluster
+    // time and the cross-config stats-equality tests, and the *algorithmic*
+    // work of the operator is unchanged.
     let stats = AllocationStats {
         cells_allocated: 1,
         trial_positions: scratch.candidates.len(),
@@ -254,30 +258,24 @@ fn allocate_cell_inner(
 /// Scans `candidates` with the strictly-less argmin and returns the index of
 /// the best one (`usize::MAX` when nothing was scored).
 ///
-/// With `prune` set, the scan walks the list as contiguous same-row runs:
+/// With `prune` set, the scan walks the list as contiguous same-row runs,
+/// which ascend in x, and scores each candidate through per-net vertical
+/// constants prepared once per run (`PreparedSummaries::prepare_row`),
+/// bit-identical to the full score. Along a run the score is non-increasing
+/// for `x ≤ a` and non-decreasing for `x ≥ b`, component-wise, where
+/// `(a, b) = monotone_branches()` (see DESIGN.md §3a). So each run:
 ///
-/// * **run floor**: `allocation_score(bound_floor(row)) > best` skips the
-///   whole run without scoring it (every candidate in the run costs at least
-///   the floor, component-wise — the lower bound of the §3a invariant);
-/// * **row-hoisted scoring**: surviving runs score each candidate through
-///   per-net vertical constants prepared once per run
-///   (`PreparedSummaries::prepare_row`), bit-identical to the full score at
-///   a fraction of its cost — within a run the candidate x only moves the
-///   exact horizontal trunk, so the per-candidate "bound" is *tight* and
-///   pruning degenerates to the strict argmin comparison itself;
-/// * **monotone tail exit** (candidates ascend by x within a run): once a
-///   candidate sits at `x ≥ max_other_x()`, every net's trunk is on its
-///   increasing branch, so all later candidates of the run score `≥` the
-///   current one (component-wise through the fold) and can never
-///   *strictly* beat the running best — the rest of the run is skipped.
+/// * scores only the last candidate with `x ≤ a`. When it strictly beats
+///   the incumbent, every candidate of that prefix scoring the same is a
+///   contiguous block ending there, and a binary search finds its first
+///   index — the pick of a linear first-wins scan;
+/// * walks the candidates with `a < x < b`;
+/// * stops after the first candidate with `x ≥ b`: no later one can
+///   strictly beat it.
 ///
-/// Every skip rule respects the strict-less argmin: a skipped candidate's
-/// true score can tie but never win, so the argmin index (first-wins) — and
-/// with it every placement and trajectory — is bitwise identical to the
-/// exhaustive scan. Under `debug_assertions` the hoisted score is
-/// cross-checked bit-for-bit against the full score and every skipped
-/// candidate is fully scored and checked against the value it was skipped
-/// for (the always-on oracle of the differential tests).
+/// The argmin index, and with it every placement and trajectory, is bitwise
+/// identical to the exhaustive scan; under `debug_assertions` every scan
+/// re-runs the exhaustive one through the reference scorer and asserts so.
 fn scan_candidates(
     evaluator: &CostEvaluator,
     placement: &Placement,
@@ -285,80 +283,71 @@ fn scan_candidates(
     scorer: &TrialScorer,
     candidates: &[Slot],
     prune: bool,
+    vertical: &mut Vec<f64>,
 ) -> usize {
-    let score_at =
-        |pos: (f64, f64)| -> f64 { evaluator.allocation_score(&scorer.prepared_cost_at(pos)) };
-    let mut best_score = f64::INFINITY;
-    let mut best_index = usize::MAX;
-    if !prune {
+    let exhaustive = || {
+        let mut best_score = f64::INFINITY;
+        let mut best_index = usize::MAX;
         for (i, &candidate) in candidates.iter().enumerate() {
-            let score = score_at(placement.trial_position(cell, candidate));
+            let pos = placement.trial_position(cell, candidate);
+            let score = evaluator.allocation_score(&scorer.prepared_cost_at(pos));
             if score < best_score {
                 best_score = score;
                 best_index = i;
             }
         }
-        return best_index;
+        best_index
+    };
+    if !prune {
+        return exhaustive();
     }
 
     let view = scorer.prepared_summaries();
-    // Debug oracle: a pruned candidate must score at least its bound and
-    // must not beat the best score it was pruned against.
-    #[cfg(debug_assertions)]
-    let check_pruned = |i: usize, bound: f64, best: f64| {
-        let pos = placement.trial_position(cell, candidates[i]);
-        let score = score_at(pos);
-        debug_assert!(
-            score >= bound && score >= best,
-            "pruned candidate {i} scores {score} below its bound {bound} (best {best})"
-        );
-    };
-    let max_other_x = view.max_other_x();
-    let mut vertical: Vec<f64> = Vec::new();
-    let mut i = 0;
-    while i < candidates.len() {
-        let row = candidates[i].row;
-        let mut run_end = i + 1;
-        while run_end < candidates.len() && candidates[run_end].row == row {
-            run_end += 1;
-        }
-        let floor = evaluator.allocation_score(&view.bound_floor(row as u32));
-        if floor > best_score {
-            #[cfg(debug_assertions)]
-            for j in i..run_end {
-                check_pruned(j, floor, best_score);
-            }
-            i = run_end;
-            continue;
-        }
-        view.prepare_row(row as u32, &mut vertical);
-        for (j, &candidate) in candidates.iter().enumerate().take(run_end).skip(i) {
-            let pos = placement.trial_position(cell, candidate);
-            let score = evaluator.allocation_score(&view.cost_at_in_row(pos.0, &vertical));
-            #[cfg(debug_assertions)]
-            debug_assert_eq!(
-                score.to_bits(),
-                score_at(pos).to_bits(),
-                "row-hoisted score diverged from the full score"
-            );
+    let (a, b) = view.monotone_branches();
+    let x_of = |slot: Slot| placement.trial_position(cell, slot).0;
+    let mut best_score = f64::INFINITY;
+    let mut best_index = usize::MAX;
+    let mut start = 0;
+    while start < candidates.len() {
+        let row = candidates[start].row;
+        let run = &candidates[start..];
+        let run = &run[..run.iter().position(|c| c.row != row).unwrap_or(run.len())];
+        view.prepare_row(row as u32, vertical);
+        let score_at = |x: f64| evaluator.allocation_score(&view.cost_at_in_row(x, vertical));
+        // The run's non-increasing prefix: the candidates with x ≤ a.
+        let prefix = run.partition_point(|&slot| x_of(slot) <= a);
+        let mut walk_from = prefix;
+        if prefix > 0 {
+            let x = x_of(run[prefix - 1]);
+            let score = score_at(x);
             if score < best_score {
                 best_score = score;
-                best_index = j;
+                best_index =
+                    start + run[..prefix - 1].partition_point(|&slot| score_at(x_of(slot)) > score);
             }
-            if pos.0 >= max_other_x {
-                // Monotone tail: every remaining candidate of the run sits
-                // at x' ≥ x ≥ max_other_x, where the exact score is
-                // non-decreasing in x — none can strictly beat `best_score`
-                // (which now reflects this candidate).
-                #[cfg(debug_assertions)]
-                for k in j + 1..run_end {
-                    check_pruned(k, score, best_score);
-                }
+            if x >= b {
+                // The prefix already reached the non-decreasing suffix.
+                walk_from = run.len();
+            }
+        }
+        for (i, &slot) in run.iter().enumerate().skip(walk_from) {
+            let x = x_of(slot);
+            let score = score_at(x);
+            if score < best_score {
+                best_score = score;
+                best_index = start + i;
+            }
+            if x >= b {
                 break;
             }
         }
-        i = run_end;
+        start += run.len();
     }
+    debug_assert_eq!(
+        best_index,
+        exhaustive(),
+        "monotone-branch search diverged from the exhaustive scan"
+    );
     best_index
 }
 
@@ -398,6 +387,7 @@ fn windowed_candidates(
         ys,
         rows_by_distance,
         row_counts,
+        ..
     } = scratch;
     candidates.clear();
 
@@ -857,14 +847,14 @@ mod tests {
         }
     }
 
-    /// A generated circuit with fixed pads and multi-row macros (blocked
-    /// spans in several rows).
-    fn blocked_span_netlist(name: &str) -> Arc<vlsi_netlist::Netlist> {
+    /// A generated circuit with fixed pads and `num_macros` macros three rows
+    /// high (blocked spans in several rows).
+    fn blocked_span_netlist(name: &str, num_macros: usize) -> Arc<vlsi_netlist::Netlist> {
         use vlsi_netlist::generator::MixedSizeSpec;
         let nl = Arc::new(
             CircuitGenerator::new(GeneratorConfig::sized(name, 220, 23).with_mixed(
                 MixedSizeSpec {
-                    num_macros: 3,
+                    num_macros,
                     macro_height: 3,
                     pad_ring: true,
                 },
@@ -877,11 +867,10 @@ mod tests {
 
     #[test]
     fn bound_pruning_is_bitwise_identical_to_full_scan() {
-        // The §3a pruning invariant, end to end: the pruned scan must
+        // The §3a search invariant, end to end: the searched scan must
         // produce the same placement and the same nominal work counts as the
-        // legacy full scan. (In debug builds the scan additionally
-        // oracle-checks every pruned candidate's true score against its
-        // bound.)
+        // legacy full scan. (In debug builds the scan additionally re-runs
+        // the exhaustive scan and asserts the same argmin.)
         let nl = Arc::new(
             CircuitGenerator::new(GeneratorConfig::sized("alloc_prune_test", 260, 31)).generate(),
         );
@@ -926,11 +915,11 @@ mod tests {
     #[test]
     fn blocked_span_allocation_matches_exhaustive_oracle() {
         // Mixed-size differential: on a circuit with fixed pads and
-        // multi-row macros (blocked spans in several rows) the bound-pruned
+        // multi-row macros (blocked spans in several rows) the searched
         // windowed scan must pick the same slots, produce the same nominal
         // work counts and leave the same placement as the exhaustive
         // full-scan oracle — and neither may ever move a fixed cell.
-        let nl = blocked_span_netlist("alloc_blocked_test");
+        let nl = blocked_span_netlist("alloc_blocked_test", 3);
         for objectives in [
             Objectives::WirelengthPower,
             Objectives::WirelengthPowerDelay,
@@ -987,19 +976,23 @@ mod tests {
 
     #[test]
     fn pruned_scan_matches_full_scan_over_every_slot() {
-        // Long runs for the pruned scan: the windowed operator hands
-        // `scan_candidates` runs of at most a few dozen slots, so here each
-        // prepared cell is scanned over every slot of every row, where the
-        // run-floor skip and the monotone-tail exit fire on long runs. The
-        // pruned argmin must equal the unpruned one. Runs on a generated
-        // circuit and on a mixed-size one with blocked spans.
+        // Long runs for the monotone-branch search: the windowed operator
+        // hands `scan_candidates` runs of at most a few dozen slots, so here
+        // each prepared cell is scanned over every slot of every row. The
+        // searched argmin must equal the exhaustive one, on a generated
+        // circuit and on a mixed-size one whose blocked spans give
+        // consecutive slots the same x. All three branches must fire: a
+        // binary-searched prefix (x ≤ a) of several candidates, walked
+        // candidates (a < x < b) and candidates skipped after the first
+        // x ≥ b — and a shared x must fall inside a searched prefix.
         let plain = Arc::new(
             CircuitGenerator::new(GeneratorConfig::sized("alloc_long_runs", 180, 37)).generate(),
         );
         let circuits = [
             (plain, 7),
-            (blocked_span_netlist("alloc_long_runs_mixed"), 9),
+            (blocked_span_netlist("alloc_long_runs_mixed", 6), 9),
         ];
+        let (mut searched, mut walked, mut skipped, mut shared_x) = (0, 0, 0, 0);
         for (nl, num_rows) in circuits {
             for objectives in [
                 Objectives::WirelengthPower,
@@ -1008,7 +1001,7 @@ mod tests {
                 let eval = CostEvaluator::new(Arc::clone(&nl), objectives);
                 let mut scratch = AllocScratch::for_evaluator(&eval);
                 let mut placement = Placement::round_robin(&nl, num_rows);
-                let mut candidates = Vec::new();
+                let (mut candidates, mut vertical) = (Vec::new(), Vec::new());
                 for cell in nl.cell_ids().filter(|&c| !nl.cell(c).fixed).step_by(3) {
                     let slot = placement.slot_of(cell);
                     placement.remove_cell(cell);
@@ -1019,7 +1012,7 @@ mod tests {
                             (0..placement.slots_in_row(row)).map(|index| Slot { row, index }),
                         );
                     }
-                    let scan = |prune: bool| {
+                    let mut scan = |prune: bool| {
                         scan_candidates(
                             &eval,
                             &placement,
@@ -1027,6 +1020,7 @@ mod tests {
                             &scratch.scorer,
                             &candidates,
                             prune,
+                            &mut vertical,
                         )
                     };
                     let full = scan(false);
@@ -1037,11 +1031,29 @@ mod tests {
                         "{}/{objectives:?}: cell {cell}",
                         nl.name()
                     );
+                    let (a, b) = scratch.scorer.prepared_summaries().monotone_branches();
+                    for row in 0..num_rows {
+                        let xs: Vec<f64> = (0..placement.slots_in_row(row))
+                            .map(|index| placement.trial_position(cell, Slot { row, index }).0)
+                            .collect();
+                        let prefix = xs.iter().filter(|&&x| x <= a).count();
+                        searched += usize::from(prefix >= 2);
+                        walked += xs.iter().filter(|&&x| a < x && x < b).count();
+                        if let Some(first) = xs.iter().position(|&x| x > a && x >= b) {
+                            skipped += xs.len() - first - 1;
+                        }
+                        shared_x += xs[..prefix].windows(2).filter(|w| w[0] == w[1]).count();
+                    }
                     placement.insert_cell(cell, slot);
                 }
                 placement.validate(&nl).unwrap();
             }
         }
+        assert!(
+            searched > 0 && walked > 0 && skipped > 0 && shared_x > 0,
+            "searched prefixes {searched}, walked {walked}, skipped {skipped}, \
+             shared x in a prefix {shared_x}"
+        );
     }
 
     #[test]

@@ -85,20 +85,6 @@ pub fn select<R: Rng + ?Sized>(
     selected
 }
 
-/// Restricts selection to a subset of cells (by membership mask) — a
-/// convenience wrapper used by the parallel strategies.
-pub fn select_subset<R: Rng + ?Sized>(
-    goodness: &[f64],
-    scheme: SelectionScheme,
-    rng: &mut R,
-    in_subset: impl Fn(CellId) -> bool,
-) -> Vec<CellId> {
-    let frozen: Vec<bool> = (0..goodness.len())
-        .map(|i| !in_subset(CellId::from(i)))
-        .collect();
-    select(goodness, scheme, rng, &frozen)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,29 +175,6 @@ mod tests {
         );
         assert!(!selected.is_empty());
         assert!(selected.iter().all(|c| c.index() >= 50));
-    }
-
-    #[test]
-    fn select_subset_matches_frozen_mask() {
-        let goodness = vec![0.0; 60];
-        let mut rng_a = ChaCha8Rng::seed_from_u64(9);
-        let mut rng_b = ChaCha8Rng::seed_from_u64(9);
-        let via_mask = {
-            let frozen: Vec<bool> = (0..60).map(|i| i % 2 == 0).collect();
-            select(
-                &goodness,
-                SelectionScheme::FixedBias(0.0),
-                &mut rng_a,
-                &frozen,
-            )
-        };
-        let via_subset = select_subset(
-            &goodness,
-            SelectionScheme::FixedBias(0.0),
-            &mut rng_b,
-            |c| c.index() % 2 == 1,
-        );
-        assert_eq!(via_mask, via_subset);
     }
 
     #[test]

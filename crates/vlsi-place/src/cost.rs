@@ -100,6 +100,9 @@ pub struct CostEvaluator {
     timing: TimingModel,
     fuzzy: FuzzyConfig,
     paths: Arc<Vec<Path>>,
+    /// Per stored path, the sum of its cells' switching delays (every cell
+    /// but the last), summed once in path order.
+    path_cell_delay: Arc<Vec<f64>>,
     /// `net_on_path[n]` is `true` iff net `n` lies on a stored critical path
     /// (flat lookup for the allocation hot loop).
     net_on_path: Arc<Vec<bool>>,
@@ -140,6 +143,16 @@ impl CostEvaluator {
             }
         }
         let bounds = Bounds::compute(&netlist, &paths, &timing);
+        let path_cell_delay = paths
+            .iter()
+            .map(|path| {
+                path.cells
+                    .iter()
+                    .take(path.cells.len().saturating_sub(1))
+                    .map(|&c| netlist.cell(c).switching_delay)
+                    .sum()
+            })
+            .collect();
         CostEvaluator {
             netlist,
             objectives,
@@ -147,6 +160,7 @@ impl CostEvaluator {
             timing,
             fuzzy,
             paths: Arc::new(paths),
+            path_cell_delay: Arc::new(path_cell_delay),
             net_on_path: Arc::new(net_on_path),
             bounds: Arc::new(bounds),
         }
@@ -263,15 +277,13 @@ impl CostEvaluator {
             .sum()
     }
 
-    /// Delay of one stored path given precomputed net lengths.
-    pub fn path_delay_from_lengths(&self, path: &Path, net_lengths: &[f64]) -> f64 {
-        let cell_delay: f64 = path
-            .cells
-            .iter()
-            .take(path.cells.len().saturating_sub(1))
-            .map(|&c| self.netlist.cell(c).switching_delay)
-            .sum();
-        let wire_delay: f64 = path
+    /// Delay of the stored path with index `path` (into
+    /// [`CostEvaluator::paths`]) given precomputed net lengths: its cells'
+    /// switching delays, summed once at construction, plus its nets'
+    /// interconnect delays.
+    pub fn path_delay_from_lengths(&self, path: usize, net_lengths: &[f64]) -> f64 {
+        let cell_delay = self.path_cell_delay[path];
+        let wire_delay: f64 = self.paths[path]
             .nets
             .iter()
             .map(|&n| net_lengths[n.index()] * self.timing.unit_interconnect_delay)
@@ -281,8 +293,7 @@ impl CostEvaluator {
 
     /// Maximum path delay (`Cost_delay`) given precomputed net lengths.
     pub fn delay_from_lengths(&self, net_lengths: &[f64]) -> f64 {
-        self.paths
-            .iter()
+        (0..self.paths.len())
             .map(|p| self.path_delay_from_lengths(p, net_lengths))
             .fold(0.0, f64::max)
     }

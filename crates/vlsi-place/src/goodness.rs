@@ -56,6 +56,9 @@ pub struct GoodnessVector {
 #[derive(Debug, Clone)]
 pub struct GoodnessScratch {
     scorer: OptimumScorer,
+    /// Per stored path its delay under the pass's net lengths, computed once
+    /// per [`GoodnessEvaluator::all_goodness_with`] pass.
+    path_delays: Vec<f64>,
 }
 
 impl GoodnessScratch {
@@ -63,6 +66,7 @@ impl GoodnessScratch {
     pub fn for_evaluator(evaluator: &CostEvaluator) -> Self {
         GoodnessScratch {
             scorer: OptimumScorer::for_evaluator(evaluator),
+            path_delays: Vec::new(),
         }
     }
 }
@@ -113,17 +117,20 @@ impl GoodnessEvaluator {
             actual.wirelength += len;
             actual.power += len * netlist.net(net).switching_prob;
         }
-        self.goodness_from_costs(cell, optimal, &actual, net_lengths)
+        self.goodness_from_costs(cell, optimal, &actual, |pi| {
+            self.evaluator.path_delay_from_lengths(pi, net_lengths)
+        })
     }
 
     /// [`GoodnessEvaluator::goodness_from_lengths`] with the actual
-    /// incident-net cost `actual` (`Cᵢ`) already summed.
+    /// incident-net cost `actual` (`Cᵢ`) already summed and the current
+    /// delay of each stored path through the cell given by `path_delay`.
     fn goodness_from_costs(
         &self,
         cell: CellId,
         optimal: &CellCost,
         actual: &CellCost,
-        net_lengths: &[f64],
+        path_delay: impl Fn(usize) -> f64,
     ) -> GoodnessVector {
         let wirelength = ratio_goodness(optimal.wirelength, actual.wirelength);
         let power = ratio_goodness(optimal.power, actual.power);
@@ -133,10 +140,8 @@ impl GoodnessEvaluator {
         {
             let mut worst = 1.0f64;
             for &pi in &self.cell_paths[cell.index()] {
-                let path = &self.evaluator.paths()[pi as usize];
-                let actual = self.evaluator.path_delay_from_lengths(path, net_lengths);
                 let lb = self.evaluator.bounds().path_lower[pi as usize];
-                worst = worst.min(ratio_goodness(lb, actual));
+                worst = worst.min(ratio_goodness(lb, path_delay(pi as usize)));
             }
             worst
         } else {
@@ -225,13 +230,16 @@ impl GoodnessEvaluator {
             scratch
                 .scorer
                 .optimal_and_actual(&self.evaluator, placement, cell, net_lengths);
-        self.goodness_from_costs(cell, &optimal, &actual, net_lengths)
+        self.goodness_from_costs(cell, &optimal, &actual, |pi| {
+            self.evaluator.path_delay_from_lengths(pi, net_lengths)
+        })
     }
 
     /// Combined goodness of every cell not marked in `frozen` (all cells
     /// when `frozen` is empty), written into `out` — the engine's Evaluation
     /// pass. Frozen cells are not evaluated: their entries are unspecified
-    /// and no consumer reads them. Bitwise identical to
+    /// and no consumer reads them. Each stored path's delay is computed once
+    /// per pass, not once per cell on it. Bitwise identical to
     /// [`GoodnessEvaluator::all_goodness`] on every evaluated cell.
     pub fn all_goodness_with(
         &self,
@@ -241,12 +249,23 @@ impl GoodnessEvaluator {
         frozen: &[bool],
         out: &mut Vec<f64>,
     ) {
+        let GoodnessScratch {
+            scorer,
+            path_delays,
+        } = scratch;
+        path_delays.clear();
+        path_delays.extend(
+            (0..self.evaluator.paths().len())
+                .map(|pi| self.evaluator.path_delay_from_lengths(pi, net_lengths)),
+        );
         out.clear();
         out.resize(self.evaluator.netlist().num_cells(), 1.0);
         for cell in self.evaluator.netlist().cell_ids() {
             if frozen.is_empty() || !frozen[cell.index()] {
+                let (optimal, actual) =
+                    scorer.optimal_and_actual(&self.evaluator, placement, cell, net_lengths);
                 out[cell.index()] = self
-                    .cell_goodness_with(scratch, placement, cell, net_lengths)
+                    .goodness_from_costs(cell, &optimal, &actual, |pi| path_delays[pi])
                     .combined;
             }
         }

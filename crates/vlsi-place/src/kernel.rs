@@ -18,9 +18,12 @@
 //!   order statistics of the other pins' sorted rows in `O(1)` per net
 //!   ([`PreparedSummaries::prepare_row`]); the cell's median position comes
 //!   from a rank count over x and per-row counting over y, without a sort.
-//!   [`TrialScorer::prepared_cost_at`] keeps the `O(distinct rows)` histogram
-//!   walk as the independent reference the pruned scan cross-checks against
-//!   under `debug_assertions`.
+//!   [`PreparedSummaries::monotone_branches`] bounds the x ranges on which
+//!   every net's length only falls or only grows, which lets the allocation
+//!   scan skip candidates without scoring them.
+//!   [`TrialScorer::prepared_cost_at`] prices each net from its other pins'
+//!   sorted rows directly, the independent reference the scan cross-checks
+//!   against under `debug_assertions`.
 //! * [`OptimumScorer`] serves the goodness pass: one gather per incident net
 //!   and the same order statistics, without what only allocation needs.
 //! * [`NetLengthCache`] keeps the per-net length vector of a placement alive
@@ -117,23 +120,13 @@ struct NetSummary {
     hi: u32,
     slope: u32,
     s_lo: u64,
-    /// Range of this net's `(row, count)` histogram in the scorer's arena
-    /// (empty in the goodness pass, which never walks it).
-    hist_start: u32,
-    hist_end: u32,
+    /// Range of the other pins' sorted rows in the scorer's `pin_rows`.
+    rows_start: u32,
+    rows_end: u32,
     /// Net switching probability (power weight).
     switching_prob: f64,
     /// Whether the net lies on a stored critical path.
     critical: bool,
-    /// Minimum vertical contribution of this net over every candidate row
-    /// inside the other pins' row extent, under the prepare-time wirelength
-    /// model. For half-perimeter this is `(max_row - min_row) * ROW_HEIGHT`
-    /// (exact); for single-trunk Steiner it is the other pins' branch sum at
-    /// their own upper median, which lower-bounds the merged branch sum for
-    /// *any* trunk row the full score can pick. Exact multiple of
-    /// [`ROW_HEIGHT`]. Candidate rows outside the extent additionally pay a
-    /// `gap * ROW_HEIGHT` term (see [`PreparedSummaries::bound_floor`]).
-    min_branch: f64,
 }
 
 /// Single-trunk-Steiner vertical term of net `s` with the prepared cell in
@@ -151,54 +144,18 @@ fn steiner_vertical(s: &NetSummary, row: u32) -> f64 {
     rows as f64 * ROW_HEIGHT
 }
 
-/// Row holding the `k`-th (0-based) smallest pin y among a sorted-by-row
-/// `(row, count)` histogram merged with one extra pin at `extra_row`.
-/// Equivalent to sorting all pin ys ascending and taking index `k`, which is
-/// what the sort-based oracle median does.
-///
-/// The walk is split in three phases around the merge point of the extra pin
-/// (entries strictly below it, the merge point itself, the rest), so the two
-/// hot loops carry no per-entry "is the extra pin still pending" branch —
-/// this is the counting-median inner loop of every Steiner trial score.
-fn merged_median_row(hist: &[(u32, u32)], extra_row: u32, k: usize) -> u32 {
-    let mut acc = 0usize;
-    let mut i = 0usize;
-    // Phase 1: histogram entries strictly below the extra pin's row.
-    while i < hist.len() && hist[i].0 < extra_row {
-        acc += hist[i].1 as usize;
-        if acc > k {
-            return hist[i].0;
-        }
-        i += 1;
+/// Row holding the `k`-th (0-based) smallest pin row among the ascending
+/// `rows` merged with one extra pin at `extra_row`: the merged sequence is
+/// the rows below `extra_row`, then the extra pin, then the rest. Equivalent
+/// to sorting all pin ys ascending and taking index `k`, which is what the
+/// sort-based oracle median does.
+fn merged_median_row(rows: &[u32], extra_row: u32, k: usize) -> u32 {
+    let below = rows.partition_point(|&r| r < extra_row);
+    match k.cmp(&below) {
+        std::cmp::Ordering::Less => rows[k],
+        std::cmp::Ordering::Equal => extra_row,
+        std::cmp::Ordering::Greater => rows[k - 1],
     }
-    // Merge point: the extra pin joins the walk here. When it shares a row
-    // with the next entry the answer for both is that same row, so checking
-    // after each addition preserves the merged order exactly.
-    acc += 1;
-    if acc > k {
-        return extra_row;
-    }
-    if i < hist.len() && hist[i].0 == extra_row {
-        acc += hist[i].1 as usize;
-        if acc > k {
-            return extra_row;
-        }
-        i += 1;
-    }
-    // Phase 3: the remaining entries, all above the extra pin.
-    while i < hist.len() {
-        acc += hist[i].1 as usize;
-        if acc > k {
-            return hist[i].0;
-        }
-        i += 1;
-    }
-    // Only reachable when k indexes past the merged multiset, which the
-    // scorer never produces (k = total_pins / 2 < total_pins).
-    if cfg!(debug_assertions) {
-        unreachable!("k must index into the merged pin multiset");
-    }
-    extra_row
 }
 
 /// Inputs up to this length take [`rank_select`], quadratic but branch-free
@@ -288,16 +245,13 @@ pub struct TrialScorer {
     row_counts: Vec<u32>,
     /// Per-incident-net summaries of the currently prepared cell.
     prepared: Vec<NetSummary>,
-    /// Flat `(row, count)` histogram arena for the prepared summaries,
-    /// sorted by row within each net's range.
-    hist: Vec<(u32, u32)>,
     /// Flat arena of every *other* pin's x coordinate gathered during the
     /// last prepare, in canonical (net, pin) walk order — one entry per
     /// incidence, duplicates included, exactly the multiset the legacy
     /// windowed-candidate gather produced.
     pin_xs: Vec<f64>,
     /// The rows of the same pins, one entry per incidence; each net's range
-    /// is sorted ascending (the histogram is its run-length encoding).
+    /// is sorted ascending.
     pin_rows: Vec<u32>,
 }
 
@@ -309,7 +263,6 @@ impl TrialScorer {
             rows: Vec::with_capacity(16),
             row_counts: Vec::new(),
             prepared: Vec::new(),
-            hist: Vec::new(),
             pin_xs: Vec::new(),
             pin_rows: Vec::new(),
         }
@@ -416,29 +369,35 @@ impl TrialScorer {
     }
 
     /// Precomputes per-net summaries of the *other* pins of every net
-    /// incident to `cell`, so that subsequent
-    /// [`TrialScorer::prepared_cost_at`] calls score a candidate position in
-    /// `O(distinct rows)` per net instead of re-walking every pin. The
+    /// incident to `cell` — their x extent, their sorted rows and the row
+    /// order statistics — so that candidate positions are scored without
+    /// re-walking the CSR. On top of what the goodness pass gathers
+    /// ([`OptimumScorer`]) it records which nets lie on a critical path. The
     /// summaries stay valid while no cell other than `cell` moves — exactly
     /// the situation inside one allocation trial loop, where `cell` is ripped
     /// up and only hypothetically placed.
     pub fn prepare_cell(&mut self, evaluator: &CostEvaluator, placement: &Placement, cell: CellId) {
-        build_cell_summaries(
-            evaluator,
-            placement,
-            cell,
-            self.model,
-            &mut self.prepared,
-            &mut self.hist,
-            &mut self.pin_xs,
-            &mut self.pin_rows,
-        );
+        self.prepared.clear();
+        self.pin_xs.clear();
+        self.pin_rows.clear();
+        for &net in evaluator.netlist().nets_of_cell(cell) {
+            let mut s = summarize_net(
+                evaluator,
+                placement,
+                cell,
+                net,
+                &mut self.pin_xs,
+                &mut self.pin_rows,
+            );
+            s.critical = evaluator.net_is_critical(net);
+            self.prepared.push(s);
+        }
     }
 
     /// Borrowed view over the summaries of the last
-    /// [`TrialScorer::prepare_cell`], exposing the candidate lower-bound and
-    /// median-position machinery. Valid under the same conditions as
-    /// [`TrialScorer::prepared_cost_at`].
+    /// [`TrialScorer::prepare_cell`], exposing the row-hoisted scorer, the
+    /// monotone branches and the median position. Valid under the same
+    /// conditions as [`TrialScorer::prepared_cost_at`].
     pub fn prepared_summaries(&self) -> PreparedSummaries<'_> {
         PreparedSummaries {
             model: self.model,
@@ -453,7 +412,7 @@ impl TrialScorer {
     /// [`TrialScorer::prepare_cell`] for this cell under the current
     /// placement; bitwise identical to [`CostEvaluator::cell_cost_at`].
     pub fn prepared_cost_at(&self, pos: (f64, f64)) -> CellCost {
-        summaries_cost_at(&self.prepared, &self.hist, self.model, pos)
+        summaries_cost_at(&self.prepared, &self.pin_rows, self.model, pos)
     }
 
     /// `(length, vertical)` of the gathered pins under the scorer's model,
@@ -496,9 +455,9 @@ impl TrialScorer {
 /// wirelength and power goodness ratio — the kernel of the SimE Evaluation
 /// pass. One walk per incident net gathers the other pins and sums the
 /// cell's actual cost; the optimal cost is then priced at the other pins'
-/// median with `O(1)` per net. Unlike [`TrialScorer::prepare_cell`] it builds
-/// none of what only allocation needs (row histograms, `min_branch`,
-/// critical flags). One instance per worker thread.
+/// median with `O(1)` per net. Unlike [`TrialScorer::prepare_cell`] it does
+/// not look up the critical flags, which only allocation reads. One instance
+/// per worker thread.
 #[derive(Debug, Clone)]
 pub struct OptimumScorer {
     model: WirelengthModel,
@@ -576,9 +535,8 @@ impl OptimumScorer {
 
 /// Gathers the other pins of `net` (every pin but `cell`): appends their x
 /// coordinates to `pin_xs` in canonical pin order and their rows, sorted, to
-/// `pin_rows`, and returns the net's summary without the allocation-only
-/// parts (an empty histogram range, `min_branch` 0, `critical` false), which
-/// [`build_cell_summaries`] adds.
+/// `pin_rows`, and returns the net's summary with `critical` false, which
+/// only [`TrialScorer::prepare_cell`] sets.
 fn summarize_net(
     evaluator: &CostEvaluator,
     placement: &Placement,
@@ -627,68 +585,10 @@ fn summarize_net(
         hi,
         slope,
         s_lo,
-        hist_start: 0,
-        hist_end: 0,
+        rows_start: rows_start as u32,
+        rows_end: pin_rows.len() as u32,
         switching_prob: evaluator.netlist().net(net).switching_prob,
         critical: false,
-        min_branch: 0.0,
-    }
-}
-
-/// Builds the per-net summaries of `cell`'s incident nets into
-/// `prepared`/`hist`. The body of [`TrialScorer::prepare_cell`]; a pure
-/// function of the *other* pins' positions.
-///
-/// Also fills `pin_xs` with every other pin's x coordinate in canonical
-/// walk order (the legacy windowed-candidate gather multiset) and `pin_rows`
-/// with their rows, sorted within each net. On top of [`summarize_net`] it
-/// adds the allocation-only parts: each net's `(row, count)` histogram (the
-/// run-length encoding of its sorted rows, walked only by the reference
-/// scorer [`TrialScorer::prepared_cost_at`]), `min_branch` and the critical
-/// flag.
-#[allow(clippy::too_many_arguments)]
-fn build_cell_summaries(
-    evaluator: &CostEvaluator,
-    placement: &Placement,
-    cell: CellId,
-    model: WirelengthModel,
-    prepared: &mut Vec<NetSummary>,
-    hist: &mut Vec<(u32, u32)>,
-    pin_xs: &mut Vec<f64>,
-    pin_rows: &mut Vec<u32>,
-) {
-    prepared.clear();
-    hist.clear();
-    pin_xs.clear();
-    pin_rows.clear();
-    for &net in evaluator.netlist().nets_of_cell(cell) {
-        let rows_start = pin_rows.len();
-        let mut s = summarize_net(evaluator, placement, cell, net, pin_xs, pin_rows);
-        let rows = &pin_rows[rows_start..];
-        s.hist_start = hist.len() as u32;
-        for &r in rows {
-            match hist[s.hist_start as usize..].last_mut() {
-                Some((last, count)) if *last == r => *count += 1,
-                _ => hist.push((r, 1)),
-            }
-        }
-        s.hist_end = hist.len() as u32;
-        s.critical = evaluator.net_is_critical(net);
-        if s.total_pins >= 2 && !rows.is_empty() {
-            s.min_branch = match model {
-                WirelengthModel::HalfPerimeter => (s.max_row - s.min_row) as f64 * ROW_HEIGHT,
-                WirelengthModel::SingleTrunkSteiner => {
-                    // Branch sum of the other pins at their own upper median
-                    // m* = r[others / 2]: any trunk row m the merged median
-                    // can pick satisfies Σ|r_p − m| ≥ Σ|r_p − m*| because a
-                    // median minimises the sum of absolute deviations.
-                    let m = rows[rows.len() / 2];
-                    let sum: u64 = rows.iter().map(|&r| u64::from(r.abs_diff(m))).sum();
-                    sum as f64 * ROW_HEIGHT
-                }
-            };
-        }
-        prepared.push(s);
     }
 }
 
@@ -696,7 +596,7 @@ fn build_cell_summaries(
 /// body of [`TrialScorer::prepared_cost_at`].
 fn summaries_cost_at(
     prepared: &[NetSummary],
-    hist_arena: &[(u32, u32)],
+    pin_rows: &[u32],
     model: WirelengthModel,
     pos: (f64, f64),
 ) -> CellCost {
@@ -715,25 +615,17 @@ fn summaries_cost_at(
                 (max_x - min_x) + (max_row - min_row) as f64 * ROW_HEIGHT
             }
             WirelengthModel::SingleTrunkSteiner => {
-                let hist = &hist_arena[s.hist_start as usize..s.hist_end as usize];
-                let median_row = merged_median_row(hist, row, s.total_pins as usize / 2);
-                // All vertical distances are exact multiples of ROW_HEIGHT,
-                // so this reduction is exact and matches the oracle's
-                // pin-order sum bit for bit. The |r - median| walk is split
-                // at the median (hist is row-sorted), which drops the
-                // per-entry abs; the split is exact because negating an
-                // exact product only flips the sign bit.
-                let m = median_row as f64;
-                let split = hist.partition_point(|&(r, _)| r < median_row);
-                let mut branches = 0.0f64;
-                for &(r, c) in &hist[..split] {
-                    branches += c as f64 * ((m - r as f64) * ROW_HEIGHT);
-                }
-                for &(r, c) in &hist[split..] {
-                    branches += c as f64 * ((r as f64 - m) * ROW_HEIGHT);
-                }
-                branches += ((row as f64 - m) * ROW_HEIGHT).abs();
-                (max_x - min_x) + branches
+                // One branch per pin from its row to the merged median row:
+                // an integer row count, so the product with ROW_HEIGHT is
+                // the oracle's pin-order sum bit for bit.
+                let rows = &pin_rows[s.rows_start as usize..s.rows_end as usize];
+                let m = merged_median_row(rows, row, s.total_pins as usize / 2);
+                let branches: u64 = rows
+                    .iter()
+                    .chain([&row])
+                    .map(|&r| u64::from(r.abs_diff(m)))
+                    .sum();
+                (max_x - min_x) + branches as f64 * ROW_HEIGHT
             }
         };
         cost.wirelength += len;
@@ -746,53 +638,36 @@ fn summaries_cost_at(
 }
 
 /// Borrowed view over the per-net summaries of the cell a [`TrialScorer`]
-/// last prepared, exposing the candidate
-/// **score lower bound** and the median-position machinery that the
-/// allocation operator's pruned trial scan builds on.
+/// last prepared: the row-hoisted exact score, the score's monotone branches
+/// and the median position that the allocation operator's trial scan builds
+/// on.
 ///
-/// # Bound validity (the §3a pruning invariant)
+/// # Row-hoisted scoring
 ///
-/// For a candidate position `(x, row)` each net's *length* lower bound
-/// decomposes into three exact, independently-valid parts:
-///
-/// * horizontal: `trunk(x) = (max(max_x, x) - min(min_x, x)) =
-///   trunk_min + max(0, min_x - x) + max(0, x - max_x)` — the *exact*
-///   horizontal span, not an estimate;
-/// * vertical floor: the summary's precomputed `min_branch` plus
-///   `gap(row) * ROW_HEIGHT` where `gap = max(0, min_row - row,
-///   row - max_row)` — a lower bound on the model's vertical term for any
-///   trunk row;
-/// * every operand is an exact double (half-integer x, `ROW_HEIGHT`
-///   multiples vertically), so the per-net length bound `lb_net` is exact
-///   and satisfies `lb_net ≤ len_net` as real numbers *and* as doubles.
-///
-/// The bound methods then fold `lb_net` into a [`CellCost`] with **the same
-/// per-net accumulation the full score uses** (`wirelength += lb`,
-/// `power += lb * switching_prob`, `critical += lb`, in net order). Since
-/// IEEE-754 multiplication by a non-negative factor and round-to-nearest
-/// addition are monotone, term-wise domination in identical accumulation
-/// order carries through every rounding step:
-/// `bound.cmp ≤ cost.cmp` for each component, hence
-/// `allocation_score(bound) ≤ allocation_score(cost)` for the full score of
-/// the same candidate. A strict `bound > best_so_far` comparison can never
-/// prune the true argmin.
-///
-/// [`PreparedSummaries::exit_bound_at`] additionally lower-bounds *every*
-/// candidate at `x' ≥ x` in the same row (per net: the increasing branch of
-/// the hinge when `x` already passed `max_x`, the row floor otherwise),
-/// which the scan uses for early row exit over sorted-by-x candidates.
-/// Beyond the bounds, the view exposes the **row-hoisted exact score**: at a
-/// fixed candidate row, each net's vertical (branch) contribution is a
+/// At a fixed candidate row each net's vertical (branch) contribution is a
 /// constant — only the horizontal trunk depends on the candidate `x`.
 /// [`PreparedSummaries::prepare_row`] computes those per-net constants once,
 /// in `O(1)` per net from the other pins' row order statistics (for
 /// single-trunk Steiner: with `k = total_pins / 2`, the merged median is
 /// `clamp(row, r[k - 1], r[k])` and the branch sum is linear in it between
-/// those two rows), bit-identical to the histogram walk the full
-/// per-candidate scorer [`TrialScorer::prepared_cost_at`] performs, which
-/// stays as the independent reference. [`PreparedSummaries::cost_at_in_row`]
-/// then scores each candidate of the row in a handful of flops, still
-/// bit-identical to the full score.
+/// those two rows), bit-identical to the per-pin branch sum of the reference
+/// scorer [`TrialScorer::prepared_cost_at`].
+/// [`PreparedSummaries::cost_at_in_row`] then scores each candidate of the
+/// row in a handful of flops, still bit-identical to the full score.
+///
+/// # Monotone branches
+///
+/// Within a row a net's length is `trunk(x) + vertical`, and
+/// `trunk(x) = max(max_x, x) − min(min_x, x)` falls for `x ≤ min_x`, is flat
+/// on `[min_x, max_x]` and grows for `x ≥ max_x`. With `(a, b)` from
+/// [`PreparedSummaries::monotone_branches`] every net's length is therefore
+/// non-increasing in `x` for `x ≤ a` and non-decreasing for `x ≥ b`, exactly
+/// in computed arithmetic too (the operands are exact half-integers and
+/// [`ROW_HEIGHT`] multiples). [`PreparedSummaries::cost_at_in_row`] folds the
+/// lengths into a [`CellCost`] with additions and multiplications by
+/// non-negative switching probabilities, in net order; IEEE-754
+/// round-to-nearest is monotone in each operand, so the folded score follows
+/// component-wise, and so does `CostEvaluator::allocation_score`.
 #[derive(Debug, Clone, Copy)]
 pub struct PreparedSummaries<'a> {
     model: WirelengthModel,
@@ -801,38 +676,7 @@ pub struct PreparedSummaries<'a> {
     rows: &'a [u32],
 }
 
-/// Per-net length lower bound at candidate row `row`, independent of the
-/// horizontal position: exact trunk minimum plus the vertical floor.
-#[inline]
-fn net_floor_len(s: &NetSummary, row: u32) -> f64 {
-    let gap = if row < s.min_row {
-        s.min_row - row
-    } else {
-        row.saturating_sub(s.max_row)
-    };
-    (s.max_x - s.min_x) + s.min_branch + gap as f64 * ROW_HEIGHT
-}
-
-/// Folds one net's length bound into `cost` exactly the way
-/// [`summaries_cost_at`] folds the net's true length — same operations, same
-/// order, so term-wise `lb ≤ len` survives rounding component-wise.
-#[inline]
-fn fold_net_bound(cost: &mut CellCost, s: &NetSummary, lb: f64) {
-    cost.wirelength += lb;
-    cost.power += lb * s.switching_prob;
-    if s.critical {
-        cost.critical_wirelength += lb;
-    }
-}
-
 impl<'a> PreparedSummaries<'a> {
-    /// Every other pin's x coordinate of the prepared cell's nets, one entry
-    /// per incidence in canonical (net, pin) order — the exact multiset the
-    /// legacy windowed-candidate gather assembled by re-walking the CSR.
-    pub fn other_pin_xs(&self) -> &'a [f64] {
-        self.xs
-    }
-
     /// Median position `(opt_x, opt_y)` of the other pins, bitwise identical
     /// to sorting the gathered x and y vectors and taking index `len / 2` —
     /// the optimum the windowed allocation strategy centres its window on.
@@ -868,51 +712,12 @@ impl<'a> PreparedSummaries<'a> {
         ))
     }
 
-    /// Row-dependent, position-independent floor of the score bound: each
-    /// scoreable net contributes `trunk_min + min_branch + gap(row) *
-    /// ROW_HEIGHT`, folded per net exactly like the full score. Every
-    /// candidate in `row` costs at least this much component-wise; compute
-    /// it once per row run.
-    pub fn bound_floor(&self, row: u32) -> CellCost {
-        let mut cost = CellCost::default();
-        for s in self.prepared {
-            if s.total_pins < 2 || s.min_row == u32::MAX {
-                continue;
-            }
-            fold_net_bound(&mut cost, s, net_floor_len(s, row));
-        }
-        cost
-    }
-
-    /// Score lower bound for a candidate at `(x, row)`: per net the floor
-    /// length plus the exact horizontal extension of the trunk, folded like
-    /// the full score. Component-wise `≤` the full [`CellCost`] of the same
-    /// candidate (see the type-level invariant), so
-    /// `allocation_score(bound) ≤ allocation_score(cost)`.
-    pub fn bound_at(&self, x: f64, row: u32) -> CellCost {
-        let mut cost = CellCost::default();
-        for s in self.prepared {
-            if s.total_pins < 2 || s.min_row == u32::MAX {
-                continue;
-            }
-            let mut lb = net_floor_len(s, row);
-            if x < s.min_x {
-                lb += s.min_x - x;
-            } else if x > s.max_x {
-                lb += x - s.max_x;
-            }
-            fold_net_bound(&mut cost, s, lb);
-        }
-        cost
-    }
-
     /// Fills `vertical` with each prepared net's vertical (branch)
     /// contribution to the score of **any** candidate in `row` — one entry
     /// per net, in net order, with unscoreable nets as `0.0`. Each constant
     /// is `O(1)` per net (the half-perimeter row span, or the single-trunk
     /// Steiner branch sum from the other pins' order statistics) and
-    /// bit-identical to
-    /// the histogram walk of the full score, so
+    /// bit-identical to the per-pin branch sum of the full score, so
     /// [`PreparedSummaries::cost_at_in_row`] over these constants reproduces
     /// [`TrialScorer::prepared_cost_at`] exactly. Compute once per
     /// contiguous same-row candidate run.
@@ -937,7 +742,7 @@ impl<'a> PreparedSummaries<'a> {
     /// `vertical` was prepared for: per net the exact merged trunk span plus
     /// the hoisted vertical constant, folded like the full score — bitwise
     /// identical to [`TrialScorer::prepared_cost_at`] at the same position,
-    /// at a fraction of the cost (no median walk per candidate).
+    /// at a fraction of the cost (no median or branch sum per candidate).
     pub fn cost_at_in_row(&self, x: f64, vertical: &[f64]) -> CellCost {
         debug_assert_eq!(vertical.len(), self.prepared.len());
         let mut cost = CellCost::default();
@@ -957,42 +762,18 @@ impl<'a> PreparedSummaries<'a> {
         cost
     }
 
-    /// Maximum other-pin x over the scoreable nets (`-inf` when there is
-    /// none). For candidates at `x ≥ max_other_x` every net's trunk is on
-    /// its increasing branch, so the exact score is non-decreasing in `x`
-    /// (term-wise, hence component-wise through the fold) — the scan uses
-    /// this for its monotone tail exit over sorted-by-x runs.
-    pub fn max_other_x(&self) -> f64 {
-        let mut max_x = f64::NEG_INFINITY;
-        for s in self.prepared {
-            if s.total_pins < 2 || s.min_row == u32::MAX {
-                continue;
-            }
-            max_x = max_x.max(s.max_x);
+    /// The monotone branches `(a, b)` of the score along a row: `a` is the
+    /// smallest and `b` the largest of, respectively, the other pins' `max_x`
+    /// and `min_x` over the nets of at least two pins (`(inf, -inf)` when
+    /// there is none). For `x ≤ a` every net's trunk is non-increasing in
+    /// `x`, for `x ≥ b` non-decreasing (see the type-level docs).
+    pub fn monotone_branches(&self) -> (f64, f64) {
+        let (mut a, mut b) = (f64::INFINITY, f64::NEG_INFINITY);
+        for s in self.prepared.iter().filter(|s| s.total_pins >= 2) {
+            a = a.min(s.max_x);
+            b = b.max(s.min_x);
         }
-        max_x
-    }
-
-    /// Score lower bound valid for **every** candidate at `x' ≥ x` in `row`
-    /// — the early-row-exit bound for ascending-x candidate runs. Per net:
-    /// once `x ≥ max_x` the net's hinge is on its increasing branch, so its
-    /// bound at any `x' ≥ x` is at least its bound at `x` (exact reals,
-    /// exact doubles); otherwise the row floor applies. Folded in the same
-    /// net order as the full score, so the component-wise domination chain
-    /// `exit_bound_at(x) ≤ bound_at(x') ≤ cost(x')` survives rounding.
-    pub fn exit_bound_at(&self, x: f64, row: u32) -> CellCost {
-        let mut cost = CellCost::default();
-        for s in self.prepared {
-            if s.total_pins < 2 || s.min_row == u32::MAX {
-                continue;
-            }
-            let mut lb = net_floor_len(s, row);
-            if x >= s.max_x {
-                lb += x - s.max_x;
-            }
-            fold_net_bound(&mut cost, s, lb);
-        }
-        cost
+        (a, b)
     }
 }
 
@@ -1536,11 +1317,11 @@ mod tests {
     }
 
     #[test]
-    fn prepared_bound_is_a_true_lower_bound_and_median_matches_sort() {
-        // The §3a pruning invariant: for every candidate position,
-        // bound_at ≤ the full score's wirelength (no rounding slack), the
-        // per-row floor ≤ the bound, and the summary-derived median position
-        // is bit-identical to the sort-based gather it replaces.
+    fn prepared_branches_are_monotone_and_median_matches_sort() {
+        // The §3a search invariant: along every slot of a row, the reference
+        // score never rises while x ≤ a and never falls once x ≥ b,
+        // component-wise, and the summary-derived median position is
+        // bit-identical to the sort-based gather it replaces.
         for model in [
             WirelengthModel::SingleTrunkSteiner,
             WirelengthModel::HalfPerimeter,
@@ -1584,22 +1365,21 @@ mod tests {
                         && a.power <= b.power
                         && a.critical_wirelength <= b.critical_wirelength
                 };
-                for _ in 0..12 {
-                    let row = rng.gen_range(0..placement.num_rows());
-                    let index = rng.gen_range(0..placement.row(row).len() + 1);
-                    let pos = placement.trial_position(cell, Slot { row, index });
-                    let floor = view.bound_floor(row as u32);
-                    let bound = view.bound_at(pos.0, row as u32);
-                    let cost = scorer.prepared_cost_at(pos);
-                    assert!(le(&floor, &bound), "{model:?}: floor above bound");
-                    assert!(le(&bound, &cost), "{model:?}: bound above cost");
-                    // The exit bound must stay below the bound of every
-                    // position at x' ≥ x in the same row.
-                    let exit = view.exit_bound_at(pos.0, row as u32);
-                    assert!(le(&exit, &bound), "{model:?}: exit above own bound");
-                    for dx in [0.0, 0.5, 3.0, 1e4] {
-                        let later = view.bound_at(pos.0 + dx, row as u32);
-                        assert!(le(&exit, &later), "{model:?}: exit above later bound");
+                let (a, b) = view.monotone_branches();
+                for row in 0..placement.num_rows() {
+                    let positions: Vec<(f64, f64)> = (0..placement.slots_in_row(row))
+                        .map(|index| placement.trial_position(cell, Slot { row, index }))
+                        .collect();
+                    for pair in positions.windows(2) {
+                        let (p, q) = (pair[0], pair[1]);
+                        assert!(p.0 <= q.0, "slots ascend in x");
+                        let (cp, cq) = (scorer.prepared_cost_at(p), scorer.prepared_cost_at(q));
+                        if q.0 <= a {
+                            assert!(le(&cq, &cp), "{model:?}: score rose at x {} ≤ a {a}", q.0);
+                        }
+                        if p.0 >= b {
+                            assert!(le(&cp, &cq), "{model:?}: score fell at x {} ≥ b {b}", p.0);
+                        }
                     }
                 }
                 placement.insert_cell(

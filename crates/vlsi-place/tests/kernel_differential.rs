@@ -12,7 +12,7 @@ use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
 use vlsi_netlist::generator::{CircuitGenerator, GeneratorConfig};
 use vlsi_netlist::{CellId, Netlist};
-use vlsi_place::cost::{CostEvaluator, Objectives};
+use vlsi_place::cost::{CellCost, CostEvaluator, Objectives};
 use vlsi_place::kernel::{NetLengthCache, TrialScorer};
 use vlsi_place::layout::{Placement, Slot};
 use vlsi_place::wirelength::WirelengthModel;
@@ -142,70 +142,26 @@ proptest! {
         }
     }
 
-    /// The score-bound machinery behind the pruned allocation scan
-    /// (DESIGN.md §3a), pinned against the exhaustive scorer: for arbitrary
-    /// ripped-up cells and trial slots, (a) the run floor and the
-    /// per-candidate bound never exceed the exact cost component-wise in
-    /// computed arithmetic — so a strict `bound > best` prune can never kill
-    /// the argmin — (b) the row-hoisted score equals the full prepared score
-    /// bit for bit, and (c) past the rightmost other pin the exact score is
-    /// monotone in x, the invariant behind the sorted-run tail exit.
+    /// The invariants behind the allocation scan's monotone-branch search
+    /// (DESIGN.md §3a), pinned against the reference scorer: for arbitrary
+    /// ripped-up cells and rows, (a) along the row's slots the row-hoisted
+    /// score never rises while x ≤ a and never falls once x ≥ b,
+    /// component-wise, and (b) the row-hoisted score equals the full
+    /// prepared score bit for bit — on generated circuits and on mixed-size
+    /// mix600, under both models and both objective sets.
     #[test]
     fn pruned_scan_bounds_and_hoisted_scores_match_exhaustive(
         (netlist, seed) in arb_netlist(),
         rows in 4usize..10,
         picks in prop::collection::vec(any::<u64>(), 1..8),
     ) {
-        let le = |a: &vlsi_place::cost::CellCost, b: &vlsi_place::cost::CellCost| {
-            a.wirelength <= b.wirelength
-                && a.power <= b.power
-                && a.critical_wirelength <= b.critical_wirelength
-        };
-        for model in MODELS {
-            for objectives in OBJECTIVES {
-                let eval = evaluator(&netlist, model, objectives);
-                let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xABCD);
-                let mut placement = Placement::random(&netlist, rows, &mut rng);
-                let mut scorer = TrialScorer::for_evaluator(&eval);
-                let mut vertical: Vec<f64> = Vec::new();
-                for &pick in &picks {
-                    let cell = CellId((pick as u32) % netlist.num_cells() as u32);
-                    let home = placement.remove_cell(cell);
-                    scorer.prepare_cell(&eval, &placement, cell);
-                    let view = scorer.prepared_summaries();
-                    let max_other_x = view.max_other_x();
-                    for probe in 0..4u64 {
-                        let h = pick.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(probe);
-                        let row = (h as usize) % rows;
-                        let index = (h as usize / rows) % (placement.row(row).len() + 1);
-                        let pos = placement.trial_position(cell, Slot { row, index });
-                        let exact = scorer.prepared_cost_at(pos);
-                        let view = scorer.prepared_summaries();
-                        // (a) bounds dominate component-wise.
-                        let floor = view.bound_floor(row as u32);
-                        let bound = view.bound_at(pos.0, row as u32);
-                        prop_assert!(le(&floor, &bound));
-                        prop_assert!(le(&bound, &exact));
-                        // (b) row-hoisted score is bit-identical.
-                        view.prepare_row(row as u32, &mut vertical);
-                        let hoisted = view.cost_at_in_row(pos.0, &vertical);
-                        prop_assert_eq!(hoisted.wirelength.to_bits(), exact.wirelength.to_bits());
-                        prop_assert_eq!(hoisted.power.to_bits(), exact.power.to_bits());
-                        prop_assert_eq!(
-                            hoisted.critical_wirelength.to_bits(),
-                            exact.critical_wirelength.to_bits()
-                        );
-                        // (c) monotone tail: past the rightmost other pin the
-                        // exact score never decreases as x grows.
-                        let x0 = pos.0.max(max_other_x);
-                        let mut last = view.cost_at_in_row(x0, &vertical);
-                        for dx in [0.5f64, 2.0, 17.0, 1e4] {
-                            let next = view.cost_at_in_row(x0 + dx, &vertical);
-                            prop_assert!(le(&last, &next));
-                            last = next;
-                        }
-                    }
-                    placement.insert_cell(cell, home);
+        use vlsi_netlist::bench_suite::{mixed_circuit, MixedCircuit};
+        let mix = Arc::new(mixed_circuit(MixedCircuit::Mix600));
+        for (netlist, rows) in [(netlist, rows), (mix, MixedCircuit::Mix600.num_rows())] {
+            for model in MODELS {
+                for objectives in OBJECTIVES {
+                    let eval = evaluator(&netlist, model, objectives);
+                    check_monotone_branches(&eval, rows, seed ^ 0xABCD, &picks);
                 }
             }
         }
@@ -259,7 +215,7 @@ proptest! {
 }
 
 /// The row-hoisted score (`prepare_row`'s O(1) vertical term +
-/// `cost_at_in_row`) equals the reference histogram walk of
+/// `cost_at_in_row`) equals the reference per-pin branch sum of
 /// `prepared_cost_at` to the bit for every candidate row of every movable
 /// cell — rows inside and outside the other pins' extent, past the layout's
 /// last row too — on a random s1196 placement and on mixed-size mix600,
@@ -267,7 +223,7 @@ proptest! {
 /// whose other pins share one row, and nets with even and odd pin counts,
 /// the cases an off-by-one in the order statistics would miss.
 #[test]
-fn hoisted_vertical_term_matches_the_histogram_walk_on_every_row() {
+fn hoisted_vertical_term_matches_the_reference_scorer_on_every_row() {
     use vlsi_netlist::bench_suite::{MixedCircuit, PaperCircuit, SuiteCircuit};
     for circuit in [
         SuiteCircuit::Paper(PaperCircuit::S1196),
@@ -324,6 +280,66 @@ fn hoisted_vertical_term_matches_the_histogram_walk_on_every_row() {
             two_pin && one_row && even && odd,
             "{circuit}: 2-pin {two_pin}, one-row {one_row}, even {even}, odd {odd}"
         );
+    }
+}
+
+/// Rips up the movable cell each of `picks` names in a random placement and
+/// walks every slot of a row it names, in ascending x: the row-hoisted score
+/// must equal `prepared_cost_at` to the bit and be component-wise
+/// non-increasing up to `a` and non-decreasing from `b`, where
+/// `(a, b) = monotone_branches()`.
+fn check_monotone_branches(eval: &CostEvaluator, rows: usize, seed: u64, picks: &[u64]) {
+    let netlist = eval.netlist();
+    let le = |p: &CellCost, q: &CellCost| {
+        p.wirelength <= q.wirelength
+            && p.power <= q.power
+            && p.critical_wirelength <= q.critical_wirelength
+    };
+    let movable: Vec<CellId> = netlist
+        .cell_ids()
+        .filter(|&c| !netlist.cell(c).fixed)
+        .collect();
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut placement = Placement::random(netlist, rows, &mut rng);
+    let mut scorer = TrialScorer::for_evaluator(eval);
+    let mut vertical: Vec<f64> = Vec::new();
+    for &pick in picks {
+        let cell = movable[(pick % movable.len() as u64) as usize];
+        let home = placement.remove_cell(cell);
+        scorer.prepare_cell(eval, &placement, cell);
+        let view = scorer.prepared_summaries();
+        let (a, b) = view.monotone_branches();
+        let row = (pick.wrapping_mul(0x9E3779B97F4A7C15) >> 32) as usize % rows;
+        view.prepare_row(row as u32, &mut vertical);
+        let mut last: Option<(f64, CellCost)> = None;
+        for index in 0..placement.slots_in_row(row) {
+            let pos = placement.trial_position(cell, Slot { row, index });
+            let hoisted = view.cost_at_in_row(pos.0, &vertical);
+            let exact = scorer.prepared_cost_at(pos);
+            for (h, e) in [
+                (hoisted.wirelength, exact.wirelength),
+                (hoisted.power, exact.power),
+                (hoisted.critical_wirelength, exact.critical_wirelength),
+            ] {
+                assert_eq!(
+                    h.to_bits(),
+                    e.to_bits(),
+                    "cell {cell} row {row} x {}",
+                    pos.0
+                );
+            }
+            if let Some((x, prev)) = last {
+                assert!(x <= pos.0, "slots ascend in x");
+                if pos.0 <= a {
+                    assert!(le(&hoisted, &prev), "score rose at x {} ≤ a {a}", pos.0);
+                }
+                if x >= b {
+                    assert!(le(&prev, &hoisted), "score fell at x {} ≥ b {b}", pos.0);
+                }
+            }
+            last = Some((pos.0, hoisted));
+        }
+        placement.insert_cell(cell, home);
     }
 }
 

@@ -93,11 +93,11 @@ fn goldens_replay_bitwise_across_the_worker_stress_grid() {
     }
 }
 
-/// The bound-pruned allocation scan (the default since PR 7) under the
-/// persistent-worker scheduler: at 1, 4 and 8 OS workers (8 oversubscribes
-/// any CI runner) the pruned engine must reproduce, bit for bit, the
-/// trajectory of the legacy exhaustive scan run on the modeled backend —
-/// pruning is pure strength reduction, and the scheduler must not perturb it.
+/// The searched allocation scan (the default) under the persistent-worker
+/// scheduler: at 1, 4 and 8 OS workers (8 oversubscribes any CI runner) the
+/// searched engine must reproduce, bit for bit, the trajectory of the legacy
+/// exhaustive scan run on the modeled backend — the search only skips
+/// candidates that cannot win, and the scheduler must not perturb it.
 #[test]
 fn pruned_allocation_replays_bitwise_at_stress_worker_counts() {
     use cluster_sim::timeline::ClusterConfig;
@@ -114,7 +114,7 @@ fn pruned_allocation_replays_bitwise_at_stress_worker_counts() {
         SimEConfig::paper_defaults(Objectives::WirelengthPower, circuit.num_rows(), iterations);
     assert!(
         config.allocation.bound_pruning,
-        "bound pruning must be the default"
+        "the searched scan must be the default"
     );
     let pruned = SimEEngine::new(Arc::clone(&netlist), config);
     let mut legacy_cfg = config;
