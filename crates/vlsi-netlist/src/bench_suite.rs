@@ -37,7 +37,7 @@
 //! whole workspace always sees the same circuits. [`SuiteCircuit`] is the
 //! uniform handle over both tiers used by the scenario-matrix runner, and
 //! every suite circuit can be dumped to / reloaded from disk through
-//! [`crate::format`] or [`crate::bookshelf`] instead of being regenerated.
+//! [`crate::bookshelf`] instead of being regenerated.
 
 use crate::generator::{CircuitGenerator, GeneratorConfig};
 use crate::Netlist;
@@ -156,14 +156,6 @@ pub fn paper_circuit(circuit: PaperCircuit) -> Netlist {
     CircuitGenerator::new(circuit.generator_config()).generate()
 }
 
-/// Generates the full five-circuit suite in Table-1 order.
-pub fn paper_suite() -> Vec<(PaperCircuit, Netlist)> {
-    PaperCircuit::ALL
-        .iter()
-        .map(|&c| (c, paper_circuit(c)))
-        .collect()
-}
-
 /// Identifier of one of the extended-tier ISCAS-89 circuits (larger than any
 /// circuit in the paper's tables; see the [module docs](self) for the size
 /// table).
@@ -269,14 +261,6 @@ impl std::fmt::Display for ExtendedCircuit {
 /// Generates the synthetic stand-in for one extended-tier circuit.
 pub fn extended_circuit(circuit: ExtendedCircuit) -> Netlist {
     CircuitGenerator::new(circuit.generator_config()).generate()
-}
-
-/// Generates the extended-tier suite, smallest circuit first.
-pub fn extended_suite() -> Vec<(ExtendedCircuit, Netlist)> {
-    ExtendedCircuit::ALL
-        .iter()
-        .map(|&c| (c, extended_circuit(c)))
-        .collect()
 }
 
 /// Identifier of one of the mixed-size tier circuits: synthetic circuits
@@ -468,17 +452,6 @@ impl std::fmt::Display for SuiteCircuit {
     }
 }
 
-/// Generates the full eleven-circuit suite (all tiers), in
-/// [`SuiteCircuit::ALL`] order. The extended circuits take noticeably longer
-/// to generate; callers that only need the paper tier should use
-/// [`paper_suite`].
-pub fn full_suite() -> Vec<(SuiteCircuit, Netlist)> {
-    SuiteCircuit::ALL
-        .iter()
-        .map(|&c| (c, c.generate()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -506,8 +479,7 @@ mod tests {
 
     #[test]
     fn suite_is_in_table_order() {
-        let suite = paper_suite();
-        let names: Vec<_> = suite.iter().map(|(c, _)| c.name()).collect();
+        let names: Vec<_> = PaperCircuit::ALL.iter().map(|c| c.name()).collect();
         assert_eq!(names, vec!["s1196", "s1488", "s1494", "s1238", "s3330"]);
     }
 

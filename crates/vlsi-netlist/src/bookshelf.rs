@@ -42,8 +42,7 @@
 //! in memory; the `String`-based functions are thin wrappers.
 //!
 //! Parse errors carry the offending **file** ([`BookshelfFile`]) and the
-//! 1-based line number within it, mirroring the error contract of
-//! [`crate::format`].
+//! 1-based line number within it.
 
 use crate::{Cell, CellKind, Net, Netlist, NetlistBuilder, NetlistError};
 use std::collections::HashMap;
@@ -1326,6 +1325,17 @@ mod tests {
         let wrong_degree = "UCLA nets 1.0\nNetDegree : 3 n0 # 0.5\n    a O\n    b I\n";
         let err = parse_bookshelf(nodes, wrong_degree).unwrap_err();
         assert!(err.to_string().contains("declares degree 3"), "{err}");
+
+        // Faults only the netlist builder sees surface as its typed error.
+        let duplicate = "UCLA nodes 1.0\n    a 1 1 # logic 0.1\n    a 1 1 # logic 0.1\n";
+        let err = parse_bookshelf(duplicate, "UCLA nets 1.0\n").unwrap_err();
+        assert!(
+            matches!(
+                err,
+                BookshelfError::Semantic(NetlistError::DuplicateCellName(_))
+            ),
+            "{err}"
+        );
     }
 
     #[test]

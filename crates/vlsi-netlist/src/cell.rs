@@ -75,7 +75,7 @@ impl CellKind {
         matches!(self, CellKind::Output | CellKind::FlipFlop)
     }
 
-    /// Short mnemonic used by the text netlist format.
+    /// Short mnemonic used by the Bookshelf `.nodes` annotations.
     pub fn mnemonic(self) -> &'static str {
         match self {
             CellKind::Input => "in",

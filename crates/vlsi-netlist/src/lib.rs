@@ -17,8 +17,6 @@
 //!   published cell counts, plus the extended scaling tier (`s5378`, `s9234`,
 //!   `s13207`, `s15850`) behind the uniform [`bench_suite::SuiteCircuit`]
 //!   handle,
-//! * [`mod@format`] — a simple line-oriented text netlist format with a parser and
-//!   writer, so circuits can be saved, inspected and reloaded,
 //! * [`bookshelf`] — a Bookshelf-style `.nodes`/`.nets` on-disk interchange
 //!   (UCLA-format core plus `#` annotations for the attributes the plain
 //!   format lacks), so circuits can be dumped, shipped and reloaded instead
@@ -39,7 +37,6 @@ mod netlist;
 
 pub mod bench_suite;
 pub mod bookshelf;
-pub mod format;
 pub mod generator;
 pub mod paths;
 
@@ -50,8 +47,7 @@ pub use netlist::{Netlist, NetlistBuilder, NetlistError, NetlistStats};
 /// Convenience prelude bringing the common netlist types into scope.
 pub mod prelude {
     pub use crate::bench_suite::{
-        extended_circuit, extended_suite, full_suite, paper_circuit, paper_suite, ExtendedCircuit,
-        PaperCircuit, SuiteCircuit,
+        extended_circuit, paper_circuit, ExtendedCircuit, PaperCircuit, SuiteCircuit,
     };
     pub use crate::bookshelf::{
         load_bookshelf, parse_bookshelf, save_bookshelf, write_bookshelf, BookshelfPair,

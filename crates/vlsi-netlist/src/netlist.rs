@@ -86,7 +86,7 @@ pub struct NetlistStats {
 /// An immutable gate-level circuit: cells, nets and derived connectivity.
 ///
 /// Construct through [`NetlistBuilder`], the [generator](crate::generator) or
-/// the [text format parser](crate::format). The derived fan-in / fan-out
+/// the [Bookshelf parser](crate::bookshelf). The derived fan-in / fan-out
 /// tables are built once at construction so that the placement cost functions
 /// can traverse connectivity without hashing.
 #[derive(Debug, Clone, Serialize, Deserialize)]

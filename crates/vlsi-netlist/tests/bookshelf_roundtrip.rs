@@ -1,6 +1,6 @@
-//! Round-trip properties of the two on-disk circuit representations: the
-//! line-oriented text format (`vlsi_netlist::format`) and the
-//! Bookshelf-style `.nodes`/`.nets` interchange (`vlsi_netlist::bookshelf`).
+//! Round-trip properties of the Bookshelf-style on-disk interchange
+//! (`vlsi_netlist::bookshelf`): the `.nodes`/`.nets` circuit pair and the
+//! `.pl`/`.scl` layout files.
 //!
 //! The central property: `parse ∘ write` is the identity on every circuit
 //! the generator can produce — same name, bitwise-equal cell table (name,
@@ -15,7 +15,6 @@ use vlsi_netlist::bookshelf::{
     netlists_identical, parse_bookshelf, parse_pl, parse_scl, write_bookshelf, write_pl, write_scl,
     BookshelfError, BookshelfFile, CoreRow, PlEntry,
 };
-use vlsi_netlist::format::{parse_netlist, write_netlist, ParseError};
 use vlsi_netlist::generator::{CircuitGenerator, GeneratorConfig, MixedSizeSpec};
 use vlsi_netlist::Netlist;
 
@@ -120,8 +119,8 @@ fn generate(cfg: &GeneratorConfig) -> Netlist {
     CircuitGenerator::new(cfg.clone()).generate()
 }
 
-/// Field-level identity check shared by both formats (stricter failure
-/// messages than a bulk equality).
+/// Field-level identity check (stricter failure messages than a bulk
+/// equality).
 fn assert_identical(original: &Netlist, parsed: &Netlist) {
     assert_eq!(original.name(), parsed.name());
     assert_eq!(original.num_cells(), parsed.num_cells());
@@ -138,14 +137,6 @@ fn assert_identical(original: &Netlist, parsed: &Netlist) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// `parse_netlist ∘ write_netlist` is the identity on generated circuits.
-    #[test]
-    fn text_format_roundtrips(cfg in arb_config()) {
-        let original = generate(&cfg);
-        let parsed = parse_netlist(&write_netlist(&original)).unwrap();
-        assert_identical(&original, &parsed);
-    }
-
     /// `parse_bookshelf ∘ write_bookshelf` is the identity on generated
     /// circuits.
     #[test]
@@ -156,15 +147,14 @@ proptest! {
         assert_identical(&original, &parsed);
     }
 
-    /// Both interchange surfaces stay lossless on *mixed-size* circuits:
-    /// macro kinds, multi-row footprints and `fixed` flags survive
-    /// `parse ∘ write` for every macro-count/height/pad-ring combination.
+    /// The interchange stays lossless on *mixed-size* circuits: macro kinds,
+    /// multi-row footprints and `fixed` flags survive `parse ∘ write` for
+    /// every macro-count/height/pad-ring combination.
     #[test]
-    fn mixed_size_circuits_roundtrip_through_both_formats(cfg in arb_mixed_config()) {
+    fn mixed_size_circuits_roundtrip_through_bookshelf(cfg in arb_mixed_config()) {
         let original = generate(&cfg);
         let pair = write_bookshelf(&original);
         assert_identical(&original, &parse_bookshelf(&pair.nodes, &pair.nets).unwrap());
-        assert_identical(&original, &parse_netlist(&write_netlist(&original)).unwrap());
     }
 
     /// `parse_pl ∘ write_pl` is the identity on arbitrary placements, and
@@ -211,33 +201,6 @@ proptest! {
         let parsed = parse_pl(&text).unwrap();
         prop_assert_eq!(&parsed, &entries);
         prop_assert_eq!(write_pl(&parsed), text);
-    }
-
-    /// Text-format parse errors report the exact 1-based line of the
-    /// offending line, regardless of how many comment/blank padding lines
-    /// precede it.
-    #[test]
-    fn text_parse_errors_carry_one_based_line_numbers(padding in 0usize..40) {
-        let mut text = String::from("circuit lines\n");
-        for i in 0..padding {
-            // Alternate blank and comment lines — both must count.
-            if i % 2 == 0 {
-                text.push('\n');
-            } else {
-                text.push_str("# padding\n");
-            }
-        }
-        text.push_str("cell a in 1 0.0\n");
-        text.push_str("net n1 a 0.5 ghost\n"); // unknown sink cell
-        text.push_str("end\n");
-        let expected_line = 1 + padding + 2;
-        match parse_netlist(&text).unwrap_err() {
-            ParseError::Syntax { line, reason } => {
-                prop_assert_eq!(line, expected_line);
-                prop_assert!(reason.contains("ghost"), "{}", reason);
-            }
-            other => prop_assert!(false, "expected a syntax error, got {:?}", other),
-        }
     }
 
     /// Bookshelf parse errors name the right file and the exact 1-based
@@ -347,19 +310,4 @@ fn hundred_thousand_cell_circuit_streams_through_the_layout_files() {
         "re-dumped .nets differs"
     );
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Same gate for the text format, so both interchange surfaces stay lossless
-/// as the suite grows.
-#[test]
-fn every_suite_circuit_roundtrips_through_the_text_format() {
-    for circuit in SuiteCircuit::ALL {
-        let original = circuit.generate();
-        let parsed =
-            parse_netlist(&write_netlist(&original)).unwrap_or_else(|e| panic!("{circuit}: {e}"));
-        assert!(
-            netlists_identical(&original, &parsed),
-            "{circuit}: text round-trip is not the identity"
-        );
-    }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the netlist substrate.
 
 use proptest::prelude::*;
-use vlsi_netlist::format::{parse_netlist, write_netlist};
+use vlsi_netlist::bookshelf::netlists_identical;
 use vlsi_netlist::generator::{CircuitGenerator, GeneratorConfig};
 use vlsi_netlist::paths::{extract_paths, PathExtractionConfig};
 use vlsi_netlist::{CellKind, Netlist};
@@ -86,22 +86,6 @@ proptest! {
         }
     }
 
-    /// The text format round-trips every generated circuit exactly.
-    #[test]
-    fn format_roundtrip(cfg in generator_config()) {
-        let nl = generate(&cfg);
-        let text = write_netlist(&nl);
-        let back = parse_netlist(&text).expect("roundtrip parse");
-        prop_assert_eq!(back.num_cells(), nl.num_cells());
-        prop_assert_eq!(back.num_nets(), nl.num_nets());
-        for (a, b) in nl.nets().iter().zip(back.nets().iter()) {
-            prop_assert_eq!(&a.name, &b.name);
-            prop_assert_eq!(a.driver, b.driver);
-            prop_assert_eq!(&a.sinks, &b.sinks);
-            prop_assert!((a.switching_prob - b.switching_prob).abs() < 1e-12);
-        }
-    }
-
     /// Extracted paths are well-formed: consecutive cells are really connected
     /// by the recorded net, paths start at sources and end at sinks.
     #[test]
@@ -130,6 +114,6 @@ proptest! {
     fn generation_is_deterministic(cfg in generator_config()) {
         let a = generate(&cfg);
         let b = generate(&cfg);
-        prop_assert_eq!(write_netlist(&a), write_netlist(&b));
+        prop_assert!(netlists_identical(&a, &b));
     }
 }

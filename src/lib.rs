@@ -7,7 +7,7 @@
 //! depend on a single crate:
 //!
 //! * [`netlist`] — circuit model, synthetic ISCAS-89-like benchmark suite,
-//!   text netlist format ([`vlsi_netlist`]),
+//!   Bookshelf interchange ([`vlsi_netlist`]),
 //! * [`place`] — row-based placement, multiobjective cost functions and the
 //!   fuzzy quality measure µ(s) ([`vlsi_place`]),
 //! * [`sime`] — the serial Simulated Evolution engine ([`sime_core`]),

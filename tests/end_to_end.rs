@@ -232,20 +232,40 @@ fn threaded_backend_is_bitwise_identical_to_modeled_for_every_strategy() {
 
 #[test]
 fn netlist_roundtrip_preserves_costs() {
-    // Write a paper circuit to the text format, parse it back, and check the
-    // cost of the same placement is identical.
-    let original = Arc::new(paper_circuit(PaperCircuit::S1238));
-    let text = vlsi_netlist::format::write_netlist(&original);
-    let parsed = Arc::new(vlsi_netlist::format::parse_netlist(&text).unwrap());
+    // Dump a mixed-size circuit to `.nodes`/`.nets` and a random placement of
+    // it to `.pl`, reload both, and check the reloaded layout prices to the
+    // same bits: the netlists are identical and the `.pl` path reproduces
+    // coordinates bit for bit.
+    use rand::SeedableRng;
+    use sime_placement::netlist::bench_suite::{mixed_circuit, MixedCircuit};
+    use sime_placement::netlist::bookshelf::{netlists_identical, parse_pl, write_pl};
+    use sime_placement::place::{placement_from_pl, placement_to_pl};
 
-    let placement = Placement::round_robin(&original, 10);
-    let eval_a = CostEvaluator::new(Arc::clone(&original), Objectives::WirelengthPower);
-    let eval_b = CostEvaluator::new(Arc::clone(&parsed), Objectives::WirelengthPower);
-    let a = eval_a.evaluate(&placement);
-    let b = eval_b.evaluate(&placement);
-    assert!((a.wirelength - b.wirelength).abs() < 1e-9);
-    assert!((a.power - b.power).abs() < 1e-9);
-    assert!((a.mu - b.mu).abs() < 1e-12);
+    let circuit = MixedCircuit::Mix600;
+    let rows = circuit.num_rows();
+    let original = Arc::new(mixed_circuit(circuit));
+    let pair = write_bookshelf(&original);
+    let parsed = Arc::new(parse_bookshelf(&pair.nodes, &pair.nets).unwrap());
+    assert!(netlists_identical(&original, &parsed));
+
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
+    let placement = Placement::random(&original, rows, &mut rng);
+    let pl = write_pl(&placement_to_pl(&original, &placement));
+    let reloaded = placement_from_pl(&parsed, rows, &parse_pl(&pl).unwrap()).unwrap();
+    reloaded.validate(&parsed).unwrap();
+
+    for objectives in [
+        Objectives::WirelengthPower,
+        Objectives::WirelengthPowerDelay,
+    ] {
+        let a = CostEvaluator::new(Arc::clone(&original), objectives).evaluate(&placement);
+        let b = CostEvaluator::new(Arc::clone(&parsed), objectives).evaluate(&reloaded);
+        let label = objectives.label();
+        assert_eq!(a.wirelength.to_bits(), b.wirelength.to_bits(), "{label}");
+        assert_eq!(a.power.to_bits(), b.power.to_bits(), "{label}");
+        assert_eq!(a.delay.to_bits(), b.delay.to_bits(), "{label}");
+        assert_eq!(a.mu.to_bits(), b.mu.to_bits(), "{label}");
+    }
 }
 
 #[test]

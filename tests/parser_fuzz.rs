@@ -1,7 +1,8 @@
 //! Fuzz properties for every parser that reads untrusted bytes: protocol
-//! request lines, the JSON reader under them, and the Bookshelf `.pl`,
-//! `.scl` and `.nodes`/`.nets` readers. Each is fed arbitrary bytes and
-//! mutated valid samples (truncations, byte flips, duplicated tokens,
+//! request lines, the JSON reader under them, the Bookshelf `.pl`, `.scl`
+//! and `.nodes`/`.nets` readers, and the `.pl`-to-placement conversion the
+//! server runs on client-registered warm starts. Each is fed arbitrary bytes
+//! and mutated valid samples (truncations, byte flips, duplicated tokens,
 //! inserted bytes), decoded as lossy UTF-8 the way a transport would hand
 //! them over. Every call must return `Ok` or a typed error; a panic fails
 //! the property.
@@ -12,7 +13,8 @@ use sime_placement::netlist::bookshelf::{
     parse_bookshelf, parse_pl, parse_scl, write_nets, write_nodes, write_pl, write_scl,
 };
 use sime_placement::netlist::generator::{CircuitGenerator, GeneratorConfig, MixedSizeSpec};
-use sime_placement::place::interchange::{placement_to_pl, rows_to_scl};
+use sime_placement::netlist::Netlist;
+use sime_placement::place::interchange::{placement_from_pl, placement_to_pl, rows_to_scl};
 use sime_placement::place::layout::Placement;
 use sime_server::Request;
 
@@ -29,16 +31,24 @@ const REQUESTS: [&str; 6] = [
 /// A JSON document with every value kind, escapes and nesting.
 const JSON_DOC: &str = r#"{"a": [1, -2.5e3, 0.125, true, false, null], "s": "q\"\\\/\b\f\n\r\té\ud800 ü", "o": {"deep": [[{}], []]}}"#;
 
-/// The Bookshelf sample texts: `(nodes, nets, pl, scl)` of a small
-/// mixed-size circuit with pads, macros and fixed cells.
-fn bookshelf_samples() -> (String, String, String, String) {
+/// Row count of the sample placement.
+const SAMPLE_ROWS: usize = 6;
+
+/// A small mixed-size circuit with pads, macros and fixed cells.
+fn sample_netlist() -> Netlist {
     let cfg = GeneratorConfig::sized("fuzz", 150, 7).with_mixed(MixedSizeSpec {
         num_macros: 2,
         macro_height: 2,
         pad_ring: true,
     });
-    let netlist = CircuitGenerator::new(cfg).generate();
-    let placement = Placement::round_robin(&netlist, 6);
+    CircuitGenerator::new(cfg).generate()
+}
+
+/// The Bookshelf sample texts: `(nodes, nets, pl, scl)` of
+/// [`sample_netlist`] placed round-robin on [`SAMPLE_ROWS`] rows.
+fn bookshelf_samples() -> (String, String, String, String) {
+    let netlist = sample_netlist();
+    let placement = Placement::round_robin(&netlist, SAMPLE_ROWS);
     (
         write_nodes(&netlist),
         write_nets(&netlist),
@@ -103,6 +113,12 @@ fn arb_edits() -> impl Strategy<Value = Vec<(u8, u64)>> {
     prop::collection::vec((any::<u8>(), any::<u64>()), 1..8)
 }
 
+/// One to three edits: light enough that about a quarter of the mutated
+/// `.pl` samples still parse and reach the placement conversion.
+fn arb_light_edits() -> impl Strategy<Value = Vec<(u8, u64)>> {
+    prop::collection::vec((any::<u8>(), any::<u64>()), 1..4)
+}
+
 /// Per-line byte limits: the server's usual one and one small enough that
 /// mutated lines straddle it.
 fn arb_line_limit() -> impl Strategy<Value = usize> {
@@ -117,7 +133,7 @@ fn samples_are_valid() {
     Json::parse(JSON_DOC).unwrap();
     let (nodes, nets, pl, scl) = bookshelf_samples();
     parse_bookshelf(&nodes, &nets).unwrap();
-    parse_pl(&pl).unwrap();
+    placement_from_pl(&sample_netlist(), SAMPLE_ROWS, &parse_pl(&pl).unwrap()).unwrap();
     parse_scl(&scl).unwrap();
 }
 
@@ -162,6 +178,24 @@ proptest! {
             1 => drop(parse_scl(&mutate(&scl, &edits))),
             2 => drop(parse_bookshelf(&mutate(&nodes, &edits), &nets)),
             _ => drop(parse_bookshelf(&nodes, &mutate(&nets, &edits))),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Mutated `.pl` text that still parses goes on through the warm-start
+    /// conversion against the sample's netlist, at the sample's row count
+    /// and at a drawn one.
+    #[test]
+    fn pl_conversion_never_panics(edits in arb_light_edits(), num_rows in 1usize..13) {
+        let (_, _, pl, _) = bookshelf_samples();
+        if let Ok(entries) = parse_pl(&mutate(&pl, &edits)) {
+            let netlist = sample_netlist();
+            for rows in [SAMPLE_ROWS, num_rows] {
+                let _ = placement_from_pl(&netlist, rows, &entries);
+            }
         }
     }
 }
