@@ -272,21 +272,46 @@ fn render_all(doc: &Json) -> Result<String, String> {
     Ok(out)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("report_tables [--input PATH]   (default SCENARIO_MATRIX.json)");
-        return;
+/// What a `report_tables` command line asks for.
+#[derive(Debug, PartialEq, Eq)]
+enum Command {
+    /// Print the usage line.
+    Help,
+    /// Render the tables of the matrix report at this path.
+    Render(String),
+}
+
+/// Parses the arguments after the program name. Unknown arguments are an
+/// error: a typo like `--inptu x.json` must not silently render the default
+/// `SCENARIO_MATRIX.json` instead.
+fn parse_args(args: &[String]) -> Result<Command, String> {
+    let mut input = "SCENARIO_MATRIX.json".to_string();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        match arg.as_str() {
+            "--help" | "-h" => return Ok(Command::Help),
+            "--input" => match rest.next() {
+                Some(v) if !v.starts_with("--") => input = v.clone(),
+                _ => return Err("--input requires a path".into()),
+            },
+            other => return Err(format!("unknown argument `{other}` (see --help)")),
+        }
     }
-    let input = match args.iter().position(|a| a == "--input") {
-        Some(i) => match args.get(i + 1) {
-            Some(v) if !v.starts_with("--") => v.clone(),
-            _ => {
-                eprintln!("--input requires a path");
-                std::process::exit(2);
-            }
-        },
-        None => "SCENARIO_MATRIX.json".into(),
+    Ok(Command::Render(input))
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let input = match parse_args(&args) {
+        Ok(Command::Render(input)) => input,
+        Ok(Command::Help) => {
+            println!("report_tables [--input PATH]   (default SCENARIO_MATRIX.json)");
+            return;
+        }
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
     };
     let text = std::fs::read_to_string(&input).unwrap_or_else(|e| {
         eprintln!("cannot read {input}: {e} (run scenario_matrix first)");
@@ -418,5 +443,28 @@ mod tests {
         assert!(out.contains("== Type II fixed vs random (wirelength+power+delay,"));
         assert!(out.contains("== Quality by strategy"));
         assert!(out.contains("== Mixed portfolio scaling"));
+    }
+
+    #[test]
+    fn argument_parser_rejects_unknown_flags() {
+        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            parse_args(&[]),
+            Ok(Command::Render("SCENARIO_MATRIX.json".into()))
+        );
+        assert_eq!(
+            parse_args(&args(&["--input", "x.json"])),
+            Ok(Command::Render("x.json".into()))
+        );
+        assert_eq!(parse_args(&args(&["-h"])), Ok(Command::Help));
+        for bad in [
+            &["--inptu", "x.json"][..],
+            &["x.json"],
+            &["--input"],
+            &["--input", "--help"],
+            &["--input", "x.json", "--full"],
+        ] {
+            assert!(parse_args(&args(bad)).is_err(), "{bad:?} must be rejected");
+        }
     }
 }

@@ -1,58 +1,14 @@
-//! Shared harness utilities for the table-reproduction binaries.
+//! Shared helpers of the table-reproduction binaries.
 //!
-//! Every binary in `src/bin/` regenerates one of the paper's tables (see the
-//! per-experiment index in `DESIGN.md`). The runs are driven by the same
-//! engine and cluster models as the library tests; the only knob is the
-//! *iteration scale*: by default each binary runs a scaled-down iteration
-//! schedule (`SIME_SCALE`, default 0.02 × the paper's iteration counts) so
-//! that the full table regenerates in seconds. Pass `--full` or set
-//! `SIME_SCALE=1.0` to run the paper's exact schedule.
+//! `scenario_matrix` executes the scenario grid and writes its JSON report;
+//! `report_tables` formats the paper-style tables from that report (see the
+//! per-experiment index in `DESIGN.md`). Both go through [`json`], which
+//! `sime-server` and `placebench` use too.
+//! The release-mode performance floors live in `tests/perf_floors.rs`.
 
 #![warn(missing_docs)]
 
 pub mod json;
-
-use sime_core::engine::{SimEConfig, SimEEngine};
-use std::sync::Arc;
-use vlsi_netlist::bench_suite::{paper_circuit, PaperCircuit};
-use vlsi_place::cost::Objectives;
-
-/// Iteration scale read from the command line (`--full`, `--scale X`) or the
-/// `SIME_SCALE` environment variable. Defaults to 0.02.
-pub fn iteration_scale() -> f64 {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--full") {
-        return 1.0;
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--scale") {
-        if let Some(v) = args.get(pos + 1).and_then(|s| s.parse::<f64>().ok()) {
-            return v.clamp(0.001, 1.0);
-        }
-    }
-    std::env::var("SIME_SCALE")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .unwrap_or(0.02)
-        .clamp(0.001, 1.0)
-}
-
-/// Applies the iteration scale to one of the paper's iteration counts,
-/// keeping at least 20 iterations so the runs stay meaningful.
-pub fn scaled_iterations(paper_iterations: usize, scale: f64) -> usize {
-    ((paper_iterations as f64 * scale).round() as usize).max(20)
-}
-
-/// Builds a SimE engine for one of the paper's circuits with the paper's
-/// default operators and the given iteration budget.
-pub fn paper_engine(
-    circuit: PaperCircuit,
-    objectives: Objectives,
-    iterations: usize,
-) -> SimEEngine {
-    let netlist = Arc::new(paper_circuit(circuit));
-    let config = SimEConfig::paper_defaults(objectives, circuit.num_rows(), iterations);
-    SimEEngine::new(netlist, config)
-}
 
 /// Formats a modeled runtime in seconds the way the paper's tables do
 /// (whole seconds for large values, one decimal below 10 s).
@@ -75,26 +31,9 @@ pub fn fmt_parallel_entry(seconds: f64, quality_fraction: f64) -> String {
     }
 }
 
-/// Prints the standard table header used by all harness binaries.
-pub fn print_header(title: &str, scale: f64) {
-    println!("== {title} ==");
-    if (scale - 1.0).abs() < 1e-9 {
-        println!("(full paper iteration schedule)");
-    } else {
-        println!("(iteration schedule scaled by {scale}; pass --full for the paper's schedule)");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scaled_iterations_has_a_floor() {
-        assert_eq!(scaled_iterations(3500, 0.001), 20);
-        assert_eq!(scaled_iterations(3500, 1.0), 3500);
-        assert_eq!(scaled_iterations(4000, 0.02), 80);
-    }
 
     #[test]
     fn seconds_formatting_matches_table_style() {
@@ -106,14 +45,5 @@ mod tests {
     fn parallel_entry_shows_quality_deficit() {
         assert_eq!(fmt_parallel_entry(45.0, 1.0), "45");
         assert_eq!(fmt_parallel_entry(36.0, 0.95), "36 (95)");
-    }
-
-    #[test]
-    fn paper_engine_builds_for_every_circuit() {
-        for c in PaperCircuit::ALL {
-            let engine = paper_engine(c, Objectives::WirelengthPower, 10);
-            assert_eq!(engine.evaluator().netlist().num_cells(), c.cell_count());
-            assert_eq!(engine.config().num_rows, c.num_rows());
-        }
     }
 }

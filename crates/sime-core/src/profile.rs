@@ -108,11 +108,6 @@ impl ProfileReport {
         Duration::from_nanos(self.times_ns.iter().sum::<u128>() as u64)
     }
 
-    /// Total net-length evaluations across all phases.
-    pub fn total_net_evals(&self) -> u64 {
-        self.net_evals.iter().sum()
-    }
-
     /// Fraction of the total wall-clock time spent in `phase` (0 when nothing
     /// was profiled).
     pub fn time_fraction(&self, phase: Phase) -> f64 {
@@ -145,8 +140,9 @@ impl ProfileReport {
         self.iterations += other.iterations;
     }
 
-    /// Formats the report as the percentage table printed by the
-    /// `profile_breakdown` harness binary.
+    /// Formats the report as a percentage table, one row per phase with its
+    /// share of wall time and of net evaluations (the `quickstart` example
+    /// prints it).
     pub fn to_table(&self) -> String {
         let mut out = String::new();
         out.push_str("phase                 time%    work%\n");
@@ -200,7 +196,7 @@ mod tests {
         b.iterations = 2;
         a.merge(&b);
         assert_eq!(a.net_evals(Phase::Allocation), 1500);
-        assert_eq!(a.total_net_evals(), 1510);
+        assert_eq!(a.net_evals(Phase::CostCalculation), 10);
         assert_eq!(a.trial_positions, 75);
         assert_eq!(a.iterations, 3);
         assert!(a.work_fraction(Phase::Allocation) > 0.99);

@@ -17,14 +17,27 @@ fn small_engine(objectives: Objectives, iterations: usize, seed: u64) -> SimEEng
 fn serial_sime_improves_a_paper_circuit() {
     let circuit = PaperCircuit::S1196;
     let netlist = Arc::new(paper_circuit(circuit));
-    let config = SimEConfig::paper_defaults(Objectives::WirelengthPower, circuit.num_rows(), 25);
-    let engine = SimEEngine::new(Arc::clone(&netlist), config);
-    let result = engine.run();
-    result.best_placement.validate(&netlist).unwrap();
-    assert!(result.best_mu() >= result.history[0].mu);
-    assert!(result.best_cost.wirelength >= engine.evaluator().bounds().wirelength_lower);
-    // Allocation dominates the profile, as in Section 4 of the paper.
-    assert!(result.profile.work_fraction(sime_core::Phase::Allocation) > 0.8);
+    for objectives in [
+        Objectives::WirelengthPower,
+        Objectives::WirelengthPowerDelay,
+    ] {
+        let config = SimEConfig::paper_defaults(objectives, circuit.num_rows(), 25);
+        let engine = SimEEngine::new(Arc::clone(&netlist), config);
+        let result = engine.run();
+        let label = objectives.label();
+        result.best_placement.validate(&netlist).unwrap();
+        assert!(result.best_mu() >= result.history[0].mu, "{label}");
+        assert!(
+            result.best_cost.wirelength >= engine.evaluator().bounds().wirelength_lower,
+            "{label}"
+        );
+        // Allocation dominates the profile, as in Section 4 of the paper.
+        let alloc_work = result.profile.work_fraction(sime_core::Phase::Allocation);
+        assert!(
+            alloc_work > 0.8,
+            "{label}: allocation work share {alloc_work}"
+        );
+    }
 }
 
 #[test]
