@@ -39,7 +39,7 @@ const BEST_FIT_WINDOW: usize = 48;
 const BEST_FIT_ROWS: usize = 3;
 
 /// Reusable buffers for the allocation operator. Everything the former
-/// implementation allocated per cell (candidate lists, row orderings, the
+/// implementation allocated per cell (row orderings, row windows, the
 /// median buffers of the windowed search) and per *slot* (the pin buffer and
 /// Steiner sort inside trial scoring, now owned by the embedded
 /// [`TrialScorer`]) lives here, so a full allocation pass performs no heap
@@ -52,8 +52,8 @@ pub struct AllocScratch {
     /// Allowed target rows of the current allocation call, ascending and
     /// duplicate-free (the nearest-row merge's input).
     sorted_rows: Vec<usize>,
-    /// Candidate slots for the current cell.
-    candidates: Vec<Slot>,
+    /// The current cell's candidate window, one entry per row.
+    windows: Vec<RowWindow>,
     /// Connected-cell x coordinates (windowed search median).
     xs: Vec<f64>,
     /// Connected-cell y coordinates (windowed search median).
@@ -73,7 +73,7 @@ impl AllocScratch {
         AllocScratch {
             scorer: TrialScorer::for_evaluator(evaluator),
             sorted_rows: Vec::new(),
-            candidates: Vec::new(),
+            windows: Vec::new(),
             xs: Vec::new(),
             ys: Vec::new(),
             rows_by_distance: Vec::new(),
@@ -85,7 +85,7 @@ impl AllocScratch {
     /// Sets the allowed rows of one allocation call: `allowed` (or every
     /// row when `allowed` is empty), sorted ascending with duplicate entries
     /// dropped. Duplicated allowed rows would otherwise emit the same
-    /// `(row, index)` candidate twice and double-charge the
+    /// `(row, index)` slot twice and double-charge the
     /// `net_evaluations` / `trial_positions` work counts.
     fn set_allowed_rows(&mut self, num_rows: usize, allowed: &[usize]) {
         self.sorted_rows.clear();
@@ -222,81 +222,115 @@ fn allocate_cell_inner(
     let nets_of_cell = evaluator.netlist().nets_of_cell(cell).len();
 
     // One pass over the cell's pins up front; every candidate slot below is
-    // then scored from the per-net summaries. The pass runs before candidate
-    // enumeration because the windowed search derives its optimal position
-    // from the same summaries instead of re-walking the CSR.
+    // then scored from the per-net summaries. The pass runs before the
+    // window is laid out because the windowed search derives its optimal
+    // position from the same summaries instead of re-walking the CSR.
     scratch.scorer.prepare_cell(evaluator, placement, cell);
 
-    // Enumerate the candidate window in the allowed rows the cell fits in.
+    // Lay out the candidate window in the allowed rows the cell fits in.
     let budget = RowBudget::new(evaluator, placement, cell);
     windowed_candidates(evaluator, placement, cell, config, &budget, scratch);
 
-    let index = scan_candidates(
+    let windows = &scratch.windows;
+    let best = scan_windows(
         evaluator,
         placement,
         cell,
         &scratch.scorer,
-        &scratch.candidates,
+        windows,
         config.bound_pruning,
         &mut scratch.vertical,
     );
-    // Every enumerated row contributes at least one candidate.
-    let slot = scratch.candidates[if index == usize::MAX { 0 } else { index }];
-    // The nominal work counts charge the full candidate list whether or not
+    // Every window holds at least one slot; its first one stands in when
+    // nothing scored below infinity.
+    let slot = best.unwrap_or(Slot {
+        row: windows[0].row,
+        index: windows[0].first,
+    });
+    // The nominal work counts charge every slot of the window whether or not
     // the search skipped individual scores: they feed the modeled cluster
     // time and the cross-config stats-equality tests, and the *algorithmic*
     // work of the operator is unchanged.
+    let trial_positions: usize = windows.iter().map(|w| w.count).sum();
     let stats = AllocationStats {
         cells_allocated: 1,
-        trial_positions: scratch.candidates.len(),
-        net_evaluations: scratch.candidates.len() * nets_of_cell,
+        trial_positions,
+        net_evaluations: trial_positions * nets_of_cell,
     };
     placement.insert_cell(cell, slot);
     stats
 }
 
-/// Scans `candidates` with the strictly-less argmin and returns the index of
-/// the best one (`usize::MAX` when nothing was scored).
+/// One row's share of a cell's candidate window: the insertion indices
+/// `first .. first + count` of `row`, which ascend in x.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RowWindow {
+    row: usize,
+    first: usize,
+    count: usize,
+}
+
+/// First index of `lo..hi` at which `pred` turns false (`hi` when it never
+/// does); `pred` must hold on a prefix of the range and fail on the rest.
+/// The index-range form of `slice::partition_point`.
+fn partition_point(mut lo: usize, mut hi: usize, mut pred: impl FnMut(usize) -> bool) -> usize {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// Scans the slots of `windows`, in window order and ascending index within
+/// each, with the strictly-less argmin and returns the best one (`None` when
+/// nothing scored below infinity).
 ///
-/// With `prune` set, the scan walks the list as contiguous same-row runs,
-/// which ascend in x, and scores each candidate through per-net vertical
-/// constants prepared once per run (`PreparedSummaries::prepare_row`),
-/// bit-identical to the full score. Along a run the score is non-increasing
-/// for `x ≤ a` and non-decreasing for `x ≥ b`, component-wise, where
-/// `(a, b) = monotone_branches()` (see DESIGN.md §3a). So each run:
+/// With `prune` set, the scan scores each window's slots through per-net
+/// vertical constants prepared once per window
+/// (`PreparedSummaries::prepare_row`), bit-identical to the full score.
+/// Along a window the score is non-increasing for `x ≤ a` and
+/// non-decreasing for `x ≥ b`, component-wise, where
+/// `(a, b) = monotone_branches()` (see DESIGN.md §3a). So each window:
 ///
-/// * scores only the last candidate with `x ≤ a`. When it strictly beats
-///   the incumbent, every candidate of that prefix scoring the same is a
-///   contiguous block ending there, and a binary search finds its first
-///   index — the pick of a linear first-wins scan;
-/// * walks the candidates with `a < x < b`;
-/// * stops after the first candidate with `x ≥ b`: no later one can
-///   strictly beat it.
+/// * scores only the last slot with `x ≤ a`. When it strictly beats the
+///   incumbent, every slot of that prefix scoring the same is a contiguous
+///   block ending there, and a binary search finds its first index — the
+///   pick of a linear first-wins scan;
+/// * walks the slots with `a < x < b`;
+/// * stops after the first slot with `x ≥ b`: no later one can strictly
+///   beat it.
 ///
-/// The argmin index, and with it every placement and trajectory, is bitwise
+/// The argmin, and with it every placement and trajectory, is bitwise
 /// identical to the exhaustive scan; under `debug_assertions` every scan
 /// re-runs the exhaustive one through the reference scorer and asserts so.
-fn scan_candidates(
+fn scan_windows(
     evaluator: &CostEvaluator,
     placement: &Placement,
     cell: CellId,
     scorer: &TrialScorer,
-    candidates: &[Slot],
+    windows: &[RowWindow],
     prune: bool,
     vertical: &mut Vec<f64>,
-) -> usize {
+) -> Option<Slot> {
     let exhaustive = || {
         let mut best_score = f64::INFINITY;
-        let mut best_index = usize::MAX;
-        for (i, &candidate) in candidates.iter().enumerate() {
-            let pos = placement.trial_position(cell, candidate);
-            let score = evaluator.allocation_score(&scorer.prepared_cost_at(pos));
-            if score < best_score {
-                best_score = score;
-                best_index = i;
+        let mut best = None;
+        for w in windows {
+            for index in w.first..w.first + w.count {
+                let slot = Slot { row: w.row, index };
+                let pos = placement.trial_position(cell, slot);
+                let score = evaluator.allocation_score(&scorer.prepared_cost_at(pos));
+                if score < best_score {
+                    best_score = score;
+                    best = Some(slot);
+                }
             }
         }
-        best_index
+        best
     };
     if !prune {
         return exhaustive();
@@ -304,59 +338,58 @@ fn scan_candidates(
 
     let view = scorer.prepared_summaries();
     let (a, b) = view.monotone_branches();
-    let x_of = |slot: Slot| placement.trial_position(cell, slot).0;
     let mut best_score = f64::INFINITY;
-    let mut best_index = usize::MAX;
-    let mut start = 0;
-    while start < candidates.len() {
-        let row = candidates[start].row;
-        let run = &candidates[start..];
-        let run = &run[..run.iter().position(|c| c.row != row).unwrap_or(run.len())];
+    let mut best = None;
+    for &RowWindow { row, first, count } in windows {
+        let end = first + count;
+        let x_of = |index: usize| placement.trial_position(cell, Slot { row, index }).0;
         view.prepare_row(row as u32, vertical);
         let score_at = |x: f64| evaluator.allocation_score(&view.cost_at_in_row(x, vertical));
-        // The run's non-increasing prefix: the candidates with x ≤ a.
-        let prefix = run.partition_point(|&slot| x_of(slot) <= a);
+        // The window's non-increasing prefix: the slots with x ≤ a.
+        let prefix = partition_point(first, end, |i| x_of(i) <= a);
         let mut walk_from = prefix;
-        if prefix > 0 {
-            let x = x_of(run[prefix - 1]);
+        if prefix > first {
+            let x = x_of(prefix - 1);
             let score = score_at(x);
             if score < best_score {
                 best_score = score;
-                best_index =
-                    start + run[..prefix - 1].partition_point(|&slot| score_at(x_of(slot)) > score);
+                let index = partition_point(first, prefix - 1, |i| score_at(x_of(i)) > score);
+                best = Some(Slot { row, index });
             }
             if x >= b {
                 // The prefix already reached the non-decreasing suffix.
-                walk_from = run.len();
+                walk_from = end;
             }
         }
-        for (i, &slot) in run.iter().enumerate().skip(walk_from) {
-            let x = x_of(slot);
+        for index in walk_from..end {
+            let x = x_of(index);
             let score = score_at(x);
             if score < best_score {
                 best_score = score;
-                best_index = start + i;
+                best = Some(Slot { row, index });
             }
             if x >= b {
                 break;
             }
         }
-        start += run.len();
     }
     debug_assert_eq!(
-        best_index,
+        best,
         exhaustive(),
         "monotone-branch search diverged from the exhaustive scan"
     );
-    best_index
+    best
 }
 
-/// The candidate window of windowed best fit: the cell's optimal position is
-/// the median of the positions of the other cells it connects to;
-/// candidates are the insertion indices closest to that x coordinate in the
-/// [`BEST_FIT_ROWS`] allowed rows closest to the optimal row that fit the
-/// cell (the least-filled allowed row when none does), capped at
-/// [`BEST_FIT_WINDOW`] slots in total. The window keeps the per-cell
+/// The candidate window of windowed best fit, written to `scratch.windows`
+/// as one [`RowWindow`] per row: the cell's optimal position is the median
+/// of the positions of the other cells it connects to; candidates are the
+/// insertion indices closest to that x coordinate in the [`BEST_FIT_ROWS`]
+/// allowed rows closest to the optimal row that fit the cell (the
+/// least-filled allowed row when none does), capped at [`BEST_FIT_WINDOW`]
+/// slots in total: the rows are taken nearest first and the row that
+/// crosses the cap is cut short, which is where truncating the
+/// concatenated slot list would cut it. The window keeps the per-cell
 /// allocation cost independent of the layout size, which is what makes the
 /// paper's Type II per-iteration speed-up roughly proportional to the
 /// processor count.
@@ -382,14 +415,14 @@ fn windowed_candidates(
     let AllocScratch {
         scorer,
         sorted_rows,
-        candidates,
+        windows,
         xs,
         ys,
         rows_by_distance,
         row_counts,
         ..
     } = scratch;
-    candidates.clear();
+    windows.clear();
 
     let (opt_x, opt_y) = if config.bound_pruning {
         scorer
@@ -434,6 +467,7 @@ fn windowed_candidates(
     }
 
     let per_row = (BEST_FIT_WINDOW / rows_by_distance.len()).max(1);
+    let mut room = BEST_FIT_WINDOW;
     for &row in rows_by_distance.iter() {
         let cells_in_row = placement.row(row);
         let len = cells_in_row.len();
@@ -498,11 +532,14 @@ fn windowed_candidates(
         let half = per_row / 2;
         let lo = best_index.saturating_sub(half);
         let hi = (best_index + half.max(1)).min(len);
-        for index in lo..=hi {
-            candidates.push(Slot { row, index });
-        }
+        let count = (hi - lo + 1).min(room);
+        room -= count;
+        windows.push(RowWindow {
+            row,
+            first: lo,
+            count,
+        });
     }
-    candidates.truncate(BEST_FIT_WINDOW);
 }
 
 /// Index of the first cell in `row` whose left edge is `≥ opt_x` (the row's
@@ -977,7 +1014,7 @@ mod tests {
     #[test]
     fn pruned_scan_matches_full_scan_over_every_slot() {
         // Long runs for the monotone-branch search: the windowed operator
-        // hands `scan_candidates` runs of at most a few dozen slots, so here
+        // hands `scan_windows` windows of at most a few dozen slots, so here
         // each prepared cell is scanned over every slot of every row. The
         // searched argmin must equal the exhaustive one, on a generated
         // circuit and on a mixed-size one whose blocked spans give
@@ -1001,30 +1038,31 @@ mod tests {
                 let eval = CostEvaluator::new(Arc::clone(&nl), objectives);
                 let mut scratch = AllocScratch::for_evaluator(&eval);
                 let mut placement = Placement::round_robin(&nl, num_rows);
-                let (mut candidates, mut vertical) = (Vec::new(), Vec::new());
+                let mut vertical = Vec::new();
                 for cell in nl.cell_ids().filter(|&c| !nl.cell(c).fixed).step_by(3) {
                     let slot = placement.slot_of(cell);
                     placement.remove_cell(cell);
                     scratch.scorer.prepare_cell(&eval, &placement, cell);
-                    candidates.clear();
-                    for row in 0..num_rows {
-                        candidates.extend(
-                            (0..placement.slots_in_row(row)).map(|index| Slot { row, index }),
-                        );
-                    }
+                    let windows: Vec<RowWindow> = (0..num_rows)
+                        .map(|row| RowWindow {
+                            row,
+                            first: 0,
+                            count: placement.slots_in_row(row),
+                        })
+                        .collect();
                     let mut scan = |prune: bool| {
-                        scan_candidates(
+                        scan_windows(
                             &eval,
                             &placement,
                             cell,
                             &scratch.scorer,
-                            &candidates,
+                            &windows,
                             prune,
                             &mut vertical,
                         )
                     };
                     let full = scan(false);
-                    assert_ne!(full, usize::MAX);
+                    assert!(full.is_some());
                     assert_eq!(
                         scan(true),
                         full,
@@ -1054,6 +1092,137 @@ mod tests {
             "searched prefixes {searched}, walked {walked}, skipped {skipped}, \
              shared x in a prefix {shared_x}"
         );
+    }
+
+    /// The slot list windowed best fit examined before it became row
+    /// windows, built independently: the sort-based median of the connected
+    /// cells, the fitting rows sorted by `(distance, row)`, a linear scan
+    /// for each row's nearest boundary, and the concatenated per-row index
+    /// ranges truncated to `BEST_FIT_WINDOW`. Also returns the untruncated
+    /// length of each row's range.
+    fn reference_slot_list(
+        eval: &CostEvaluator,
+        placement: &Placement,
+        cell: CellId,
+    ) -> (Vec<Slot>, Vec<usize>) {
+        let (mut xs, mut ys) = (Vec::new(), Vec::new());
+        for &net in eval.netlist().nets_of_cell(cell) {
+            for &other in eval.net_cells(net).iter().filter(|&&c| c != cell) {
+                let (x, y) = placement.position(other);
+                xs.push(x);
+                ys.push(y);
+            }
+        }
+        let (opt_x, opt_y) = if xs.is_empty() {
+            placement.position(cell)
+        } else {
+            xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            ys.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            (xs[xs.len() / 2], ys[ys.len() / 2])
+        };
+        let limit = (1.0 + eval.fuzzy().alpha_width) * placement.avg_row_width();
+        let width = eval.netlist().cell(cell).width as u64;
+        let all_rows: Vec<usize> = (0..placement.num_rows()).collect();
+        let mut rows: Vec<usize> = all_rows
+            .iter()
+            .copied()
+            .filter(|&r| (placement.row_width(r) + width) as f64 <= limit)
+            .collect();
+        let dist = |r: usize| ((r as f64 + 0.5) * row_height() - opt_y).abs();
+        rows.sort_by(|&a, &b| dist(a).partial_cmp(&dist(b)).unwrap().then(a.cmp(&b)));
+        rows.truncate(BEST_FIT_ROWS);
+        if rows.is_empty() {
+            rows.push(least_filled(placement, &all_rows));
+        }
+        let per_row = (BEST_FIT_WINDOW / rows.len()).max(1);
+        let (mut list, mut lengths) = (Vec::new(), Vec::new());
+        for row in rows {
+            let cells = placement.row(row);
+            let boundaries = cells
+                .iter()
+                .map(|&c| placement.left_edge(c))
+                .chain([placement.row_extent(row)]);
+            let mut best = (f64::INFINITY, 0);
+            for (i, edge) in boundaries.enumerate() {
+                if (edge - opt_x).abs() < best.0 {
+                    best = ((edge - opt_x).abs(), i);
+                }
+            }
+            let half = per_row / 2;
+            let lo = best.1.saturating_sub(half);
+            let hi = (best.1 + half.max(1)).min(cells.len());
+            list.extend((lo..=hi).map(|index| Slot { row, index }));
+            lengths.push(hi - lo + 1);
+        }
+        list.truncate(BEST_FIT_WINDOW);
+        (list, lengths)
+    }
+
+    #[test]
+    fn row_windows_match_the_materialised_slot_list() {
+        // Every movable cell of a generated circuit and of mix600 (blocked
+        // spans) is ripped up and re-allocated in turn. The windowed scan's
+        // slot and nominal counts must equal the first-wins argmin of the
+        // naive oracle over the old materialised slot list. Among the cells
+        // there must be lists whose third row brought 17 slots and was cut
+        // by the truncation to 48.
+        use vlsi_netlist::bench_suite::{mixed_circuit, MixedCircuit};
+        let plain = Arc::new(
+            CircuitGenerator::new(GeneratorConfig::sized("alloc_windows", 300, 41)).generate(),
+        );
+        let circuits = [
+            (plain, 7),
+            (
+                Arc::new(mixed_circuit(MixedCircuit::Mix600)),
+                MixedCircuit::Mix600.num_rows(),
+            ),
+        ];
+        for (nl, num_rows) in circuits {
+            let eval = CostEvaluator::new(Arc::clone(&nl), Objectives::WirelengthPowerDelay);
+            let mut scratch = AllocScratch::for_evaluator(&eval);
+            let mut placement = Placement::round_robin(&nl, num_rows);
+            let mut third_row_cut = 0;
+            for cell in nl.cell_ids().filter(|&c| !nl.cell(c).fixed) {
+                placement.remove_cell(cell);
+                let (list, lengths) = reference_slot_list(&eval, &placement, cell);
+                let cut = lengths.iter().sum::<usize>() > BEST_FIT_WINDOW;
+                third_row_cut += usize::from(lengths.len() == 3 && lengths[2] == 17 && cut);
+                let mut expected = (f64::INFINITY, list[0]);
+                for &slot in &list {
+                    let pos = placement.trial_position(cell, slot);
+                    let score = eval.allocation_score(&eval.cell_cost_at(&placement, cell, pos));
+                    if score < expected.0 {
+                        expected = (score, slot);
+                    }
+                }
+                let stats = allocate_cell(
+                    &eval,
+                    &mut scratch,
+                    &mut placement,
+                    cell,
+                    &AllocationConfig::default(),
+                    &[],
+                );
+                assert_eq!(
+                    placement.slot_of(cell),
+                    expected.1,
+                    "{}: cell {cell}",
+                    nl.name()
+                );
+                assert_eq!(
+                    stats.trial_positions,
+                    list.len(),
+                    "{}: cell {cell}",
+                    nl.name()
+                );
+                assert_eq!(
+                    stats.net_evaluations,
+                    list.len() * nl.nets_of_cell(cell).len()
+                );
+            }
+            placement.validate(&nl).unwrap();
+            assert!(third_row_cut > 0, "{}: no truncated third row", nl.name());
+        }
     }
 
     #[test]

@@ -159,8 +159,6 @@ struct SimeIsland {
     scratch: SimEScratch,
     placement: Placement,
     current: CostBreakdown,
-    frozen: Vec<bool>,
-    rows: Vec<usize>,
     best: CostBreakdown,
     best_placement: Placement,
     evaluations: usize,
@@ -170,12 +168,9 @@ impl SimeIsland {
     fn new(engine: Arc<SimEEngine>, initial: Placement, seed: u64) -> Self {
         let mut scratch = engine.new_scratch();
         let current = engine.cost_with(&initial, &mut scratch);
-        let num_rows = engine.config().num_rows;
         SimeIsland {
             rng: ChaCha8Rng::seed_from_u64(seed),
             scratch,
-            frozen: vec![false; engine.evaluator().netlist().num_cells()],
-            rows: (0..num_rows).collect(),
             best_placement: initial.clone(),
             placement: initial,
             current,
@@ -198,8 +193,8 @@ impl Optimizer for SimeIsland {
             &mut self.scratch,
             &mut self.rng,
             &mut profile,
-            &self.frozen,
-            &self.rows,
+            &[],
+            &[],
         );
         self.current = self.engine.cost_with(&self.placement, &mut self.scratch);
         self.evaluations += 1;

@@ -176,6 +176,7 @@ impl CostEvaluator {
     }
 
     /// The netlist the evaluator operates on.
+    #[inline]
     pub fn netlist(&self) -> &Arc<Netlist> {
         &self.netlist
     }
@@ -378,6 +379,7 @@ impl CostEvaluator {
     /// Scalar score used to rank allocation trial positions: lower is better.
     /// Wirelength and power always contribute; nets on critical paths get an
     /// extra weight when delay is optimised.
+    #[inline]
     pub fn allocation_score(&self, cost: &CellCost) -> f64 {
         let mut score = cost.wirelength + cost.power;
         if self.objectives.includes_delay() {

@@ -120,12 +120,11 @@ impl FuzzyConfig {
     /// including only the objectives listed in `use_delay` and always
     /// including the width-constraint membership.
     pub fn mu(&self, level: &FuzzyLevel, use_delay: bool) -> f64 {
-        let mut parts = vec![level.wirelength, level.power];
         if use_delay {
-            parts.push(level.delay);
+            self.aggregate(&[level.wirelength, level.power, level.delay, level.width])
+        } else {
+            self.aggregate(&[level.wirelength, level.power, level.width])
         }
-        parts.push(level.width);
-        self.aggregate(&parts)
     }
 }
 

@@ -30,7 +30,8 @@
 //!   across SimE iterations and re-evaluates only the nets with a pin whose
 //!   coordinates changed since the last refresh, found through the
 //!   placement's per-row mutation epochs. A net none of whose pins changed
-//!   row re-prices its trunk only.
+//!   row re-prices its trunk only; after a pass that changed every row, every
+//!   net is re-priced in net order instead.
 //!
 //! # Bitwise determinism
 //!
@@ -70,12 +71,15 @@
 //! * a cell that is ripped up (`remove_cell`) keeps its last coordinates, so
 //!   nets that reference it mid-allocation evaluate exactly as the oracle
 //!   does; its eventual re-insertion dirties the target row, where the walk
-//!   compares it with its snapshot and restores freshness.
+//!   compares it with its snapshot and restores freshness,
+//! * when every row's epoch advanced, the refresh re-snapshots every cell and
+//!   re-prices every net in full, in net order, exactly as a full refresh
+//!   does, keeping the placement association and the full-refresh count.
 
 use crate::cost::{CellCost, CostEvaluator};
 use crate::layout::{Placement, ROW_HEIGHT};
 use crate::wirelength::WirelengthModel;
-use vlsi_netlist::{CellId, NetId};
+use vlsi_netlist::{CellId, NetId, Netlist};
 
 /// Maps a row-lattice y coordinate (`(row + 0.5) * ROW_HEIGHT`) back to its
 /// row index. Exact for every row index the layout can produce, because the
@@ -398,6 +402,7 @@ impl TrialScorer {
     /// [`TrialScorer::prepare_cell`], exposing the row-hoisted scorer, the
     /// monotone branches and the median position. Valid under the same
     /// conditions as [`TrialScorer::prepared_cost_at`].
+    #[inline]
     pub fn prepared_summaries(&self) -> PreparedSummaries<'_> {
         PreparedSummaries {
             model: self.model,
@@ -685,6 +690,7 @@ impl<'a> PreparedSummaries<'a> {
     /// values), the row from per-row counting. `xs_scratch` is caller
     /// scratch (contents irrelevant); `row_counts` must be all zero and is
     /// all zero again on return.
+    #[inline]
     pub fn median_position(
         &self,
         xs_scratch: &mut Vec<f64>,
@@ -721,6 +727,7 @@ impl<'a> PreparedSummaries<'a> {
     /// [`PreparedSummaries::cost_at_in_row`] over these constants reproduces
     /// [`TrialScorer::prepared_cost_at`] exactly. Compute once per
     /// contiguous same-row candidate run.
+    #[inline]
     pub fn prepare_row(&self, row: u32, vertical: &mut Vec<f64>) {
         vertical.clear();
         vertical.extend(self.prepared.iter().map(|s| {
@@ -743,6 +750,7 @@ impl<'a> PreparedSummaries<'a> {
     /// the hoisted vertical constant, folded like the full score — bitwise
     /// identical to [`TrialScorer::prepared_cost_at`] at the same position,
     /// at a fraction of the cost (no median or branch sum per candidate).
+    #[inline]
     pub fn cost_at_in_row(&self, x: f64, vertical: &[f64]) -> CellCost {
         debug_assert_eq!(vertical.len(), self.prepared.len());
         let mut cost = CellCost::default();
@@ -767,6 +775,7 @@ impl<'a> PreparedSummaries<'a> {
     /// and `min_x` over the nets of at least two pins (`(inf, -inf)` when
     /// there is none). For `x ≤ a` every net's trunk is non-increasing in
     /// `x`, for `x ≥ b` non-decreasing (see the type-level docs).
+    #[inline]
     pub fn monotone_branches(&self) -> (f64, f64) {
         let (mut a, mut b) = (f64::INFINITY, f64::NEG_INFINITY);
         for s in self.prepared.iter().filter(|s| s.total_pins >= 2) {
@@ -787,8 +796,11 @@ impl<'a> PreparedSummaries<'a> {
 /// branch sum) depends on their rows alone. The cache keeps each net's
 /// vertical term from its last full re-price, so a net whose moved pins all
 /// stayed in their rows — the neighbours a swap or relocate slides along a
-/// row — is re-priced by recomputing its trunk only. See the module docs for
-/// the exact invalidation invariants.
+/// row — is re-priced by recomputing its trunk only. When every row changed
+/// since the last refresh, as after an allocation pass over all rows, the
+/// cache instead re-prices every net in net order, which is cheaper than
+/// walking every row for moved pins. See the module docs for the exact
+/// invalidation invariants.
 #[derive(Debug, Clone, Default)]
 pub struct NetLengthCache {
     lengths: Vec<f64>,
@@ -832,18 +844,22 @@ impl NetLengthCache {
         &self.lengths
     }
 
-    /// Number of full (every-net) refreshes performed.
+    /// Number of full refreshes performed: the first refresh of each
+    /// placement object and the first after each
+    /// [`NetLengthCache::invalidate`]. The in-order re-price after every row
+    /// changed also re-prices every net, but counts as a delta refresh.
     pub fn full_refreshes(&self) -> u64 {
         self.full_refreshes
     }
 
-    /// Number of delta refreshes that re-evaluated at least one net.
+    /// Number of delta refreshes that re-evaluated at least one net,
+    /// in-order re-prices of every net included.
     pub fn delta_refreshes(&self) -> u64 {
         self.delta_refreshes
     }
 
     /// Number of individual net re-evaluations performed by delta refreshes,
-    /// full and trunk-only alike.
+    /// full and trunk-only alike (`num_nets` per in-order re-price).
     pub fn nets_recomputed(&self) -> u64 {
         self.nets_recomputed
     }
@@ -863,10 +879,10 @@ impl NetLengthCache {
         placement: &Placement,
     ) -> &[f64] {
         let mut dirty = std::mem::take(&mut self.dirty_scratch);
-        let full = self.plan_refresh(evaluator, placement, &mut dirty);
+        let all_in_full = self.plan_refresh(evaluator, placement, &mut dirty);
         for &net in &dirty {
             let i = net.index();
-            if full || self.net_row_stamp[i] == self.stamp {
+            if all_in_full || self.net_row_stamp[i] == self.stamp {
                 let (length, vertical) = scorer.net_length_parts(evaluator, placement, net);
                 self.lengths[i] = length;
                 self.vertical[i] = vertical;
@@ -881,11 +897,19 @@ impl NetLengthCache {
 
     /// The bookkeeping half of [`NetLengthCache::refresh`]: advances the row
     /// epochs, cell snapshots, net stamps, placement uid and work counters,
-    /// and fills `dirty` with the nets whose lengths must be recomputed —
-    /// every net on a full refresh, only the nets with a pin whose
-    /// coordinates changed on a delta refresh, each net at most once. A
-    /// delta pass stamps `net_row_stamp` of every net with a pin that changed
-    /// row. Returns whether the refresh is a full one.
+    /// and fills `dirty` with the nets whose lengths must be recomputed, each
+    /// at most once. Returns whether every one of them is re-priced in full.
+    ///
+    /// * A new placement object (or one after [`NetLengthCache::invalidate`])
+    ///   takes a full refresh: every net, re-priced in full.
+    /// * When every row's epoch advanced since the last refresh — an
+    ///   allocation pass over all rows does that — walking the rows would
+    ///   visit every cell anyway, so the pass re-snapshots every cell and
+    ///   re-prices every net in full, in net order, as a full refresh does.
+    ///   It counts as a delta refresh that re-priced every net.
+    /// * Otherwise the delta pass walks the rows whose epoch advanced and
+    ///   lists only the nets with a pin whose coordinates changed, stamping
+    ///   `net_row_stamp` of every net with a pin that changed row.
     fn plan_refresh(
         &mut self,
         evaluator: &CostEvaluator,
@@ -899,22 +923,24 @@ impl NetLengthCache {
         let full = self.placement_uid != placement.uid()
             || self.lengths.len() != num_nets
             || self.row_epoch_seen.len() != num_rows;
+        let in_order =
+            !full && (0..num_rows).all(|r| placement.row_epoch(r) != self.row_epoch_seen[r]);
         if full {
             self.lengths.clear();
             self.lengths.resize(num_nets, 0.0);
             self.vertical.clear();
             self.vertical.resize(num_nets, 0.0);
             dirty.extend(netlist.net_ids());
-            self.row_epoch_seen.clear();
-            self.row_epoch_seen
-                .extend((0..num_rows).map(|r| placement.row_epoch(r)));
-            self.cell_seen.clear();
-            self.cell_seen
-                .extend(netlist.cell_ids().map(|c| pin_coords(placement, c)));
+            self.snapshot(netlist, placement);
             self.reset_stamps(num_nets);
             self.stamp = 0;
             self.placement_uid = placement.uid();
             self.full_refreshes += 1;
+        } else if in_order {
+            dirty.extend(netlist.net_ids());
+            self.snapshot(netlist, placement);
+            self.delta_refreshes += 1;
+            self.nets_recomputed += num_nets as u64;
         } else {
             self.stamp = self.stamp.wrapping_add(1);
             if self.stamp == 0 {
@@ -952,7 +978,17 @@ impl NetLengthCache {
             }
             self.nets_recomputed += dirty.len() as u64;
         }
-        full
+        full || in_order
+    }
+
+    /// Records every row's epoch and every cell's coordinates as seen.
+    fn snapshot(&mut self, netlist: &Netlist, placement: &Placement) {
+        self.row_epoch_seen.clear();
+        self.row_epoch_seen
+            .extend((0..placement.num_rows()).map(|r| placement.row_epoch(r)));
+        self.cell_seen.clear();
+        self.cell_seen
+            .extend(netlist.cell_ids().map(|c| pin_coords(placement, c)));
     }
 
     /// Zeroes both per-net stamp vectors, sized to `num_nets`.

@@ -352,6 +352,7 @@ impl Placement {
     /// Average row width `w_avg = Σ movable cell widths / num_rows`, the
     /// minimum possible layout width. Fixed cells sit outside the packed
     /// rows, so they do not count against the width constraint.
+    #[inline]
     pub fn avg_row_width(&self) -> f64 {
         self.movable_total_width as f64 / self.num_rows() as f64
     }
@@ -438,6 +439,7 @@ impl Placement {
     /// positions cheaply. The cell must currently be *removed* from the
     /// placement for the returned x coordinate to be exact; if it is still
     /// placed in the same row the estimate ignores its own width.
+    #[inline]
     pub fn trial_position(&self, cell: CellId, slot: Slot) -> (f64, f64) {
         let row = &self.rows[slot.row];
         let index = slot.index.min(row.len());

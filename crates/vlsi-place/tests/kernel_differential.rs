@@ -98,6 +98,88 @@ proptest! {
         }
     }
 
+    /// A refresh after a pass that changed every row — the allocation
+    /// operator's rip-up of a selection spanning all rows followed by its
+    /// re-insertion — re-prices every net in net order: the lengths equal
+    /// the oracle's to the bit, `nets_recomputed` grows by the net count,
+    /// no net takes the trunk-only path and the pass is not a full refresh.
+    /// A swap inside one row follows each such pass: its delta refresh must
+    /// re-price exactly the nets with a moved pin, which holds only if the
+    /// pass re-snapshotted every cell.
+    #[test]
+    fn refresh_after_every_row_changed_reprices_every_net(
+        (netlist, seed) in arb_netlist(),
+        rows in 3usize..10,
+        rounds in 1usize..5,
+    ) {
+        for model in MODELS {
+            let eval = evaluator(&netlist, model, Objectives::WirelengthPowerDelay);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xA110C);
+            let mut placement = Placement::random(&netlist, rows, &mut rng);
+            let mut scorer = TrialScorer::for_evaluator(&eval);
+            let mut cache = NetLengthCache::new();
+            cache.refresh(&eval, &mut scorer, &placement);
+            for _ in 0..rounds {
+                // One cell of every row, plus a random share of the rest.
+                let mut selected: Vec<CellId> = (0..rows)
+                    .filter(|&r| !placement.row(r).is_empty())
+                    .map(|r| placement.row(r)[rng.gen_range(0..placement.row(r).len())])
+                    .collect();
+                for c in netlist.cell_ids() {
+                    if !selected.contains(&c) && rng.gen_bool(0.3) {
+                        selected.push(c);
+                    }
+                }
+                let epochs: Vec<u64> = (0..rows).map(|r| placement.row_epoch(r)).collect();
+                for &c in &selected {
+                    placement.remove_cell(c);
+                }
+                for &c in &selected {
+                    let row = rng.gen_range(0..rows);
+                    let index = rng.gen_range(0..placement.slots_in_row(row));
+                    placement.insert_cell(c, Slot { row, index });
+                }
+                prop_assert!((0..rows).all(|r| placement.row_epoch(r) != epochs[r]));
+                let before = (cache.nets_recomputed(), cache.nets_trunk_only());
+                let cached = cache.refresh(&eval, &mut scorer, &placement);
+                for (a, b) in cached.iter().zip(&eval.net_lengths(&placement)) {
+                    prop_assert_eq!(a.to_bits(), b.to_bits());
+                }
+                prop_assert_eq!(
+                    cache.nets_recomputed() - before.0,
+                    netlist.num_nets() as u64
+                );
+                prop_assert_eq!(cache.nets_trunk_only(), before.1);
+
+                let row = rng.gen_range(0..rows);
+                let cells = placement.row(row).to_vec();
+                if cells.len() < 2 {
+                    continue;
+                }
+                let (a, b) = (cells[0], cells[rng.gen_range(1..cells.len())]);
+                let old: Vec<f64> = cells.iter().map(|&c| placement.x_of(c)).collect();
+                placement.swap_cells(a, b);
+                let moved: Vec<CellId> = cells
+                    .iter()
+                    .zip(&old)
+                    .filter(|&(&c, &x)| placement.x_of(c).to_bits() != x.to_bits())
+                    .map(|(&c, _)| c)
+                    .collect();
+                let dirty = netlist
+                    .net_ids()
+                    .filter(|&net| eval.net_cells(net).iter().any(|c| moved.contains(c)))
+                    .count() as u64;
+                let before = cache.nets_recomputed();
+                let cached = cache.refresh(&eval, &mut scorer, &placement);
+                for (a, b) in cached.iter().zip(&eval.net_lengths(&placement)) {
+                    prop_assert_eq!(a.to_bits(), b.to_bits());
+                }
+                prop_assert_eq!(cache.nets_recomputed() - before, dirty);
+            }
+            prop_assert_eq!(cache.full_refreshes(), 1);
+        }
+    }
+
     /// Kernel trial scoring (both the generic and the prepared-cell path)
     /// agrees with the naive `cell_cost_at` oracle to the bit for arbitrary
     /// trial slots of a ripped-up cell.
