@@ -9,7 +9,7 @@
 //!   `CostEvaluator` paths, and the engine's per-cell goodness pass must stay
 //!   within a bounded multiple of one naive full evaluation.
 //! * **Searched versus exhaustive allocation** (s15850, 2 serial
-//!   iterations, best of 3 alternating reps per arm): the default
+//!   iterations, best of 5 alternating reps per arm): the default
 //!   monotone-branch trial search must beat `bound_pruning: false` by 1.3×
 //!   and end on bitwise the same placement.
 //!
@@ -144,7 +144,7 @@ fn kernels_keep_their_lead_over_the_naive_evaluator() {
     // and the engine's goodness pass, priced in naive full evaluations.
     let mut cache = NetLengthCache::new();
     let lengths = evaluator.net_lengths(&placement);
-    let mut goodness_scratch = GoodnessScratch::for_evaluator(evaluator);
+    let mut goodness_scratch = GoodnessScratch::default();
     let mut goodness = Vec::new();
     let [naive_eval_ns, kernel_eval_ns, goodness_ns] = best_of_alternating_blocks(
         BLOCKS,
@@ -194,7 +194,7 @@ fn kernels_keep_their_lead_over_the_naive_evaluator() {
 fn searched_allocation_beats_the_exhaustive_scan() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     const ITERS: usize = 2;
-    const REPS: usize = 3;
+    const REPS: usize = 5;
     let circuit = SuiteCircuit::Extended(ExtendedCircuit::S15850);
     let netlist = Arc::new(circuit.generate());
     let searched = SimEConfig::paper_defaults(Objectives::WirelengthPower, circuit.num_rows(), 1);

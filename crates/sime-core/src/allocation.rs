@@ -68,7 +68,7 @@ pub struct AllocScratch {
 }
 
 impl AllocScratch {
-    /// Creates scratch space matching an evaluator's wirelength model.
+    /// Creates allocation scratch space for an evaluator.
     pub fn for_evaluator(evaluator: &CostEvaluator) -> Self {
         AllocScratch {
             scorer: TrialScorer::for_evaluator(evaluator),

@@ -48,7 +48,7 @@ impl SimEScratch {
         SimEScratch {
             alloc: AllocScratch::for_evaluator(engine.evaluator()),
             cache: NetLengthCache::new(),
-            eval: GoodnessScratch::for_evaluator(engine.evaluator()),
+            eval: GoodnessScratch::default(),
             goodness: Vec::new(),
             goodness_cells_evaluated: 0,
             frozen_merge: Vec::new(),
@@ -831,5 +831,77 @@ mod tests {
                 assert!(placement.row_of(c) <= 1, "owned cell {c} left allowed rows");
             }
         }
+    }
+
+    #[test]
+    fn goodness_counter_grows_by_the_cells_each_evaluation_computes() {
+        // `goodness_delta_recomputes` counts every goodness value an
+        // Evaluation computes: all cells without a mask, the unfrozen ones
+        // under a Type II-style mask, and the movable ones on a circuit with
+        // fixed pads and macros — in both `evaluate_with` and `iterate`.
+        use vlsi_netlist::bench_suite::{mixed_circuit, MixedCircuit};
+        let mut profile = ProfileReport::new();
+        let mut rng = ChaCha8Rng::seed_from_u64(15);
+        let nl = netlist(120, 15);
+        let config = SimEConfig::paper_defaults(Objectives::WirelengthPower, 6, 1);
+        let engine = SimEEngine::new(Arc::clone(&nl), config);
+        let mut placement = engine.initial_placement(&mut rng);
+        let mut scratch = engine.new_scratch();
+        let all = nl.num_cells() as u64;
+        assert_eq!(scratch.goodness_delta_recomputes(), 0);
+        engine.evaluate_with(&placement, &mut scratch, &mut profile, &[]);
+        assert_eq!(scratch.goodness_delta_recomputes(), all);
+        engine.iterate(
+            &mut placement,
+            &mut scratch,
+            &mut rng,
+            &mut profile,
+            &[],
+            &[],
+        );
+        assert_eq!(scratch.goodness_delta_recomputes(), 2 * all);
+
+        let owned: Vec<CellId> = nl
+            .cell_ids()
+            .filter(|&c| placement.row_of(c).is_multiple_of(2))
+            .collect();
+        assert!(!owned.is_empty() && owned.len() < nl.num_cells());
+        let frozen = engine.frozen_mask_from_owned(&owned);
+        engine.evaluate_with(&placement, &mut scratch, &mut profile, &frozen);
+        let masked = 2 * all + owned.len() as u64;
+        assert_eq!(scratch.goodness_delta_recomputes(), masked);
+        let rows: Vec<usize> = (0..6).step_by(2).collect();
+        engine.iterate(
+            &mut placement,
+            &mut scratch,
+            &mut rng,
+            &mut profile,
+            &frozen,
+            &rows,
+        );
+        assert_eq!(
+            scratch.goodness_delta_recomputes(),
+            masked + owned.len() as u64
+        );
+
+        let circuit = MixedCircuit::Mix600;
+        let mix = Arc::new(mixed_circuit(circuit));
+        let config = SimEConfig::paper_defaults(Objectives::WirelengthPower, circuit.num_rows(), 1);
+        let engine = SimEEngine::new(Arc::clone(&mix), config);
+        let mut placement = engine.initial_placement(&mut rng);
+        let mut scratch = engine.new_scratch();
+        let movable = mix.cells().iter().filter(|c| !c.fixed).count() as u64;
+        assert!(movable < mix.num_cells() as u64);
+        engine.evaluate_with(&placement, &mut scratch, &mut profile, &[]);
+        assert_eq!(scratch.goodness_delta_recomputes(), movable);
+        engine.iterate(
+            &mut placement,
+            &mut scratch,
+            &mut rng,
+            &mut profile,
+            &[],
+            &[],
+        );
+        assert_eq!(scratch.goodness_delta_recomputes(), 2 * movable);
     }
 }

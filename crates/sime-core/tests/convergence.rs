@@ -86,7 +86,7 @@ fn iterations_on_s3330_hold_every_debug_oracle_and_the_reference_goodness() {
     let mut placement = engine.initial_placement(&mut rng);
     let mut scratch = engine.new_scratch();
     let mut profile = ProfileReport::new();
-    let mut gscratch = GoodnessScratch::for_evaluator(engine.evaluator());
+    let mut gscratch = GoodnessScratch::default();
     let mut kernel = Vec::new();
     for _ in 0..2 {
         engine.iterate(

@@ -47,6 +47,7 @@ use sime_core::profile::ProfileReport;
 use std::sync::Arc;
 use std::time::Instant;
 use vlsi_place::cost::CostBreakdown;
+use vlsi_place::kernel::{NetLengthCache, TrialScorer};
 use vlsi_place::layout::Placement;
 
 /// The optimizer an island runs.
@@ -320,7 +321,11 @@ pub fn run_portfolio(
         .map(|(i, &kind)| Some(build_island(kind, i, &shared, &initial)))
         .collect();
 
-    let mut best_cost = engine.evaluator().evaluate(&initial);
+    // The start is priced through the kernel, as the islands price theirs.
+    let evaluator = engine.evaluator();
+    let (mut cache, mut scorer) = (NetLengthCache::new(), TrialScorer::for_evaluator(evaluator));
+    let lengths = cache.refresh(evaluator, &mut scorer, &initial);
+    let mut best_cost = evaluator.evaluate_from_lengths(&initial, lengths);
     let mut best_placement = initial.clone();
     let mut mu_history = Vec::new();
 

@@ -200,7 +200,8 @@ pub fn run_type2(
     let mut master_scratch = engine.new_scratch();
 
     let mut best_placement = placement.clone();
-    let mut best_cost = engine.evaluator().evaluate(&placement);
+    // Priced on the master's scratch, whose cache then starts in sync.
+    let mut best_cost = engine.cost_with(&placement, &mut master_scratch);
     let mut mu_history = Vec::new();
 
     for iteration in 0..config.iterations {

@@ -139,20 +139,27 @@ pub fn run_type3(
     // randomisation seeds (Section 6.3).
     let mut seed_rng = ChaCha8Rng::seed_from_u64(engine.config().seed);
     let initial = engine.initial_placement(&mut seed_rng);
-    let initial_cost = engine.evaluator().evaluate(&initial);
     // The initial solution is distributed to every worker once.
     timeline.broadcast_tree(0, placement_bytes);
 
+    // Worker 0's copy of the start is priced on worker 0's own scratch, so
+    // its cache starts in sync; the cost is the same for every worker.
+    let mut first = (initial.clone(), engine.new_scratch());
+    let initial_cost = engine.cost_with(&first.0, &mut first.1);
+    let mut first = Some(first);
     let mut worker_state: Vec<Option<Worker>> = (0..workers)
         .map(|w| {
+            let (placement, scratch) = first
+                .take()
+                .unwrap_or_else(|| (initial.clone(), engine.new_scratch()));
             Some(Worker {
-                placement: initial.clone(),
+                placement,
                 current_cost: initial_cost,
                 best_cost: initial_cost,
                 best_placement: initial.clone(),
                 rng: ChaCha8Rng::seed_from_u64(engine.config().seed ^ ((w as u64 + 1) << 40)),
                 fail_count: 0,
-                scratch: engine.new_scratch(),
+                scratch,
             })
         })
         .collect();

@@ -14,7 +14,7 @@
 //! optimum by construction of the row model, and tight enough to give
 //! informative goodness values.
 
-use crate::cost::TimingModel;
+use crate::cost::UNIT_INTERCONNECT_DELAY;
 use vlsi_netlist::paths::Path;
 use vlsi_netlist::{NetId, Netlist};
 
@@ -41,8 +41,8 @@ pub struct Bounds {
 
 impl Bounds {
     /// Computes all bounds for `netlist`, using `paths` as the critical-path
-    /// set and `timing` for interconnect delay per unit length.
-    pub fn compute(netlist: &Netlist, paths: &[Path], timing: &TimingModel) -> Self {
+    /// set and [`UNIT_INTERCONNECT_DELAY`] per unit length of interconnect.
+    pub fn compute(netlist: &Netlist, paths: &[Path]) -> Self {
         let net_lower: Vec<f64> = netlist
             .net_ids()
             .map(|n| net_lower_bound(netlist, n))
@@ -66,7 +66,7 @@ impl Bounds {
                 let wire_delay: f64 = p
                     .nets
                     .iter()
-                    .map(|&n| net_lower[n.index()] * timing.unit_interconnect_delay)
+                    .map(|&n| net_lower[n.index()] * UNIT_INTERCONNECT_DELAY)
                     .sum();
                 cell_delay + wire_delay
             })
@@ -116,9 +116,8 @@ pub fn net_lower_bound(netlist: &Netlist, net: NetId) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::TimingModel;
     use crate::layout::Placement;
-    use crate::wirelength::WirelengthModel;
+    use crate::wirelength::single_trunk_steiner;
     use vlsi_netlist::generator::{CircuitGenerator, GeneratorConfig};
     use vlsi_netlist::paths::{extract_paths, PathExtractionConfig};
     use vlsi_netlist::{Cell, CellKind, Net, NetlistBuilder};
@@ -142,7 +141,7 @@ mod tests {
     fn aggregate_bounds_are_sums_of_net_bounds() {
         let nl = netlist();
         let paths = extract_paths(&nl, &PathExtractionConfig::default());
-        let bounds = Bounds::compute(&nl, &paths, &TimingModel::default());
+        let bounds = Bounds::compute(&nl, &paths);
         let sum: f64 = bounds.net_lower.iter().sum();
         assert!((bounds.wirelength_lower - sum).abs() < 1e-9);
         assert!(bounds.power_lower <= bounds.wirelength_lower);
@@ -153,9 +152,8 @@ mod tests {
     fn wirelength_bound_is_below_any_actual_placement() {
         let nl = netlist();
         let paths = extract_paths(&nl, &PathExtractionConfig::default());
-        let bounds = Bounds::compute(&nl, &paths, &TimingModel::default());
+        let bounds = Bounds::compute(&nl, &paths);
         let placement = Placement::round_robin(&nl, 8);
-        let model = WirelengthModel::SingleTrunkSteiner;
         let actual: f64 = nl
             .net_ids()
             .map(|n| {
@@ -165,7 +163,7 @@ mod tests {
                     cells.dedup();
                     cells.iter().map(|&c| placement.position(c)).collect()
                 };
-                model.estimate(&pins)
+                single_trunk_steiner(&pins)
             })
             .sum();
         // The bound assumes perfect packing of every net independently, so it
@@ -187,8 +185,7 @@ mod tests {
         if paths.is_empty() {
             return;
         }
-        let timing = TimingModel::default();
-        let bounds = Bounds::compute(&nl, &paths, &timing);
+        let bounds = Bounds::compute(&nl, &paths);
         for (p, &lb) in paths.iter().zip(bounds.path_lower.iter()) {
             let min_cell_delay: f64 = p
                 .cells
@@ -206,7 +203,7 @@ mod tests {
     fn per_cell_bounds_cover_all_incident_nets() {
         let nl = netlist();
         let paths = extract_paths(&nl, &PathExtractionConfig::default());
-        let bounds = Bounds::compute(&nl, &paths, &TimingModel::default());
+        let bounds = Bounds::compute(&nl, &paths);
         for cell in nl.cell_ids() {
             let expected: f64 = nl
                 .nets_of_cell(cell)

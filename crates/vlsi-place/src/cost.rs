@@ -9,7 +9,7 @@
 use crate::bounds::Bounds;
 use crate::fuzzy::{FuzzyConfig, FuzzyLevel};
 use crate::layout::Placement;
-use crate::wirelength::WirelengthModel;
+use crate::wirelength::single_trunk_steiner;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use vlsi_netlist::paths::{extract_paths, Path, PathExtractionConfig};
@@ -41,24 +41,13 @@ impl Objectives {
     }
 }
 
-/// Timing model: interconnect delay per unit of estimated net length.
+/// Interconnect delay per unit of estimated net length (ns / unit).
 ///
 /// The paper's path delay is `T_π = Σ (CD_i + ID_i)` where `CD_i` is the
 /// (placement-independent) cell switching delay and `ID_i` the interconnect
-/// delay of the net, which scales with its wirelength.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TimingModel {
-    /// Interconnect delay contributed per unit of net length (ns / unit).
-    pub unit_interconnect_delay: f64,
-}
-
-impl Default for TimingModel {
-    fn default() -> Self {
-        TimingModel {
-            unit_interconnect_delay: 0.01,
-        }
-    }
-}
+/// delay of the net, which scales with its wirelength: `ID_i` is the net's
+/// length times this constant.
+pub const UNIT_INTERCONNECT_DELAY: f64 = 0.01;
 
 /// Full cost breakdown of a placement.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -96,8 +85,6 @@ pub struct CellCost {
 pub struct CostEvaluator {
     netlist: Arc<Netlist>,
     objectives: Objectives,
-    wl_model: WirelengthModel,
-    timing: TimingModel,
     fuzzy: FuzzyConfig,
     paths: Arc<Vec<Path>>,
     /// Per stored path, the sum of its cells' switching delays (every cell
@@ -110,29 +97,10 @@ pub struct CostEvaluator {
 }
 
 impl CostEvaluator {
-    /// Builds an evaluator with default models and path extraction.
+    /// Builds an evaluator with the default fuzzy goals and path extraction.
     pub fn new(netlist: Arc<Netlist>, objectives: Objectives) -> Self {
-        Self::with_models(
-            netlist,
-            objectives,
-            WirelengthModel::default(),
-            TimingModel::default(),
-            FuzzyConfig::default(),
-            PathExtractionConfig::default(),
-        )
-    }
-
-    /// Builds an evaluator with explicit model parameters.
-    pub fn with_models(
-        netlist: Arc<Netlist>,
-        objectives: Objectives,
-        wl_model: WirelengthModel,
-        timing: TimingModel,
-        fuzzy: FuzzyConfig,
-        path_config: PathExtractionConfig,
-    ) -> Self {
         let paths = if objectives.includes_delay() {
-            extract_paths(&netlist, &path_config)
+            extract_paths(&netlist, &PathExtractionConfig::default())
         } else {
             Vec::new()
         };
@@ -142,7 +110,7 @@ impl CostEvaluator {
                 net_on_path[n.index()] = true;
             }
         }
-        let bounds = Bounds::compute(&netlist, &paths, &timing);
+        let bounds = Bounds::compute(&netlist, &paths);
         let path_cell_delay = paths
             .iter()
             .map(|path| {
@@ -156,9 +124,7 @@ impl CostEvaluator {
         CostEvaluator {
             netlist,
             objectives,
-            wl_model,
-            timing,
-            fuzzy,
+            fuzzy: FuzzyConfig::default(),
             paths: Arc::new(paths),
             path_cell_delay: Arc::new(path_cell_delay),
             net_on_path: Arc::new(net_on_path),
@@ -201,36 +167,26 @@ impl CostEvaluator {
         &self.bounds
     }
 
-    /// The timing model in use.
-    pub fn timing(&self) -> &TimingModel {
-        &self.timing
-    }
-
-    /// The per-net wirelength model in use.
-    pub fn wirelength_model(&self) -> WirelengthModel {
-        self.wl_model
-    }
-
     /// Estimated length of one net under `placement`.
     ///
     /// This is the *reference* implementation: it allocates a pin buffer per
-    /// call and defers to [`WirelengthModel::estimate`]. The allocation-free
-    /// hot path lives in [`crate::kernel::TrialScorer`], which is tested to
-    /// be bitwise identical to this oracle.
+    /// call and defers to [`single_trunk_steiner`], which sorts the pin ys.
+    /// The allocation-free hot path is [`crate::kernel::NetLengthCache`],
+    /// which is tested to be bitwise identical to this oracle.
     pub fn net_length(&self, placement: &Placement, net: NetId) -> f64 {
         let cells = self.netlist.net_cells(net);
         if cells.len() < 2 {
             return 0.0;
         }
         let pins: Vec<(f64, f64)> = cells.iter().map(|&c| placement.position(c)).collect();
-        self.wl_model.estimate(&pins)
+        single_trunk_steiner(&pins)
     }
 
     /// Estimated length of one net with the position of `cell` overridden to
     /// `pos` (the cell does not need to be currently placed in the row it is
     /// being tried in). Reference implementation of allocation trial scoring;
     /// the allocation operator itself runs on
-    /// [`crate::kernel::TrialScorer::net_length_with_override`].
+    /// [`crate::kernel::PreparedSummaries`].
     pub fn net_length_with_override(
         &self,
         placement: &Placement,
@@ -252,7 +208,7 @@ impl CostEvaluator {
                 }
             })
             .collect();
-        self.wl_model.estimate(&pins)
+        single_trunk_steiner(&pins)
     }
 
     /// Lengths of every net under `placement` (indexed by net id).
@@ -287,7 +243,7 @@ impl CostEvaluator {
         let wire_delay: f64 = self.paths[path]
             .nets
             .iter()
-            .map(|&n| net_lengths[n.index()] * self.timing.unit_interconnect_delay)
+            .map(|&n| net_lengths[n.index()] * UNIT_INTERCONNECT_DELAY)
             .sum();
         cell_delay + wire_delay
     }

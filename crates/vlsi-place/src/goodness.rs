@@ -53,22 +53,12 @@ pub struct GoodnessVector {
 
 /// Reusable buffers of the kernel goodness pass. One instance per worker
 /// thread.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GoodnessScratch {
     scorer: OptimumScorer,
     /// Per stored path its delay under the pass's net lengths, computed once
     /// per [`GoodnessEvaluator::all_goodness_with`] pass.
     path_delays: Vec<f64>,
-}
-
-impl GoodnessScratch {
-    /// Creates scratch space matching an evaluator's wirelength model.
-    pub fn for_evaluator(evaluator: &CostEvaluator) -> Self {
-        GoodnessScratch {
-            scorer: OptimumScorer::for_evaluator(evaluator),
-            path_delays: Vec::new(),
-        }
-    }
 }
 
 /// Computes per-cell goodness values from a [`CostEvaluator`].
@@ -340,7 +330,7 @@ mod tests {
 
     fn kernel_pass(ge: &GoodnessEvaluator, placement: &Placement, frozen: &[bool]) -> Vec<f64> {
         let lengths = ge.evaluator().net_lengths(placement);
-        let mut scratch = GoodnessScratch::for_evaluator(ge.evaluator());
+        let mut scratch = GoodnessScratch::default();
         let mut out = Vec::new();
         ge.all_goodness_with(&mut scratch, placement, &lengths, frozen, &mut out);
         out
@@ -369,43 +359,32 @@ mod tests {
     }
 
     /// The kernel pass's test matrix: the default circuit and mixed-size
-    /// mix600 (fixed pads and macros), each under both wirelength models.
+    /// mix600 (fixed pads and macros).
     fn kernel_cases(objectives: Objectives) -> Vec<(String, GoodnessEvaluator, Placement)> {
-        use crate::wirelength::WirelengthModel;
         use vlsi_netlist::bench_suite::{mixed_circuit, MixedCircuit};
-        let (generated, _, generated_placement) = setup(objectives);
+        let (generated, generated_goodness, generated_placement) = setup(objectives);
         let mix = Arc::new(mixed_circuit(MixedCircuit::Mix600));
         let mix_placement = Placement::round_robin(&mix, MixedCircuit::Mix600.num_rows());
-        let mut cases = Vec::new();
-        for (nl, placement) in [(generated, generated_placement), (mix, mix_placement)] {
-            for model in [
-                WirelengthModel::SingleTrunkSteiner,
-                WirelengthModel::HalfPerimeter,
-            ] {
-                let eval = CostEvaluator::with_models(
-                    Arc::clone(&nl),
-                    objectives,
-                    model,
-                    Default::default(),
-                    Default::default(),
-                    Default::default(),
-                );
-                let name = format!("{}/{model:?}", nl.name());
-                cases.push((name, GoodnessEvaluator::new(eval), placement.clone()));
-            }
-        }
-        cases
+        let mix_goodness = GoodnessEvaluator::new(CostEvaluator::new(Arc::clone(&mix), objectives));
+        vec![
+            (
+                generated.name().to_string(),
+                generated_goodness,
+                generated_placement,
+            ),
+            (mix.name().to_string(), mix_goodness, mix_placement),
+        ]
     }
 
     #[test]
     fn sparse_cell_goodness_agrees_with_dense() {
         // The kernel pass (dense lengths, one gather per incident net)
         // reproduces the sparse from-scratch oracle to the bit, per
-        // objective, under both wirelength models and on mixed-size cells.
+        // objective, on generated and on mixed-size cells.
         for (name, ge, placement) in kernel_cases(Objectives::WirelengthPowerDelay) {
             let nl = ge.evaluator().netlist().clone();
             let lengths = ge.evaluator().net_lengths(&placement);
-            let mut scratch = GoodnessScratch::for_evaluator(ge.evaluator());
+            let mut scratch = GoodnessScratch::default();
             for cell in nl.cell_ids() {
                 let dense = ge.cell_goodness_with(&mut scratch, &placement, cell, &lengths);
                 let sparse = ge.cell_goodness(&placement, cell);

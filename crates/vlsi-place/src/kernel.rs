@@ -5,7 +5,8 @@
 //! to the moved cell. The reference implementations in [`crate::cost`] pay a
 //! heap allocation per net (the pin buffer) and an `O(p log p)` sort per
 //! Steiner estimate (the median pin y). This module provides the equivalent
-//! hot path with zero allocations per call:
+//! hot path with zero allocations per call. Like the oracle, it prices the
+//! single-trunk Steiner estimate of [`crate::wirelength`] and nothing else:
 //!
 //! * [`TrialScorer`] owns reusable scratch buffers and prices a net in one
 //!   gather: the x extent is folded as the pins are read, the
@@ -57,8 +58,8 @@
 //!   last refresh. A net's length is a pure function of its pins'
 //!   coordinates, so every skipped net keeps a bit-identical length,
 //! * a net's length is `trunk + vertical`, where the trunk (max x − min x)
-//!   reads the pins' x and the vertical term (HPWL row span or Steiner branch
-//!   sum) their rows only. A re-evaluated net is re-priced in full iff one of
+//!   reads the pins' x and the vertical term (the Steiner branch sum) their
+//!   rows only. A re-evaluated net is re-priced in full iff one of
 //!   its pins' rows differs from its snapshot; otherwise only its trunk is
 //!   recomputed and added to the vertical term cached at its last full
 //!   re-price (every net is re-priced in full on a full refresh). Both terms
@@ -78,7 +79,6 @@
 
 use crate::cost::{CellCost, CostEvaluator};
 use crate::layout::{Placement, ROW_HEIGHT};
-use crate::wirelength::WirelengthModel;
 use vlsi_netlist::{CellId, NetId, Netlist};
 
 /// Maps a row-lattice y coordinate (`(row + 0.5) * ROW_HEIGHT`) back to its
@@ -112,9 +112,6 @@ struct NetSummary {
     /// Extent of the other pins' x coordinates.
     min_x: f64,
     max_x: f64,
-    /// Extent of the other pins' rows.
-    min_row: u32,
-    max_row: u32,
     /// Order statistics of the other pins' sorted rows `r` behind the `O(1)`
     /// single-trunk-Steiner vertical term (see [`steiner_vertical`]), with
     /// `k = total_pins / 2` the merged median index: `lo = r[k - 1]`,
@@ -238,9 +235,8 @@ fn kth_smallest_row(rows: &[u32], k: usize, counts: &mut Vec<u32>) -> u32 {
 /// Reusable, allocation-free scorer for net lengths and allocation trial
 /// positions. One instance per worker thread; the buffers grow to the largest
 /// net once and are reused for every subsequent call.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TrialScorer {
-    model: WirelengthModel,
     /// Pin rows of the net being scored, in canonical pin order (its x
     /// extent is folded during the same gather).
     rows: Vec<u32>,
@@ -260,42 +256,15 @@ pub struct TrialScorer {
 }
 
 impl TrialScorer {
-    /// Creates a scorer for the given wirelength model.
-    pub fn new(model: WirelengthModel) -> Self {
-        TrialScorer {
-            model,
-            rows: Vec::with_capacity(16),
-            row_counts: Vec::new(),
-            prepared: Vec::new(),
-            pin_xs: Vec::new(),
-            pin_rows: Vec::new(),
-        }
+    /// Creates a scorer. Every evaluator prices the same single-trunk
+    /// Steiner model, so the scorer reads nothing from `_evaluator`.
+    pub fn for_evaluator(_evaluator: &CostEvaluator) -> Self {
+        Self::default()
     }
 
-    /// Creates a scorer matching an evaluator's wirelength model.
-    pub fn for_evaluator(evaluator: &CostEvaluator) -> Self {
-        Self::new(evaluator.wirelength_model())
-    }
-
-    /// The wirelength model this scorer computes.
-    pub fn model(&self) -> WirelengthModel {
-        self.model
-    }
-
-    /// Estimated length of `net` under `placement`. Bitwise identical to
-    /// [`CostEvaluator::net_length`], without the per-call allocation/sort.
-    pub fn net_length(
-        &mut self,
-        evaluator: &CostEvaluator,
-        placement: &Placement,
-        net: NetId,
-    ) -> f64 {
-        self.net_length_parts(evaluator, placement, net).0
-    }
-
-    /// `(length, vertical)` of `net` under `placement`: the length of
-    /// [`TrialScorer::net_length`] and its vertical term, which depends only
-    /// on the pins' rows (see [`TrialScorer::estimate`]).
+    /// `(length, vertical)` of `net` under `placement`: the length is
+    /// bitwise identical to [`CostEvaluator::net_length`], and the vertical
+    /// term depends only on the pins' rows (see [`TrialScorer::estimate`]).
     fn net_length_parts(
         &mut self,
         evaluator: &CostEvaluator,
@@ -315,61 +284,6 @@ impl TrialScorer {
             self.rows.push(placement.row_of(c) as u32);
         }
         self.estimate(max_x - min_x)
-    }
-
-    /// Estimated length of `net` with the position of `cell` overridden to
-    /// `pos` (a row-lattice position, as produced by
-    /// [`Placement::trial_position`]). Bitwise identical to
-    /// [`CostEvaluator::net_length_with_override`].
-    pub fn net_length_with_override(
-        &mut self,
-        evaluator: &CostEvaluator,
-        placement: &Placement,
-        net: NetId,
-        cell: CellId,
-        pos: (f64, f64),
-    ) -> f64 {
-        let cells = evaluator.net_cells(net);
-        if cells.len() < 2 {
-            return 0.0;
-        }
-        let override_row = row_of_lattice_y(pos.1);
-        self.rows.clear();
-        let (mut min_x, mut max_x) = (f64::INFINITY, f64::NEG_INFINITY);
-        for &c in cells {
-            let (x, row) = if c == cell {
-                (pos.0, override_row)
-            } else {
-                (placement.x_of(c), placement.row_of(c) as u32)
-            };
-            min_x = min_x.min(x);
-            max_x = max_x.max(x);
-            self.rows.push(row);
-        }
-        self.estimate(max_x - min_x).0
-    }
-
-    /// Cost of the nets incident to `cell` if it sat at `pos`. Bitwise
-    /// identical to [`CostEvaluator::cell_cost_at`]; this is the inner loop
-    /// of allocation trial scoring.
-    pub fn cell_cost_at(
-        &mut self,
-        evaluator: &CostEvaluator,
-        placement: &Placement,
-        cell: CellId,
-        pos: (f64, f64),
-    ) -> CellCost {
-        let netlist = evaluator.netlist();
-        let mut cost = CellCost::default();
-        for &net in netlist.nets_of_cell(cell) {
-            let len = self.net_length_with_override(evaluator, placement, net, cell, pos);
-            cost.wirelength += len;
-            cost.power += len * netlist.net(net).switching_prob;
-            if evaluator.net_is_critical(net) {
-                cost.critical_wirelength += len;
-            }
-        }
-        cost
     }
 
     /// Precomputes per-net summaries of the *other* pins of every net
@@ -405,7 +319,6 @@ impl TrialScorer {
     #[inline]
     pub fn prepared_summaries(&self) -> PreparedSummaries<'_> {
         PreparedSummaries {
-            model: self.model,
             prepared: &self.prepared,
             xs: &self.pin_xs,
             rows: &self.pin_rows,
@@ -417,40 +330,27 @@ impl TrialScorer {
     /// [`TrialScorer::prepare_cell`] for this cell under the current
     /// placement; bitwise identical to [`CostEvaluator::cell_cost_at`].
     pub fn prepared_cost_at(&self, pos: (f64, f64)) -> CellCost {
-        summaries_cost_at(&self.prepared, &self.pin_rows, self.model, pos)
+        summaries_cost_at(&self.prepared, &self.pin_rows, pos)
     }
 
-    /// `(length, vertical)` of the gathered pins under the scorer's model,
-    /// given their horizontal extent `trunk` (max x − min x) and their rows in
-    /// `rows`. The vertical term is the half-perimeter row span or the
-    /// single-trunk-Steiner branch sum, both an integer row count times
-    /// [`ROW_HEIGHT`] and so exact (see [`steiner_vertical`]); the trunk is an
-    /// exact difference of half-integers, so `trunk + vertical` is the
-    /// oracle's length bit for bit. The Steiner trunk row is the `n / 2`-th
+    /// `(length, vertical)` of the gathered pins, given their horizontal
+    /// extent `trunk` (max x − min x) and their rows in `rows`. The vertical
+    /// term is the single-trunk-Steiner branch sum, an integer row count
+    /// times [`ROW_HEIGHT`] and so exact (see [`steiner_vertical`]); the
+    /// trunk is an exact difference of half-integers, so `trunk + vertical`
+    /// is the oracle's length bit for bit. The trunk row is the `n / 2`-th
     /// smallest row — the oracle's `sorted_ys[n / 2]` — found by a rank count
     /// up to [`RANK_COUNT_MAX`] pins and by per-row counting above it.
     fn estimate(&mut self, trunk: f64) -> (f64, f64) {
         let rows = &self.rows;
         debug_assert!(rows.len() >= 2);
-        let vertical_rows = match self.model {
-            WirelengthModel::HalfPerimeter => {
-                let (mut lo, mut hi) = (u32::MAX, 0u32);
-                for &r in rows {
-                    lo = lo.min(r);
-                    hi = hi.max(r);
-                }
-                u64::from(hi - lo)
-            }
-            WirelengthModel::SingleTrunkSteiner => {
-                let k = rows.len() / 2;
-                let median = if rows.len() <= RANK_COUNT_MAX {
-                    rank_select(rows, k)
-                } else {
-                    kth_smallest_row(rows, k, &mut self.row_counts)
-                };
-                rows.iter().map(|&r| u64::from(r.abs_diff(median))).sum()
-            }
+        let k = rows.len() / 2;
+        let median = if rows.len() <= RANK_COUNT_MAX {
+            rank_select(rows, k)
+        } else {
+            kth_smallest_row(rows, k, &mut self.row_counts)
         };
+        let vertical_rows: u64 = rows.iter().map(|&r| u64::from(r.abs_diff(median))).sum();
         let vertical = vertical_rows as f64 * ROW_HEIGHT;
         (trunk + vertical, vertical)
     }
@@ -463,9 +363,8 @@ impl TrialScorer {
 /// median with `O(1)` per net. Unlike [`TrialScorer::prepare_cell`] it does
 /// not look up the critical flags, which only allocation reads. One instance
 /// per worker thread.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct OptimumScorer {
-    model: WirelengthModel,
     prepared: Vec<NetSummary>,
     pin_xs: Vec<f64>,
     pin_rows: Vec<u32>,
@@ -476,19 +375,6 @@ pub struct OptimumScorer {
 }
 
 impl OptimumScorer {
-    /// Creates a scorer matching an evaluator's wirelength model.
-    pub fn for_evaluator(evaluator: &CostEvaluator) -> Self {
-        OptimumScorer {
-            model: evaluator.wirelength_model(),
-            prepared: Vec::new(),
-            pin_xs: Vec::new(),
-            pin_rows: Vec::new(),
-            xs_scratch: Vec::new(),
-            row_counts: Vec::new(),
-            vertical: Vec::new(),
-        }
-    }
-
     /// `(optimal, actual)` incident-net cost of `cell`. `optimal` (`Oᵢ`) is
     /// the cost with the cell at the median of the other pins' positions —
     /// zero when it connects to no other pin — bitwise equal to
@@ -522,7 +408,6 @@ impl OptimumScorer {
             self.prepared.push(s);
         }
         let view = PreparedSummaries {
-            model: self.model,
             prepared: &self.prepared,
             xs: &self.pin_xs,
             rows: &self.pin_rows,
@@ -565,10 +450,6 @@ fn summarize_net(
     }
     let rows = &mut pin_rows[rows_start..];
     rows.sort_unstable();
-    let (min_row, max_row) = match (rows.first(), rows.last()) {
-        (Some(&lo), Some(&hi)) => (lo, hi),
-        _ => (u32::MAX, 0u32),
-    };
     let (mut lo, mut hi, mut slope, mut s_lo) = (0u32, u32::MAX, 0u32, 0u64);
     if cells.len() >= 2 && !rows.is_empty() {
         // Net pins are distinct, so the other pins are all pins but one and
@@ -584,8 +465,6 @@ fn summarize_net(
         total_pins: cells.len() as u32,
         min_x,
         max_x,
-        min_row,
-        max_row,
         lo,
         hi,
         slope,
@@ -599,12 +478,7 @@ fn summarize_net(
 
 /// Scores one candidate position against a set of per-net summaries — the
 /// body of [`TrialScorer::prepared_cost_at`].
-fn summaries_cost_at(
-    prepared: &[NetSummary],
-    pin_rows: &[u32],
-    model: WirelengthModel,
-    pos: (f64, f64),
-) -> CellCost {
+fn summaries_cost_at(prepared: &[NetSummary], pin_rows: &[u32], pos: (f64, f64)) -> CellCost {
     let row = row_of_lattice_y(pos.1);
     let mut cost = CellCost::default();
     for s in prepared {
@@ -613,26 +487,17 @@ fn summaries_cost_at(
         }
         let min_x = s.min_x.min(pos.0);
         let max_x = s.max_x.max(pos.0);
-        let min_row = s.min_row.min(row);
-        let max_row = s.max_row.max(row);
-        let len = match model {
-            WirelengthModel::HalfPerimeter => {
-                (max_x - min_x) + (max_row - min_row) as f64 * ROW_HEIGHT
-            }
-            WirelengthModel::SingleTrunkSteiner => {
-                // One branch per pin from its row to the merged median row:
-                // an integer row count, so the product with ROW_HEIGHT is
-                // the oracle's pin-order sum bit for bit.
-                let rows = &pin_rows[s.rows_start as usize..s.rows_end as usize];
-                let m = merged_median_row(rows, row, s.total_pins as usize / 2);
-                let branches: u64 = rows
-                    .iter()
-                    .chain([&row])
-                    .map(|&r| u64::from(r.abs_diff(m)))
-                    .sum();
-                (max_x - min_x) + branches as f64 * ROW_HEIGHT
-            }
-        };
+        // One branch per pin from its row to the merged median row: an
+        // integer row count, so the product with ROW_HEIGHT is the oracle's
+        // pin-order sum bit for bit.
+        let rows = &pin_rows[s.rows_start as usize..s.rows_end as usize];
+        let m = merged_median_row(rows, row, s.total_pins as usize / 2);
+        let branches: u64 = rows
+            .iter()
+            .chain([&row])
+            .map(|&r| u64::from(r.abs_diff(m)))
+            .sum();
+        let len = (max_x - min_x) + branches as f64 * ROW_HEIGHT;
         cost.wirelength += len;
         cost.power += len * s.switching_prob;
         if s.critical {
@@ -652,10 +517,9 @@ fn summaries_cost_at(
 /// At a fixed candidate row each net's vertical (branch) contribution is a
 /// constant — only the horizontal trunk depends on the candidate `x`.
 /// [`PreparedSummaries::prepare_row`] computes those per-net constants once,
-/// in `O(1)` per net from the other pins' row order statistics (for
-/// single-trunk Steiner: with `k = total_pins / 2`, the merged median is
-/// `clamp(row, r[k - 1], r[k])` and the branch sum is linear in it between
-/// those two rows), bit-identical to the per-pin branch sum of the reference
+/// in `O(1)` per net from the other pins' row order statistics (with
+/// `k = total_pins / 2`, the merged median is `clamp(row, r[k - 1], r[k])`
+/// and the branch sum is linear in it between those two rows), bit-identical to the per-pin branch sum of the reference
 /// scorer [`TrialScorer::prepared_cost_at`].
 /// [`PreparedSummaries::cost_at_in_row`] then scores each candidate of the
 /// row in a handful of flops, still bit-identical to the full score.
@@ -675,7 +539,6 @@ fn summaries_cost_at(
 /// component-wise, and so does `CostEvaluator::allocation_score`.
 #[derive(Debug, Clone, Copy)]
 pub struct PreparedSummaries<'a> {
-    model: WirelengthModel,
     prepared: &'a [NetSummary],
     xs: &'a [f64],
     rows: &'a [u32],
@@ -721,9 +584,8 @@ impl<'a> PreparedSummaries<'a> {
     /// Fills `vertical` with each prepared net's vertical (branch)
     /// contribution to the score of **any** candidate in `row` — one entry
     /// per net, in net order, with unscoreable nets as `0.0`. Each constant
-    /// is `O(1)` per net (the half-perimeter row span, or the single-trunk
-    /// Steiner branch sum from the other pins' order statistics) and
-    /// bit-identical to the per-pin branch sum of the full score, so
+    /// is `O(1)` per net (the Steiner branch sum from the other pins' order
+    /// statistics) and bit-identical to the per-pin branch sum of the full score, so
     /// [`PreparedSummaries::cost_at_in_row`] over these constants reproduces
     /// [`TrialScorer::prepared_cost_at`] exactly. Compute once per
     /// contiguous same-row candidate run.
@@ -732,15 +594,9 @@ impl<'a> PreparedSummaries<'a> {
         vertical.clear();
         vertical.extend(self.prepared.iter().map(|s| {
             if s.total_pins < 2 {
-                return 0.0;
-            }
-            match self.model {
-                WirelengthModel::HalfPerimeter => {
-                    let min_row = s.min_row.min(row);
-                    let max_row = s.max_row.max(row);
-                    (max_row - min_row) as f64 * ROW_HEIGHT
-                }
-                WirelengthModel::SingleTrunkSteiner => steiner_vertical(s, row),
+                0.0
+            } else {
+                steiner_vertical(s, row)
             }
         }));
     }
@@ -792,8 +648,8 @@ impl<'a> PreparedSummaries<'a> {
 /// [`CostEvaluator::net_lengths`] would, but after the first (full) refresh
 /// of a placement object it re-evaluates only the nets with a pin whose
 /// coordinates changed. A net's length is `trunk + vertical`: the trunk is
-/// its pins' horizontal extent, the vertical term (HPWL row span or Steiner
-/// branch sum) depends on their rows alone. The cache keeps each net's
+/// its pins' horizontal extent, the vertical term (the Steiner branch sum)
+/// depends on their rows alone. The cache keeps each net's
 /// vertical term from its last full re-price, so a net whose moved pins all
 /// stayed in their rows — the neighbours a swap or relocate slides along a
 /// row — is re-priced by recomputing its trunk only. When every row changed
@@ -1036,35 +892,28 @@ mod tests {
     use std::sync::Arc;
     use vlsi_netlist::generator::{CircuitGenerator, GeneratorConfig};
 
-    fn setup(model: WirelengthModel) -> (CostEvaluator, Placement) {
+    fn setup() -> (CostEvaluator, Placement) {
         let nl = Arc::new(
             CircuitGenerator::new(GeneratorConfig::sized("kernel_test", 170, 29)).generate(),
         );
-        let eval = CostEvaluator::with_models(
-            Arc::clone(&nl),
-            Objectives::WirelengthPowerDelay,
-            model,
-            Default::default(),
-            Default::default(),
-            Default::default(),
-        );
+        let eval = CostEvaluator::new(Arc::clone(&nl), Objectives::WirelengthPowerDelay);
         let placement = Placement::round_robin(&nl, 9);
         (eval, placement)
     }
 
     #[test]
     fn scorer_matches_oracle_net_lengths_bitwise() {
-        for model in [
-            WirelengthModel::SingleTrunkSteiner,
-            WirelengthModel::HalfPerimeter,
-        ] {
-            let (eval, placement) = setup(model);
-            let mut scorer = TrialScorer::for_evaluator(&eval);
-            for net in eval.netlist().net_ids() {
-                let naive = eval.net_length(&placement, net);
-                let kernel = scorer.net_length(&eval, &placement, net);
-                assert_eq!(naive.to_bits(), kernel.to_bits(), "{model:?} net {net}");
-            }
+        // The cache's full re-price: the length is the oracle's, and the
+        // trunk plus the vertical term it keeps is the oracle's too, which
+        // is what makes the trunk-only re-price exact.
+        let (eval, placement) = setup();
+        let mut scorer = TrialScorer::for_evaluator(&eval);
+        for net in eval.netlist().net_ids() {
+            let naive = eval.net_length(&placement, net);
+            let (length, vertical) = scorer.net_length_parts(&eval, &placement, net);
+            let trunk = net_trunk(&eval, &placement, net);
+            assert_eq!(naive.to_bits(), length.to_bits(), "net {net}");
+            assert_eq!(naive.to_bits(), (trunk + vertical).to_bits(), "net {net}");
         }
     }
 
@@ -1076,7 +925,7 @@ mod tests {
         fn assert_sync<T: Sync>() {}
         assert_sync::<TrialScorer>();
 
-        let (eval, mut placement) = setup(WirelengthModel::SingleTrunkSteiner);
+        let (eval, mut placement) = setup();
         let cell = eval
             .netlist()
             .cell_ids()
@@ -1114,8 +963,11 @@ mod tests {
 
     #[test]
     fn scorer_matches_oracle_trial_scores_bitwise() {
-        let (eval, mut placement) = setup(WirelengthModel::SingleTrunkSteiner);
+        // The scorer allocation runs per slot: the row's hoisted vertical
+        // terms plus the slot's trunk.
+        let (eval, mut placement) = setup();
         let mut scorer = TrialScorer::for_evaluator(&eval);
+        let mut vertical = Vec::new();
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         for _ in 0..50 {
             let cell = vlsi_netlist::CellId(rng.gen_range(0..eval.netlist().num_cells() as u32));
@@ -1124,7 +976,10 @@ mod tests {
             placement.remove_cell(cell);
             let pos = placement.trial_position(cell, Slot { row, index });
             let naive = eval.cell_cost_at(&placement, cell, pos);
-            let fast = scorer.cell_cost_at(&eval, &placement, cell, pos);
+            scorer.prepare_cell(&eval, &placement, cell);
+            let view = scorer.prepared_summaries();
+            view.prepare_row(row as u32, &mut vertical);
+            let fast = view.cost_at_in_row(pos.0, &vertical);
             assert_eq!(naive.wirelength.to_bits(), fast.wirelength.to_bits());
             assert_eq!(naive.power.to_bits(), fast.power.to_bits());
             assert_eq!(
@@ -1137,50 +992,40 @@ mod tests {
 
     #[test]
     fn prepared_scoring_matches_oracle_bitwise() {
-        for model in [
-            WirelengthModel::SingleTrunkSteiner,
-            WirelengthModel::HalfPerimeter,
-        ] {
-            let (eval, mut placement) = setup(model);
-            let mut scorer = TrialScorer::for_evaluator(&eval);
-            let mut rng = ChaCha8Rng::seed_from_u64(7);
-            for _ in 0..40 {
-                let cell =
-                    vlsi_netlist::CellId(rng.gen_range(0..eval.netlist().num_cells() as u32));
-                placement.remove_cell(cell);
-                scorer.prepare_cell(&eval, &placement, cell);
-                let back = placement.num_rows() - 1;
-                for _ in 0..8 {
-                    let row = rng.gen_range(0..placement.num_rows());
-                    let index = rng.gen_range(0..placement.row(row).len() + 1);
-                    let pos = placement.trial_position(cell, Slot { row, index });
-                    let naive = eval.cell_cost_at(&placement, cell, pos);
-                    let fast = scorer.prepared_cost_at(pos);
-                    assert_eq!(
-                        naive.wirelength.to_bits(),
-                        fast.wirelength.to_bits(),
-                        "{model:?}"
-                    );
-                    assert_eq!(naive.power.to_bits(), fast.power.to_bits());
-                    assert_eq!(
-                        naive.critical_wirelength.to_bits(),
-                        fast.critical_wirelength.to_bits()
-                    );
-                }
-                placement.insert_cell(
-                    cell,
-                    Slot {
-                        row: back,
-                        index: 0,
-                    },
+        let (eval, mut placement) = setup();
+        let mut scorer = TrialScorer::for_evaluator(&eval);
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        for _ in 0..40 {
+            let cell = vlsi_netlist::CellId(rng.gen_range(0..eval.netlist().num_cells() as u32));
+            placement.remove_cell(cell);
+            scorer.prepare_cell(&eval, &placement, cell);
+            let back = placement.num_rows() - 1;
+            for _ in 0..8 {
+                let row = rng.gen_range(0..placement.num_rows());
+                let index = rng.gen_range(0..placement.row(row).len() + 1);
+                let pos = placement.trial_position(cell, Slot { row, index });
+                let naive = eval.cell_cost_at(&placement, cell, pos);
+                let fast = scorer.prepared_cost_at(pos);
+                assert_eq!(naive.wirelength.to_bits(), fast.wirelength.to_bits());
+                assert_eq!(naive.power.to_bits(), fast.power.to_bits());
+                assert_eq!(
+                    naive.critical_wirelength.to_bits(),
+                    fast.critical_wirelength.to_bits()
                 );
             }
+            placement.insert_cell(
+                cell,
+                Slot {
+                    row: back,
+                    index: 0,
+                },
+            );
         }
     }
 
     #[test]
     fn cache_delta_refresh_matches_full_recompute() {
-        let (eval, mut placement) = setup(WirelengthModel::SingleTrunkSteiner);
+        let (eval, mut placement) = setup();
         let mut scorer = TrialScorer::for_evaluator(&eval);
         let mut cache = NetLengthCache::new();
         cache.refresh(&eval, &mut scorer, &placement);
@@ -1208,7 +1053,7 @@ mod tests {
 
     #[test]
     fn cache_fully_recomputes_for_clones() {
-        let (eval, placement) = setup(WirelengthModel::HalfPerimeter);
+        let (eval, placement) = setup();
         let mut scorer = TrialScorer::for_evaluator(&eval);
         let mut cache = NetLengthCache::new();
         cache.refresh(&eval, &mut scorer, &placement);
@@ -1220,7 +1065,7 @@ mod tests {
 
     #[test]
     fn unchanged_placement_refreshes_for_free() {
-        let (eval, placement) = setup(WirelengthModel::SingleTrunkSteiner);
+        let (eval, placement) = setup();
         let mut scorer = TrialScorer::for_evaluator(&eval);
         let mut cache = NetLengthCache::new();
         cache.refresh(&eval, &mut scorer, &placement);
@@ -1245,7 +1090,7 @@ mod tests {
         // A move and its undo advance the epochs of the rows they touch but
         // leave every pin where it was, so the next refresh has nothing to
         // re-price.
-        let (eval, mut placement) = setup(WirelengthModel::SingleTrunkSteiner);
+        let (eval, mut placement) = setup();
         let mut scorer = TrialScorer::for_evaluator(&eval);
         let mut cache = NetLengthCache::new();
         cache.refresh(&eval, &mut scorer, &placement);
@@ -1325,7 +1170,7 @@ mod tests {
 
     #[test]
     fn stamp_wrap_around_keeps_the_next_delta_refresh_exact() {
-        let (eval, mut placement) = setup(WirelengthModel::SingleTrunkSteiner);
+        let (eval, mut placement) = setup();
         let mut scorer = TrialScorer::for_evaluator(&eval);
         let mut cache = NetLengthCache::new();
         cache.refresh(&eval, &mut scorer, &placement);
@@ -1358,74 +1203,68 @@ mod tests {
         // score never rises while x ≤ a and never falls once x ≥ b,
         // component-wise, and the summary-derived median position is
         // bit-identical to the sort-based gather it replaces.
-        for model in [
-            WirelengthModel::SingleTrunkSteiner,
-            WirelengthModel::HalfPerimeter,
-        ] {
-            let (eval, mut placement) = setup(model);
-            let mut scorer = TrialScorer::for_evaluator(&eval);
-            let mut rng = ChaCha8Rng::seed_from_u64(11);
-            let mut xs_scratch = Vec::new();
-            let mut row_counts = Vec::new();
-            for _ in 0..40 {
-                let cell =
-                    vlsi_netlist::CellId(rng.gen_range(0..eval.netlist().num_cells() as u32));
-                placement.remove_cell(cell);
-                scorer.prepare_cell(&eval, &placement, cell);
-                let view = scorer.prepared_summaries();
+        let (eval, mut placement) = setup();
+        let mut scorer = TrialScorer::for_evaluator(&eval);
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let mut xs_scratch = Vec::new();
+        let mut row_counts = Vec::new();
+        for _ in 0..40 {
+            let cell = vlsi_netlist::CellId(rng.gen_range(0..eval.netlist().num_cells() as u32));
+            placement.remove_cell(cell);
+            scorer.prepare_cell(&eval, &placement, cell);
+            let view = scorer.prepared_summaries();
 
-                let mut gx = Vec::new();
-                let mut gy = Vec::new();
-                for &net in eval.netlist().nets_of_cell(cell) {
-                    for &other in eval.net_cells(net) {
-                        if other == cell {
-                            continue;
-                        }
-                        let (x, y) = placement.position(other);
-                        gx.push(x);
-                        gy.push(y);
+            let mut gx = Vec::new();
+            let mut gy = Vec::new();
+            for &net in eval.netlist().nets_of_cell(cell) {
+                for &other in eval.net_cells(net) {
+                    if other == cell {
+                        continue;
                     }
+                    let (x, y) = placement.position(other);
+                    gx.push(x);
+                    gy.push(y);
                 }
-                match view.median_position(&mut xs_scratch, &mut row_counts) {
-                    Some((opt_x, opt_y)) => {
-                        gx.sort_by(|a, b| a.partial_cmp(b).unwrap());
-                        gy.sort_by(|a, b| a.partial_cmp(b).unwrap());
-                        assert_eq!(opt_x.to_bits(), gx[gx.len() / 2].to_bits(), "{model:?}");
-                        assert_eq!(opt_y.to_bits(), gy[gy.len() / 2].to_bits(), "{model:?}");
-                    }
-                    None => assert!(gx.is_empty()),
-                }
-
-                let le = |a: &CellCost, b: &CellCost| {
-                    a.wirelength <= b.wirelength
-                        && a.power <= b.power
-                        && a.critical_wirelength <= b.critical_wirelength
-                };
-                let (a, b) = view.monotone_branches();
-                for row in 0..placement.num_rows() {
-                    let positions: Vec<(f64, f64)> = (0..placement.slots_in_row(row))
-                        .map(|index| placement.trial_position(cell, Slot { row, index }))
-                        .collect();
-                    for pair in positions.windows(2) {
-                        let (p, q) = (pair[0], pair[1]);
-                        assert!(p.0 <= q.0, "slots ascend in x");
-                        let (cp, cq) = (scorer.prepared_cost_at(p), scorer.prepared_cost_at(q));
-                        if q.0 <= a {
-                            assert!(le(&cq, &cp), "{model:?}: score rose at x {} ≤ a {a}", q.0);
-                        }
-                        if p.0 >= b {
-                            assert!(le(&cp, &cq), "{model:?}: score fell at x {} ≥ b {b}", p.0);
-                        }
-                    }
-                }
-                placement.insert_cell(
-                    cell,
-                    Slot {
-                        row: placement.num_rows() - 1,
-                        index: 0,
-                    },
-                );
             }
+            match view.median_position(&mut xs_scratch, &mut row_counts) {
+                Some((opt_x, opt_y)) => {
+                    gx.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                    gy.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                    assert_eq!(opt_x.to_bits(), gx[gx.len() / 2].to_bits());
+                    assert_eq!(opt_y.to_bits(), gy[gy.len() / 2].to_bits());
+                }
+                None => assert!(gx.is_empty()),
+            }
+
+            let le = |a: &CellCost, b: &CellCost| {
+                a.wirelength <= b.wirelength
+                    && a.power <= b.power
+                    && a.critical_wirelength <= b.critical_wirelength
+            };
+            let (a, b) = view.monotone_branches();
+            for row in 0..placement.num_rows() {
+                let positions: Vec<(f64, f64)> = (0..placement.slots_in_row(row))
+                    .map(|index| placement.trial_position(cell, Slot { row, index }))
+                    .collect();
+                for pair in positions.windows(2) {
+                    let (p, q) = (pair[0], pair[1]);
+                    assert!(p.0 <= q.0, "slots ascend in x");
+                    let (cp, cq) = (scorer.prepared_cost_at(p), scorer.prepared_cost_at(q));
+                    if q.0 <= a {
+                        assert!(le(&cq, &cp), "score rose at x {} ≤ a {a}", q.0);
+                    }
+                    if p.0 >= b {
+                        assert!(le(&cp, &cq), "score fell at x {} ≥ b {b}", p.0);
+                    }
+                }
+            }
+            placement.insert_cell(
+                cell,
+                Slot {
+                    row: placement.num_rows() - 1,
+                    index: 0,
+                },
+            );
         }
     }
 
@@ -1500,6 +1339,11 @@ mod tests {
         assert_eq!(opt_x.to_bits(), gx[gx.len() / 2].to_bits());
         assert_eq!(opt_y.to_bits(), gy[gy.len() / 2].to_bits());
         assert!(counts.iter().all(|&c| c == 0), "row counts left dirty");
+    }
+
+    #[test]
+    fn net_summary_fits_one_cache_line() {
+        assert_eq!(std::mem::size_of::<NetSummary>(), 64);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! * [`Placement`] — a legal row-based placement of a
 //!   [`Netlist`](vlsi_netlist::Netlist): every cell sits in exactly one row,
 //!   cells within a row are packed left-to-right without overlap,
-//! * [`wirelength`] — interconnect length estimation per net (single-trunk
-//!   Steiner approximation, with half-perimeter as a cheaper alternative),
+//! * [`wirelength`] — interconnect length estimation per net: the
+//!   single-trunk Steiner approximation, the one model every cost prices
+//!   (half-perimeter only as its lower bound in tests),
 //! * [`CostEvaluator`] — wirelength, power, delay and width costs, with
 //!   incremental per-net/per-path updates used heavily by the SimE allocation
 //!   operator,
@@ -37,20 +38,19 @@ pub mod kernel;
 pub mod layout;
 pub mod wirelength;
 
-pub use cost::{CostBreakdown, CostEvaluator, Objectives, TimingModel};
+pub use cost::{CostBreakdown, CostEvaluator, Objectives};
 pub use fuzzy::{FuzzyConfig, FuzzyLevel};
 pub use goodness::{GoodnessEvaluator, GoodnessScratch, GoodnessVector};
 pub use interchange::{placement_from_pl, placement_to_pl, rows_to_scl, PlConvertError};
 pub use kernel::{NetLengthCache, TrialScorer};
 pub use layout::{Placement, PlacementError, Slot};
-pub use wirelength::{hpwl, single_trunk_steiner, WirelengthModel};
+pub use wirelength::single_trunk_steiner;
 
 /// Convenience prelude bringing the common placement types into scope.
 pub mod prelude {
-    pub use crate::cost::{CostBreakdown, CostEvaluator, Objectives, TimingModel};
+    pub use crate::cost::{CostBreakdown, CostEvaluator, Objectives};
     pub use crate::fuzzy::FuzzyConfig;
     pub use crate::goodness::GoodnessEvaluator;
     pub use crate::kernel::{NetLengthCache, TrialScorer};
     pub use crate::layout::{Placement, Slot};
-    pub use crate::wirelength::WirelengthModel;
 }

@@ -4,34 +4,13 @@
 //! (Section 2). For row-based standard-cell layouts the customary
 //! approximation is the *single-trunk Steiner tree*: a horizontal trunk at the
 //! median pin y-coordinate spanning the horizontal extent of the net, plus a
-//! vertical branch from every pin to the trunk. The half-perimeter wirelength
-//! (HPWL) of the bounding box is also provided as a cheaper estimator and as a
-//! lower bound used in tests.
+//! vertical branch from every pin to the trunk. It is the one per-net
+//! estimator of the cost model. The half-perimeter wirelength (HPWL) of the
+//! bounding box is provided only as the lower bound the tests hold the
+//! Steiner estimate to.
 
-use serde::{Deserialize, Serialize};
-
-/// Which per-net estimator the cost model uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum WirelengthModel {
-    /// Single-trunk Steiner approximation (the paper's estimator).
-    #[default]
-    SingleTrunkSteiner,
-    /// Half-perimeter of the pin bounding box.
-    HalfPerimeter,
-}
-
-impl WirelengthModel {
-    /// Estimates the length of a net from its pin positions using this model.
-    /// Returns 0 for nets with fewer than two pins.
-    pub fn estimate(self, pins: &[(f64, f64)]) -> f64 {
-        match self {
-            WirelengthModel::SingleTrunkSteiner => single_trunk_steiner(pins),
-            WirelengthModel::HalfPerimeter => hpwl(pins),
-        }
-    }
-}
-
-/// Half-perimeter wirelength of the bounding box of `pins`.
+/// Half-perimeter wirelength of the bounding box of `pins`, a lower bound of
+/// [`single_trunk_steiner`].
 pub fn hpwl(pins: &[(f64, f64)]) -> f64 {
     if pins.len() < 2 {
         return 0.0;
@@ -49,7 +28,7 @@ pub fn hpwl(pins: &[(f64, f64)]) -> f64 {
 
 /// Single-trunk Steiner tree estimate: horizontal trunk at the median pin y,
 /// spanning `[min_x, max_x]`, plus a vertical branch from every pin to the
-/// trunk.
+/// trunk. Returns 0 for nets with fewer than two pins.
 pub fn single_trunk_steiner(pins: &[(f64, f64)]) -> f64 {
     if pins.len() < 2 {
         return 0.0;
@@ -109,19 +88,5 @@ mod tests {
         let pins = [(0.0, 0.0), (1.0, 8.0), (2.0, 80.0)];
         let st = single_trunk_steiner(&pins);
         assert!((st - (2.0 + 80.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn model_dispatch() {
-        let pins = [(0.0, 0.0), (10.0, 8.0), (5.0, 16.0)];
-        assert_eq!(WirelengthModel::HalfPerimeter.estimate(&pins), hpwl(&pins));
-        assert_eq!(
-            WirelengthModel::SingleTrunkSteiner.estimate(&pins),
-            single_trunk_steiner(&pins)
-        );
-        assert_eq!(
-            WirelengthModel::default(),
-            WirelengthModel::SingleTrunkSteiner
-        );
     }
 }

@@ -1,9 +1,9 @@
 //! Differential property tests: the allocation-free kernel
-//! ([`TrialScorer`], [`NetLengthCache`]) must be **bit-identical** to the
-//! naive [`CostEvaluator`] oracle — not approximately equal — across random
-//! circuits, random placements, random rip-up/re-insert sequences, both
-//! [`WirelengthModel`]s and both [`Objectives`] variants. Bit identity is
-//! what lets the engine run on the kernel while keeping every seeded
+//! ([`TrialScorer`], [`NetLengthCache`], the goodness pass) must be
+//! **bit-identical** to the naive [`CostEvaluator`] oracle — not
+//! approximately equal — across random circuits, random placements, random
+//! rip-up/re-insert sequences and both [`Objectives`] variants. Bit identity
+//! is what lets the engine run on the kernel while keeping every seeded
 //! trajectory of the paper-reproduction tables unchanged.
 
 use proptest::prelude::*;
@@ -13,9 +13,9 @@ use std::sync::Arc;
 use vlsi_netlist::generator::{CircuitGenerator, GeneratorConfig};
 use vlsi_netlist::{CellId, Netlist};
 use vlsi_place::cost::{CellCost, CostEvaluator, Objectives};
+use vlsi_place::goodness::{GoodnessEvaluator, GoodnessScratch};
 use vlsi_place::kernel::{NetLengthCache, TrialScorer};
 use vlsi_place::layout::{Placement, Slot};
-use vlsi_place::wirelength::WirelengthModel;
 
 fn arb_netlist() -> impl Strategy<Value = (Arc<Netlist>, u64)> {
     (80usize..220, any::<u64>()).prop_map(|(cells, seed)| {
@@ -24,25 +24,9 @@ fn arb_netlist() -> impl Strategy<Value = (Arc<Netlist>, u64)> {
     })
 }
 
-fn evaluator(
-    netlist: &Arc<Netlist>,
-    model: WirelengthModel,
-    objectives: Objectives,
-) -> CostEvaluator {
-    CostEvaluator::with_models(
-        Arc::clone(netlist),
-        objectives,
-        model,
-        Default::default(),
-        Default::default(),
-        Default::default(),
-    )
+fn evaluator(netlist: &Arc<Netlist>, objectives: Objectives) -> CostEvaluator {
+    CostEvaluator::new(Arc::clone(netlist), objectives)
 }
-
-const MODELS: [WirelengthModel; 2] = [
-    WirelengthModel::SingleTrunkSteiner,
-    WirelengthModel::HalfPerimeter,
-];
 const OBJECTIVES: [Objectives; 2] = [
     Objectives::WirelengthPower,
     Objectives::WirelengthPowerDelay,
@@ -52,49 +36,47 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Cached net lengths track the naive evaluator bit-for-bit through an
-    /// arbitrary sequence of rip-up/re-insert and move operations, for every
-    /// model/objective combination.
+    /// arbitrary sequence of rip-up/re-insert and move operations, under both
+    /// objective sets.
     #[test]
     fn cache_is_bit_identical_through_mutations(
         (netlist, seed) in arb_netlist(),
         rows in 4usize..10,
         steps in 4usize..24,
     ) {
-        for model in MODELS {
-            for objectives in OBJECTIVES {
-                let eval = evaluator(&netlist, model, objectives);
-                let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xC0FFEE);
-                let mut placement = Placement::random(&netlist, rows, &mut rng);
-                let mut scorer = TrialScorer::for_evaluator(&eval);
-                let mut cache = NetLengthCache::new();
-                for _ in 0..steps {
-                    // Random rip-up / re-insert of a batch of cells, like the
-                    // allocation operator performs.
-                    let batch = rng.gen_range(1..5usize);
-                    let mut cells: Vec<CellId> = Vec::new();
-                    for _ in 0..batch {
-                        let c = CellId(rng.gen_range(0..netlist.num_cells() as u32));
-                        if !cells.contains(&c) {
-                            cells.push(c);
-                        }
-                    }
-                    for &c in &cells {
-                        placement.remove_cell(c);
-                    }
-                    for &c in &cells {
-                        let row = rng.gen_range(0..rows);
-                        let index = rng.gen_range(0..placement.row(row).len() + 1);
-                        placement.insert_cell(c, Slot { row, index });
-                    }
-                    let cached = cache.refresh(&eval, &mut scorer, &placement);
-                    let oracle = eval.net_lengths(&placement);
-                    prop_assert_eq!(cached.len(), oracle.len());
-                    for (a, b) in cached.iter().zip(oracle.iter()) {
-                        prop_assert_eq!(a.to_bits(), b.to_bits());
+        for objectives in OBJECTIVES {
+            let eval = evaluator(&netlist, objectives);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xC0FFEE);
+            let mut placement = Placement::random(&netlist, rows, &mut rng);
+            let mut scorer = TrialScorer::for_evaluator(&eval);
+            let mut cache = NetLengthCache::new();
+            for _ in 0..steps {
+                // Random rip-up / re-insert of a batch of cells, like the
+                // allocation operator performs.
+                let batch = rng.gen_range(1..5usize);
+                let mut cells: Vec<CellId> = Vec::new();
+                for _ in 0..batch {
+                    let c = CellId(rng.gen_range(0..netlist.num_cells() as u32));
+                    if !cells.contains(&c) {
+                        cells.push(c);
                     }
                 }
-                prop_assert_eq!(cache.full_refreshes(), 1);
+                for &c in &cells {
+                    placement.remove_cell(c);
+                }
+                for &c in &cells {
+                    let row = rng.gen_range(0..rows);
+                    let index = rng.gen_range(0..placement.row(row).len() + 1);
+                    placement.insert_cell(c, Slot { row, index });
+                }
+                let cached = cache.refresh(&eval, &mut scorer, &placement);
+                let oracle = eval.net_lengths(&placement);
+                prop_assert_eq!(cached.len(), oracle.len());
+                for (a, b) in cached.iter().zip(oracle.iter()) {
+                    prop_assert_eq!(a.to_bits(), b.to_bits());
+                }
             }
+            prop_assert_eq!(cache.full_refreshes(), 1);
         }
     }
 
@@ -112,110 +94,118 @@ proptest! {
         rows in 3usize..10,
         rounds in 1usize..5,
     ) {
-        for model in MODELS {
-            let eval = evaluator(&netlist, model, Objectives::WirelengthPowerDelay);
-            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xA110C);
-            let mut placement = Placement::random(&netlist, rows, &mut rng);
-            let mut scorer = TrialScorer::for_evaluator(&eval);
-            let mut cache = NetLengthCache::new();
-            cache.refresh(&eval, &mut scorer, &placement);
-            for _ in 0..rounds {
-                // One cell of every row, plus a random share of the rest.
-                let mut selected: Vec<CellId> = (0..rows)
-                    .filter(|&r| !placement.row(r).is_empty())
-                    .map(|r| placement.row(r)[rng.gen_range(0..placement.row(r).len())])
-                    .collect();
-                for c in netlist.cell_ids() {
-                    if !selected.contains(&c) && rng.gen_bool(0.3) {
-                        selected.push(c);
-                    }
+        let eval = evaluator(&netlist, Objectives::WirelengthPowerDelay);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xA110C);
+        let mut placement = Placement::random(&netlist, rows, &mut rng);
+        let mut scorer = TrialScorer::for_evaluator(&eval);
+        let mut cache = NetLengthCache::new();
+        cache.refresh(&eval, &mut scorer, &placement);
+        for _ in 0..rounds {
+            // One cell of every row, plus a random share of the rest.
+            let mut selected: Vec<CellId> = (0..rows)
+                .filter(|&r| !placement.row(r).is_empty())
+                .map(|r| placement.row(r)[rng.gen_range(0..placement.row(r).len())])
+                .collect();
+            for c in netlist.cell_ids() {
+                if !selected.contains(&c) && rng.gen_bool(0.3) {
+                    selected.push(c);
                 }
-                let epochs: Vec<u64> = (0..rows).map(|r| placement.row_epoch(r)).collect();
-                for &c in &selected {
-                    placement.remove_cell(c);
-                }
-                for &c in &selected {
-                    let row = rng.gen_range(0..rows);
-                    let index = rng.gen_range(0..placement.slots_in_row(row));
-                    placement.insert_cell(c, Slot { row, index });
-                }
-                prop_assert!((0..rows).all(|r| placement.row_epoch(r) != epochs[r]));
-                let before = (cache.nets_recomputed(), cache.nets_trunk_only());
-                let cached = cache.refresh(&eval, &mut scorer, &placement);
-                for (a, b) in cached.iter().zip(&eval.net_lengths(&placement)) {
-                    prop_assert_eq!(a.to_bits(), b.to_bits());
-                }
-                prop_assert_eq!(
-                    cache.nets_recomputed() - before.0,
-                    netlist.num_nets() as u64
-                );
-                prop_assert_eq!(cache.nets_trunk_only(), before.1);
-
-                let row = rng.gen_range(0..rows);
-                let cells = placement.row(row).to_vec();
-                if cells.len() < 2 {
-                    continue;
-                }
-                let (a, b) = (cells[0], cells[rng.gen_range(1..cells.len())]);
-                let old: Vec<f64> = cells.iter().map(|&c| placement.x_of(c)).collect();
-                placement.swap_cells(a, b);
-                let moved: Vec<CellId> = cells
-                    .iter()
-                    .zip(&old)
-                    .filter(|&(&c, &x)| placement.x_of(c).to_bits() != x.to_bits())
-                    .map(|(&c, _)| c)
-                    .collect();
-                let dirty = netlist
-                    .net_ids()
-                    .filter(|&net| eval.net_cells(net).iter().any(|c| moved.contains(c)))
-                    .count() as u64;
-                let before = cache.nets_recomputed();
-                let cached = cache.refresh(&eval, &mut scorer, &placement);
-                for (a, b) in cached.iter().zip(&eval.net_lengths(&placement)) {
-                    prop_assert_eq!(a.to_bits(), b.to_bits());
-                }
-                prop_assert_eq!(cache.nets_recomputed() - before, dirty);
             }
-            prop_assert_eq!(cache.full_refreshes(), 1);
+            let epochs: Vec<u64> = (0..rows).map(|r| placement.row_epoch(r)).collect();
+            for &c in &selected {
+                placement.remove_cell(c);
+            }
+            for &c in &selected {
+                let row = rng.gen_range(0..rows);
+                let index = rng.gen_range(0..placement.slots_in_row(row));
+                placement.insert_cell(c, Slot { row, index });
+            }
+            prop_assert!((0..rows).all(|r| placement.row_epoch(r) != epochs[r]));
+            let before = (cache.nets_recomputed(), cache.nets_trunk_only());
+            let cached = cache.refresh(&eval, &mut scorer, &placement);
+            for (a, b) in cached.iter().zip(&eval.net_lengths(&placement)) {
+                prop_assert_eq!(a.to_bits(), b.to_bits());
+            }
+            prop_assert_eq!(
+                cache.nets_recomputed() - before.0,
+                netlist.num_nets() as u64
+            );
+            prop_assert_eq!(cache.nets_trunk_only(), before.1);
+
+            let row = rng.gen_range(0..rows);
+            let cells = placement.row(row).to_vec();
+            if cells.len() < 2 {
+                continue;
+            }
+            let (a, b) = (cells[0], cells[rng.gen_range(1..cells.len())]);
+            let old: Vec<f64> = cells.iter().map(|&c| placement.x_of(c)).collect();
+            placement.swap_cells(a, b);
+            let moved: Vec<CellId> = cells
+                .iter()
+                .zip(&old)
+                .filter(|&(&c, &x)| placement.x_of(c).to_bits() != x.to_bits())
+                .map(|(&c, _)| c)
+                .collect();
+            let dirty = netlist
+                .net_ids()
+                .filter(|&net| eval.net_cells(net).iter().any(|c| moved.contains(c)))
+                .count() as u64;
+            let before = cache.nets_recomputed();
+            let cached = cache.refresh(&eval, &mut scorer, &placement);
+            for (a, b) in cached.iter().zip(&eval.net_lengths(&placement)) {
+                prop_assert_eq!(a.to_bits(), b.to_bits());
+            }
+            prop_assert_eq!(cache.nets_recomputed() - before, dirty);
         }
+        prop_assert_eq!(cache.full_refreshes(), 1);
     }
 
-    /// Kernel trial scoring (both the generic and the prepared-cell path)
-    /// agrees with the naive `cell_cost_at` oracle to the bit for arbitrary
-    /// trial slots of a ripped-up cell.
+    /// Kernel trial scoring agrees with the naive `cell_cost_at` oracle to
+    /// the bit for arbitrary trial slots of a ripped-up movable cell, on
+    /// generated circuits and on mixed-size mix600: both the reference
+    /// scorer `prepared_cost_at` and the scorer allocation runs per slot,
+    /// `prepare_row` + `cost_at_in_row`.
     #[test]
     fn trial_scoring_is_bit_identical(
         (netlist, seed) in arb_netlist(),
         rows in 4usize..10,
         picks in prop::collection::vec(any::<u64>(), 1..12),
     ) {
-        for model in MODELS {
+        use vlsi_netlist::bench_suite::{mixed_circuit, MixedCircuit};
+        let mix = Arc::new(mixed_circuit(MixedCircuit::Mix600));
+        for (netlist, rows) in [(netlist, rows), (mix, MixedCircuit::Mix600.num_rows())] {
+            let movable: Vec<CellId> = netlist
+                .cell_ids()
+                .filter(|&c| !netlist.cell(c).fixed)
+                .collect();
             for objectives in OBJECTIVES {
-                let eval = evaluator(&netlist, model, objectives);
+                let eval = evaluator(&netlist, objectives);
                 let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xBEEF);
                 let mut placement = Placement::random(&netlist, rows, &mut rng);
                 let mut scorer = TrialScorer::for_evaluator(&eval);
+                let mut vertical = Vec::new();
                 for &pick in &picks {
-                    let cell = CellId((pick as u32) % netlist.num_cells() as u32);
+                    let cell = movable[(pick % movable.len() as u64) as usize];
                     let home = placement.remove_cell(cell);
                     scorer.prepare_cell(&eval, &placement, cell);
+                    let view = scorer.prepared_summaries();
                     for probe in 0..4u64 {
                         let h = pick.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(probe);
                         let row = (h as usize) % rows;
-                        let index = (h as usize / rows) % (placement.row(row).len() + 1);
+                        let index = (h as usize / rows) % placement.slots_in_row(row);
                         let pos = placement.trial_position(cell, Slot { row, index });
                         let naive = eval.cell_cost_at(&placement, cell, pos);
-                        let generic = scorer.cell_cost_at(&eval, &placement, cell, pos);
                         let prepared = scorer.prepared_cost_at(pos);
-                        for (a, b) in [
-                            (naive.wirelength, generic.wirelength),
-                            (naive.power, generic.power),
-                            (naive.critical_wirelength, generic.critical_wirelength),
-                            (naive.wirelength, prepared.wirelength),
-                            (naive.power, prepared.power),
-                            (naive.critical_wirelength, prepared.critical_wirelength),
-                        ] {
-                            prop_assert_eq!(a.to_bits(), b.to_bits());
+                        view.prepare_row(row as u32, &mut vertical);
+                        let hoisted = view.cost_at_in_row(pos.0, &vertical);
+                        for fast in [prepared, hoisted] {
+                            for (a, b) in [
+                                (naive.wirelength, fast.wirelength),
+                                (naive.power, fast.power),
+                                (naive.critical_wirelength, fast.critical_wirelength),
+                            ] {
+                                prop_assert_eq!(a.to_bits(), b.to_bits());
+                            }
                         }
                     }
                     placement.insert_cell(cell, home);
@@ -230,7 +220,7 @@ proptest! {
     /// score never rises while x ≤ a and never falls once x ≥ b,
     /// component-wise, and (b) the row-hoisted score equals the full
     /// prepared score bit for bit — on generated circuits and on mixed-size
-    /// mix600, under both models and both objective sets.
+    /// mix600, under both objective sets.
     #[test]
     fn pruned_scan_bounds_and_hoisted_scores_match_exhaustive(
         (netlist, seed) in arb_netlist(),
@@ -240,11 +230,9 @@ proptest! {
         use vlsi_netlist::bench_suite::{mixed_circuit, MixedCircuit};
         let mix = Arc::new(mixed_circuit(MixedCircuit::Mix600));
         for (netlist, rows) in [(netlist, rows), (mix, MixedCircuit::Mix600.num_rows())] {
-            for model in MODELS {
-                for objectives in OBJECTIVES {
-                    let eval = evaluator(&netlist, model, objectives);
-                    check_monotone_branches(&eval, rows, seed ^ 0xABCD, &picks);
-                }
+            for objectives in OBJECTIVES {
+                let eval = evaluator(&netlist, objectives);
+                check_monotone_branches(&eval, rows, seed ^ 0xABCD, &picks);
             }
         }
     }
@@ -252,18 +240,16 @@ proptest! {
     /// The trunk-only re-price of nets whose pins only slid along their rows
     /// stays bit-identical to the oracle through the SA/TS move mix — swaps
     /// inside a row and across rows, moves inside a row, and a relocate
-    /// undone before the next refresh — on generated circuits under both
-    /// wirelength models, and both the trunk-only and the full path fire.
+    /// undone before the next refresh — on generated circuits, and both the
+    /// trunk-only and the full path fire.
     #[test]
     fn trunk_only_refresh_is_bit_identical_through_row_slides(
         (netlist, seed) in arb_netlist(),
         rows in 3usize..9,
         steps in 8usize..32,
     ) {
-        for model in MODELS {
-            let eval = evaluator(&netlist, model, Objectives::WirelengthPowerDelay);
-            drive_row_slides(&eval, rows, seed ^ 0x51DE, steps);
-        }
+        let eval = evaluator(&netlist, Objectives::WirelengthPowerDelay);
+        drive_row_slides(&eval, rows, seed ^ 0x51DE, steps);
     }
 
     /// The same on mixed-size mix600, whose blocked spans re-pack the row
@@ -272,25 +258,61 @@ proptest! {
     fn trunk_only_refresh_is_bit_identical_on_blocked_rows(seed in any::<u64>()) {
         use vlsi_netlist::bench_suite::{mixed_circuit, MixedCircuit};
         let netlist = Arc::new(mixed_circuit(MixedCircuit::Mix600));
-        for model in MODELS {
-            let eval = evaluator(&netlist, model, Objectives::WirelengthPowerDelay);
-            drive_row_slides(&eval, MixedCircuit::Mix600.num_rows(), seed, 24);
-        }
+        let eval = evaluator(&netlist, Objectives::WirelengthPowerDelay);
+        drive_row_slides(&eval, MixedCircuit::Mix600.num_rows(), seed, 24);
     }
 
-    /// Scorer-computed single net lengths equal the oracle's for every net of
-    /// a random placement (the cache's building block, checked directly).
+    /// A fresh cache's first (full) refresh equals the oracle's
+    /// `net_length` for every net of a random placement, net by net.
     #[test]
     fn net_lengths_are_bit_identical((netlist, seed) in arb_netlist(), rows in 3usize..9) {
-        for model in MODELS {
-            let eval = evaluator(&netlist, model, Objectives::WirelengthPower);
-            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xFACE);
-            let placement = Placement::random(&netlist, rows, &mut rng);
-            let mut scorer = TrialScorer::for_evaluator(&eval);
-            for net in netlist.net_ids() {
-                let naive = eval.net_length(&placement, net);
-                let fast = scorer.net_length(&eval, &placement, net);
-                prop_assert_eq!(naive.to_bits(), fast.to_bits());
+        let eval = evaluator(&netlist, Objectives::WirelengthPower);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xFACE);
+        let placement = Placement::random(&netlist, rows, &mut rng);
+        let mut scorer = TrialScorer::for_evaluator(&eval);
+        let mut cache = NetLengthCache::new();
+        let cached = cache.refresh(&eval, &mut scorer, &placement);
+        prop_assert_eq!(cached.len(), netlist.num_nets());
+        for net in netlist.net_ids() {
+            let naive = eval.net_length(&placement, net);
+            prop_assert_eq!(naive.to_bits(), cached[net.index()].to_bits());
+        }
+        prop_assert_eq!(cache.full_refreshes(), 1);
+    }
+
+    /// The engine's goodness pass (`all_goodness_with` on cached lengths)
+    /// equals the sort-based oracle `all_goodness` to the bit on every
+    /// evaluated cell, without a mask and under a Type II-style mask that
+    /// freezes fixed cells and every other row, on generated circuits and
+    /// on mixed-size mix600, under both objective sets.
+    #[test]
+    fn goodness_pass_is_bit_identical((netlist, seed) in arb_netlist(), rows in 3usize..9) {
+        use vlsi_netlist::bench_suite::{mixed_circuit, MixedCircuit};
+        let mix = Arc::new(mixed_circuit(MixedCircuit::Mix600));
+        for (netlist, rows) in [(netlist, rows), (mix, MixedCircuit::Mix600.num_rows())] {
+            for objectives in OBJECTIVES {
+                let goodness = GoodnessEvaluator::new(evaluator(&netlist, objectives));
+                let eval = goodness.evaluator();
+                let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x600D);
+                let placement = Placement::random(&netlist, rows, &mut rng);
+                let mut cache = NetLengthCache::new();
+                let lengths = cache
+                    .refresh(eval, &mut TrialScorer::for_evaluator(eval), &placement)
+                    .to_vec();
+                let oracle = goodness.all_goodness(&placement);
+                let striped: Vec<bool> = netlist
+                    .cell_ids()
+                    .map(|c| placement.is_fixed(c) || placement.row_of(c) % 2 == 1)
+                    .collect();
+                let mut scratch = GoodnessScratch::default();
+                let mut pass = Vec::new();
+                for frozen in [&[][..], &striped[..]] {
+                    goodness.all_goodness_with(&mut scratch, &placement, &lengths, frozen, &mut pass);
+                    prop_assert_eq!(pass.len(), oracle.len());
+                    for c in netlist.cell_ids().filter(|c| frozen.is_empty() || !frozen[c.index()]) {
+                        prop_assert_eq!(pass[c.index()].to_bits(), oracle[c.index()].to_bits());
+                    }
+                }
             }
         }
     }
@@ -300,8 +322,8 @@ proptest! {
 /// `cost_at_in_row`) equals the reference per-pin branch sum of
 /// `prepared_cost_at` to the bit for every candidate row of every movable
 /// cell — rows inside and outside the other pins' extent, past the layout's
-/// last row too — on a random s1196 placement and on mixed-size mix600,
-/// under both wirelength models. The circuits must contain 2-pin nets, nets
+/// last row too — on a random s1196 placement and on mixed-size mix600.
+/// The circuits must contain 2-pin nets, nets
 /// whose other pins share one row, and nets with even and odd pin counts,
 /// the cases an off-by-one in the order statistics would miss.
 #[test]
@@ -314,49 +336,47 @@ fn hoisted_vertical_term_matches_the_reference_scorer_on_every_row() {
         let netlist = Arc::new(circuit.generate());
         let rows = circuit.num_rows();
         let (mut two_pin, mut one_row, mut even, mut odd) = (false, false, false, false);
-        for model in MODELS {
-            let eval = evaluator(&netlist, model, Objectives::WirelengthPowerDelay);
-            let mut rng = ChaCha8Rng::seed_from_u64(0x5EED);
-            let mut placement = Placement::random(&netlist, rows, &mut rng);
-            let mut scorer = TrialScorer::for_evaluator(&eval);
-            let mut vertical = Vec::new();
-            for cell in netlist.cell_ids().filter(|&c| !netlist.cell(c).fixed) {
-                let home = placement.remove_cell(cell);
-                for &net in netlist.nets_of_cell(cell) {
-                    let pins = eval.net_cells(net);
-                    two_pin |= pins.len() == 2;
-                    even |= pins.len().is_multiple_of(2);
-                    odd |= !pins.len().is_multiple_of(2);
-                    let mut other_rows = pins
-                        .iter()
-                        .filter(|&&c| c != cell)
-                        .map(|&c| placement.row_of(c));
-                    let first = other_rows.next();
-                    one_row |= pins.len() > 2 && other_rows.all(|r| Some(r) == first);
-                }
-                scorer.prepare_cell(&eval, &placement, cell);
-                let view = scorer.prepared_summaries();
-                for row in 0..rows + 3 {
-                    view.prepare_row(row as u32, &mut vertical);
-                    let y = (row as f64 + 0.5) * vlsi_place::layout::ROW_HEIGHT;
-                    for x in [0.5, placement.x_of(cell), 1e4 + 0.5] {
-                        let exact = scorer.prepared_cost_at((x, y));
-                        let hoisted = view.cost_at_in_row(x, &vertical);
-                        for (a, b) in [
-                            (exact.wirelength, hoisted.wirelength),
-                            (exact.power, hoisted.power),
-                            (exact.critical_wirelength, hoisted.critical_wirelength),
-                        ] {
-                            assert_eq!(
-                                a.to_bits(),
-                                b.to_bits(),
-                                "{circuit}/{model:?}: cell {cell} row {row} x {x}"
-                            );
-                        }
+        let eval = evaluator(&netlist, Objectives::WirelengthPowerDelay);
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5EED);
+        let mut placement = Placement::random(&netlist, rows, &mut rng);
+        let mut scorer = TrialScorer::for_evaluator(&eval);
+        let mut vertical = Vec::new();
+        for cell in netlist.cell_ids().filter(|&c| !netlist.cell(c).fixed) {
+            let home = placement.remove_cell(cell);
+            for &net in netlist.nets_of_cell(cell) {
+                let pins = eval.net_cells(net);
+                two_pin |= pins.len() == 2;
+                even |= pins.len().is_multiple_of(2);
+                odd |= !pins.len().is_multiple_of(2);
+                let mut other_rows = pins
+                    .iter()
+                    .filter(|&&c| c != cell)
+                    .map(|&c| placement.row_of(c));
+                let first = other_rows.next();
+                one_row |= pins.len() > 2 && other_rows.all(|r| Some(r) == first);
+            }
+            scorer.prepare_cell(&eval, &placement, cell);
+            let view = scorer.prepared_summaries();
+            for row in 0..rows + 3 {
+                view.prepare_row(row as u32, &mut vertical);
+                let y = (row as f64 + 0.5) * vlsi_place::layout::ROW_HEIGHT;
+                for x in [0.5, placement.x_of(cell), 1e4 + 0.5] {
+                    let exact = scorer.prepared_cost_at((x, y));
+                    let hoisted = view.cost_at_in_row(x, &vertical);
+                    for (a, b) in [
+                        (exact.wirelength, hoisted.wirelength),
+                        (exact.power, hoisted.power),
+                        (exact.critical_wirelength, hoisted.critical_wirelength),
+                    ] {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "{circuit}: cell {cell} row {row} x {x}"
+                        );
                     }
                 }
-                placement.insert_cell(cell, home);
             }
+            placement.insert_cell(cell, home);
         }
         assert!(
             two_pin && one_row && even && odd,

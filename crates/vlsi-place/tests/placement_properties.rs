@@ -238,7 +238,7 @@ proptest! {
             prop_assert!((0.0..=1.0).contains(&g));
         }
         let lengths = ge.evaluator().net_lengths(&placement);
-        let mut scratch = GoodnessScratch::for_evaluator(ge.evaluator());
+        let mut scratch = GoodnessScratch::default();
         let mut kernel = Vec::new();
         ge.all_goodness_with(&mut scratch, &placement, &lengths, &[], &mut kernel);
         for (a, b) in all.iter().zip(&kernel) {
