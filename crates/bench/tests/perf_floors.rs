@@ -13,6 +13,10 @@
 //!   monotone-branch trial search must beat `bound_pruning: false` by 1.3×
 //!   and end on bitwise the same placement.
 //!
+//! A failed floor names the host's load (usable parallelism and
+//! `/proc/loadavg`, read before and after the timed blocks), as other work
+//! on the shared cores skews an A/B.
+//!
 //! Debug builds run the exhaustive oracle inside the searched scan, so both
 //! floors are ignored there. Run them with
 //! `cargo test --release -p bench --test perf_floors`.
@@ -42,6 +46,16 @@ const SEARCHED_ALLOCATION_MIN_SPEEDUP: f64 = 1.3;
 /// The floors time wall clock, so they must not share the cores with each
 /// other when the harness runs tests in parallel.
 static SERIAL: Mutex<()> = Mutex::new(());
+
+/// The host's usable parallelism and load averages, or "unavailable" for
+/// either where the platform does not report it.
+fn host_load() -> String {
+    let cores = std::thread::available_parallelism()
+        .map_or_else(|_| "unavailable".to_string(), |n| n.to_string());
+    let load = std::fs::read_to_string("/proc/loadavg")
+        .map_or_else(|_| "unavailable".to_string(), |s| s.trim().to_string());
+    format!("available_parallelism {cores}, loadavg {load}")
+}
 
 /// Times `f` over `reps` repetitions and returns total nanoseconds.
 fn time_ns<F: FnMut()>(reps: usize, mut f: F) -> u128 {
@@ -120,6 +134,7 @@ fn kernels_keep_their_lead_over_the_naive_evaluator() {
         })
         .collect();
     let mut scorer = TrialScorer::for_evaluator(evaluator);
+    let load_before = host_load();
     let [naive_trial_ns, kernel_trial_ns] = best_of_alternating_blocks(
         BLOCKS,
         REPS,
@@ -170,6 +185,7 @@ fn kernels_keep_their_lead_over_the_naive_evaluator() {
         ],
     );
 
+    let load_after = host_load();
     let trial = naive_trial_ns as f64 / kernel_trial_ns as f64;
     let eval = naive_eval_ns as f64 / kernel_eval_ns as f64;
     let pass = goodness_ns as f64 / naive_eval_ns as f64;
@@ -182,7 +198,8 @@ fn kernels_keep_their_lead_over_the_naive_evaluator() {
             && pass <= GOODNESS_PASS_MAX_RATIO,
         "a kernel lost its lead: trial {trial:.3} (>= {TRIAL_SCORING_MIN_SPEEDUP}), \
          net lengths {eval:.3} (>= {FULL_NET_LENGTHS_MIN_SPEEDUP}), \
-         goodness pass {pass:.3} (<= {GOODNESS_PASS_MAX_RATIO})"
+         goodness pass {pass:.3} (<= {GOODNESS_PASS_MAX_RATIO}); \
+         host before: {load_before}; after: {load_after}"
     );
 }
 
@@ -239,6 +256,7 @@ fn searched_allocation_beats_the_exhaustive_scan() {
     // so a drift in the host's speed cannot favour one of them.
     let mut best_ns = [u128::MAX; 2];
     let mut end_bits: [Vec<u64>; 2] = Default::default();
+    let load_before = host_load();
     for rep in 0..REPS {
         for arm in [rep % 2, 1 - rep % 2] {
             let (engine, initial) = &arms[arm];
@@ -247,6 +265,7 @@ fn searched_allocation_beats_the_exhaustive_scan() {
             end_bits[arm] = bits;
         }
     }
+    let load_after = host_load();
     let [searched_ns, exhaustive_ns] = best_ns;
     let [searched_bits, exhaustive_bits] = end_bits;
 
@@ -262,6 +281,7 @@ fn searched_allocation_beats_the_exhaustive_scan() {
     assert!(
         speedup >= SEARCHED_ALLOCATION_MIN_SPEEDUP,
         "searched allocation is only {speedup:.2}x the exhaustive scan \
-         (floor {SEARCHED_ALLOCATION_MIN_SPEEDUP}x)"
+         (floor {SEARCHED_ALLOCATION_MIN_SPEEDUP}x); \
+         host before: {load_before}; after: {load_after}"
     );
 }

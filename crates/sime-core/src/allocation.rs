@@ -44,7 +44,7 @@ const BEST_FIT_ROWS: usize = 3;
 /// Steiner sort inside trial scoring, now owned by the embedded
 /// [`TrialScorer`]) lives here, so a full allocation pass performs no heap
 /// allocation. One instance per worker thread.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AllocScratch {
     /// The allocation-free trial scorer (shared with the engine's evaluation
     /// step, which uses it to refresh the net-length cache).
@@ -68,20 +68,6 @@ pub struct AllocScratch {
 }
 
 impl AllocScratch {
-    /// Creates allocation scratch space for an evaluator.
-    pub fn for_evaluator(evaluator: &CostEvaluator) -> Self {
-        AllocScratch {
-            scorer: TrialScorer::for_evaluator(evaluator),
-            sorted_rows: Vec::new(),
-            windows: Vec::new(),
-            xs: Vec::new(),
-            ys: Vec::new(),
-            rows_by_distance: Vec::new(),
-            row_counts: Vec::new(),
-            vertical: Vec::new(),
-        }
-    }
-
     /// Sets the allowed rows of one allocation call: `allowed` (or every
     /// row when `allowed` is empty), sorted ascending with duplicate entries
     /// dropped. Duplicated allowed rows would otherwise emit the same
@@ -688,7 +674,7 @@ mod tests {
         let mut selected: Vec<CellId> = nl.cell_ids().take(30).collect();
         allocate_all(
             &eval,
-            &mut AllocScratch::for_evaluator(&eval),
+            &mut AllocScratch::default(),
             &mut placement,
             &mut selected,
             &goodness,
@@ -717,7 +703,7 @@ mod tests {
         placement.remove_cell(cell);
         allocate_cell(
             &eval,
-            &mut AllocScratch::for_evaluator(&eval),
+            &mut AllocScratch::default(),
             &mut placement,
             cell,
             &AllocationConfig::default(),
@@ -740,7 +726,7 @@ mod tests {
         let allowed = vec![2usize, 3];
         allocate_all(
             &eval,
-            &mut AllocScratch::for_evaluator(&eval),
+            &mut AllocScratch::default(),
             &mut placement,
             &mut selected,
             &goodness,
@@ -765,7 +751,7 @@ mod tests {
         let mut selected: Vec<CellId> = nl.cell_ids().take(10).collect();
         let stats = allocate_all(
             &eval,
-            &mut AllocScratch::for_evaluator(&eval),
+            &mut AllocScratch::default(),
             &mut placement,
             &mut selected,
             &goodness,
@@ -792,7 +778,7 @@ mod tests {
             .unwrap();
         let run = |allowed: &[usize]| {
             let mut p = placement.clone();
-            let mut scratch = AllocScratch::for_evaluator(&eval);
+            let mut scratch = AllocScratch::default();
             p.remove_cell(cell);
             let stats = allocate_cell(
                 &eval,
@@ -839,7 +825,7 @@ mod tests {
         };
         let mut rng = ChaCha8Rng::seed_from_u64(12);
         let num_rows = 23;
-        let mut scratch = AllocScratch::for_evaluator(&setup().0);
+        let mut scratch = AllocScratch::default();
         let mut out = Vec::new();
         for case in 0..2000 {
             let allowed: Vec<usize> = match case % 4 {
@@ -924,7 +910,7 @@ mod tests {
                 let mut selected: Vec<CellId> = nl.cell_ids().take(80).collect();
                 let stats = allocate_all(
                     &eval,
-                    &mut AllocScratch::for_evaluator(&eval),
+                    &mut AllocScratch::default(),
                     &mut p,
                     &mut selected,
                     &goodness,
@@ -978,7 +964,7 @@ mod tests {
                     .collect();
                 let stats = allocate_all(
                     &eval,
-                    &mut AllocScratch::for_evaluator(&eval),
+                    &mut AllocScratch::default(),
                     &mut p,
                     &mut selected,
                     &goodness,
@@ -1036,7 +1022,7 @@ mod tests {
                 Objectives::WirelengthPowerDelay,
             ] {
                 let eval = CostEvaluator::new(Arc::clone(&nl), objectives);
-                let mut scratch = AllocScratch::for_evaluator(&eval);
+                let mut scratch = AllocScratch::default();
                 let mut placement = Placement::round_robin(&nl, num_rows);
                 let mut vertical = Vec::new();
                 for cell in nl.cell_ids().filter(|&c| !nl.cell(c).fixed).step_by(3) {
@@ -1179,7 +1165,7 @@ mod tests {
         ];
         for (nl, num_rows) in circuits {
             let eval = CostEvaluator::new(Arc::clone(&nl), Objectives::WirelengthPowerDelay);
-            let mut scratch = AllocScratch::for_evaluator(&eval);
+            let mut scratch = AllocScratch::default();
             let mut placement = Placement::round_robin(&nl, num_rows);
             let mut third_row_cut = 0;
             for cell in nl.cell_ids().filter(|&c| !nl.cell(c).fixed) {

@@ -25,7 +25,7 @@ use vlsi_place::layout::Placement;
 /// every number produced through it is bitwise identical to the naive
 /// [`SimEEngine::evaluate`] oracle — it only removes per-call allocations and
 /// redundant net re-evaluations.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SimEScratch {
     /// Allocation buffers + trial scorer.
     pub alloc: AllocScratch,
@@ -43,18 +43,6 @@ pub struct SimEScratch {
 }
 
 impl SimEScratch {
-    /// Creates scratch space for an engine's evaluator.
-    pub fn for_engine(engine: &SimEEngine) -> Self {
-        SimEScratch {
-            alloc: AllocScratch::for_evaluator(engine.evaluator()),
-            cache: NetLengthCache::new(),
-            eval: GoodnessScratch::default(),
-            goodness: Vec::new(),
-            goodness_cells_evaluated: 0,
-            frozen_merge: Vec::new(),
-        }
-    }
-
     /// Number of per-cell goodness values the Evaluation steps run on this
     /// scratch have computed: every selectable cell (neither frozen nor
     /// fixed) once per Evaluation. Pure telemetry; the name predates the
@@ -179,6 +167,12 @@ impl SimEResult {
 /// the only evolving state), so the parallel strategies can reuse
 /// [`SimEEngine::evaluate`], [`SimEEngine::iterate`] and the operators
 /// directly on their own placements.
+///
+/// Every per-cell and per-net table (the cost evaluator's paths and bounds,
+/// the goodness evaluator's path table, the fixed-cell mask) sits behind an
+/// `Arc`, so a clone is shallow: it shares the tables and copies only the
+/// config. [`SimEEngine::with_seed`] builds on that, so many seeds of one
+/// circuit run on one calibrated set of tables.
 #[derive(Debug, Clone)]
 pub struct SimEEngine {
     evaluator: CostEvaluator,
@@ -189,7 +183,7 @@ pub struct SimEEngine {
     /// Per-cell fixed mask, `true` for pads and macros that Selection must
     /// never pick. Empty when the netlist has no fixed cells, so the
     /// fixed-free path (including its RNG stream) is bitwise unchanged.
-    fixed_frozen: Vec<bool>,
+    fixed_frozen: Arc<Vec<bool>>,
     /// Warm-start placement: when set, [`SimEEngine::initial_placement`]
     /// returns a clone of it instead of drawing a random deal.
     initial: Option<Arc<Placement>>,
@@ -205,7 +199,22 @@ impl SimEEngine {
     pub fn new(netlist: Arc<Netlist>, config: SimEConfig) -> Self {
         let evaluator = CostEvaluator::new(netlist, config.objectives);
         let evaluator = Self::calibrate_fuzzy(evaluator, config.num_rows);
-        Self::from_evaluator(evaluator, config)
+        let pins = evaluator.netlist().stats().pins as u64;
+        let goodness = GoodnessEvaluator::new(evaluator.clone());
+        let netlist = evaluator.netlist();
+        let fixed_frozen = if netlist.has_fixed_cells() {
+            netlist.cells().iter().map(|c| c.fixed).collect()
+        } else {
+            Vec::new()
+        };
+        SimEEngine {
+            evaluator,
+            goodness,
+            config,
+            pins,
+            fixed_frozen: Arc::new(fixed_frozen),
+            initial: None,
+        }
     }
 
     /// Scales the fuzzy goal multiples to the circuit when the defaults are
@@ -249,24 +258,18 @@ impl SimEEngine {
         evaluator.with_fuzzy(fuzzy)
     }
 
-    /// Builds an engine on top of an existing cost evaluator (so several
-    /// engines can share the extracted paths and bounds).
-    pub fn from_evaluator(evaluator: CostEvaluator, config: SimEConfig) -> Self {
-        let pins = evaluator.netlist().stats().pins as u64;
-        let goodness = GoodnessEvaluator::new(evaluator.clone());
-        let netlist = evaluator.netlist();
-        let fixed_frozen = if netlist.has_fixed_cells() {
-            netlist.cells().iter().map(|c| c.fixed).collect()
-        } else {
-            Vec::new()
-        };
+    /// A shallow copy of this engine that runs with `seed`: it shares every
+    /// table (and any warm-start placement) and differs only in
+    /// `config.seed`. Its trajectories are bitwise those of an engine built
+    /// with [`SimEEngine::new`] at that seed, since nothing it shares
+    /// depends on the seed.
+    pub fn with_seed(&self, seed: u64) -> Self {
         SimEEngine {
-            evaluator,
-            goodness,
-            config,
-            pins,
-            fixed_frozen,
-            initial: None,
+            config: SimEConfig {
+                seed,
+                ..self.config
+            },
+            ..self.clone()
         }
     }
 
@@ -308,7 +311,7 @@ impl SimEEngine {
     /// Creates the per-worker scratch space used by [`SimEEngine::iterate`]
     /// and [`SimEEngine::evaluate_with`].
     pub fn new_scratch(&self) -> SimEScratch {
-        SimEScratch::for_engine(self)
+        SimEScratch::default()
     }
 
     /// The Evaluation step: per-net lengths and per-cell goodness.
@@ -381,7 +384,12 @@ impl SimEEngine {
             &self.fixed_frozen
         } else {
             merge.clear();
-            merge.extend(frozen.iter().zip(&self.fixed_frozen).map(|(&a, &b)| a || b));
+            merge.extend(
+                frozen
+                    .iter()
+                    .zip(&*self.fixed_frozen)
+                    .map(|(&a, &b)| a || b),
+            );
             merge
         }
     }
@@ -778,6 +786,50 @@ mod tests {
         fn assert_send<T: Send>() {}
         assert_send::<Placement>();
         assert_send::<ChaCha8Rng>();
+    }
+
+    #[test]
+    fn with_seed_shares_every_table_and_changes_only_the_seed() {
+        // mix600 has fixed cells; with delay it also has a path table.
+        let circuit = vlsi_netlist::bench_suite::SuiteCircuit::from_name("mix600").unwrap();
+        let nl = Arc::new(circuit.generate());
+        let config =
+            SimEConfig::paper_defaults(Objectives::WirelengthPowerDelay, circuit.num_rows(), 3);
+        let start = Arc::new(Placement::round_robin(&nl, config.num_rows));
+        for engine in [
+            SimEEngine::new(Arc::clone(&nl), config),
+            SimEEngine::new(Arc::clone(&nl), config).with_initial(Arc::clone(&start)),
+        ] {
+            assert!(engine.goodness.cell_paths().iter().any(|p| !p.is_empty()));
+            assert!(engine.fixed_frozen.contains(&true));
+            let copy = engine.with_seed(config.seed + 1);
+            assert!(Arc::ptr_eq(
+                engine.goodness.cell_paths(),
+                copy.goodness.cell_paths()
+            ));
+            assert!(Arc::ptr_eq(&engine.fixed_frozen, &copy.fixed_frozen));
+            assert!(Arc::ptr_eq(
+                engine.evaluator.netlist(),
+                copy.evaluator.netlist()
+            ));
+            assert!(std::ptr::eq(
+                engine.evaluator.paths(),
+                copy.evaluator.paths()
+            ));
+            assert_eq!(
+                copy.config,
+                SimEConfig {
+                    seed: config.seed + 1,
+                    ..config
+                }
+            );
+            assert_eq!(copy.pins, engine.pins);
+            match (&engine.initial, &copy.initial) {
+                (None, None) => {}
+                (Some(a), Some(b)) => assert!(Arc::ptr_eq(a, b)),
+                _ => panic!("the copy must keep the warm start"),
+            }
+        }
     }
 
     #[test]

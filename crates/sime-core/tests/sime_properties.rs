@@ -97,7 +97,7 @@ proptest! {
 
         allocate_all(
             &evaluator,
-            &mut AllocScratch::for_evaluator(&evaluator),
+            &mut AllocScratch::default(),
             &mut placement,
             &mut selected,
             &goodness,

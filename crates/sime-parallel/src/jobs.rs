@@ -14,12 +14,15 @@
 //!   a known name gets a fresh cache line instead of silently reusing stale
 //!   state. A name → digest memo keeps the digest computation off the
 //!   per-job path.
-//! * **Engine cache keyed by `(digest, objectives, seed)`.** Engine
+//! * **Engine cache keyed by `(digest, objectives, warm start)`.** Engine
 //!   construction (CSR cost tables, critical-path extraction, fuzzy
-//!   calibration) dominates small-run setup; calibration depends only on the
-//!   circuit and objectives — never the seed — so a seed-override job reuses
-//!   the calibrated evaluator of any cached sibling via
-//!   [`SimEEngine::from_evaluator`] and pays none of it.
+//!   calibration) dominates small-run setup, and none of it depends on the
+//!   seed. So the cache holds one engine per circuit content, objective set
+//!   and warm-start placement, at the default seed. A job with its own seed
+//!   runs on [`SimEEngine::with_seed`]: a shallow copy of the cached engine
+//!   that shares every table, made for the job and never cached. Any number
+//!   of seeds leaves the cache at circuits × objectives × (1 + warm starts)
+//!   engines.
 //! * **Typed errors.** [`JobRunner::run_job`] validates the spec (unknown
 //!   circuit, rank count below the strategy minimum, zero iterations) and
 //!   returns a [`JobError`] a protocol layer can forward, where
@@ -27,7 +30,10 @@
 //!
 //! Every cache sits behind its own mutex and `run_job` takes `&self`, so one
 //! runner serves any number of threads; the strategy run itself — the long
-//! part — never holds a lock. Determinism is untouched: for the same
+//! part — never holds a lock. A panic under a lock (suite generation,
+//! calibration) does not disable the runner: every cache is written only
+//! once its new entry is built, so each lock recovers a poisoned guard and
+//! carries on. Determinism is untouched: for the same
 //! [`ScenarioSpec`] the runner produces the same [`TrajectoryFingerprint`]
 //! as the batch path, which is exactly what `tests/server_suite.rs` pins
 //! against the golden registry.
@@ -43,7 +49,7 @@ use cluster_sim::timeline::ClusterConfig;
 use sime_core::engine::{SimEConfig, SimEEngine};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use vlsi_netlist::bench_suite::SuiteCircuit;
 use vlsi_netlist::bookshelf::{parse_pl, write_bookshelf, write_pl};
 use vlsi_netlist::Netlist;
@@ -230,17 +236,23 @@ impl JobOutcome {
 }
 
 /// Cache occupancy and traffic counters, for monitoring and leak tests.
+/// Every engine lookup (each `run_job` and `engine_for*` call) counts in
+/// exactly one of `engines_calibrated`, `engines_reseeded` and
+/// `engine_hits`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RunnerStats {
     /// Distinct circuit contents currently cached (by digest).
     pub circuits: usize,
-    /// Engines currently cached (one per `(digest, objectives, seed)`).
+    /// Engines currently cached: one per `(digest, objectives, warm start)`,
+    /// whatever the number of seeds.
     pub engines: usize,
-    /// Engines built from scratch (full calibration).
+    /// Lookups that built an engine from scratch (full calibration).
     pub engines_calibrated: u64,
-    /// Engines built by reusing a cached sibling's calibrated evaluator.
+    /// Lookups answered by a shallow copy of a cached engine: a job's own
+    /// seed ([`SimEEngine::with_seed`]), or the first job of a warm start
+    /// (the cold engine plus its initial placement).
     pub engines_reseeded: u64,
-    /// `run_job` calls that found their engine already cached.
+    /// Lookups answered by a cached engine as it is.
     pub engine_hits: u64,
 }
 
@@ -257,10 +269,11 @@ struct Caches {
     placements: HashMap<String, String>,
 }
 
-/// Engine-cache key: `(circuit digest, objectives, seed, warm-start
-/// digest)`; the warm digest is [`pl_digest`] of the resolved `.pl` text,
-/// `0` for a cold start.
-type EngineKey = (u64, Objectives, u64, u64);
+/// Engine-cache key: `(circuit digest, objectives, warm-start digest)`; the
+/// warm digest is [`pl_digest`] of the resolved `.pl` text, `0` for a cold
+/// start. The seed is not part of it: cached engines run the default seed,
+/// and a job's own seed is a [`SimEEngine::with_seed`] copy.
+type EngineKey = (u64, Objectives, u64);
 
 /// Thread-safe job engine: shared, concurrent session state for placement
 /// jobs. See the [module docs](self) for the cache design.
@@ -269,6 +282,13 @@ pub struct JobRunner {
     caches: Mutex<Caches>,
     engines: Mutex<HashMap<EngineKey, Arc<SimEEngine>>>,
     stats: Mutex<RunnerStats>,
+}
+
+/// Locks `mutex`, recovering the guard if a panicking thread poisoned it.
+/// No cache is left half-updated by a panic: each is written only after its
+/// new entry is built.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Content digest of a warm-start placement: FNV-1a over its Bookshelf `.pl`
@@ -295,7 +315,7 @@ impl JobRunner {
     /// already mapped simply re-points the name at the new digest.
     pub fn register_netlist(&self, netlist: Arc<Netlist>) -> u64 {
         let digest = bookshelf_digest(&netlist);
-        let mut caches = self.caches.lock().unwrap();
+        let mut caches = lock(&self.caches);
         caches.digests.insert(netlist.name().to_string(), digest);
         caches.circuits.entry(digest).or_insert(netlist);
         digest
@@ -316,7 +336,7 @@ impl JobRunner {
     /// registration can warm any circuit whose cell names it covers. Returns
     /// the [`pl_digest`] of the text. Re-registering a tag re-points it.
     pub fn register_placement(&self, tag: &str, pl_text: &str) -> u64 {
-        let mut caches = self.caches.lock().unwrap();
+        let mut caches = lock(&self.caches);
         caches
             .placements
             .insert(tag.to_string(), pl_text.to_string());
@@ -340,7 +360,7 @@ impl JobRunner {
             let rr = Placement::round_robin(netlist, num_rows);
             write_pl(&placement_to_pl(netlist, &rr))
         } else {
-            let caches = self.caches.lock().unwrap();
+            let caches = lock(&self.caches);
             caches
                 .placements
                 .get(tag)
@@ -357,7 +377,7 @@ impl JobRunner {
     /// first use. Registered netlists take precedence over suite generation
     /// (same rule as the batch driver).
     pub fn netlist(&self, name: &str) -> Result<(Arc<Netlist>, u64), JobError> {
-        let mut caches = self.caches.lock().unwrap();
+        let mut caches = lock(&self.caches);
         if let Some(&digest) = caches.digests.get(name) {
             if let Some(netlist) = caches.circuits.get(&digest) {
                 return Ok((Arc::clone(netlist), digest));
@@ -372,11 +392,14 @@ impl JobRunner {
         Ok((netlist, digest))
     }
 
-    /// The engine for `(digest, objectives, seed)`, building and caching it
-    /// on first use. Construction is serialised under the cache lock on
+    /// The engine for `(digest, objectives, warm start)` at `seed`.
+    ///
+    /// The cache holds one engine per `(digest, objectives, warm start)` at
+    /// the default seed. Building one is serialised under the cache lock on
     /// purpose: two concurrent jobs for the same new circuit calibrate once,
-    /// not twice. Seed variants of a cached circuit skip calibration
-    /// entirely (see the [module docs](self)).
+    /// not twice. A warm engine is the cold one plus its initial placement,
+    /// so a warm start never calibrates again. Any other seed gets a shallow
+    /// [`SimEEngine::with_seed`] copy, made for the job and not cached.
     fn engine(
         &self,
         netlist: &Arc<Netlist>,
@@ -386,43 +409,54 @@ impl JobRunner {
         seed: Option<u64>,
         warm: Option<(Arc<Placement>, u64)>,
     ) -> Arc<SimEEngine> {
-        // The default seed must match the batch path's engine config so
-        // default-seed jobs fingerprint identically to BatchDriver cells.
-        let base_config = SimEConfig::paper_defaults(objectives, num_rows, 1);
-        let seed = seed.unwrap_or(base_config.seed);
-        let warm_digest = warm.as_ref().map_or(0, |(_, d)| *d);
-        let key = (digest, objectives, seed, warm_digest);
-        let mut engines = self.engines.lock().unwrap();
-        if let Some(engine) = engines.get(&key) {
-            self.stats.lock().unwrap().engine_hits += 1;
-            return Arc::clone(engine);
-        }
-        let config = SimEConfig {
-            seed,
-            ..base_config
-        };
-        // A cached sibling (same circuit + objectives, any seed or warm
-        // start) already paid for calibration; its evaluator is seed- and
-        // start-independent by construction.
-        let sibling = engines
-            .iter()
-            .find(|((d, o, _, _), _)| *d == digest && *o == objectives)
-            .map(|(_, engine)| Arc::clone(engine));
-        let mut engine = match sibling {
-            Some(base) => {
-                self.stats.lock().unwrap().engines_reseeded += 1;
-                SimEEngine::from_evaluator(base.evaluator().clone(), config)
+        let mut calibrated = false;
+        let mut copied = false;
+        let base = {
+            let mut engines = lock(&self.engines);
+            let cold = match engines.get(&(digest, objectives, 0)) {
+                Some(cold) => Arc::clone(cold),
+                None => {
+                    calibrated = true;
+                    // The default seed must match the batch path's engine
+                    // config so default-seed jobs fingerprint identically to
+                    // BatchDriver cells.
+                    let config = SimEConfig::paper_defaults(objectives, num_rows, 1);
+                    let cold = Arc::new(SimEEngine::new(Arc::clone(netlist), config));
+                    engines.insert((digest, objectives, 0), Arc::clone(&cold));
+                    cold
+                }
+            };
+            match warm {
+                None => cold,
+                Some((placement, warm_digest)) => {
+                    let key = (digest, objectives, warm_digest);
+                    match engines.get(&key) {
+                        Some(base) => Arc::clone(base),
+                        None => {
+                            copied = true;
+                            let base = Arc::new(SimEEngine::clone(&cold).with_initial(placement));
+                            engines.insert(key, Arc::clone(&base));
+                            base
+                        }
+                    }
+                }
             }
-            None => {
-                self.stats.lock().unwrap().engines_calibrated += 1;
-                SimEEngine::new(Arc::clone(netlist), config)
-            }
         };
-        if let Some((placement, _)) = warm {
-            engine = engine.with_initial(placement);
+        let engine = match seed {
+            Some(seed) if seed != base.config().seed => {
+                copied = true;
+                Arc::new(base.with_seed(seed))
+            }
+            _ => base,
+        };
+        let mut stats = lock(&self.stats);
+        if calibrated {
+            stats.engines_calibrated += 1;
+        } else if copied {
+            stats.engines_reseeded += 1;
+        } else {
+            stats.engine_hits += 1;
         }
-        let engine = Arc::new(engine);
-        engines.insert(key, Arc::clone(&engine));
         engine
     }
 
@@ -516,48 +550,7 @@ impl JobRunner {
             spec.seed,
             scenario.warm_start.as_deref(),
         )?;
-        let cluster = ClusterConfig::paper_cluster(scenario.ranks);
-        let outcome = match scenario.strategy {
-            StrategyKind::Type1 => run_type1(
-                &engine,
-                cluster,
-                Type1Config {
-                    ranks: scenario.ranks,
-                    iterations: scenario.iterations,
-                },
-                backend,
-                control,
-            ),
-            StrategyKind::Type2(pattern) => run_type2(
-                &engine,
-                cluster,
-                Type2Config {
-                    ranks: scenario.ranks,
-                    iterations: scenario.iterations,
-                    pattern,
-                },
-                backend,
-                control,
-            ),
-            StrategyKind::Type3 => run_type3(
-                &engine,
-                cluster,
-                Type3Config {
-                    ranks: scenario.ranks,
-                    iterations: scenario.iterations,
-                    retry_threshold: 3,
-                },
-                backend,
-                control,
-            ),
-            StrategyKind::Portfolio(mix) => run_portfolio(
-                &engine,
-                cluster,
-                PortfolioConfig::scenario(mix, scenario.ranks, scenario.iterations),
-                backend,
-                control,
-            ),
-        };
+        let outcome = run_strategy(&engine, scenario, backend, control);
         let fingerprint = TrajectoryFingerprint::from_outcome(&outcome);
         Ok(JobOutcome {
             spec: spec.clone(),
@@ -579,14 +572,66 @@ impl JobRunner {
 
     /// Current cache occupancy and traffic counters.
     pub fn stats(&self) -> RunnerStats {
-        let caches = self.caches.lock().unwrap();
-        let engines = self.engines.lock().unwrap();
-        let counters = self.stats.lock().unwrap();
+        let caches = lock(&self.caches);
+        let engines = lock(&self.engines);
+        let counters = lock(&self.stats);
         RunnerStats {
             circuits: caches.circuits.len(),
             engines: engines.len(),
             ..*counters
         }
+    }
+}
+
+/// Runs `scenario`'s strategy on `engine`: the part of a job after its
+/// engine is resolved.
+fn run_strategy(
+    engine: &SimEEngine,
+    scenario: &ScenarioSpec,
+    backend: &dyn ExecBackend,
+    control: &dyn RunControl,
+) -> crate::report::StrategyOutcome {
+    let cluster = ClusterConfig::paper_cluster(scenario.ranks);
+    match scenario.strategy {
+        StrategyKind::Type1 => run_type1(
+            engine,
+            cluster,
+            Type1Config {
+                ranks: scenario.ranks,
+                iterations: scenario.iterations,
+            },
+            backend,
+            control,
+        ),
+        StrategyKind::Type2(pattern) => run_type2(
+            engine,
+            cluster,
+            Type2Config {
+                ranks: scenario.ranks,
+                iterations: scenario.iterations,
+                pattern,
+            },
+            backend,
+            control,
+        ),
+        StrategyKind::Type3 => run_type3(
+            engine,
+            cluster,
+            Type3Config {
+                ranks: scenario.ranks,
+                iterations: scenario.iterations,
+                retry_threshold: 3,
+            },
+            backend,
+            control,
+        ),
+        StrategyKind::Portfolio(mix) => run_portfolio(
+            engine,
+            cluster,
+            PortfolioConfig::scenario(mix, scenario.ranks, scenario.iterations),
+            backend,
+            control,
+        ),
     }
 }
 
@@ -664,7 +709,8 @@ mod tests {
         assert_eq!(stats.engines_calibrated, 1);
         assert_eq!(stats.engine_hits, 1);
 
-        // A seed override builds a second engine but steals the calibration.
+        // A seed override runs on a copy of the cached engine: no second
+        // calibration, and nothing new in the cache.
         let seeded = JobSpec {
             scenario: spec.clone(),
             seed: Some(42),
@@ -673,13 +719,155 @@ mod tests {
         let stats = runner.stats();
         assert_eq!(stats.engines_calibrated, 1, "no second calibration");
         assert_eq!(stats.engines_reseeded, 1);
-        assert_eq!(stats.engines, 2);
+        assert_eq!(stats.engines, 1);
         // A different seed is a different trajectory.
         let default = runner.run_scenario(&spec).unwrap();
         assert_ne!(out.fingerprint, default.fingerprint);
         // And the reseeded engine is itself deterministic.
         let again = runner.run_job(&seeded, &Modeled, &FreeRun).unwrap();
         assert_eq!(again.fingerprint, out.fingerprint);
+
+        // Any number of seeds leaves one engine per (circuit, objectives),
+        // plus one per warm start.
+        for seed in 100..120 {
+            for objectives in [
+                Objectives::WirelengthPower,
+                Objectives::WirelengthPowerDelay,
+            ] {
+                let engine = runner.engine_for("s1196", objectives, Some(seed)).unwrap();
+                assert_eq!(engine.config().seed, seed);
+            }
+        }
+        let stats = runner.stats();
+        assert_eq!(stats.engines, 2);
+        assert_eq!(stats.engines_calibrated, 2);
+        for seed in 100..120 {
+            let engine = runner
+                .engine_for_warm("s1196", spec.objectives, Some(seed), Some("rr"))
+                .unwrap();
+            assert_eq!(engine.config().seed, seed);
+        }
+        let stats = runner.stats();
+        assert_eq!(stats.engines, 3);
+        assert_eq!(stats.engines_calibrated, 2);
+    }
+
+    /// A runner job at `seed` replays, bitwise, the same driver on an
+    /// engine calibrated from scratch with that seed: a seeded copy shares
+    /// nothing that depends on the seed.
+    #[test]
+    fn seeded_jobs_match_a_freshly_calibrated_engine_bitwise() {
+        use crate::portfolio::PortfolioMix;
+        let runner = JobRunner::new();
+        let strategies = [
+            (StrategyKind::Type1, 2),
+            (StrategyKind::Type2(RowPattern::Fixed), 3),
+            (StrategyKind::Type2(RowPattern::Random), 3),
+            (StrategyKind::Type3, 3),
+            (StrategyKind::Portfolio(PortfolioMix::Mixed), 3),
+            (StrategyKind::Portfolio(PortfolioMix::Baselines), 3),
+        ];
+        let mut cells = Vec::new();
+        for (strategy, ranks) in strategies {
+            let mut spec = small_spec();
+            spec.objectives = Objectives::WirelengthPowerDelay;
+            spec.strategy = strategy;
+            spec.ranks = ranks;
+            spec.iterations = 2;
+            cells.push(spec.clone());
+            if !matches!(strategy, StrategyKind::Portfolio(_)) {
+                spec.circuit = "mix600".into();
+                cells.push(spec);
+            }
+        }
+        let mut warm = small_spec();
+        warm.warm_start = Some("rr".into());
+        warm.iterations = 2;
+        cells.push(warm);
+
+        for (i, scenario) in cells.into_iter().enumerate() {
+            let seed = 1_000 + i as u64;
+            let spec = JobSpec {
+                scenario,
+                seed: Some(seed),
+            };
+            let scenario = &spec.scenario;
+            let got = runner.run_job(&spec, &Modeled, &FreeRun).unwrap();
+
+            let circuit = SuiteCircuit::from_name(&scenario.circuit).unwrap();
+            let netlist = Arc::new(circuit.generate());
+            let config = SimEConfig {
+                seed,
+                ..SimEConfig::paper_defaults(scenario.objectives, circuit.num_rows(), 1)
+            };
+            let mut fresh = SimEEngine::new(Arc::clone(&netlist), config);
+            if scenario.warm_start.is_some() {
+                let rr = Placement::round_robin(&netlist, circuit.num_rows());
+                let pl = parse_pl(&write_pl(&placement_to_pl(&netlist, &rr))).unwrap();
+                let start = placement_from_pl(&netlist, circuit.num_rows(), &pl).unwrap();
+                fresh = fresh.with_initial(Arc::new(start));
+            }
+            let want = run_strategy(&fresh, scenario, &Modeled, &FreeRun);
+            assert_eq!(
+                got.fingerprint,
+                TrajectoryFingerprint::from_outcome(&want),
+                "{} diverged from a fresh engine at seed {seed}",
+                scenario.id()
+            );
+        }
+        let stats = runner.stats();
+        assert_eq!(
+            stats.engines_calibrated,
+            2 + 1,
+            "s1196 wp and wpd, mix600 wpd"
+        );
+        assert_eq!(stats.engines, 4, "plus s1196's warm start");
+    }
+
+    #[test]
+    fn a_panic_under_any_lock_leaves_the_runner_usable() {
+        let spec = JobSpec {
+            scenario: small_spec(),
+            seed: Some(9),
+        };
+        let want = JobRunner::new()
+            .run_job(&spec, &Modeled, &FreeRun)
+            .unwrap()
+            .fingerprint;
+        let runner = JobRunner::new();
+        runner.run_job(&spec, &Modeled, &FreeRun).unwrap();
+        for which in 0..3 {
+            let runner = &runner;
+            let panicked = std::thread::scope(|scope| {
+                scope
+                    .spawn(move || match which {
+                        0 => {
+                            let _held = runner.caches.lock();
+                            panic!("poison the circuit cache");
+                        }
+                        1 => {
+                            let _held = runner.engines.lock();
+                            panic!("poison the engine cache");
+                        }
+                        _ => {
+                            let _held = runner.stats.lock();
+                            panic!("poison the counters");
+                        }
+                    })
+                    .join()
+                    .is_err()
+            });
+            assert!(panicked);
+        }
+        assert!(runner.caches.is_poisoned());
+        assert!(runner.engines.is_poisoned());
+        assert!(runner.stats.is_poisoned());
+        let got = runner.run_job(&spec, &Modeled, &FreeRun).unwrap();
+        assert_eq!(got.fingerprint, want);
+        let stats = runner.stats();
+        assert_eq!(stats.engines, 1);
+        assert_eq!(stats.engines_calibrated, 1);
+        assert_eq!(stats.engines_reseeded, 1);
     }
 
     #[test]

@@ -313,6 +313,7 @@ pub fn run_portfolio(
     // The master ships the common starting placement to every island.
     timeline.broadcast_tree(0, placement_bytes);
 
+    // Shallow: the copy shares every table of `engine`.
     let shared = Arc::new(engine.clone());
     let composition = config.mix.composition(config.ranks);
     let mut islands: Vec<Option<Box<dyn Optimizer>>> = composition

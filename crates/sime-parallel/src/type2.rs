@@ -181,6 +181,7 @@ pub fn run_type2(
     let netlist = engine.evaluator().netlist().clone();
     let num_cells = netlist.num_cells();
     let placement_bytes = BYTES_PER_CELL * num_cells as u64 + 8 * num_rows as u64;
+    // Shallow: the copy shares every table of `engine`.
     let shared = Arc::new(engine.clone());
 
     let mut timeline = ClusterTimeline::new(cluster);

@@ -131,6 +131,7 @@ pub fn run_type3(
     let netlist = engine.evaluator().netlist().clone();
     let placement_bytes = BYTES_PER_CELL * netlist.num_cells() as u64;
     let workers = config.ranks - 1;
+    // Shallow: the copy shares every table of `engine`.
     let shared = Arc::new(engine.clone());
 
     let mut timeline = ClusterTimeline::new(cluster);

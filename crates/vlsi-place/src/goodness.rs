@@ -34,6 +34,7 @@
 use crate::cost::{CellCost, CostEvaluator, Objectives};
 use crate::kernel::OptimumScorer;
 use crate::layout::Placement;
+use std::sync::Arc;
 use vlsi_netlist::CellId;
 
 /// Per-objective goodness of one cell plus the combined scalar value.
@@ -66,7 +67,8 @@ pub struct GoodnessScratch {
 pub struct GoodnessEvaluator {
     evaluator: CostEvaluator,
     /// For each cell, the indices of stored paths that pass through it.
-    cell_paths: Vec<Vec<u32>>,
+    /// Shared by every clone, like the evaluator's tables.
+    cell_paths: Arc<Vec<Vec<u32>>>,
 }
 
 impl GoodnessEvaluator {
@@ -81,13 +83,19 @@ impl GoodnessEvaluator {
         }
         GoodnessEvaluator {
             evaluator,
-            cell_paths,
+            cell_paths: Arc::new(cell_paths),
         }
     }
 
     /// The underlying cost evaluator.
     pub fn evaluator(&self) -> &CostEvaluator {
         &self.evaluator
+    }
+
+    /// For each cell, the indices of the stored paths through it. Every
+    /// clone of this evaluator shares the one table.
+    pub fn cell_paths(&self) -> &Arc<Vec<Vec<u32>>> {
+        &self.cell_paths
     }
 
     /// Goodness of `cell` given its optimal incident-net cost `optimal`

@@ -257,7 +257,9 @@ pub struct TrialScorer {
 
 impl TrialScorer {
     /// Creates a scorer. Every evaluator prices the same single-trunk
-    /// Steiner model, so the scorer reads nothing from `_evaluator`.
+    /// Steiner model, so the scorer reads nothing from `_evaluator` and this
+    /// is [`TrialScorer::default`]. It keeps its signature because the
+    /// `placebench` trial probe calls it.
     pub fn for_evaluator(_evaluator: &CostEvaluator) -> Self {
         Self::default()
     }
