@@ -49,9 +49,10 @@ use cluster_sim::timeline::ClusterConfig;
 use sime_core::engine::{SimEConfig, SimEEngine};
 use std::collections::HashMap;
 use std::fmt;
+use std::io::{self, Write};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use vlsi_netlist::bench_suite::SuiteCircuit;
-use vlsi_netlist::bookshelf::{parse_pl, write_bookshelf, write_pl};
+use vlsi_netlist::bookshelf::{parse_pl, write_nets_to, write_nodes_to, write_pl};
 use vlsi_netlist::Netlist;
 use vlsi_place::cost::Objectives;
 use vlsi_place::layout::Placement;
@@ -64,20 +65,31 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 /// serialisation (`.nodes` text, a separator, `.nets` text). Renaming-
 /// invariant in the cache sense — the digest covers exactly what a Bookshelf
 /// round-trip preserves, so a reloaded dump of a circuit digests equal to
-/// the original.
+/// the original. The text streams straight into the hash; it is never held
+/// in memory.
 pub fn bookshelf_digest(netlist: &Netlist) -> u64 {
-    let pair = write_bookshelf(netlist);
-    let mut hash = FNV_OFFSET;
-    for byte in pair
-        .nodes
-        .bytes()
-        .chain(std::iter::once(0xff))
-        .chain(pair.nets.bytes())
-    {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
+    let mut hash = Fnv(FNV_OFFSET);
+    write_nodes_to(netlist, &mut hash)
+        .and_then(|()| hash.write_all(&[0xff]))
+        .and_then(|()| write_nets_to(netlist, &mut hash))
+        .expect("hashing cannot fail");
+    hash.0
+}
+
+/// An [`io::Write`] sink that folds every byte into an FNV-1a hash.
+struct Fnv(u64);
+
+impl io::Write for Fnv {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        for &byte in buf {
+            self.0 = (self.0 ^ byte as u64).wrapping_mul(FNV_PRIME);
+        }
+        Ok(buf.len())
     }
-    hash
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
 }
 
 /// One placement job: a scenario cell plus the per-job knobs that are *not*
@@ -643,6 +655,7 @@ mod tests {
     use crate::exec::{Modeled, SharedPool};
     use crate::type2::RowPattern;
     use cluster_sim::comm::WorkerPool;
+    use vlsi_netlist::bookshelf::write_bookshelf;
 
     fn small_spec() -> ScenarioSpec {
         ScenarioSpec {

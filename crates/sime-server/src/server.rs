@@ -32,7 +32,7 @@ use sime_parallel::jobs::{JobRunner, JobSpec};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -165,7 +165,7 @@ impl Server {
 
     /// Current engine snapshot.
     pub fn stats(&self) -> ServerStats {
-        let state = self.state.lock().unwrap();
+        let state = lock(&self.state);
         ServerStats {
             active: state.active,
             queued: state.queue.len(),
@@ -208,7 +208,7 @@ impl Server {
             sink: sink.clone(),
         };
         let to_start = {
-            let mut state = self.state.lock().unwrap();
+            let mut state = lock(&self.state);
             if state.jobs.contains_key(&id) {
                 drop(state);
                 sink.send(Event::Error {
@@ -259,7 +259,7 @@ impl Server {
         if let Some(job) = to_start {
             let server = Arc::clone(self);
             let handle = std::thread::spawn(move || server.worker_loop(job));
-            self.handles.lock().unwrap().push(handle);
+            lock(&self.handles).push(handle);
         }
     }
 
@@ -270,7 +270,7 @@ impl Server {
         let mut job = Some(first);
         while let Some(current) = job.take() {
             self.run_one(current);
-            let mut state = self.state.lock().unwrap();
+            let mut state = lock(&self.state);
             match state.queue.pop_front() {
                 Some(next) => {
                     if let Some(entry) = state.jobs.get_mut(&next.id) {
@@ -285,7 +285,7 @@ impl Server {
 
     fn run_one(&self, job: QueuedJob) {
         let token = {
-            let state = self.state.lock().unwrap();
+            let state = lock(&self.state);
             state.jobs[&job.id].token.clone()
         };
         let total = job.spec.scenario.iterations;
@@ -304,7 +304,7 @@ impl Server {
         let backend = SharedPool::new(Arc::clone(&self.pool));
         let result = self.runner.run_job(&job.spec, &backend, &control);
         let event = {
-            let mut state = self.state.lock().unwrap();
+            let mut state = lock(&self.state);
             state.finished += 1;
             let entry = state.jobs.get_mut(&job.id).expect("running job has entry");
             match result {
@@ -340,7 +340,7 @@ impl Server {
     }
 
     fn cancel(&self, id: &str, sink: &EventSink) {
-        let mut state = self.state.lock().unwrap();
+        let mut state = lock(&self.state);
         let Some(phase) = state.jobs.get(id).map(|entry| entry.phase) else {
             drop(state);
             sink.send(Event::Error {
@@ -403,13 +403,21 @@ impl Server {
     pub fn drain(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         let handles: Vec<JoinHandle<()>> = {
-            let mut guard = self.handles.lock().unwrap();
+            let mut guard = lock(&self.handles);
             guard.drain(..).collect()
         };
         for handle in handles {
             let _ = handle.join();
         }
     }
+}
+
+/// Locks `mutex`, recovering the guard if a thread panicked while holding
+/// it. Every critical section here leaves the state consistent at each
+/// step (a job's entry, the queue and the counters change together or not
+/// at all), so a panic elsewhere must not disable the server.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The progress-checkpoint rule, matching
@@ -542,6 +550,52 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::SubmitRequest;
+    use sime_parallel::batch::{ScenarioSpec, StrategyKind};
+    use vlsi_place::cost::Objectives;
+
+    #[test]
+    fn a_panic_under_either_lock_leaves_the_server_usable() {
+        let server = Server::new(ServerConfig::default());
+        let target = Arc::clone(&server);
+        let panicked = std::thread::spawn(move || {
+            let _state = target.state.lock();
+            let _handles = target.handles.lock();
+            panic!("poisoning both of the server's locks");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(server.state.is_poisoned() && server.handles.is_poisoned());
+
+        let session = Session::new(Arc::clone(&server));
+        session.request(Request::Status);
+        assert!(matches!(
+            session.next_event(Duration::from_secs(60)),
+            Some(Event::Status { active: 0, .. })
+        ));
+        session.request(Request::Submit(SubmitRequest {
+            id: "after-panic".into(),
+            spec: JobSpec::batch(ScenarioSpec {
+                circuit: "s1196".into(),
+                strategy: StrategyKind::Type1,
+                ranks: 2,
+                iterations: 2,
+                objectives: Objectives::WirelengthPower,
+                workers: None,
+                eval_chunks: 1,
+                warm_start: None,
+            }),
+        }));
+        let events = session
+            .wait_for_terminal("after-panic", Duration::from_secs(300))
+            .expect("the job reaches a terminal event");
+        assert!(
+            matches!(events.last(), Some(Event::Done { iterations: 2, .. })),
+            "{events:?}"
+        );
+        server.drain();
+        assert_eq!(server.stats().finished, 1);
+    }
 
     #[test]
     fn checkpoint_rule_matches_the_batch_sampler() {

@@ -44,7 +44,7 @@
 //! Parse errors carry the offending **file** ([`BookshelfFile`]) and the
 //! 1-based line number within it.
 
-use crate::{Cell, CellKind, Net, Netlist, NetlistBuilder, NetlistError};
+use crate::{Cell, CellId, CellKind, Netlist, NetlistBuilder, NetlistError};
 use std::collections::HashMap;
 use std::io::{self, BufRead, Write};
 use std::path::{Path, PathBuf};
@@ -176,7 +176,7 @@ pub fn write_nodes_to(netlist: &Netlist, out: &mut dyn Write) -> io::Result<()> 
     writeln!(out)?;
     writeln!(out, "NumNodes : {}", netlist.num_cells())?;
     writeln!(out, "NumTerminals : {}", stats.inputs + stats.outputs)?;
-    for cell in netlist.cells() {
+    for (id, cell) in netlist.cell_ids().zip(netlist.cells()) {
         let terminal = match cell.kind {
             CellKind::Input | CellKind::Output => " terminal",
             CellKind::Logic | CellKind::FlipFlop | CellKind::Macro => "",
@@ -185,7 +185,7 @@ pub fn write_nodes_to(netlist: &Netlist, out: &mut dyn Write) -> io::Result<()> 
         writeln!(
             out,
             "    {} {} {}{} # {} {}{}",
-            cell.name,
+            netlist.cell_name(id),
             cell.width,
             cell.height,
             terminal,
@@ -213,17 +213,17 @@ pub fn write_nets_to(netlist: &Netlist, out: &mut dyn Write) -> io::Result<()> {
     writeln!(out)?;
     writeln!(out, "NumNets : {}", netlist.num_nets())?;
     writeln!(out, "NumPins : {}", stats.pins)?;
-    for net in netlist.nets() {
+    for (id, net) in netlist.net_ids().zip(netlist.nets()) {
         writeln!(
             out,
             "NetDegree : {} {} # {}",
-            net.pin_count(),
-            net.name,
+            netlist.pin_count(id),
+            netlist.net_name(id),
             net.switching_prob
         )?;
-        writeln!(out, "    {} O", netlist.cell(net.driver).name)?;
-        for &s in &net.sinks {
-            writeln!(out, "    {} I", netlist.cell(s).name)?;
+        writeln!(out, "    {} O", netlist.cell_name(net.driver))?;
+        for &s in netlist.sinks(id) {
+            writeln!(out, "    {} I", netlist.cell_name(s))?;
         }
     }
     Ok(())
@@ -380,28 +380,23 @@ pub fn parse_bookshelf_from(
 
 /// Builds the netlist from parsed nodes plus the `.nets` line stream.
 fn assemble(
-    (name, cells): (String, Vec<Cell>),
+    (mut builder, cell_ids): (NetlistBuilder, HashMap<String, CellId>),
     net_lines: impl Iterator<Item = Result<String, BookshelfError>>,
 ) -> Result<Netlist, BookshelfError> {
-    let mut builder = NetlistBuilder::new(name);
-    let mut cell_ids: HashMap<String, crate::CellId> = HashMap::with_capacity(cells.len());
-    for cell in cells {
-        let cell_name = cell.name.clone();
-        let id = builder.add_cell(cell);
-        cell_ids.insert(cell_name, id);
-    }
     parse_nets_lines(net_lines, &mut builder, &cell_ids)?;
+    drop(cell_ids);
     Ok(builder.build()?)
 }
 
-/// Parses the `.nodes` file into the circuit name and the cell list.
-fn parse_nodes(text: &str) -> Result<(String, Vec<Cell>), BookshelfError> {
+/// Parses the `.nodes` file into a builder holding its cells (named after
+/// the circuit annotation) and a name → id map for the `.nets` parser.
+fn parse_nodes(text: &str) -> Result<(NetlistBuilder, HashMap<String, CellId>), BookshelfError> {
     parse_nodes_lines(str_lines(text))
 }
 
 fn parse_nodes_lines(
     lines: impl Iterator<Item = Result<String, BookshelfError>>,
-) -> Result<(String, Vec<Cell>), BookshelfError> {
+) -> Result<(NetlistBuilder, HashMap<String, CellId>), BookshelfError> {
     let syntax = |line: usize, reason: String| BookshelfError::Syntax {
         file: BookshelfFile::Nodes,
         line,
@@ -416,7 +411,8 @@ fn parse_nodes_lines(
     let mut saw_header = false;
     let mut declared_nodes: Option<usize> = None;
     let mut declared_terminals: Option<usize> = None;
-    let mut cells: Vec<Cell> = Vec::new();
+    let mut builder = NetlistBuilder::default();
+    let mut cell_ids: HashMap<String, CellId> = HashMap::new();
     let mut terminals = 0usize;
 
     for (idx, raw) in lines.enumerate() {
@@ -510,20 +506,21 @@ fn parse_nodes_lines(
         if is_terminal {
             terminals += 1;
         }
-        let mut cell = Cell::new(node_name, kind, width, delay);
+        let mut cell = Cell::new(kind, width, delay);
         cell.height = height;
         cell.fixed = fixed;
-        cells.push(cell);
+        let id = builder.add_cell(node_name, cell);
+        cell_ids.insert(node_name.to_string(), id);
     }
 
     if !saw_header {
         return Err(structure("missing `UCLA nodes` header".into()));
     }
     if let Some(n) = declared_nodes {
-        if n != cells.len() {
+        if n != builder.num_cells() {
             return Err(structure(format!(
                 "NumNodes declares {n} nodes but {} were listed",
-                cells.len()
+                builder.num_cells()
             )));
         }
     }
@@ -534,15 +531,15 @@ fn parse_nodes_lines(
             )));
         }
     }
-    let name = circuit.unwrap_or_else(|| "bookshelf".to_string());
-    Ok((name, cells))
+    builder.name = circuit.unwrap_or_else(|| "bookshelf".to_string());
+    Ok((builder, cell_ids))
 }
 
 /// Parses the `.nets` file, adding every net to `builder`.
 fn parse_nets_lines(
     lines: impl Iterator<Item = Result<String, BookshelfError>>,
     builder: &mut NetlistBuilder,
-    cell_ids: &HashMap<String, crate::CellId>,
+    cell_ids: &HashMap<String, CellId>,
 ) -> Result<(), BookshelfError> {
     let syntax = |line: usize, reason: String| BookshelfError::Syntax {
         file: BookshelfFile::Nets,
@@ -566,8 +563,8 @@ fn parse_nets_lines(
         name: String,
         degree: usize,
         sprob: f64,
-        driver: Option<crate::CellId>,
-        sinks: Vec<crate::CellId>,
+        driver: Option<CellId>,
+        sinks: Vec<CellId>,
     }
     let mut group: Option<Group> = None;
     let mut nets = 0usize;
@@ -590,7 +587,7 @@ fn parse_nets_lines(
                 line: g.header_line,
                 reason: format!("net `{}` has no output (`O`) pin", g.name),
             })?;
-            builder.add_net(Net::new(g.name, driver, g.sinks, g.sprob));
+            builder.add_net(&g.name, driver, &g.sinks, g.sprob);
             *nets += 1;
             Ok(())
         };
@@ -1020,12 +1017,13 @@ pub fn load_scl(path: &Path) -> Result<Vec<CoreRow>, BookshelfError> {
     parse_scl_from(open_reader(path)?)
 }
 
-/// `true` when two netlists are identical circuits: same name and bitwise
-/// equal cell and net tables (including the mixed-size `height`/`fixed`
-/// attributes). The derived CSR adjacency is a pure function of the nets, so
-/// it is covered by the comparison.
+/// `true` when two netlists are identical circuits: same name, equal cell
+/// and net tables (including the mixed-size `height`/`fixed` attributes),
+/// and the same names and sinks in the same order. The derived CSR
+/// adjacency is a pure function of those, so it is covered by the
+/// comparison.
 pub fn netlists_identical(a: &Netlist, b: &Netlist) -> bool {
-    a.name() == b.name() && a.cells() == b.cells() && a.nets() == b.nets()
+    a == b
 }
 
 #[cfg(test)]

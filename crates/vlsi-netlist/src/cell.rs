@@ -102,10 +102,12 @@ impl CellKind {
 /// A cell of the placement problem: a movable standard cell by default, or —
 /// with `height > 1` and/or `fixed` — a macro block or pre-placed pad of the
 /// mixed-size extension.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// A cell holds only its attributes: 24 bytes, `Copy`, no heap. Its
+/// instance name lives in the owning [`crate::Netlist`]'s name arena
+/// ([`crate::Netlist::cell_name`]).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Cell {
-    /// Human-readable instance name (unique within a netlist).
-    pub name: String,
     /// Functional class.
     pub kind: CellKind,
     /// Cell width in layout units. Standard cells share a common height, so
@@ -125,16 +127,15 @@ pub struct Cell {
 }
 
 impl Cell {
-    /// Creates a logic cell with the given name and width and a default
-    /// switching delay of 0.1 ns.
-    pub fn logic(name: impl Into<String>, width: u32) -> Self {
-        Cell::new(name, CellKind::Logic, width, 0.1)
+    /// Creates a logic cell of the given width with a default switching
+    /// delay of 0.1 ns.
+    pub fn logic(width: u32) -> Self {
+        Cell::new(CellKind::Logic, width, 0.1)
     }
 
     /// Creates a movable single-row cell of an arbitrary kind.
-    pub fn new(name: impl Into<String>, kind: CellKind, width: u32, switching_delay: f64) -> Self {
+    pub fn new(kind: CellKind, width: u32, switching_delay: f64) -> Self {
         Cell {
-            name: name.into(),
             kind,
             width,
             switching_delay,
@@ -144,14 +145,8 @@ impl Cell {
     }
 
     /// Creates a fixed macro block spanning `height` rows.
-    pub fn macro_block(
-        name: impl Into<String>,
-        width: u32,
-        height: u32,
-        switching_delay: f64,
-    ) -> Self {
+    pub fn macro_block(width: u32, height: u32, switching_delay: f64) -> Self {
         Cell {
-            name: name.into(),
             kind: CellKind::Macro,
             width,
             switching_delay,
@@ -211,7 +206,7 @@ mod tests {
 
     #[test]
     fn logic_constructor_defaults() {
-        let c = Cell::logic("u1", 4);
+        let c = Cell::logic(4);
         assert_eq!(c.kind, CellKind::Logic);
         assert_eq!(c.width, 4);
         assert!(c.switching_delay > 0.0);
@@ -222,16 +217,21 @@ mod tests {
 
     #[test]
     fn macro_and_pinned_constructors() {
-        let m = Cell::macro_block("ram0", 40, 3, 0.2);
+        let m = Cell::macro_block(40, 3, 0.2);
         assert_eq!(m.kind, CellKind::Macro);
         assert_eq!(m.height, 3);
         assert!(m.fixed);
         assert!(!m.is_movable());
         // Heights are clamped to at least one row.
-        assert_eq!(Cell::macro_block("m", 4, 0, 0.1).height, 1);
+        assert_eq!(Cell::macro_block(4, 0, 0.1).height, 1);
 
-        let pad = Cell::new("pi0", CellKind::Input, 1, 0.0).pinned();
+        let pad = Cell::new(CellKind::Input, 1, 0.0).pinned();
         assert_eq!(pad.height, 1);
         assert!(pad.fixed);
+    }
+
+    #[test]
+    fn a_cell_is_24_bytes() {
+        assert!(std::mem::size_of::<Cell>() <= 24);
     }
 }

@@ -36,10 +36,11 @@
 //! assert!(netlists_identical(&netlist, &reloaded));
 //! ```
 
-use crate::{Cell, CellId, CellKind, Net, Netlist, NetlistBuilder};
+use crate::{Cell, CellId, CellKind, Netlist, NetlistBuilder};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::fmt::Write;
 
 /// Parameters of the synthetic circuit generator.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -173,6 +174,9 @@ impl CircuitGenerator {
 
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
         let mut builder = NetlistBuilder::new(cfg.name.clone());
+        // Every name is formatted into this one buffer and copied into the
+        // builder's name arena.
+        let mut name = String::new();
         // Pad-ring circuits pin every I/O pad; everything else about the
         // standard-cell flow is untouched.
         let pad_fixed = cfg.mixed.is_some_and(|m| m.pad_ring);
@@ -185,9 +189,9 @@ impl CircuitGenerator {
         let mut ids_by_level: Vec<Vec<CellId>> = vec![Vec::new(); cfg.logic_depth + 2];
 
         for i in 0..cfg.num_inputs {
-            let mut pad = Cell::new(format!("pi{i}"), CellKind::Input, 1, 0.0);
+            let mut pad = Cell::new(CellKind::Input, 1, 0.0);
             pad.fixed = pad_fixed;
-            let id = builder.add_cell(pad);
+            let id = builder.add_cell(named(&mut name, format_args!("pi{i}")), pad);
             level_of.push(0);
             ids_by_level[0].push(id);
         }
@@ -200,27 +204,26 @@ impl CircuitGenerator {
             let level = level.min(cfg.logic_depth);
             // Spread flip-flops uniformly through the internal cells.
             let is_ff = ff_left > 0 && rng.gen_ratio(ff_left as u32, (internal - i) as u32);
-            let (kind, name, delay) = if is_ff {
+            let (kind, prefix, delay) = if is_ff {
                 ff_left -= 1;
-                (CellKind::FlipFlop, format!("ff{i}"), 0.20)
+                (CellKind::FlipFlop, "ff", 0.20)
             } else {
-                (
-                    CellKind::Logic,
-                    format!("g{i}"),
-                    0.05 + rng.gen::<f64>() * 0.15,
-                )
+                (CellKind::Logic, "g", 0.05 + rng.gen::<f64>() * 0.15)
             };
             let width = rng.gen_range(2..=8u32);
-            let id = builder.add_cell(Cell::new(name, kind, width, delay));
+            let id = builder.add_cell(
+                named(&mut name, format_args!("{prefix}{i}")),
+                Cell::new(kind, width, delay),
+            );
             level_of.push(level);
             ids_by_level[level].push(id);
         }
 
         let out_level = cfg.logic_depth + 1;
         for i in 0..cfg.num_outputs {
-            let mut pad = Cell::new(format!("po{i}"), CellKind::Output, 1, 0.0);
+            let mut pad = Cell::new(CellKind::Output, 1, 0.0);
             pad.fixed = pad_fixed;
-            let id = builder.add_cell(pad);
+            let id = builder.add_cell(named(&mut name, format_args!("po{i}")), pad);
             level_of.push(out_level);
             ids_by_level[out_level].push(id);
         }
@@ -230,8 +233,11 @@ impl CircuitGenerator {
         // ----- connectivity --------------------------------------------
         // For every non-input cell choose fan-in drivers from earlier levels
         // (with a locality bias towards the immediately preceding levels),
-        // then bundle each driver's sinks into a single net.
-        let mut sinks_of: Vec<Vec<CellId>> = vec![Vec::new(); total_cells];
+        // then bundle each driver's sinks into a single net. Edges are
+        // `(driver, sink)` pairs in one flat list; `drives[c]` records
+        // whether cell `c` drives any of them yet.
+        let mut edges: Vec<(CellId, CellId)> = Vec::new();
+        let mut drives = vec![false; total_cells];
 
         // Cumulative candidate pool per level: cells at levels < l.
         let mut pool: Vec<CellId> = Vec::new();
@@ -273,6 +279,8 @@ impl CircuitGenerator {
                 continue;
             }
             let lo = pool_start_of_level[level.saturating_sub(3)];
+            // Only this cell's own edges can repeat a driver for it.
+            let first = edges.len();
             for _ in 0..fanin {
                 // 80 % local (within the previous three levels), 20 % global.
                 let pick = if lo < hi && rng.gen_bool(0.8) {
@@ -281,10 +289,11 @@ impl CircuitGenerator {
                     rng.gen_range(0..hi)
                 };
                 let driver = pool[pick];
-                if driver == id || sinks_of[driver.index()].contains(&id) {
+                if driver == id || edges[first..].iter().any(|&(d, _)| d == driver) {
                     continue;
                 }
-                sinks_of[driver.index()].push(id);
+                edges.push((driver, id));
+                drives[driver.index()] = true;
             }
         }
 
@@ -295,7 +304,7 @@ impl CircuitGenerator {
             if level == out_level {
                 continue;
             }
-            if !sinks_of[cell_idx].is_empty() {
+            if drives[cell_idx] {
                 continue;
             }
             let lo = pool_start_of_level[level + 1];
@@ -306,7 +315,7 @@ impl CircuitGenerator {
             let pick = rng.gen_range(lo..hi);
             let sink = pool[pick];
             if sink != CellId::from(cell_idx) {
-                sinks_of[cell_idx].push(sink);
+                edges.push((CellId::from(cell_idx), sink));
             }
         }
 
@@ -319,57 +328,67 @@ impl CircuitGenerator {
         if let Some(mixed) = cfg.mixed {
             let internal_lo = pool_start_of_level[1];
             let internal_hi = pool_start_of_level[out_level];
-            sinks_of.resize(total_cells + mixed.num_macros, Vec::new());
             for m in 0..mixed.num_macros {
                 let width = rng.gen_range(16..=48u32);
-                let id = builder.add_cell(Cell::macro_block(
-                    format!("mb{m}"),
-                    width,
-                    mixed.macro_height,
-                    0.20,
-                ));
+                let id = builder.add_cell(
+                    named(&mut name, format_args!("mb{m}")),
+                    Cell::macro_block(width, mixed.macro_height, 0.20),
+                );
                 if internal_lo >= internal_hi {
                     continue;
                 }
                 let fanin = rng.gen_range(2..=4usize);
+                let first = edges.len();
                 for _ in 0..fanin {
                     let driver = pool[rng.gen_range(internal_lo..internal_hi)];
-                    if !sinks_of[driver.index()].contains(&id) {
-                        sinks_of[driver.index()].push(id);
+                    if !edges[first..].iter().any(|&(d, _)| d == driver) {
+                        edges.push((driver, id));
                     }
                 }
                 let fanout = rng.gen_range(2..=4usize);
                 for _ in 0..fanout {
                     let sink = pool[rng.gen_range(internal_lo..pool.len())];
-                    sinks_of[id.index()].push(sink);
+                    edges.push((id, sink));
                 }
             }
         }
 
-        // Build the nets: one net per driving cell.
-        for (cell_idx, sink_slot) in sinks_of.iter_mut().enumerate() {
-            if sink_slot.is_empty() {
-                continue;
-            }
-            let mut sinks = std::mem::take(sink_slot);
-            sinks.sort_unstable();
-            sinks.dedup();
+        drop((level_of, ids_by_level, pool, drives));
+
+        // Build the nets: one net per driving cell, in driver order, with
+        // its sinks sorted and deduplicated.
+        edges.sort_unstable();
+        edges.dedup();
+        let mut sinks: Vec<CellId> = Vec::new();
+        for group in edges.chunk_by(|a, b| a.0 == b.0) {
+            let driver = group[0].0;
+            sinks.clear();
+            sinks.extend(group.iter().map(|&(_, s)| s));
             // Switching probability: skewed towards low activity with a few
             // hot nets, as in real circuits.
             let base: f64 = rng.gen();
             let sprob = 0.02 + base * base * 0.6;
-            builder.add_net(Net::new(
-                format!("net_{cell_idx}"),
-                CellId::from(cell_idx),
-                sinks,
+            builder.add_net(
+                named(&mut name, format_args!("net_{}", driver.index())),
+                driver,
+                &sinks,
                 sprob,
-            ));
+            );
         }
+        drop(edges);
 
         builder
             .build()
             .expect("generator must always produce a valid netlist")
     }
+}
+
+/// Formats `args` into the reused buffer `buf` and returns it.
+fn named<'b>(buf: &'b mut String, args: std::fmt::Arguments<'_>) -> &'b str {
+    buf.clear();
+    buf.write_fmt(args)
+        .expect("formatting into a String cannot fail");
+    buf
 }
 
 /// Kind of the cell at `cell_idx` given the deterministic layout order used by
@@ -420,12 +439,7 @@ mod tests {
         let a = CircuitGenerator::new(small_cfg(7)).generate();
         let b = CircuitGenerator::new(small_cfg(7)).generate();
         assert_eq!(a.num_nets(), b.num_nets());
-        for (na, nb) in a.nets().iter().zip(b.nets().iter()) {
-            assert_eq!(na, nb);
-        }
-        for (ca, cb) in a.cells().iter().zip(b.cells().iter()) {
-            assert_eq!(ca, cb);
-        }
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -433,10 +447,9 @@ mod tests {
         let a = CircuitGenerator::new(small_cfg(1)).generate();
         let b = CircuitGenerator::new(small_cfg(2)).generate();
         let same = a
-            .nets()
-            .iter()
-            .zip(b.nets().iter())
-            .all(|(x, y)| x.sinks == y.sinks);
+            .net_ids()
+            .zip(b.net_ids())
+            .all(|(x, y)| a.sinks(x) == b.sinks(y));
         assert!(!same, "different seeds should give different connectivity");
     }
 
@@ -467,9 +480,9 @@ mod tests {
     #[test]
     fn every_net_has_sinks_and_valid_probability() {
         let nl = CircuitGenerator::new(small_cfg(5)).generate();
-        for net in nl.nets() {
-            assert!(!net.sinks.is_empty());
-            assert!((0.0..=1.0).contains(&net.switching_prob));
+        for net in nl.net_ids() {
+            assert!(!nl.sinks(net).is_empty());
+            assert!((0.0..=1.0).contains(&nl.net(net).switching_prob));
         }
     }
 
@@ -510,8 +523,8 @@ mod tests {
             pad_ring: true,
         }))
         .generate();
-        for (a, b) in pure.cells().iter().zip(mixed.cells().iter()) {
-            assert_eq!(a.name, b.name);
+        for (id, (a, b)) in pure.cell_ids().zip(pure.cells().iter().zip(mixed.cells())) {
+            assert_eq!(pure.cell_name(id), mixed.cell_name(id));
             assert_eq!(a.kind, b.kind);
             assert_eq!(a.width, b.width);
             assert_eq!(a.switching_delay, b.switching_delay);

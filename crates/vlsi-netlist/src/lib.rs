@@ -7,7 +7,10 @@
 //! on:
 //!
 //! * [`Cell`], [`Net`] and [`Netlist`] — an immutable gate-level circuit graph
-//!   with fan-in / fan-out queries,
+//!   with fan-in / fan-out queries, stored in flat arrays: `Copy` cell and
+//!   net records, one name arena, one sink arena and two CSR adjacency
+//!   tables, with no heap allocation per cell or net (see
+//!   [`Netlist`]'s layout section),
 //! * [`paths`] — extraction of long combinational paths used by the delay cost,
 //! * [`generator`] — a deterministic, seeded synthetic circuit generator that
 //!   produces ISCAS-89-like circuits (levelised DAGs with realistic fanout and

@@ -39,80 +39,53 @@ impl std::fmt::Display for NetId {
 /// placed positions of its driver and sinks; the power cost weights that
 /// length with the net's switching probability `S_i`; the delay cost uses the
 /// net's interconnect delay on critical paths.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// A net holds only its driver and probability: 16 bytes, `Copy`, no heap.
+/// Its name and its sinks live in the owning [`crate::Netlist`]'s arenas
+/// ([`crate::Netlist::net_name`], [`crate::Netlist::sinks`]).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Net {
-    /// Human-readable net name (unique within a netlist).
-    pub name: String,
     /// The cell driving this net.
     pub driver: CellId,
-    /// Cells reading this net (fan-out). Must be non-empty for a net to
-    /// contribute to any cost.
-    pub sinks: Vec<CellId>,
     /// Switching probability `S_i ∈ [0, 1]` used by the power cost.
     pub switching_prob: f64,
-}
-
-impl Net {
-    /// Creates a net with the given driver, sinks and switching probability.
-    pub fn new(
-        name: impl Into<String>,
-        driver: CellId,
-        sinks: Vec<CellId>,
-        switching_prob: f64,
-    ) -> Self {
-        Net {
-            name: name.into(),
-            driver,
-            sinks,
-            switching_prob,
-        }
-    }
-
-    /// Number of pins on the net (driver + sinks).
-    #[inline]
-    pub fn pin_count(&self) -> usize {
-        1 + self.sinks.len()
-    }
-
-    /// Iterator over every cell connected to the net (driver first).
-    pub fn connected_cells(&self) -> impl Iterator<Item = CellId> + '_ {
-        std::iter::once(self.driver).chain(self.sinks.iter().copied())
-    }
-
-    /// `true` if `cell` is the driver or one of the sinks.
-    pub fn connects(&self, cell: CellId) -> bool {
-        self.driver == cell || self.sinks.contains(&cell)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Cell, Netlist, NetlistBuilder};
+
+    /// One net driven by cell 7 with sinks 1 and 2.
+    fn fanout_of_two() -> Netlist {
+        let mut b = NetlistBuilder::new("net_test");
+        for i in 0..8 {
+            b.add_cell(&format!("c{i}"), Cell::logic(1));
+        }
+        b.add_net("n0", CellId(7), &[CellId(1), CellId(2)], 0.5);
+        b.build().unwrap()
+    }
 
     #[test]
     fn pin_count_counts_driver_and_sinks() {
-        let n = Net::new("n0", CellId(0), vec![CellId(1), CellId(2)], 0.5);
-        assert_eq!(n.pin_count(), 3);
+        assert_eq!(fanout_of_two().pin_count(NetId(0)), 3);
     }
 
     #[test]
     fn connected_cells_yields_driver_first() {
-        let n = Net::new("n0", CellId(7), vec![CellId(1)], 0.5);
-        let cells: Vec<_> = n.connected_cells().collect();
-        assert_eq!(cells, vec![CellId(7), CellId(1)]);
-    }
-
-    #[test]
-    fn connects_checks_both_roles() {
-        let n = Net::new("n0", CellId(7), vec![CellId(1)], 0.5);
-        assert!(n.connects(CellId(7)));
-        assert!(n.connects(CellId(1)));
-        assert!(!n.connects(CellId(2)));
+        let nl = fanout_of_two();
+        let cells: Vec<_> = nl.connected_cells(NetId(0)).collect();
+        assert_eq!(cells, vec![CellId(7), CellId(1), CellId(2)]);
     }
 
     #[test]
     fn net_id_display() {
         assert_eq!(NetId(3).to_string(), "n3");
         assert_eq!(NetId::from(3usize).index(), 3);
+    }
+
+    #[test]
+    fn a_net_is_16_bytes() {
+        assert!(std::mem::size_of::<Net>() <= 16);
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::{Cell, CellId, CellKind, Net, NetId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 /// Errors produced while constructing or validating a [`Netlist`].
 #[derive(Debug, Clone, PartialEq)]
@@ -89,11 +89,37 @@ pub struct NetlistStats {
 /// the [Bookshelf parser](crate::bookshelf). The derived fan-in / fan-out
 /// tables are built once at construction so that the placement cost functions
 /// can traverse connectivity without hashing.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// # Layout
+///
+/// Everything lives in a few flat arrays; no cell or net owns a heap
+/// allocation:
+///
+/// * `cells` / `nets` — one [`Cell`] (24 bytes) per cell and one [`Net`]
+///   (16 bytes) per net, `Copy` attribute records indexed by id;
+/// * one name arena — every cell name, then every net name, back to back in
+///   a single `String`, with a `u32` end offset per name
+///   ([`Netlist::cell_name`], [`Netlist::net_name`]);
+/// * one sink arena — the sinks of every net in net order, each net's sinks
+///   in the order they were added, duplicates included, with a `u32` end
+///   offset per net ([`Netlist::sinks`]);
+/// * two CSR adjacency tables derived from those: cell→nets
+///   ([`Netlist::nets_of_cell`]) and net→distinct cells
+///   ([`Netlist::net_cells`]).
+///
+/// An s15850 netlist (10,306 cells) takes about 1.1 MiB this way.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Netlist {
     name: String,
     cells: Vec<Cell>,
     nets: Vec<Net>,
+    /// Name arena: the names of cells `0..n`, then of nets `0..m`. Name `i`
+    /// (cell `i`, or net `i - n`) is `names[span(name_ends, i)]`.
+    names: String,
+    name_ends: Vec<u32>,
+    /// Sink arena: the sinks of net `i` are `sink_arena[span(sink_ends, i)]`.
+    sink_ends: Vec<u32>,
+    sink_arena: Vec<CellId>,
     /// CSR cell→nets adjacency: the nets of cell `c` occupy
     /// `cell_net_arena[cell_net_offsets[c] .. cell_net_offsets[c + 1]]`,
     /// fan-in nets first, then driven nets; `cell_net_split[c]` is the arena
@@ -108,6 +134,14 @@ pub struct Netlist {
     /// `net_cell_arena[net_cell_offsets[n] .. net_cell_offsets[n + 1]]`.
     net_cell_offsets: Vec<u32>,
     net_cell_arena: Vec<CellId>,
+}
+
+/// Arena range of entry `i` in a table of end offsets: entry `i` starts
+/// where entry `i - 1` ends.
+#[inline]
+fn span(ends: &[u32], i: usize) -> std::ops::Range<usize> {
+    let start = if i == 0 { 0 } else { ends[i - 1] as usize };
+    start..ends[i] as usize
 }
 
 impl Netlist {
@@ -150,6 +184,36 @@ impl Netlist {
     #[inline]
     pub fn net(&self, id: NetId) -> &Net {
         &self.nets[id.index()]
+    }
+
+    /// Instance name of a cell (unique within the netlist).
+    #[inline]
+    pub fn cell_name(&self, id: CellId) -> &str {
+        &self.names[span(&self.name_ends, id.index())]
+    }
+
+    /// Name of a net (unique within the netlist).
+    #[inline]
+    pub fn net_name(&self, id: NetId) -> &str {
+        &self.names[span(&self.name_ends, self.cells.len() + id.index())]
+    }
+
+    /// Cells reading `net` (its fan-out), in the order they were added.
+    /// Never empty; a cell listed twice stays listed twice.
+    #[inline]
+    pub fn sinks(&self, net: NetId) -> &[CellId] {
+        &self.sink_arena[span(&self.sink_ends, net.index())]
+    }
+
+    /// Every pin of `net`: the driver first, then the sinks in order.
+    pub fn connected_cells(&self, net: NetId) -> impl Iterator<Item = CellId> + '_ {
+        std::iter::once(self.net(net).driver).chain(self.sinks(net).iter().copied())
+    }
+
+    /// Number of pins on `net` (driver + sinks).
+    #[inline]
+    pub fn pin_count(&self, net: NetId) -> usize {
+        1 + self.sinks(net).len()
     }
 
     /// Iterator over all cell ids.
@@ -213,7 +277,7 @@ impl Netlist {
         let mut out: Vec<CellId> = self
             .nets_driven_by(cell)
             .iter()
-            .flat_map(|&n| self.net(n).sinks.iter().copied())
+            .flat_map(|&n| self.sinks(n).iter().copied())
             .collect();
         out.sort_unstable();
         out.dedup();
@@ -223,34 +287,31 @@ impl Netlist {
     /// Looks up a cell by instance name. Linear scan; intended for tests and
     /// the text-format parser, not hot paths.
     pub fn cell_by_name(&self, name: &str) -> Option<CellId> {
-        self.cells
-            .iter()
-            .position(|c| c.name == name)
-            .map(CellId::from)
+        self.cell_ids().find(|&c| self.cell_name(c) == name)
     }
 
     /// Looks up a net by name. Linear scan.
     pub fn net_by_name(&self, name: &str) -> Option<NetId> {
-        self.nets
-            .iter()
-            .position(|n| n.name == name)
-            .map(NetId::from)
+        self.net_ids().find(|&n| self.net_name(n) == name)
     }
 
     /// Summary statistics.
     pub fn stats(&self) -> NetlistStats {
-        let pins: usize = self.nets.iter().map(Net::pin_count).sum();
-        let total_sinks: usize = self.nets.iter().map(|n| n.sinks.len()).sum();
+        let total_sinks = self.sink_arena.len();
         NetlistStats {
             cells: self.cells.len(),
             nets: self.nets.len(),
-            pins,
+            pins: self.nets.len() + total_sinks,
             avg_fanout: if self.nets.is_empty() {
                 0.0
             } else {
                 total_sinks as f64 / self.nets.len() as f64
             },
-            max_fanout: self.nets.iter().map(|n| n.sinks.len()).max().unwrap_or(0),
+            max_fanout: self
+                .net_ids()
+                .map(|n| self.sinks(n).len())
+                .max()
+                .unwrap_or(0),
             flip_flops: self
                 .cells
                 .iter()
@@ -290,12 +351,26 @@ impl Netlist {
     }
 }
 
-/// Incremental builder for [`Netlist`].
+/// Incremental builder for [`Netlist`]. Names and sinks are appended to flat
+/// arenas as cells and nets arrive, so building allocates per arena, not per
+/// cell or net.
 #[derive(Debug, Default, Clone)]
 pub struct NetlistBuilder {
-    name: String,
+    pub(crate) name: String,
     cells: Vec<Cell>,
+    cell_names: String,
+    cell_name_ends: Vec<u32>,
     nets: Vec<Net>,
+    net_names: String,
+    net_name_ends: Vec<u32>,
+    sink_ends: Vec<u32>,
+    sink_arena: Vec<CellId>,
+}
+
+/// Appends `name` to a name arena and records its end offset.
+fn push_name(text: &mut String, ends: &mut Vec<u32>, name: &str) {
+    text.push_str(name);
+    ends.push(u32::try_from(text.len()).expect("name arena exceeds 4 GiB"));
 }
 
 impl NetlistBuilder {
@@ -303,8 +378,7 @@ impl NetlistBuilder {
     pub fn new(name: impl Into<String>) -> Self {
         NetlistBuilder {
             name: name.into(),
-            cells: Vec::new(),
-            nets: Vec::new(),
+            ..Self::default()
         }
     }
 
@@ -318,104 +392,173 @@ impl NetlistBuilder {
         self.nets.len()
     }
 
-    /// Adds a cell and returns its id.
-    pub fn add_cell(&mut self, cell: Cell) -> CellId {
+    /// Adds a cell with its instance name and returns its id.
+    pub fn add_cell(&mut self, name: &str, cell: Cell) -> CellId {
         let id = CellId::from(self.cells.len());
+        push_name(&mut self.cell_names, &mut self.cell_name_ends, name);
         self.cells.push(cell);
         id
     }
 
-    /// Adds a net and returns its id.
-    pub fn add_net(&mut self, net: Net) -> NetId {
+    /// Adds a net — its name, driver, sinks (kept in the given order,
+    /// duplicates included) and switching probability — and returns its id.
+    pub fn add_net(
+        &mut self,
+        name: &str,
+        driver: CellId,
+        sinks: &[CellId],
+        switching_prob: f64,
+    ) -> NetId {
         let id = NetId::from(self.nets.len());
-        self.nets.push(net);
+        push_name(&mut self.net_names, &mut self.net_name_ends, name);
+        self.sink_arena.extend_from_slice(sinks);
+        self.sink_ends.push(self.sink_arena.len() as u32);
+        self.nets.push(Net {
+            driver,
+            switching_prob,
+        });
         id
     }
 
     /// Validates the accumulated circuit and builds the immutable [`Netlist`].
     pub fn build(self) -> Result<Netlist, NetlistError> {
-        let NetlistBuilder { name, cells, nets } = self;
+        let NetlistBuilder {
+            name,
+            mut cells,
+            cell_names,
+            cell_name_ends,
+            mut nets,
+            net_names,
+            net_name_ends,
+            mut sink_ends,
+            mut sink_arena,
+        } = self;
+        let cell_name = |i: usize| &cell_names[span(&cell_name_ends, i)];
+        let net_name = |i: usize| &net_names[span(&net_name_ends, i)];
 
-        let mut seen_cells: HashMap<&str, ()> = HashMap::with_capacity(cells.len());
-        for c in &cells {
-            if c.width == 0 {
-                return Err(NetlistError::ZeroWidthCell(c.name.clone()));
-            }
-            if seen_cells.insert(c.name.as_str(), ()).is_some() {
-                return Err(NetlistError::DuplicateCellName(c.name.clone()));
+        {
+            let mut seen: HashSet<&str> = HashSet::with_capacity(cells.len());
+            for (i, c) in cells.iter().enumerate() {
+                if c.width == 0 {
+                    return Err(NetlistError::ZeroWidthCell(cell_name(i).to_string()));
+                }
+                if !seen.insert(cell_name(i)) {
+                    return Err(NetlistError::DuplicateCellName(cell_name(i).to_string()));
+                }
             }
         }
-        let mut seen_nets: HashMap<&str, ()> = HashMap::with_capacity(nets.len());
-        for n in &nets {
-            if seen_nets.insert(n.name.as_str(), ()).is_some() {
-                return Err(NetlistError::DuplicateNetName(n.name.clone()));
-            }
-            if n.sinks.is_empty() {
-                return Err(NetlistError::EmptyNet(n.name.clone()));
-            }
-            if !(0.0..=1.0).contains(&n.switching_prob) {
-                return Err(NetlistError::InvalidSwitchingProbability {
-                    net: n.name.clone(),
-                    value: n.switching_prob,
-                });
-            }
-            for cell in n.connected_cells() {
-                if cell.index() >= cells.len() {
-                    return Err(NetlistError::DanglingCell {
-                        net: n.name.clone(),
-                        cell,
+        {
+            let mut seen: HashSet<&str> = HashSet::with_capacity(nets.len());
+            for (i, n) in nets.iter().enumerate() {
+                let sinks = &sink_arena[span(&sink_ends, i)];
+                if !seen.insert(net_name(i)) {
+                    return Err(NetlistError::DuplicateNetName(net_name(i).to_string()));
+                }
+                if sinks.is_empty() {
+                    return Err(NetlistError::EmptyNet(net_name(i).to_string()));
+                }
+                if !(0.0..=1.0).contains(&n.switching_prob) {
+                    return Err(NetlistError::InvalidSwitchingProbability {
+                        net: net_name(i).to_string(),
+                        value: n.switching_prob,
                     });
                 }
-            }
-        }
-
-        let mut cell_out_nets = vec![Vec::new(); cells.len()];
-        let mut cell_in_nets = vec![Vec::new(); cells.len()];
-        for (i, n) in nets.iter().enumerate() {
-            let nid = NetId::from(i);
-            cell_out_nets[n.driver.index()].push(nid);
-            for &s in &n.sinks {
-                // A cell may appear several times as sink of the same net in a
-                // degenerate netlist; record it once.
-                if cell_in_nets[s.index()].last() != Some(&nid) {
-                    cell_in_nets[s.index()].push(nid);
+                for &cell in std::iter::once(&n.driver).chain(sinks) {
+                    if cell.index() >= cells.len() {
+                        return Err(NetlistError::DanglingCell {
+                            net: net_name(i).to_string(),
+                            cell,
+                        });
+                    }
                 }
             }
         }
 
-        // Flatten the per-cell net lists into one CSR arena (fan-in nets
-        // first, then driven nets, preserving net-id order within each role).
-        let mut cell_net_offsets = Vec::with_capacity(cells.len() + 1);
-        let mut cell_net_split = Vec::with_capacity(cells.len());
-        let mut cell_net_arena =
-            Vec::with_capacity(cell_in_nets.iter().map(Vec::len).sum::<usize>() + nets.len());
-        cell_net_offsets.push(0u32);
-        for (ins, outs) in cell_in_nets.iter().zip(cell_out_nets.iter()) {
-            cell_net_arena.extend_from_slice(ins);
-            cell_net_split.push(cell_net_arena.len() as u32);
-            cell_net_arena.extend_from_slice(outs);
-            cell_net_offsets.push(cell_net_arena.len() as u32);
+        // One name arena, cells first, at its exact size.
+        let mut names = String::with_capacity(cell_names.len() + net_names.len());
+        names.push_str(&cell_names);
+        names.push_str(&net_names);
+        let mut name_ends = Vec::with_capacity(cell_name_ends.len() + net_name_ends.len());
+        name_ends.extend_from_slice(&cell_name_ends);
+        let shift = cell_names.len() as u32;
+        name_ends.extend(net_name_ends.iter().map(|&end| end + shift));
+        drop((cell_names, cell_name_ends, net_names, net_name_ends));
+        cells.shrink_to_fit();
+        nets.shrink_to_fit();
+        sink_ends.shrink_to_fit();
+        sink_arena.shrink_to_fit();
+
+        // CSR cell→nets arena by counting: per cell, its fan-in nets (a
+        // cell listed several times as a sink of one net counts once), then
+        // its driven nets, each role in net-id order.
+        let n = cells.len();
+        let mut fanin = vec![0u32; n];
+        let mut driven = vec![0u32; n];
+        let mut last_net = vec![u32::MAX; n];
+        for (i, net) in nets.iter().enumerate() {
+            driven[net.driver.index()] += 1;
+            for &s in &sink_arena[span(&sink_ends, i)] {
+                if last_net[s.index()] != i as u32 {
+                    last_net[s.index()] = i as u32;
+                    fanin[s.index()] += 1;
+                }
+            }
         }
+        let mut cell_net_offsets = Vec::with_capacity(n + 1);
+        let mut cell_net_split = Vec::with_capacity(n);
+        cell_net_offsets.push(0u32);
+        let mut end = 0u32;
+        for c in 0..n {
+            // `fanin` and `driven` become the write cursors of each role.
+            let start = end;
+            cell_net_split.push(start + fanin[c]);
+            end = start + fanin[c] + driven[c];
+            cell_net_offsets.push(end);
+            fanin[c] = start;
+            driven[c] = cell_net_split[c];
+        }
+        drop(last_net);
+        let mut cell_net_arena = vec![NetId(0); end as usize];
+        for (i, net) in nets.iter().enumerate() {
+            let nid = NetId::from(i);
+            let d = net.driver.index();
+            cell_net_arena[driven[d] as usize] = nid;
+            driven[d] += 1;
+            for &s in &sink_arena[span(&sink_ends, i)] {
+                let at = fanin[s.index()] as usize;
+                if at == cell_net_offsets[s.index()] as usize || cell_net_arena[at - 1] != nid {
+                    cell_net_arena[at] = nid;
+                    fanin[s.index()] += 1;
+                }
+            }
+        }
+        drop((fanin, driven));
 
         // CSR net→cells arena: distinct connected cells per net, sorted by
         // id. This is the pin order every wirelength kernel iterates in.
         let mut net_cell_offsets = Vec::with_capacity(nets.len() + 1);
-        let mut net_cell_arena = Vec::new();
+        let mut net_cell_arena = Vec::with_capacity(nets.len() + sink_arena.len());
         net_cell_offsets.push(0u32);
         let mut scratch: Vec<CellId> = Vec::new();
-        for n in &nets {
+        for (i, net) in nets.iter().enumerate() {
             scratch.clear();
-            scratch.extend(n.connected_cells());
+            scratch.push(net.driver);
+            scratch.extend_from_slice(&sink_arena[span(&sink_ends, i)]);
             scratch.sort_unstable();
             scratch.dedup();
             net_cell_arena.extend_from_slice(&scratch);
             net_cell_offsets.push(net_cell_arena.len() as u32);
         }
+        net_cell_arena.shrink_to_fit();
 
         Ok(Netlist {
             name,
             cells,
             nets,
+            names,
+            name_ends,
+            sink_ends,
+            sink_arena,
             cell_net_offsets,
             cell_net_split,
             cell_net_arena,
@@ -432,13 +575,13 @@ mod tests {
     fn tiny() -> Netlist {
         // in0 -> g0 -> g1 -> out0, plus a second net from g0 to out0.
         let mut b = NetlistBuilder::new("tiny");
-        let i0 = b.add_cell(Cell::new("in0", CellKind::Input, 1, 0.0));
-        let g0 = b.add_cell(Cell::logic("g0", 2));
-        let g1 = b.add_cell(Cell::logic("g1", 3));
-        let o0 = b.add_cell(Cell::new("out0", CellKind::Output, 1, 0.0));
-        b.add_net(Net::new("n0", i0, vec![g0], 0.5));
-        b.add_net(Net::new("n1", g0, vec![g1, o0], 0.3));
-        b.add_net(Net::new("n2", g1, vec![o0], 0.2));
+        let i0 = b.add_cell("in0", Cell::new(CellKind::Input, 1, 0.0));
+        let g0 = b.add_cell("g0", Cell::logic(2));
+        let g1 = b.add_cell("g1", Cell::logic(3));
+        let o0 = b.add_cell("out0", Cell::new(CellKind::Output, 1, 0.0));
+        b.add_net("n0", i0, &[g0], 0.5);
+        b.add_net("n1", g0, &[g1, o0], 0.3);
+        b.add_net("n2", g1, &[o0], 0.2);
         b.build().unwrap()
     }
 
@@ -469,13 +612,77 @@ mod tests {
             assert_eq!(nl.nets_of_cell(cell), combined.as_slice());
         }
         for net in nl.net_ids() {
-            let mut expected: Vec<CellId> = nl.net(net).connected_cells().collect();
+            let mut expected: Vec<CellId> = nl.connected_cells(net).collect();
             expected.sort_unstable();
             expected.dedup();
             assert_eq!(nl.net_cells(net), expected.as_slice());
         }
         let g0 = nl.cell_by_name("g0").unwrap();
         assert_eq!(nl.nets_of_cell(g0), &[NetId(0), NetId(1)]);
+    }
+
+    #[test]
+    fn names_and_sinks_come_back_from_their_arenas() {
+        let nl = tiny();
+        let cell_names: Vec<&str> = nl.cell_ids().map(|c| nl.cell_name(c)).collect();
+        assert_eq!(cell_names, ["in0", "g0", "g1", "out0"]);
+        let net_names: Vec<&str> = nl.net_ids().map(|n| nl.net_name(n)).collect();
+        assert_eq!(net_names, ["n0", "n1", "n2"]);
+        assert_eq!(nl.sinks(NetId(1)), &[CellId(2), CellId(3)]);
+        assert_eq!(nl.pin_count(NetId(1)), 3);
+        assert_eq!(nl.net_by_name("n2"), Some(NetId(2)));
+        assert_eq!(nl.cell_by_name("n2"), None);
+    }
+
+    #[test]
+    fn duplicate_sinks_are_kept_in_order_but_counted_once_in_the_csr() {
+        // Net `n` lists `b` twice and its own driver `a` as a sink.
+        let mut b = NetlistBuilder::new("dups");
+        let a = b.add_cell("a", Cell::logic(1));
+        let c = b.add_cell("b", Cell::logic(1));
+        b.add_net("n", a, &[c, a, c], 0.5);
+        b.add_net("m", c, &[a], 0.5);
+        let nl = b.build().unwrap();
+        assert_eq!(nl.sinks(NetId(0)), &[c, a, c]);
+        assert_eq!(
+            nl.connected_cells(NetId(0)).collect::<Vec<_>>(),
+            [a, c, a, c]
+        );
+        assert_eq!(nl.net_cells(NetId(0)), &[a, c]);
+        assert_eq!(nl.nets_feeding(c), &[NetId(0)]);
+        assert_eq!(nl.nets_driven_by(c), &[NetId(1)]);
+        assert_eq!(nl.nets_of_cell(a), &[NetId(0), NetId(1), NetId(0)]);
+        assert_eq!(nl.stats().pins, 4 + 2);
+    }
+
+    #[test]
+    fn the_first_invalid_entry_in_build_order_is_reported() {
+        // Cells are checked before nets, each in id order, and a zero width
+        // before a duplicate name of the same cell.
+        let mut b = NetlistBuilder::new("order");
+        let a = b.add_cell("a", Cell::logic(1));
+        b.add_cell("b", Cell::logic(1));
+        b.add_cell("a", Cell::logic(0));
+        b.add_cell("b", Cell::logic(1));
+        b.add_net("n", a, &[], 0.1);
+        assert_eq!(
+            b.clone().build().unwrap_err(),
+            NetlistError::ZeroWidthCell("a".into())
+        );
+
+        let mut b = NetlistBuilder::new("order");
+        let a = b.add_cell("a", Cell::logic(1));
+        let c = b.add_cell("c", Cell::logic(1));
+        b.add_net("n", a, &[c], 0.1);
+        b.add_net("m", a, &[CellId(7)], 2.0);
+        b.add_net("n", a, &[], 0.1);
+        assert_eq!(
+            b.build().unwrap_err(),
+            NetlistError::InvalidSwitchingProbability {
+                net: "m".into(),
+                value: 2.0
+            }
+        );
     }
 
     #[test]
@@ -496,8 +703,8 @@ mod tests {
     #[test]
     fn rejects_duplicate_cell_names() {
         let mut b = NetlistBuilder::new("dup");
-        b.add_cell(Cell::logic("x", 1));
-        b.add_cell(Cell::logic("x", 1));
+        b.add_cell("x", Cell::logic(1));
+        b.add_cell("x", Cell::logic(1));
         assert_eq!(
             b.build().unwrap_err(),
             NetlistError::DuplicateCellName("x".into())
@@ -507,10 +714,10 @@ mod tests {
     #[test]
     fn rejects_duplicate_net_names() {
         let mut b = NetlistBuilder::new("dup");
-        let a = b.add_cell(Cell::logic("a", 1));
-        let c = b.add_cell(Cell::logic("b", 1));
-        b.add_net(Net::new("n", a, vec![c], 0.1));
-        b.add_net(Net::new("n", c, vec![a], 0.1));
+        let a = b.add_cell("a", Cell::logic(1));
+        let c = b.add_cell("b", Cell::logic(1));
+        b.add_net("n", a, &[c], 0.1);
+        b.add_net("n", c, &[a], 0.1);
         assert_eq!(
             b.build().unwrap_err(),
             NetlistError::DuplicateNetName("n".into())
@@ -520,8 +727,8 @@ mod tests {
     #[test]
     fn rejects_dangling_cell_reference() {
         let mut b = NetlistBuilder::new("dangling");
-        let a = b.add_cell(Cell::logic("a", 1));
-        b.add_net(Net::new("n", a, vec![CellId(99)], 0.1));
+        let a = b.add_cell("a", Cell::logic(1));
+        b.add_net("n", a, &[CellId(99)], 0.1);
         assert!(matches!(
             b.build().unwrap_err(),
             NetlistError::DanglingCell { .. }
@@ -531,17 +738,17 @@ mod tests {
     #[test]
     fn rejects_empty_net() {
         let mut b = NetlistBuilder::new("empty");
-        let a = b.add_cell(Cell::logic("a", 1));
-        b.add_net(Net::new("n", a, vec![], 0.1));
+        let a = b.add_cell("a", Cell::logic(1));
+        b.add_net("n", a, &[], 0.1);
         assert_eq!(b.build().unwrap_err(), NetlistError::EmptyNet("n".into()));
     }
 
     #[test]
     fn rejects_bad_switching_probability() {
         let mut b = NetlistBuilder::new("prob");
-        let a = b.add_cell(Cell::logic("a", 1));
-        let c = b.add_cell(Cell::logic("b", 1));
-        b.add_net(Net::new("n", a, vec![c], 1.5));
+        let a = b.add_cell("a", Cell::logic(1));
+        let c = b.add_cell("b", Cell::logic(1));
+        b.add_net("n", a, &[c], 1.5);
         assert!(matches!(
             b.build().unwrap_err(),
             NetlistError::InvalidSwitchingProbability { .. }
@@ -551,7 +758,7 @@ mod tests {
     #[test]
     fn rejects_zero_width_cell() {
         let mut b = NetlistBuilder::new("zero");
-        b.add_cell(Cell::logic("a", 0));
+        b.add_cell("a", Cell::logic(0));
         assert_eq!(
             b.build().unwrap_err(),
             NetlistError::ZeroWidthCell("a".into())

@@ -100,7 +100,7 @@ pub fn extract_paths(netlist: &Netlist, config: &PathExtractionConfig) -> Vec<Pa
                     stack.push(Frame::Exit(c));
                     if !netlist.cell(c).kind.is_path_sink() {
                         for &net in netlist.nets_driven_by(c) {
-                            for &s in &netlist.net(net).sinks {
+                            for &s in netlist.sinks(net) {
                                 if depth[s.index()].is_none() && !on_stack[s.index()] {
                                     stack.push(Frame::Enter(s));
                                 }
@@ -116,7 +116,7 @@ pub fn extract_paths(netlist: &Netlist, config: &PathExtractionConfig) -> Vec<Pa
                     // A sink cell terminates the path: depth 0 beyond it.
                     if !kind.is_path_sink() {
                         for &net in netlist.nets_driven_by(c) {
-                            for &s in &netlist.net(net).sinks {
+                            for &s in netlist.sinks(net) {
                                 let d = depth[s.index()].unwrap_or(0);
                                 best = best.max(d + 1);
                             }
@@ -141,7 +141,7 @@ pub fn extract_paths(netlist: &Netlist, config: &PathExtractionConfig) -> Vec<Pa
     ) -> usize {
         let mut best = 0usize;
         for &net in netlist.nets_driven_by(src) {
-            for &s in &netlist.net(net).sinks {
+            for &s in netlist.sinks(net) {
                 if s == src {
                     continue;
                 }
@@ -158,7 +158,48 @@ pub fn extract_paths(netlist: &Netlist, config: &PathExtractionConfig) -> Vec<Pa
         .collect();
     sources.sort_unstable();
 
+    // The enumeration tree of one source lives in a node arena: node `i`
+    // extends its parent's path by one net and one cell. Paths are
+    // materialised only for the few kept per source.
+    #[derive(Clone, Copy)]
+    struct Node {
+        cell: CellId,
+        net: NetId,
+        parent: u32,
+        len: u32,
+    }
+    const ROOT: u32 = u32::MAX;
+    let on_path = |nodes: &[Node], mut at: u32, cell: CellId| {
+        while at != ROOT {
+            let node = nodes[at as usize];
+            if node.cell == cell {
+                return true;
+            }
+            at = node.parent;
+        }
+        false
+    };
+    let materialise = |nodes: &[Node], leaf: u32| {
+        let len = nodes[leaf as usize].len as usize;
+        let mut cells = vec![CellId(0); len + 1];
+        let mut nets = vec![NetId(0); len];
+        let mut at = leaf;
+        for i in (0..=len).rev() {
+            let node = nodes[at as usize];
+            cells[i] = node.cell;
+            if i > 0 {
+                nets[i - 1] = node.net;
+            }
+            at = node.parent;
+        }
+        Path { cells, nets }
+    };
+
     let mut paths: Vec<Path> = Vec::new();
+    let mut nodes: Vec<Node> = Vec::new();
+    let mut frontier: Vec<u32> = Vec::new();
+    let mut completed: Vec<u32> = Vec::new();
+    let mut succ: Vec<(usize, NetId, CellId)> = Vec::new();
     for &src in &sources {
         let d = source_depth(netlist, src, &mut depth, &mut on_stack);
         if d < config.min_depth {
@@ -168,39 +209,47 @@ pub fn extract_paths(netlist: &Netlist, config: &PathExtractionConfig) -> Vec<Pa
         // Enumerate a handful of deep paths per source by following, at each
         // step, successors in order of decreasing remaining depth.
         let mut expansions = 0usize;
-        let mut frontier: Vec<Path> = vec![Path {
-            cells: vec![src],
-            nets: vec![],
-        }];
-        let mut completed: Vec<Path> = Vec::new();
-        while let Some(p) = frontier.pop() {
+        nodes.clear();
+        nodes.push(Node {
+            cell: src,
+            net: NetId(0),
+            parent: ROOT,
+            len: 0,
+        });
+        frontier.clear();
+        frontier.push(0);
+        completed.clear();
+        while let Some(at) = frontier.pop() {
             if expansions >= config.max_expansions_per_source {
                 break;
             }
             expansions += 1;
-            let last = *p.cells.last().expect("path always has a head");
+            let Node {
+                cell: last, len, ..
+            } = nodes[at as usize];
+            let len = len as usize;
             let kind = netlist.cell(last).kind;
-            let terminal = kind.is_path_sink() && !p.is_empty();
+            let terminal = kind.is_path_sink() && len > 0;
             if terminal {
-                if p.len() >= config.min_depth {
-                    completed.push(p);
+                if len >= config.min_depth {
+                    completed.push(at);
                 }
                 continue;
             }
             // Collect successors sorted by decreasing remaining depth.
-            let mut succ: Vec<(usize, NetId, CellId)> = Vec::new();
+            succ.clear();
             for &net in netlist.nets_driven_by(last) {
-                for &s in &netlist.net(net).sinks {
+                for &s in netlist.sinks(net) {
                     // Avoid revisiting a cell already on this path (cycles).
-                    if p.cells.contains(&s) {
+                    if on_path(&nodes, at, s) {
                         continue;
                     }
                     succ.push((depth[s.index()].unwrap_or(0), net, s));
                 }
             }
             if succ.is_empty() {
-                if p.len() >= config.min_depth {
-                    completed.push(p);
+                if len >= config.min_depth {
+                    completed.push(at);
                 }
                 continue;
             }
@@ -208,14 +257,22 @@ pub fn extract_paths(netlist: &Netlist, config: &PathExtractionConfig) -> Vec<Pa
             // Follow at most the two most critical branches to bound the
             // enumeration while still producing multiple distinct paths.
             for &(_, net, s) in succ.iter().take(2) {
-                let mut np = p.clone();
-                np.cells.push(s);
-                np.nets.push(net);
-                frontier.push(np);
+                frontier.push(nodes.len() as u32);
+                nodes.push(Node {
+                    cell: s,
+                    net,
+                    parent: at,
+                    len: len as u32 + 1,
+                });
             }
         }
-        completed.sort_by_key(|p| std::cmp::Reverse(p.len()));
-        paths.extend(completed.into_iter().take(4));
+        completed.sort_by_key(|&leaf| std::cmp::Reverse(nodes[leaf as usize].len));
+        paths.extend(
+            completed
+                .iter()
+                .take(4)
+                .map(|&leaf| materialise(&nodes, leaf)),
+        );
     }
 
     paths.sort_by(|a, b| b.len().cmp(&a.len()).then(a.cells.cmp(&b.cells)));
@@ -226,23 +283,23 @@ pub fn extract_paths(netlist: &Netlist, config: &PathExtractionConfig) -> Vec<Pa
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Cell, CellKind, Net, NetlistBuilder};
+    use crate::{Cell, CellKind, NetlistBuilder};
 
     /// in -> g1 -> g2 -> g3 -> out  (depth 4)
     /// in -> g4 -> out              (depth 2)
     fn chain() -> Netlist {
         let mut b = NetlistBuilder::new("chain");
-        let i = b.add_cell(Cell::new("in", CellKind::Input, 1, 0.0));
-        let g1 = b.add_cell(Cell::logic("g1", 1));
-        let g2 = b.add_cell(Cell::logic("g2", 1));
-        let g3 = b.add_cell(Cell::logic("g3", 1));
-        let g4 = b.add_cell(Cell::logic("g4", 1));
-        let o = b.add_cell(Cell::new("out", CellKind::Output, 1, 0.0));
-        b.add_net(Net::new("n_i_g1", i, vec![g1, g4], 0.5));
-        b.add_net(Net::new("n_g1_g2", g1, vec![g2], 0.5));
-        b.add_net(Net::new("n_g2_g3", g2, vec![g3], 0.5));
-        b.add_net(Net::new("n_g3_o", g3, vec![o], 0.5));
-        b.add_net(Net::new("n_g4_o", g4, vec![o], 0.5));
+        let i = b.add_cell("in", Cell::new(CellKind::Input, 1, 0.0));
+        let g1 = b.add_cell("g1", Cell::logic(1));
+        let g2 = b.add_cell("g2", Cell::logic(1));
+        let g3 = b.add_cell("g3", Cell::logic(1));
+        let g4 = b.add_cell("g4", Cell::logic(1));
+        let o = b.add_cell("out", Cell::new(CellKind::Output, 1, 0.0));
+        b.add_net("n_i_g1", i, &[g1, g4], 0.5);
+        b.add_net("n_g1_g2", g1, &[g2], 0.5);
+        b.add_net("n_g2_g3", g2, &[g3], 0.5);
+        b.add_net("n_g3_o", g3, &[o], 0.5);
+        b.add_net("n_g4_o", g4, &[o], 0.5);
         b.build().unwrap()
     }
 
@@ -254,8 +311,8 @@ mod tests {
         let longest = &paths[0];
         assert_eq!(longest.len(), 4);
         assert_eq!(longest.cells.len(), 5);
-        assert_eq!(nl.cell(longest.cells[0]).name, "in");
-        assert_eq!(nl.cell(*longest.cells.last().unwrap()).name, "out");
+        assert_eq!(nl.cell_name(longest.cells[0]), "in");
+        assert_eq!(nl.cell_name(*longest.cells.last().unwrap()), "out");
     }
 
     #[test]
@@ -264,9 +321,8 @@ mod tests {
         for p in extract_paths(&nl, &PathExtractionConfig::default()) {
             assert_eq!(p.nets.len() + 1, p.cells.len());
             for (i, &net) in p.nets.iter().enumerate() {
-                let n = nl.net(net);
-                assert_eq!(n.driver, p.cells[i]);
-                assert!(n.sinks.contains(&p.cells[i + 1]));
+                assert_eq!(nl.net(net).driver, p.cells[i]);
+                assert!(nl.sinks(net).contains(&p.cells[i + 1]));
             }
         }
     }
@@ -287,15 +343,15 @@ mod tests {
     fn flip_flops_terminate_paths() {
         // in -> g1 -> ff -> g2 -> out: two paths of depth 2, none of depth 4.
         let mut b = NetlistBuilder::new("ff");
-        let i = b.add_cell(Cell::new("in", CellKind::Input, 1, 0.0));
-        let g1 = b.add_cell(Cell::logic("g1", 1));
-        let ff = b.add_cell(Cell::new("ff", CellKind::FlipFlop, 2, 0.2));
-        let g2 = b.add_cell(Cell::logic("g2", 1));
-        let o = b.add_cell(Cell::new("out", CellKind::Output, 1, 0.0));
-        b.add_net(Net::new("n0", i, vec![g1], 0.5));
-        b.add_net(Net::new("n1", g1, vec![ff], 0.5));
-        b.add_net(Net::new("n2", ff, vec![g2], 0.5));
-        b.add_net(Net::new("n3", g2, vec![o], 0.5));
+        let i = b.add_cell("in", Cell::new(CellKind::Input, 1, 0.0));
+        let g1 = b.add_cell("g1", Cell::logic(1));
+        let ff = b.add_cell("ff", Cell::new(CellKind::FlipFlop, 2, 0.2));
+        let g2 = b.add_cell("g2", Cell::logic(1));
+        let o = b.add_cell("out", Cell::new(CellKind::Output, 1, 0.0));
+        b.add_net("n0", i, &[g1], 0.5);
+        b.add_net("n1", g1, &[ff], 0.5);
+        b.add_net("n2", ff, &[g2], 0.5);
+        b.add_net("n3", g2, &[o], 0.5);
         let nl = b.build().unwrap();
         let paths = extract_paths(&nl, &PathExtractionConfig::default());
         assert!(!paths.is_empty());

@@ -16,7 +16,7 @@ use vlsi_netlist::bookshelf::{
     BookshelfError, BookshelfFile, CoreRow, PlEntry,
 };
 use vlsi_netlist::generator::{CircuitGenerator, GeneratorConfig, MixedSizeSpec};
-use vlsi_netlist::Netlist;
+use vlsi_netlist::{CellId, Netlist};
 
 /// Strategy over generator configurations spanning tiny to mid-size
 /// circuits with varied I/O mixes and connectivity.
@@ -131,6 +131,13 @@ fn assert_identical(original: &Netlist, parsed: &Netlist) {
     for (a, b) in original.nets().iter().zip(parsed.nets().iter()) {
         assert_eq!(a, b, "net mismatch");
     }
+    for id in original.cell_ids() {
+        assert_eq!(original.cell_name(id), parsed.cell_name(id));
+    }
+    for id in original.net_ids() {
+        assert_eq!(original.net_name(id), parsed.net_name(id));
+        assert_eq!(original.sinks(id), parsed.sinks(id), "sinks of {id}");
+    }
     assert!(netlists_identical(original, parsed));
 }
 
@@ -189,7 +196,7 @@ proptest! {
             .iter()
             .enumerate()
             .map(|(i, cell)| PlEntry {
-                name: cell.name.clone(),
+                name: netlist.cell_name(CellId::from(i)).to_string(),
                 // Synthetic but deterministic coordinates: the property under
                 // test is serialisation, not placement legality.
                 x: (i as i64) * 7 - 40,
@@ -285,7 +292,7 @@ fn hundred_thousand_cell_circuit_streams_through_the_layout_files() {
         .iter()
         .enumerate()
         .map(|(i, cell)| PlEntry {
-            name: cell.name.clone(),
+            name: original.cell_name(CellId::from(i)).to_string(),
             x: (i as i64) % 4096,
             y: ((i as i64) / 4096) * 8,
             fixed: cell.fixed,

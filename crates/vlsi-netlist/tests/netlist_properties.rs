@@ -59,7 +59,7 @@ proptest! {
         for net_id in nl.net_ids() {
             let net = nl.net(net_id);
             prop_assert!(nl.nets_driven_by(net.driver).contains(&net_id));
-            for &s in &net.sinks {
+            for &s in nl.sinks(net_id) {
                 prop_assert!(nl.nets_feeding(s).contains(&net_id));
             }
         }
@@ -68,7 +68,7 @@ proptest! {
                 prop_assert_eq!(nl.net(n).driver, cell_id);
             }
             for &n in nl.nets_feeding(cell_id) {
-                prop_assert!(nl.net(n).sinks.contains(&cell_id));
+                prop_assert!(nl.sinks(n).contains(&cell_id));
             }
         }
     }
@@ -97,9 +97,8 @@ proptest! {
             prop_assert!(nl.cell(p.cells[0]).kind.is_path_source());
             prop_assert!(nl.cell(*p.cells.last().unwrap()).kind.is_path_sink());
             for (i, &net) in p.nets.iter().enumerate() {
-                let n = nl.net(net);
-                prop_assert_eq!(n.driver, p.cells[i]);
-                prop_assert!(n.sinks.contains(&p.cells[i + 1]));
+                prop_assert_eq!(nl.net(net).driver, p.cells[i]);
+                prop_assert!(nl.sinks(net).contains(&p.cells[i + 1]));
             }
             // No cell repeats within a path (paths are simple).
             let mut cells = p.cells.clone();

@@ -102,10 +102,7 @@ impl Bounds {
 /// the distinct cells it connects (their centre-to-centre span when packed
 /// contiguously in one row).
 pub fn net_lower_bound(netlist: &Netlist, net: NetId) -> f64 {
-    let n = netlist.net(net);
-    let mut cells: Vec<_> = n.connected_cells().collect();
-    cells.sort_unstable();
-    cells.dedup();
+    let cells = netlist.net_cells(net);
     if cells.len() < 2 {
         return 0.0;
     }
@@ -120,7 +117,7 @@ mod tests {
     use crate::wirelength::single_trunk_steiner;
     use vlsi_netlist::generator::{CircuitGenerator, GeneratorConfig};
     use vlsi_netlist::paths::{extract_paths, PathExtractionConfig};
-    use vlsi_netlist::{Cell, CellKind, Net, NetlistBuilder};
+    use vlsi_netlist::{Cell, CellKind, NetlistBuilder};
 
     fn netlist() -> Netlist {
         CircuitGenerator::new(GeneratorConfig::sized("bounds_test", 150, 9)).generate()
@@ -129,10 +126,10 @@ mod tests {
     #[test]
     fn net_bound_is_half_the_total_width() {
         let mut b = NetlistBuilder::new("t");
-        let a = b.add_cell(Cell::new("a", CellKind::Input, 4, 0.0));
-        let c = b.add_cell(Cell::logic("c", 6));
-        let d = b.add_cell(Cell::new("d", CellKind::Output, 2, 0.0));
-        b.add_net(Net::new("n", a, vec![c, d], 0.5));
+        let a = b.add_cell("a", Cell::new(CellKind::Input, 4, 0.0));
+        let c = b.add_cell("c", Cell::logic(6));
+        let d = b.add_cell("d", Cell::new(CellKind::Output, 2, 0.0));
+        b.add_net("n", a, &[c, d], 0.5);
         let nl = b.build().unwrap();
         assert_eq!(net_lower_bound(&nl, NetId(0)), 6.0);
     }
@@ -157,12 +154,11 @@ mod tests {
         let actual: f64 = nl
             .net_ids()
             .map(|n| {
-                let pins: Vec<_> = {
-                    let mut cells: Vec<_> = nl.net(n).connected_cells().collect();
-                    cells.sort_unstable();
-                    cells.dedup();
-                    cells.iter().map(|&c| placement.position(c)).collect()
-                };
+                let pins: Vec<_> = nl
+                    .net_cells(n)
+                    .iter()
+                    .map(|&c| placement.position(c))
+                    .collect();
                 single_trunk_steiner(&pins)
             })
             .sum();
@@ -218,9 +214,9 @@ mod tests {
     #[test]
     fn single_pin_nets_have_zero_bound() {
         let mut b = NetlistBuilder::new("self");
-        let a = b.add_cell(Cell::logic("a", 4));
+        let a = b.add_cell("a", Cell::logic(4));
         // a net whose only "sink" is its own driver (degenerate but legal)
-        b.add_net(Net::new("n", a, vec![a], 0.5));
+        b.add_net("n", a, &[a], 0.5);
         let nl = b.build().unwrap();
         assert_eq!(net_lower_bound(&nl, NetId(0)), 0.0);
     }

@@ -104,7 +104,7 @@ pub fn placement_to_pl(netlist: &Netlist, placement: &Placement) -> Vec<PlEntry>
         .map(|id| {
             let (x, y) = pl_coordinates(netlist, placement, id);
             PlEntry {
-                name: netlist.cell(id).name.clone(),
+                name: netlist.cell_name(id).to_string(),
                 x,
                 y,
                 fixed: netlist.cell(id).fixed,
@@ -127,10 +127,8 @@ pub fn placement_from_pl(
 ) -> Result<Placement, PlConvertError> {
     let row_h = ROW_HEIGHT as i64;
     let by_name: HashMap<&str, CellId> = netlist
-        .cells()
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (c.name.as_str(), CellId::from(i)))
+        .cell_ids()
+        .map(|id| (netlist.cell_name(id), id))
         .collect();
 
     let mut seen = vec![false; netlist.num_cells()];
@@ -162,7 +160,7 @@ pub fn placement_from_pl(
     }
     if let Some(i) = seen.iter().position(|&s| !s) {
         return Err(PlConvertError::MissingCell(
-            netlist.cell(CellId::from(i)).name.clone(),
+            netlist.cell_name(CellId::from(i)).to_string(),
         ));
     }
 
@@ -180,7 +178,7 @@ pub fn placement_from_pl(
         let expected = pl_coordinates(netlist, &placement, id);
         if expected != (x, y) {
             return Err(PlConvertError::FixedPositionMismatch {
-                name: netlist.cell(id).name.clone(),
+                name: netlist.cell_name(id).to_string(),
                 expected,
                 got: (x, y),
             });
