@@ -1,8 +1,8 @@
 //! `scenario_matrix` — executes the scenario cross-product
 //! `{circuit × strategy Type I/II (both row patterns)/III + island
 //! portfolios × backend Modeled/Threaded × worker count × objective mix}`
-//! through the reusable batch driver of
-//! `sime_parallel::batch`, emitting one JSON record per cell and verifying
+//! through `sime_parallel::jobs::JobRunner` (one cached engine per
+//! circuit and objective set), emitting one JSON record per cell and verifying
 //! the determinism contract (equal golden fingerprints across every backend
 //! and worker count of a cell) as it goes.
 //!
@@ -43,9 +43,10 @@
 //! `--check` comparison fails.
 
 use sime_parallel::batch::{
-    golden_subset, objectives_tag, BatchDriver, ScenarioRecord, ScenarioSpec, StrategyKind,
+    golden_subset, objectives_tag, ScenarioRecord, ScenarioSpec, StrategyKind,
     TrajectoryFingerprint,
 };
+use sime_parallel::jobs::JobRunner;
 use sime_parallel::portfolio::PortfolioMix;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -219,19 +220,27 @@ fn build_grid(
     specs
 }
 
+/// Runs one cell of the matrix, panicking with the job error's text.
+fn run_cell(runner: &JobRunner, spec: &ScenarioSpec) -> ScenarioRecord {
+    runner
+        .run_scenario(spec)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .into_record()
+}
+
 /// Runs one cell across the whole backend axis — Modeled and Threaded at
 /// each worker count — asserting fingerprint equality throughout, and
 /// returns the records (Modeled first).
 fn run_cell_all_backends(
-    driver: &mut BatchDriver,
+    runner: &JobRunner,
     spec: &ScenarioSpec,
     workers: &[usize],
 ) -> (Vec<ScenarioRecord>, bool) {
     let mut records = Vec::with_capacity(1 + workers.len());
-    let modeled = driver.run_cell(spec);
+    let modeled = run_cell(runner, spec);
     let mut stable = true;
     for &w in workers {
-        let threaded = driver.run_cell(&spec.on_workers(Some(w)));
+        let threaded = run_cell(runner, &spec.on_workers(Some(w)));
         if threaded.fingerprint != modeled.fingerprint {
             eprintln!(
                 "DETERMINISM VIOLATION: {} differs between modeled and threaded({w})",
@@ -245,14 +254,14 @@ fn run_cell_all_backends(
     (records, stable)
 }
 
-fn bless(dir: &Path, driver: &mut BatchDriver, specs: &[ScenarioSpec]) {
+fn bless(dir: &Path, runner: &JobRunner, specs: &[ScenarioSpec]) {
     std::fs::create_dir_all(dir).unwrap_or_else(|e| {
         eprintln!("cannot create {}: {e}", dir.display());
         std::process::exit(2);
     });
     let expected: Vec<String> = specs.iter().map(|s| format!("{}.golden", s.id())).collect();
     for spec in specs {
-        let record = driver.run_cell(spec);
+        let record = run_cell(runner, spec);
         let path = dir.join(format!("{}.golden", spec.id()));
         // Diff-and-explain before overwriting: an intentional re-bless must
         // document which fingerprint fields moved (old vs new bits), not
@@ -376,7 +385,7 @@ fn main() {
         }
     });
 
-    let mut driver = BatchDriver::new();
+    let runner = JobRunner::new();
 
     if let Some(dir) = value("--bless") {
         let specs = if flag("--golden-subset") {
@@ -390,7 +399,7 @@ fn main() {
                 probes,
             )
         };
-        bless(&PathBuf::from(dir), &mut driver, &specs);
+        bless(&PathBuf::from(dir), &runner, &specs);
         return;
     }
 
@@ -419,7 +428,7 @@ fn main() {
     let mut by_id: BTreeMap<String, TrajectoryFingerprint> = BTreeMap::new();
     let mut all_stable = true;
     for (i, spec) in grid.iter().enumerate() {
-        let (records, stable) = run_cell_all_backends(&mut driver, spec, &workers);
+        let (records, stable) = run_cell_all_backends(&runner, spec, &workers);
         all_stable &= stable;
         println!(
             "[{}/{}] {} µ={:.4} modeled={:.1}s {}",

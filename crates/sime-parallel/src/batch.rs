@@ -1,10 +1,12 @@
-//! Scenario batch driver and golden-trajectory fingerprints.
+//! Scenario specs and golden-trajectory fingerprints.
 //!
 //! The scenario matrix is the cross-product
-//! `{circuit} × {strategy Type I/II/III} × {backend Modeled/Threaded} ×
-//! {worker count} × {objective mix}`. This module provides the three pieces
-//! every surface that walks that matrix (the `scenario_matrix` binary, the
-//! root `golden_suite` regression test, future scaling studies) shares:
+//! `{circuit} × {strategy Type I/II/III, portfolio} × {backend
+//! Modeled/Threaded} × {worker count} × {objective mix}`. This module
+//! provides the pieces every surface that walks that matrix (the
+//! `scenario_matrix` binary, the root `golden_suite` regression test, the
+//! server suite) shares; the cells themselves run through
+//! [`crate::jobs::JobRunner::run_scenario`]:
 //!
 //! * [`ScenarioSpec`] — one fully pinned cell of the matrix. The **backend**
 //!   axis (`workers`) is deliberately excluded from the scenario identity
@@ -12,12 +14,6 @@
 //!   and worker counts change nothing but wall-clock, so every backend of a
 //!   cell shares one golden fingerprint — and the golden suite *checks* that
 //!   promise instead of assuming it.
-//! * [`BatchDriver`] — runs cells while reusing the expensive per-circuit
-//!   state: the netlist is generated once per circuit and the engine (cost
-//!   evaluator CSR tables, extracted critical paths, goodness evaluator) is
-//!   built once per `(circuit, objectives)` and shared by every strategy,
-//!   backend and worker count that visits it. Per-worker scratch spaces are
-//!   created inside the strategy drivers as always.
 //! * [`TrajectoryFingerprint`] — the replayable digest of one run: the final
 //!   cost bits, the µ(s) trajectory bits at fixed checkpoint iterations, a
 //!   hash of the full µ trajectory and a hash of the best placement (the
@@ -32,10 +28,6 @@ use crate::exec::{ExecBackend, Modeled, Threaded};
 use crate::portfolio::PortfolioMix;
 use crate::report::StrategyOutcome;
 use crate::type2::RowPattern;
-use sime_core::engine::SimEEngine;
-use std::sync::Arc;
-use vlsi_netlist::bench_suite::SuiteCircuit;
-use vlsi_netlist::Netlist;
 use vlsi_place::cost::Objectives;
 
 /// Which parallel strategy a scenario cell runs.
@@ -93,7 +85,7 @@ impl StrategyKind {
     /// The smallest rank count the strategy accepts (Type I needs a master
     /// and a slave; Type III a store and two workers; a portfolio needs two
     /// islands).
-    pub fn min_ranks(self) -> usize {
+    pub(crate) fn min_ranks(self) -> usize {
         match self {
             StrategyKind::Type1 | StrategyKind::Type2(_) | StrategyKind::Portfolio(_) => 2,
             StrategyKind::Type3 => 3,
@@ -122,7 +114,8 @@ pub fn objectives_from_tag(tag: &str) -> Option<Objectives> {
 /// One fully pinned cell of the scenario matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
-    /// Suite circuit name (resolved through [`SuiteCircuit::from_name`]).
+    /// Suite circuit name (resolved through
+    /// [`vlsi_netlist::bench_suite::SuiteCircuit::from_name`]).
     pub circuit: String,
     /// Strategy to run.
     pub strategy: StrategyKind,
@@ -509,75 +502,6 @@ impl ScenarioRecord {
     }
 }
 
-/// Runs scenario cells while reusing per-circuit netlists and per-
-/// `(circuit, objectives)` engines across the whole batch.
-///
-/// Since the job-engine refactor this is a thin `&mut self` façade over the
-/// thread-safe [`crate::jobs::JobRunner`] — the batch binaries keep their
-/// simple sequential API, the server shares the identical execution path
-/// (and therefore the identical fingerprints) through the runner directly.
-#[derive(Default)]
-pub struct BatchDriver {
-    runner: crate::jobs::JobRunner,
-}
-
-impl BatchDriver {
-    /// An empty driver; circuits are generated (or registered) on demand.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The underlying thread-safe job runner (shared caches, typed errors).
-    pub fn runner(&self) -> &crate::jobs::JobRunner {
-        &self.runner
-    }
-
-    /// Registers a pre-built netlist (e.g. one reloaded from a Bookshelf
-    /// dump) under its circuit name, bypassing suite generation. The circuit
-    /// still needs a row count the suite knows, so `name` must resolve via
-    /// [`SuiteCircuit::from_name`] for specs to run against it.
-    pub fn register_netlist(&mut self, netlist: Arc<Netlist>) {
-        self.runner.register_netlist(netlist);
-    }
-
-    /// The netlist for a suite circuit, generating and caching it on first
-    /// use.
-    pub fn netlist(&mut self, circuit: SuiteCircuit) -> Arc<Netlist> {
-        self.runner
-            .netlist(circuit.name())
-            .expect("suite circuits always resolve")
-            .0
-    }
-
-    /// The engine for a `(circuit, objectives)` pair, building and caching
-    /// it on first use. Engine construction (CSR cost tables, critical-path
-    /// extraction, fuzzy goal calibration) dominates small-run setup time,
-    /// which is why it is the unit of reuse.
-    pub fn engine(&mut self, circuit: SuiteCircuit, objectives: Objectives) -> Arc<SimEEngine> {
-        self.runner
-            .engine_for(circuit.name(), objectives, None)
-            .expect("suite circuits always resolve")
-    }
-
-    /// Runs one cell of the matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec's circuit is not a suite circuit, or if its rank
-    /// count violates the strategy's minimum (see
-    /// [`StrategyKind::min_ranks`]). Service layers that need errors instead
-    /// of panics use [`crate::jobs::JobRunner::run_job`].
-    pub fn run_cell(&mut self, spec: &ScenarioSpec) -> ScenarioRecord {
-        match self.runner.run_scenario(spec) {
-            Ok(outcome) => outcome.into_record(),
-            Err(crate::jobs::JobError::UnknownCircuit(name)) => {
-                panic!("unknown suite circuit `{name}`")
-            }
-            Err(err) => panic!("{err}"),
-        }
-    }
-}
-
 /// Result of comparing run fingerprints against a golden directory.
 #[derive(Debug, Clone, Default)]
 pub struct GoldenCheck {
@@ -795,6 +719,15 @@ pub fn golden_subset() -> Vec<ScenarioSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::JobRunner;
+    use vlsi_netlist::bench_suite::SuiteCircuit;
+
+    fn run(runner: &JobRunner, spec: &ScenarioSpec) -> ScenarioRecord {
+        runner
+            .run_scenario(spec)
+            .unwrap_or_else(|e| panic!("{e}"))
+            .into_record()
+    }
 
     fn small_spec() -> ScenarioSpec {
         ScenarioSpec {
@@ -884,9 +817,9 @@ mod tests {
 
     #[test]
     fn fingerprint_text_roundtrips() {
-        let mut driver = BatchDriver::new();
+        let runner = JobRunner::new();
         let spec = small_spec();
-        let record = driver.run_cell(&spec);
+        let record = run(&runner, &spec);
         let text = record.fingerprint.to_text(&spec);
         let (parsed_spec, parsed_fp) = TrajectoryFingerprint::parse_text(&text).unwrap();
         assert_eq!(parsed_spec, spec);
@@ -895,15 +828,15 @@ mod tests {
 
     #[test]
     fn fingerprints_are_stable_across_reruns_and_backends() {
-        let mut driver = BatchDriver::new();
+        let runner = JobRunner::new();
         let spec = small_spec();
-        let a = driver.run_cell(&spec);
-        let b = driver.run_cell(&spec);
+        let a = run(&runner, &spec);
+        let b = run(&runner, &spec);
         assert_eq!(
             a.fingerprint, b.fingerprint,
             "rerun must not change the fingerprint"
         );
-        let threaded = driver.run_cell(&spec.on_workers(Some(2)));
+        let threaded = run(&runner, &spec.on_workers(Some(2)));
         assert_eq!(
             a.fingerprint, threaded.fingerprint,
             "backend must not change the fingerprint"
@@ -913,8 +846,8 @@ mod tests {
 
     #[test]
     fn fingerprint_diff_names_exactly_the_changed_fields() {
-        let mut driver = BatchDriver::new();
-        let record = driver.run_cell(&small_spec());
+        let runner = JobRunner::new();
+        let record = run(&runner, &small_spec());
         let fp = record.fingerprint.clone();
         assert!(
             fp.diff(&fp).is_empty(),
@@ -942,22 +875,22 @@ mod tests {
 
     #[test]
     fn fingerprints_differ_between_scenarios() {
-        let mut driver = BatchDriver::new();
-        let a = driver.run_cell(&small_spec());
+        let runner = JobRunner::new();
+        let a = run(&runner, &small_spec());
         let mut other = small_spec();
         other.strategy = StrategyKind::Type3;
-        let b = driver.run_cell(&other);
+        let b = run(&runner, &other);
         assert_ne!(a.fingerprint, b.fingerprint);
     }
 
     #[test]
     fn driver_reuses_engines_across_cells() {
-        let mut driver = BatchDriver::new();
-        driver.run_cell(&small_spec());
+        let runner = JobRunner::new();
+        run(&runner, &small_spec());
         let mut other = small_spec();
         other.strategy = StrategyKind::Type1;
-        driver.run_cell(&other);
-        let stats = driver.runner().stats();
+        run(&runner, &other);
+        let stats = runner.stats();
         assert_eq!(stats.engines, 1, "same circuit+objectives → one engine");
         assert_eq!(stats.engines_calibrated, 1);
         assert_eq!(stats.circuits, 1);
@@ -987,8 +920,8 @@ mod tests {
 
     #[test]
     fn record_json_contains_the_key_fields() {
-        let mut driver = BatchDriver::new();
-        let record = driver.run_cell(&small_spec());
+        let runner = JobRunner::new();
+        let record = run(&runner, &small_spec());
         let json = record.to_json();
         assert!(json.contains("\"scenario\": \"s1196.type2_random.r3.i3.wp\""));
         assert!(json.contains("\"backend\": \"modeled\""));
@@ -1005,9 +938,9 @@ mod tests {
 
     #[test]
     fn check_goldens_fails_hard_on_a_missing_directory() {
-        let mut driver = BatchDriver::new();
+        let runner = JobRunner::new();
         let spec = small_spec();
-        let record = driver.run_cell(&spec);
+        let record = run(&runner, &spec);
         let mut by_id = std::collections::BTreeMap::new();
         by_id.insert(spec.id(), record.fingerprint);
         let check = check_goldens(std::path::Path::new("/nonexistent/sime/golden/dir"), &by_id);
@@ -1022,9 +955,9 @@ mod tests {
 
     #[test]
     fn check_goldens_fails_hard_when_nothing_intersects() {
-        let mut driver = BatchDriver::new();
+        let runner = JobRunner::new();
         let spec = small_spec();
-        let record = driver.run_cell(&spec);
+        let record = run(&runner, &spec);
         let mut by_id = std::collections::BTreeMap::new();
         by_id.insert(spec.id(), record.fingerprint);
         let dir = golden_temp_dir("empty");
@@ -1041,9 +974,9 @@ mod tests {
 
     #[test]
     fn check_goldens_accepts_matches_and_reports_mismatches() {
-        let mut driver = BatchDriver::new();
+        let runner = JobRunner::new();
         let spec = small_spec();
-        let record = driver.run_cell(&spec);
+        let record = run(&runner, &spec);
         let dir = golden_temp_dir("roundtrip");
         let path = dir.join(format!("{}.golden", spec.id()));
         std::fs::write(&path, record.fingerprint.to_text(&spec)).unwrap();

@@ -1,8 +1,10 @@
-//! Run control: progress observation and cooperative cancellation.
+//! Run control: progress observation, cooperative cancellation and
+//! target-quality stops.
 //!
-//! Every strategy driver in this crate runs a fixed per-iteration loop; each
-//! `run_typeN` entry point threads a [`RunControl`] through that loop,
-//! calling [`RunControl::keep_going`] exactly once **after** each completed
+//! Every strategy driver in this crate runs on one bulk-synchronous epoch
+//! loop; each entry point (`run_typeN`, `run_portfolio`) threads a
+//! [`RunControl`] through that loop, which calls
+//! [`RunControl::keep_going`] exactly once **after** each completed
 //! iteration (the µ value of the iteration has been pushed to the history and
 //! the best-so-far bookkeeping has run). The callback is the strategy's only
 //! cancellation point: returning `false` stops the run *before* the next
@@ -126,6 +128,18 @@ impl RunControl for CancelAfter {
     }
 }
 
+/// A control that races to a quality: the run stops at the first iteration
+/// boundary where the best µ(s) so far reaches the target. It works on every
+/// strategy, and the stopped run is a bitwise prefix of the free run.
+#[derive(Debug, Clone, Copy)]
+pub struct TargetMu(pub f64);
+
+impl RunControl for TargetMu {
+    fn keep_going(&self, _iteration: usize, _mu: f64, best_mu: f64) -> bool {
+        best_mu < self.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,5 +186,13 @@ mod tests {
         assert!(control.keep_going(0, 0.0, 0.0));
         assert!(control.keep_going(1, 0.0, 0.0));
         assert!(!control.keep_going(2, 0.0, 0.0));
+    }
+
+    #[test]
+    fn a_target_stops_the_run_once_the_best_reaches_it() {
+        let control = TargetMu(0.5);
+        assert!(control.keep_going(0, 0.7, 0.4));
+        assert!(!control.keep_going(1, 0.3, 0.5));
+        assert!(!control.keep_going(2, 0.3, 0.6));
     }
 }

@@ -1,10 +1,10 @@
 //! Job-oriented session state: the thread-safe [`JobRunner`].
 //!
-//! [`crate::batch::BatchDriver`] reuses netlists and engines across the cells
-//! of one sweep, but it is `&mut self` single-threaded session state — built,
-//! used, dropped by one binary. A long-running placement service needs the
-//! same reuse across *concurrent* jobs, with validation instead of panics and
-//! an identity that survives renames. This module provides that:
+//! Every surface that runs placement jobs — the scenario matrix, the golden
+//! suite, the `sime-server` daemon, the benchmark — needs the same reuse of
+//! netlists and engines across jobs, *concurrent* ones included, with
+//! validation instead of panics and an identity that survives renames. This
+//! module provides that:
 //!
 //! * **Content-addressed circuit cache.** Every netlist is keyed by its
 //!   [`bookshelf_digest`] — an FNV-1a digest of its canonical Bookshelf
@@ -25,8 +25,7 @@
 //!   engines.
 //! * **Typed errors.** [`JobRunner::run_job`] validates the spec (unknown
 //!   circuit, rank count below the strategy minimum, zero iterations) and
-//!   returns a [`JobError`] a protocol layer can forward, where
-//!   [`crate::batch::BatchDriver::run_cell`] panics.
+//!   returns a [`JobError`] a protocol layer can forward.
 //!
 //! Every cache sits behind its own mutex and `run_job` takes `&self`, so one
 //! runner serves any number of threads; the strategy run itself — the long
@@ -429,9 +428,8 @@ impl JobRunner {
                 Some(cold) => Arc::clone(cold),
                 None => {
                     calibrated = true;
-                    // The default seed must match the batch path's engine
-                    // config so default-seed jobs fingerprint identically to
-                    // BatchDriver cells.
+                    // The default seed must match the goldens' engine config
+                    // so default-seed jobs fingerprint identically to them.
                     let config = SimEConfig::paper_defaults(objectives, num_rows, 1);
                     let cold = Arc::new(SimEEngine::new(Arc::clone(netlist), config));
                     engines.insert((digest, objectives, 0), Arc::clone(&cold));
@@ -488,7 +486,7 @@ impl JobRunner {
     /// [`JobRunner::engine_for`] with a warm-start tag: the returned engine
     /// starts every run from the resolved `.pl` placement instead of a
     /// random deal. Cached separately per warm-start content digest.
-    pub fn engine_for_warm(
+    pub(crate) fn engine_for_warm(
         &self,
         circuit: &str,
         objectives: Objectives,
@@ -604,53 +602,36 @@ fn run_strategy(
     control: &dyn RunControl,
 ) -> crate::report::StrategyOutcome {
     let cluster = ClusterConfig::paper_cluster(scenario.ranks);
+    let iterations = scenario.iterations;
     match scenario.strategy {
-        StrategyKind::Type1 => run_type1(
-            engine,
-            cluster,
-            Type1Config {
-                ranks: scenario.ranks,
-                iterations: scenario.iterations,
-            },
-            backend,
-            control,
-        ),
-        StrategyKind::Type2(pattern) => run_type2(
-            engine,
-            cluster,
-            Type2Config {
-                ranks: scenario.ranks,
-                iterations: scenario.iterations,
+        StrategyKind::Type1 => {
+            let config = Type1Config { iterations };
+            run_type1(engine, cluster, config, backend, control)
+        }
+        StrategyKind::Type2(pattern) => {
+            let config = Type2Config {
+                iterations,
                 pattern,
-            },
-            backend,
-            control,
-        ),
-        StrategyKind::Type3 => run_type3(
-            engine,
-            cluster,
-            Type3Config {
-                ranks: scenario.ranks,
-                iterations: scenario.iterations,
+            };
+            run_type2(engine, cluster, config, backend, control)
+        }
+        StrategyKind::Type3 => {
+            let config = Type3Config {
+                iterations,
                 retry_threshold: 3,
-            },
-            backend,
-            control,
-        ),
-        StrategyKind::Portfolio(mix) => run_portfolio(
-            engine,
-            cluster,
-            PortfolioConfig::scenario(mix, scenario.ranks, scenario.iterations),
-            backend,
-            control,
-        ),
+            };
+            run_type3(engine, cluster, config, backend, control)
+        }
+        StrategyKind::Portfolio(mix) => {
+            let config = PortfolioConfig::scenario(mix, iterations);
+            run_portfolio(engine, cluster, config, backend, control)
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::BatchDriver;
     use crate::control::CancelAfter;
     use crate::exec::{Modeled, SharedPool};
     use crate::type2::RowPattern;
@@ -673,10 +654,12 @@ mod tests {
     #[test]
     fn job_runner_matches_the_batch_path_bitwise() {
         let runner = JobRunner::new();
-        let mut driver = BatchDriver::new();
         let spec = small_spec();
         let job = runner.run_scenario(&spec).unwrap();
-        let cell = driver.run_cell(&spec);
+        let cell = JobRunner::new()
+            .run_scenario(&spec)
+            .unwrap_or_else(|e| panic!("{e}"))
+            .into_record();
         assert_eq!(job.fingerprint, cell.fingerprint);
         assert!(job.completed());
     }

@@ -32,10 +32,19 @@
 //!   islands, each running a *different* optimizer (a serial SimE chain or
 //!   one of the GA/SA/TS baselines from the `metaheuristics` crate), step in
 //!   bulk-synchronous epochs with deterministic ring migration of the best
-//!   solutions and cooperative early stop when a target quality µ is
-//!   reached. This generalises the paper's strategy comparison (Section 7)
+//!   solutions. This generalises the paper's strategy comparison (Section 7)
 //!   from "which SimE organisation" to "which optimizer" under identical
 //!   cluster modelling. See `DESIGN.md` §7.
+//!
+//! All four share one shape: a master and `p − 1` ranks step in
+//! bulk-synchronous epochs, and only the work between two barriers differs.
+//! So they run on one crate-private epoch loop, which owns the rank check,
+//! the seeded start and its pricing, the best-so-far solution, the µ history,
+//! the per-epoch [`control::RunControl`] call and the outcome; each driver
+//! keeps only its set-up and its per-epoch fan-out, merge and master step.
+//! The rank count is the simulated cluster's (`ClusterConfig::ranks`), and
+//! every stop rule — cancellation, [`control::CancelAfter`], the racing
+//! [`control::TargetMu`] — works on every strategy alike.
 //!
 //! Every strategy runs on an **execution backend** ([`exec`]): the
 //! [`exec::Modeled`] backend executes the per-rank work inline (the virtual
@@ -53,16 +62,17 @@
 //! table-reproduction binaries in the `bench` crate print these in the layout
 //! of the paper's Tables 1–4.
 //!
-//! The [`batch`] module drives whole **scenario matrices** over these
+//! The [`batch`] module describes whole **scenario matrices** over these
 //! strategies — `{circuit × strategy × backend × workers × objectives}` —
-//! reusing one engine per `(circuit, objectives)` across cells, and distils
-//! every run into a [`batch::TrajectoryFingerprint`] that the checked-in
-//! golden registry (`tests/golden/`, replayed by the root `golden_suite`
-//! test) compares bitwise across pushes, backends and worker counts.
+//! as [`batch::ScenarioSpec`] cells, and distils every run into a
+//! [`batch::TrajectoryFingerprint`] that the checked-in golden registry
+//! (`tests/golden/`, replayed by the root `golden_suite` test) compares
+//! bitwise across pushes, backends and worker counts.
 //!
-//! On top of the batch layer, the [`jobs`] module packages the same machinery
-//! as **session state** for long-running services: a thread-safe
-//! [`jobs::JobRunner`] with content-addressed circuit and engine caches, the
+//! The cells run through the [`jobs`] module, the **session state** every
+//! surface shares, batch binaries and long-running services alike: a
+//! thread-safe [`jobs::JobRunner`] (one engine per `(circuit, objectives)`
+//! reused across cells) with content-addressed circuit and engine caches, the
 //! [`control::RunControl`] hook for progress streaming and cooperative
 //! cancellation (the last argument of every strategy entry point), and the [`exec::SharedPool`] backend that
 //! lets many concurrent jobs share one persistent worker pool. The
@@ -72,6 +82,7 @@
 
 pub mod batch;
 pub mod control;
+mod epochs;
 pub mod exec;
 pub mod jobs;
 pub mod portfolio;
@@ -81,10 +92,10 @@ pub mod type2;
 pub mod type3;
 
 pub use batch::{
-    check_goldens, golden_subset, BatchDriver, GoldenCheck, ScenarioRecord, ScenarioSpec,
-    StrategyKind, TrajectoryFingerprint,
+    check_goldens, golden_subset, GoldenCheck, ScenarioRecord, ScenarioSpec, StrategyKind,
+    TrajectoryFingerprint,
 };
-pub use control::{CancelAfter, CancelToken, FreeRun, ObservedRun, RunControl};
+pub use control::{CancelAfter, CancelToken, FreeRun, ObservedRun, RunControl, TargetMu};
 pub use exec::{backend_from_name, ExecBackend, Modeled, SharedPool, Threaded};
 pub use jobs::{pl_digest, JobError, JobOutcome, JobRunner, JobSpec};
 pub use portfolio::{run_portfolio, IslandKind, PortfolioConfig, PortfolioMix};
@@ -96,10 +107,12 @@ pub use type3::{run_type3, Type3Config};
 /// Convenience prelude bringing the parallel-strategy API into scope.
 pub mod prelude {
     pub use crate::batch::{
-        check_goldens, golden_subset, BatchDriver, GoldenCheck, ScenarioRecord, ScenarioSpec,
-        StrategyKind, TrajectoryFingerprint,
+        check_goldens, golden_subset, GoldenCheck, ScenarioRecord, ScenarioSpec, StrategyKind,
+        TrajectoryFingerprint,
     };
-    pub use crate::control::{CancelAfter, CancelToken, FreeRun, ObservedRun, RunControl};
+    pub use crate::control::{
+        CancelAfter, CancelToken, FreeRun, ObservedRun, RunControl, TargetMu,
+    };
     pub use crate::exec::{backend_from_name, ExecBackend, Modeled, SharedPool, Threaded};
     pub use crate::jobs::{JobError, JobOutcome, JobRunner, JobSpec};
     pub use crate::portfolio::{run_portfolio, IslandKind, PortfolioConfig, PortfolioMix};

@@ -9,8 +9,10 @@
 //! their best solutions over a **ring**: island `i` receives the best-so-far
 //! of island `(i − 1) mod N` and adopts it iff it improves on its own
 //! current solution. The master additionally races the islands — the run's
-//! µ(s) after an epoch is the best island quality, and an optional target µ
-//! stops the whole portfolio as soon as any island reaches it.
+//! µ(s) after an epoch is the best island quality, and a
+//! [`crate::control::TargetMu`] control stops the whole portfolio as soon as
+//! any island reaches it. The epochs run on the shared loop of
+//! `crate::epochs`, like every other strategy.
 //!
 //! # Determinism (DESIGN.md §4 / §7)
 //!
@@ -28,15 +30,16 @@
 //! Hence a portfolio run is bitwise identical across backends and worker
 //! counts, and two migration-interval settings that fire on the same epoch
 //! boundaries (e.g. both larger than the epoch count) replay identically.
-//! Early stop — cooperative cancellation through [`RunControl`] or the
-//! target µ — cuts at an epoch boundary, so a stopped run's trajectory is a
-//! bitwise prefix of the free run's.
+//! Early stop — any [`RunControl`], cancellation or a target µ — cuts at an
+//! epoch boundary, so a stopped run's trajectory is a bitwise prefix of the
+//! free run's.
 
 use crate::control::RunControl;
+use crate::epochs;
 use crate::exec::{ExecBackend, Task};
 use crate::report::{StrategyOutcome, BYTES_PER_CELL};
 use cluster_sim::machine::Workload;
-use cluster_sim::timeline::{ClusterConfig, ClusterTimeline};
+use cluster_sim::timeline::ClusterConfig;
 use metaheuristics::optimizer::{EpochWork, GaIsland, Optimizer, SaIsland, TabuIsland};
 use metaheuristics::{GaConfig, SaConfig, TabuConfig};
 use rand::SeedableRng;
@@ -45,9 +48,7 @@ use serde::{Deserialize, Serialize};
 use sime_core::engine::{SimEEngine, SimEScratch};
 use sime_core::profile::ProfileReport;
 use std::sync::Arc;
-use std::time::Instant;
 use vlsi_place::cost::CostBreakdown;
-use vlsi_place::kernel::{NetLengthCache, TrialScorer};
 use vlsi_place::layout::Placement;
 
 /// The optimizer an island runs.
@@ -117,34 +118,28 @@ impl PortfolioMix {
 /// The migration interval scenario cells run with (epochs between ring
 /// migrations). Part of the portfolio strategy definition for golden
 /// purposes — see `DESIGN.md` §7.
-pub const SCENARIO_MIGRATION_INTERVAL: usize = 2;
+pub(crate) const SCENARIO_MIGRATION_INTERVAL: usize = 2;
 
-/// Configuration of a portfolio run.
+/// Configuration of a portfolio run. The island count (at least 2) is
+/// `cluster.ranks`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PortfolioConfig {
-    /// Number of islands (= simulated ranks), at least 2.
-    pub ranks: usize,
     /// Number of bulk-synchronous epochs.
     pub iterations: usize,
     /// Epochs between ring migrations (≥ 1). Intervals larger than the
     /// epoch count mean the islands never exchange solutions.
     pub migration_interval: usize,
-    /// Racing target: stop the whole portfolio at the first epoch boundary
-    /// where the best island quality reaches this µ(s).
-    pub target_mu: Option<f64>,
     /// Which optimizers the islands cycle through.
     pub mix: PortfolioMix,
 }
 
 impl PortfolioConfig {
     /// The configuration scenario cells (goldens, the matrix, the job
-    /// engine) run with: the pinned migration interval, no target µ.
-    pub fn scenario(mix: PortfolioMix, ranks: usize, iterations: usize) -> Self {
+    /// engine) run with: the pinned migration interval.
+    pub fn scenario(mix: PortfolioMix, iterations: usize) -> Self {
         PortfolioConfig {
-            ranks,
             iterations,
             migration_interval: SCENARIO_MIGRATION_INTERVAL,
-            target_mu: None,
             mix,
         }
     }
@@ -281,9 +276,9 @@ fn build_island(
 /// Runs the island portfolio on an execution backend.
 ///
 /// `control` observes every completed epoch and may end the run at that
-/// boundary (pass [`crate::control::FreeRun`] to run all epochs); the
-/// target µ (if configured) is checked at the same boundary. Either stop
-/// yields a bitwise prefix of the free run (see the [module docs](self)).
+/// boundary (pass [`crate::control::FreeRun`] to run all epochs, or
+/// [`crate::control::TargetMu`] to race to a quality); a stopped run is a
+/// bitwise prefix of the free run (see the [module docs](self)).
 pub fn run_portfolio(
     engine: &SimEEngine,
     cluster: ClusterConfig,
@@ -291,140 +286,111 @@ pub fn run_portfolio(
     backend: &dyn ExecBackend,
     control: &dyn RunControl,
 ) -> StrategyOutcome {
-    assert!(config.ranks >= 2, "a portfolio needs at least two islands");
-    assert_eq!(
-        cluster.ranks, config.ranks,
-        "cluster configuration and portfolio configuration disagree on the rank count"
-    );
     assert!(
         config.migration_interval >= 1,
         "the migration interval must be at least one epoch"
     );
-    let started = Instant::now();
-    let executor = backend.executor();
+    let ranks = cluster.ranks;
+    let min_ranks = (2, "a portfolio needs at least two islands");
+    let run = epochs::Run(engine, cluster, backend, control);
+    run.epochs(config.iterations, min_ranks, |master, start| {
+        let num_cells = engine.evaluator().netlist().num_cells();
+        let placement_bytes =
+            BYTES_PER_CELL * num_cells as u64 + 8 * engine.config().num_rows as u64;
+        // The master ships the common starting placement to every island.
+        master.timeline.broadcast_tree(0, placement_bytes);
 
-    let netlist = engine.evaluator().netlist().clone();
-    let num_cells = netlist.num_cells();
-    let placement_bytes = BYTES_PER_CELL * num_cells as u64 + 8 * engine.config().num_rows as u64;
+        // Shallow: the copy shares every table of `engine`.
+        let shared = Arc::new(engine.clone());
+        let mut islands: Vec<Option<Box<dyn Optimizer>>> = config
+            .mix
+            .composition(ranks)
+            .into_iter()
+            .enumerate()
+            .map(|(i, kind)| Some(build_island(kind, i, &shared, &start.placement)))
+            .collect();
 
-    let mut timeline = ClusterTimeline::new(cluster);
-    let mut master_rng = ChaCha8Rng::seed_from_u64(engine.config().seed);
-    let initial = engine.initial_placement(&mut master_rng);
-    // The master ships the common starting placement to every island.
-    timeline.broadcast_tree(0, placement_bytes);
-
-    // Shallow: the copy shares every table of `engine`.
-    let shared = Arc::new(engine.clone());
-    let composition = config.mix.composition(config.ranks);
-    let mut islands: Vec<Option<Box<dyn Optimizer>>> = composition
-        .iter()
-        .enumerate()
-        .map(|(i, &kind)| Some(build_island(kind, i, &shared, &initial)))
-        .collect();
-
-    // The start is priced through the kernel, as the islands price theirs.
-    let evaluator = engine.evaluator();
-    let (mut cache, mut scorer) = (NetLengthCache::new(), TrialScorer::for_evaluator(evaluator));
-    let lengths = cache.refresh(evaluator, &mut scorer, &initial);
-    let mut best_cost = evaluator.evaluate_from_lengths(&initial, lengths);
-    let mut best_placement = initial.clone();
-    let mut mu_history = Vec::new();
-
-    for epoch in 0..config.iterations {
-        // Fan out: every island advances one epoch as an independent task.
-        let mut tasks: Vec<Task<(Box<dyn Optimizer>, EpochWork)>> =
-            Vec::with_capacity(config.ranks);
-        for slot in islands.iter_mut() {
-            let mut island = slot.take().expect("island state in flight");
-            tasks.push(Box::new(move || {
-                let work = island.step();
-                (island, work)
-            }));
-        }
-        // Merge in island order (tasks were built in island order and the
-        // executor returns results in submission order).
-        let results = executor.run_tasks(tasks);
-        for (rank, (island, work)) in results.into_iter().enumerate() {
-            timeline.charge_compute(
-                rank,
-                &Workload {
-                    net_evaluations: work.net_evaluations,
-                    misc_operations: work.misc_operations,
-                },
-            );
-            islands[rank] = Some(island);
-        }
-
-        // Race: every island reports its best µ (8 bytes) to the master;
-        // the epoch's µ is the best island quality, ties to the lowest
-        // island index.
-        for rank in 1..config.ranks {
-            timeline.send(rank, 0, 8);
-        }
-        let mut epoch_best_rank = 0usize;
-        let mut epoch_best_mu = f64::NEG_INFINITY;
-        for (rank, island) in islands.iter().enumerate() {
-            let mu = island.as_ref().expect("island returned").best_cost().mu;
-            if mu > epoch_best_mu {
-                epoch_best_mu = mu;
-                epoch_best_rank = rank;
+        move |epoch, master| {
+            // Ring migration at interval boundaries, between the previous
+            // epoch and this one: island i adopts the barrier-snapshot best
+            // of island i−1, processed in island-index order.
+            if epoch > 0 && epoch % config.migration_interval == 0 {
+                let snapshot: Vec<(Placement, CostBreakdown)> = islands
+                    .iter()
+                    .map(|i| {
+                        let i = i.as_ref().expect("island returned");
+                        (i.best_placement().clone(), i.best_cost())
+                    })
+                    .collect();
+                for (rank, island) in islands.iter_mut().enumerate() {
+                    let from = (rank + ranks - 1) % ranks;
+                    master.timeline.send(from, rank, placement_bytes);
+                    island
+                        .as_mut()
+                        .expect("island returned")
+                        .receive(&snapshot[from].0, snapshot[from].1);
+                }
             }
-        }
-        if epoch_best_mu > best_cost.mu {
-            let winner = islands[epoch_best_rank].as_ref().expect("island returned");
-            best_cost = winner.best_cost();
-            best_placement = winner.best_placement().clone();
-            // The improving island ships its solution to the master.
-            if epoch_best_rank != 0 {
-                timeline.send(epoch_best_rank, 0, placement_bytes);
-            }
-        }
-        mu_history.push(epoch_best_mu);
 
-        let target_hit = config.target_mu.is_some_and(|t| best_cost.mu >= t);
-        if !control.keep_going(epoch, epoch_best_mu, best_cost.mu) || target_hit {
-            break;
-        }
-
-        // Ring migration at interval boundaries (pointless after the final
-        // epoch): island i adopts the barrier-snapshot best of island i−1,
-        // processed in island-index order.
-        if (epoch + 1) % config.migration_interval == 0 && epoch + 1 < config.iterations {
-            let snapshot: Vec<(Placement, CostBreakdown)> = islands
-                .iter()
-                .map(|i| {
-                    let i = i.as_ref().expect("island returned");
-                    (i.best_placement().clone(), i.best_cost())
+            // Fan out: every island advances one epoch as an independent
+            // task.
+            let tasks: Vec<Task<(Box<dyn Optimizer>, EpochWork)>> = islands
+                .iter_mut()
+                .map(|slot| {
+                    let mut island = slot.take().expect("island state in flight");
+                    Box::new(move || {
+                        let work = island.step();
+                        (island, work)
+                    }) as Task<_>
                 })
                 .collect();
-            for (rank, island) in islands.iter_mut().enumerate() {
-                let from = (rank + config.ranks - 1) % config.ranks;
-                timeline.send(from, rank, placement_bytes);
-                island
-                    .as_mut()
-                    .expect("island returned")
-                    .receive(&snapshot[from].0, snapshot[from].1);
+            // Merge in island order (tasks were built in island order and the
+            // executor returns results in submission order).
+            let results = master.executor.run_tasks(tasks);
+            for (rank, (island, work)) in results.into_iter().enumerate() {
+                master.timeline.charge_compute(
+                    rank,
+                    &Workload {
+                        net_evaluations: work.net_evaluations,
+                        misc_operations: work.misc_operations,
+                    },
+                );
+                islands[rank] = Some(island);
             }
-        }
-    }
 
-    let iterations_run = mu_history.len();
-    StrategyOutcome {
-        best_placement,
-        best_cost,
-        modeled_seconds: timeline.makespan(),
-        comm: timeline.stats(),
-        iterations: iterations_run,
-        mu_history,
-        wall_seconds: started.elapsed().as_secs_f64(),
-        backend: backend.label(),
-    }
+            // Race: every island reports its best µ (8 bytes) to the master;
+            // the epoch's µ is the best island quality, ties to the lowest
+            // island index.
+            for rank in 1..ranks {
+                master.timeline.send(rank, 0, 8);
+            }
+            let mut epoch_best_rank = 0usize;
+            let mut epoch_best_mu = f64::NEG_INFINITY;
+            for (rank, island) in islands.iter().enumerate() {
+                let mu = island.as_ref().expect("island returned").best_cost().mu;
+                if mu > epoch_best_mu {
+                    epoch_best_mu = mu;
+                    epoch_best_rank = rank;
+                }
+            }
+            let winner = islands[epoch_best_rank].as_ref().expect("island returned");
+            // The improving island ships its solution to the master.
+            if master
+                .best
+                .offer(winner.best_cost(), winner.best_placement())
+                && epoch_best_rank != 0
+            {
+                master.timeline.send(epoch_best_rank, 0, placement_bytes);
+            }
+            epoch_best_mu
+        }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::control::{CancelAfter, FreeRun};
+    use crate::control::FreeRun;
     use crate::exec::{Modeled, Threaded};
     use sime_core::engine::SimEConfig;
     use std::sync::Arc;
@@ -441,12 +407,10 @@ mod tests {
         )
     }
 
-    fn cfg(ranks: usize, iterations: usize) -> PortfolioConfig {
+    fn cfg(iterations: usize) -> PortfolioConfig {
         PortfolioConfig {
-            ranks,
             iterations,
             migration_interval: 2,
-            target_mu: None,
             mix: PortfolioMix::Mixed,
         }
     }
@@ -513,7 +477,7 @@ mod tests {
         let outcome = run_portfolio(
             &engine,
             ClusterConfig::paper_cluster(4),
-            cfg(4, 4),
+            cfg(4),
             &Modeled,
             &FreeRun,
         );
@@ -533,7 +497,7 @@ mod tests {
     #[test]
     fn portfolio_backends_agree_bitwise() {
         let engine = engine(3);
-        let config = cfg(4, 3);
+        let config = cfg(3);
         let modeled = run_portfolio(
             &engine,
             ClusterConfig::paper_cluster(4),
@@ -563,7 +527,7 @@ mod tests {
             ClusterConfig::paper_cluster(3),
             PortfolioConfig {
                 migration_interval: 5,
-                ..cfg(3, 3)
+                ..cfg(3)
             },
             &Modeled,
             &FreeRun,
@@ -573,7 +537,7 @@ mod tests {
             ClusterConfig::paper_cluster(3),
             PortfolioConfig {
                 migration_interval: 97,
-                ..cfg(3, 3)
+                ..cfg(3)
             },
             &Modeled,
             &FreeRun,
@@ -582,66 +546,9 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_cancelled_run_is_a_bitwise_prefix() {
-        let engine = engine(5);
-        let config = cfg(3, 5);
-        let full = run_portfolio(
-            &engine,
-            ClusterConfig::paper_cluster(3),
-            config,
-            &Modeled,
-            &FreeRun,
-        );
-        let cut = run_portfolio(
-            &engine,
-            ClusterConfig::paper_cluster(3),
-            config,
-            &Modeled,
-            &CancelAfter(2),
-        );
-        assert_eq!(cut.iterations, 3, "stops after the boundary epoch");
-        for (a, b) in cut.mu_history.iter().zip(&full.mu_history) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn target_mu_stops_the_race_early_with_a_prefix_trajectory() {
-        let engine = engine(5);
-        let config = cfg(4, 5);
-        let full = run_portfolio(
-            &engine,
-            ClusterConfig::paper_cluster(4),
-            config,
-            &Modeled,
-            &FreeRun,
-        );
-        assert_eq!(full.iterations, 5);
-        // Aim for the quality the free run reached after its second epoch:
-        // the raced run must stop at (or before) that boundary, bitwise on
-        // the shared prefix.
-        let target = full.mu_history[1];
-        let raced = run_portfolio(
-            &engine,
-            ClusterConfig::paper_cluster(4),
-            PortfolioConfig {
-                target_mu: Some(target),
-                ..config
-            },
-            &Modeled,
-            &FreeRun,
-        );
-        assert!(raced.iterations <= 2, "target must stop the run early");
-        assert!(raced.best_mu() >= target);
-        for (a, b) in raced.mu_history.iter().zip(&full.mu_history) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
     fn portfolio_is_deterministic_across_reruns() {
         let engine = engine(3);
-        let config = cfg(5, 3);
+        let config = cfg(3);
         let a = run_portfolio(
             &engine,
             ClusterConfig::paper_cluster(5),
@@ -666,7 +573,7 @@ mod tests {
         run_portfolio(
             &engine,
             ClusterConfig::paper_cluster(1),
-            cfg(1, 1),
+            cfg(1),
             &Modeled,
             &FreeRun,
         );
@@ -681,7 +588,7 @@ mod tests {
             ClusterConfig::paper_cluster(2),
             PortfolioConfig {
                 migration_interval: 0,
-                ..cfg(2, 1)
+                ..cfg(1)
             },
             &Modeled,
             &FreeRun,

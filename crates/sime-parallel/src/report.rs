@@ -1,6 +1,7 @@
 //! Shared result types and the modeled-serial-time baseline.
 //!
-//! Every strategy run — Type I/II/III, on either execution backend — ends in
+//! Every strategy run — Type I/II/III or the portfolio, on any execution
+//! backend — ends in
 //! a [`StrategyOutcome`]; the serial reference point the paper's tables
 //! normalise against comes from [`run_serial_baseline`], which runs the
 //! serial engine and prices its work profile on one node of the simulated
@@ -14,9 +15,9 @@ use vlsi_place::cost::CostBreakdown;
 use vlsi_place::layout::Placement;
 
 /// Bytes used to ship one cell's slot (row + index) in a placement message.
-pub const BYTES_PER_CELL: u64 = 8;
+pub(crate) const BYTES_PER_CELL: u64 = 8;
 /// Bytes used to ship one goodness value.
-pub const BYTES_PER_GOODNESS: u64 = 8;
+pub(crate) const BYTES_PER_GOODNESS: u64 = 8;
 
 /// Outcome of one parallel-strategy run on the simulated cluster.
 #[derive(Debug, Clone)]
@@ -55,17 +56,6 @@ impl StrategyOutcome {
             0.0
         } else {
             serial_seconds / self.modeled_seconds
-        }
-    }
-
-    /// Fraction of a reference (serial) quality that this run achieved,
-    /// capped at 1. The paper reports this percentage in brackets whenever a
-    /// parallel configuration fails to reach the serial quality.
-    pub fn quality_fraction_of(&self, serial_mu: f64) -> f64 {
-        if serial_mu <= 0.0 {
-            1.0
-        } else {
-            (self.best_mu() / serial_mu).min(1.0)
         }
     }
 }
@@ -118,7 +108,7 @@ pub fn run_serial_baseline(engine: &SimEEngine, compute: &ComputeModel) -> Seria
 /// the length of each net incident to one of its cells (duplicating nets that
 /// span partitions — the effect the paper identifies as the main weakness of
 /// Type I partitioning) plus per-cell bookkeeping.
-pub fn partition_evaluation_workload(
+pub(crate) fn partition_evaluation_workload(
     engine: &SimEEngine,
     cells: &[vlsi_netlist::CellId],
 ) -> Workload {
@@ -186,7 +176,7 @@ mod tests {
     }
 
     #[test]
-    fn quality_fraction_is_capped_at_one() {
+    fn speedup_is_serial_over_modeled_time() {
         let engine = engine();
         let baseline = run_serial_baseline(&engine, &ComputeModel::fast_node());
         let outcome = StrategyOutcome {
@@ -199,8 +189,6 @@ mod tests {
             wall_seconds: 0.0,
             backend: "modeled".into(),
         };
-        assert!((outcome.quality_fraction_of(baseline.best_mu()) - 1.0).abs() < 1e-12);
-        assert!(outcome.quality_fraction_of(baseline.best_mu() * 2.0) < 1.0);
         assert!((outcome.speedup_versus(2.0) - 2.0).abs() < 1e-12);
     }
 }

@@ -16,7 +16,7 @@
 //! The gathered goodness vector is, by construction, the serial one: every
 //! partition prices its cells with the same per-net estimator. So this
 //! driver runs the ordinary serial iteration ([`SimEEngine::iterate`]) on one
-//! scratch and only *charges* steps 1–3 to a [`ClusterTimeline`]: the
+//! scratch and only *charges* steps 1–3 to the master's cluster timeline: the
 //! broadcast, each partition's evaluation workload and the gather are
 //! charged, not executed. The search trajectory and the final solution
 //! quality are therefore identical to the serial algorithm; only the modeled
@@ -37,7 +37,7 @@
 //!     CircuitGenerator::new(GeneratorConfig::sized("type1_doc", 120, 1)).generate(),
 //! );
 //! let engine = SimEEngine::new(netlist, SimEConfig::paper_defaults(Objectives::WirelengthPower, 6, 3));
-//! let config = Type1Config { ranks: 3, iterations: 3 };
+//! let config = Type1Config { iterations: 3 };
 //! let cluster = ClusterConfig::paper_cluster(3);
 //! let modeled = run_type1(&engine, cluster, config, &Modeled, &FreeRun);
 //! let threaded = run_type1(&engine, cluster, config, &Threaded::new(2), &FreeRun);
@@ -47,25 +47,22 @@
 //! ```
 
 use crate::control::RunControl;
+use crate::epochs;
 use crate::exec::ExecBackend;
 use crate::report::{
     partition_evaluation_workload, StrategyOutcome, BYTES_PER_CELL, BYTES_PER_GOODNESS,
 };
 use cluster_sim::machine::Workload;
-use cluster_sim::timeline::{ClusterConfig, ClusterTimeline};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use cluster_sim::timeline::ClusterConfig;
 use serde::{Deserialize, Serialize};
 use sime_core::engine::SimEEngine;
 use sime_core::profile::ProfileReport;
-use std::time::Instant;
 use vlsi_netlist::CellId;
 
-/// Configuration of a Type I run.
+/// Configuration of a Type I run. The processor count (master + slaves,
+/// 2–5 in the paper) is `cluster.ranks`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Type1Config {
-    /// Number of processors (master + slaves), 2–5 in the paper.
-    pub ranks: usize,
     /// Number of SimE iterations.
     pub iterations: usize,
 }
@@ -90,113 +87,85 @@ pub fn run_type1(
     backend: &dyn ExecBackend,
     control: &dyn RunControl,
 ) -> StrategyOutcome {
-    assert!(
-        config.ranks >= 2,
-        "Type I needs a master and at least one slave"
-    );
-    assert_eq!(
-        cluster.ranks, config.ranks,
-        "cluster configuration and strategy configuration disagree on the rank count"
-    );
-    let started = Instant::now();
+    let ranks = cluster.ranks;
+    let min_ranks = (2, "Type I needs a master and at least one slave");
+    let run = epochs::Run(engine, cluster, backend, control);
+    run.epochs(config.iterations, min_ranks, |_, start| {
+        let (mut placement, mut scratch) = (start.placement, start.scratch);
+        let netlist = engine.evaluator().netlist();
+        let num_cells = netlist.num_cells();
+        let placement_bytes = BYTES_PER_CELL * num_cells as u64;
 
-    let netlist = engine.evaluator().netlist();
-    let num_cells = netlist.num_cells();
-    let placement_bytes = BYTES_PER_CELL * num_cells as u64;
+        // Static cell partition (contiguous cell-id blocks, as in the paper's
+        // implementation); the master holds partition 0.
+        let cells: Vec<CellId> = netlist.cell_ids().collect();
+        let partitions: Vec<&[CellId]> = cells.chunks(num_cells.div_ceil(ranks)).collect();
+        let partition_work: Vec<Workload> = (0..ranks)
+            .map(|r| {
+                partitions
+                    .get(r)
+                    .map(|p| partition_evaluation_workload(engine, p))
+                    .unwrap_or_default()
+            })
+            .collect();
+        let goodness_bytes: Vec<u64> = (0..ranks)
+            .map(|r| {
+                partitions
+                    .get(r)
+                    .map_or(0, |p| p.len() as u64 * BYTES_PER_GOODNESS)
+            })
+            .collect();
 
-    // Static cell partition (contiguous cell-id blocks, as in the paper's
-    // implementation); the master holds partition 0.
-    let cells: Vec<CellId> = netlist.cell_ids().collect();
-    let partitions: Vec<&[CellId]> = cells.chunks(num_cells.div_ceil(config.ranks)).collect();
-    let partition_work: Vec<Workload> = (0..config.ranks)
-        .map(|r| {
-            partitions
-                .get(r)
-                .map(|p| partition_evaluation_workload(engine, p))
-                .unwrap_or_default()
-        })
-        .collect();
-    let goodness_bytes: Vec<u64> = (0..config.ranks)
-        .map(|r| {
-            partitions
-                .get(r)
-                .map_or(0, |p| p.len() as u64 * BYTES_PER_GOODNESS)
-        })
-        .collect();
+        // Fraction of the allocation's goodness-gain calculations that
+        // concern cells outside the master's partition and therefore have to
+        // be recomputed at the master (Section 6.1: "additional cost
+        // calculations may be required when calculating the goodness gains
+        // for those cells which are not the members of partition at the
+        // master node").
+        let extra_master_fraction = 0.5 * (1.0 - 1.0 / ranks as f64);
 
-    let mut timeline = ClusterTimeline::new(cluster);
-    let mut rng = ChaCha8Rng::seed_from_u64(engine.config().seed);
-    let mut placement = engine.initial_placement(&mut rng);
-    let mut scratch = engine.new_scratch();
+        move |_, master| {
+            let timeline = &mut master.timeline;
+            // 1. Broadcast the current placement (binomial tree, as MPI_Bcast
+            //    in MPICH 1.x does).
+            timeline.broadcast_tree(0, placement_bytes);
+            // 2. Distributed evaluation: each rank prices its partition (the
+            //    duplicates across partitions are inherent to the
+            //    partitioning).
+            for (rank, work) in partition_work.iter().enumerate() {
+                timeline.charge_compute(rank, work);
+            }
+            // 3. Gather the partial goodness vectors at the master.
+            timeline.gather(0, &goodness_bytes);
 
-    let mut best_placement = placement.clone();
-    let mut best_cost = engine.cost_with(&placement, &mut scratch);
-    let mut mu_history = Vec::new();
+            // 4. The master runs Selection and Allocation on the gathered
+            //    vector. That vector is the serial evaluation's, so steps 2–4
+            //    together are exactly one serial iteration. Only the
+            //    selection and allocation work is charged to the master, plus
+            //    the extra cost recalculations for non-partition cells.
+            let mut profile = ProfileReport::new();
+            let (_avg_goodness, selected, alloc_stats) = engine.iterate(
+                &mut placement,
+                &mut scratch,
+                &mut master.rng,
+                &mut profile,
+                &[],
+                &[],
+            );
+            let alloc_evals = alloc_stats.net_evaluations as f64;
+            timeline.charge_compute(
+                0,
+                &Workload {
+                    net_evaluations: (alloc_evals * (1.0 + extra_master_fraction)) as u64,
+                    misc_operations: (num_cells + selected * 16) as u64,
+                },
+            );
 
-    // Fraction of the allocation's goodness-gain calculations that concern
-    // cells outside the master's partition and therefore have to be
-    // recomputed at the master (Section 6.1: "additional cost calculations
-    // may be required when calculating the goodness gains for those cells
-    // which are not the members of partition at the master node").
-    let extra_master_fraction = 0.5 * (1.0 - 1.0 / config.ranks as f64);
-
-    for iteration in 0..config.iterations {
-        // 1. Broadcast the current placement (binomial tree, as MPI_Bcast in
-        //    MPICH 1.x does).
-        timeline.broadcast_tree(0, placement_bytes);
-        // 2. Distributed evaluation: each rank prices its partition (the
-        //    duplicates across partitions are inherent to the partitioning).
-        for (rank, work) in partition_work.iter().enumerate() {
-            timeline.charge_compute(rank, work);
+            let cost = engine.cost_with(&placement, &mut scratch);
+            master.best.offer(cost, &placement);
+            cost.mu
         }
-        // 3. Gather the partial goodness vectors at the master.
-        timeline.gather(0, &goodness_bytes);
-
-        // 4. The master runs Selection and Allocation on the gathered
-        //    vector. That vector is the serial evaluation's, so steps 2–4
-        //    together are exactly one serial iteration. Only the selection
-        //    and allocation work is charged to the master, plus the extra
-        //    cost recalculations for non-partition cells.
-        let mut profile = ProfileReport::new();
-        let (_avg_goodness, selected, alloc_stats) = engine.iterate(
-            &mut placement,
-            &mut scratch,
-            &mut rng,
-            &mut profile,
-            &[],
-            &[],
-        );
-        let alloc_evals = alloc_stats.net_evaluations as f64;
-        timeline.charge_compute(
-            0,
-            &Workload {
-                net_evaluations: (alloc_evals * (1.0 + extra_master_fraction)) as u64,
-                misc_operations: (num_cells + selected * 16) as u64,
-            },
-        );
-
-        let cost = engine.cost_with(&placement, &mut scratch);
-        mu_history.push(cost.mu);
-        if cost.mu > best_cost.mu {
-            best_cost = cost;
-            best_placement = placement.clone();
-        }
-        if !control.keep_going(iteration, cost.mu, best_cost.mu) {
-            break;
-        }
-    }
-
-    let iterations_run = mu_history.len();
-    StrategyOutcome {
-        best_placement,
-        best_cost,
-        modeled_seconds: timeline.makespan(),
-        comm: timeline.stats(),
-        iterations: iterations_run,
-        mu_history,
-        wall_seconds: started.elapsed().as_secs_f64(),
-        backend: backend.label(),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -231,10 +200,7 @@ mod tests {
         let outcome = run_type1(
             &engine,
             ClusterConfig::paper_cluster(3),
-            Type1Config {
-                ranks: 3,
-                iterations: 6,
-            },
+            Type1Config { iterations: 6 },
             &Modeled,
             &FreeRun,
         );
@@ -269,10 +235,7 @@ mod tests {
                     let outcome = run_type1(
                         &engine,
                         ClusterConfig::paper_cluster(4),
-                        Type1Config {
-                            ranks: 4,
-                            iterations: 4,
-                        },
+                        Type1Config { iterations: 4 },
                         &Modeled,
                         &FreeRun,
                     );
@@ -300,10 +263,7 @@ mod tests {
     #[test]
     fn type1_backends_agree_bitwise() {
         let engine = engine(4);
-        let config = Type1Config {
-            ranks: 3,
-            iterations: 4,
-        };
+        let config = Type1Config { iterations: 4 };
         let modeled = run_type1(
             &engine,
             ClusterConfig::paper_cluster(3),
@@ -342,10 +302,7 @@ mod tests {
             let outcome = run_type1(
                 &engine,
                 ClusterConfig::paper_cluster(ranks),
-                Type1Config {
-                    ranks,
-                    iterations: 5,
-                },
+                Type1Config { iterations: 5 },
                 &Modeled,
                 &FreeRun,
             );
@@ -366,10 +323,7 @@ mod tests {
                 run_type1(
                     &engine,
                     ClusterConfig::paper_cluster(ranks),
-                    Type1Config {
-                        ranks,
-                        iterations: 5,
-                    },
+                    Type1Config { iterations: 5 },
                     &Modeled,
                     &FreeRun,
                 )
@@ -395,10 +349,7 @@ mod tests {
         let outcome = run_type1(
             &engine,
             ClusterConfig::paper_cluster(ranks),
-            Type1Config {
-                ranks,
-                iterations: 4,
-            },
+            Type1Config { iterations: 4 },
             &Modeled,
             &FreeRun,
         );
@@ -428,10 +379,7 @@ mod tests {
         run_type1(
             &engine,
             ClusterConfig::paper_cluster(1),
-            Type1Config {
-                ranks: 1,
-                iterations: 1,
-            },
+            Type1Config { iterations: 1 },
             &Modeled,
             &FreeRun,
         );

@@ -39,7 +39,7 @@
 //!     CircuitGenerator::new(GeneratorConfig::sized("type2_doc", 120, 2)).generate(),
 //! );
 //! let engine = SimEEngine::new(netlist, SimEConfig::paper_defaults(Objectives::WirelengthPower, 6, 3));
-//! let config = Type2Config { ranks: 3, iterations: 3, pattern: RowPattern::Random };
+//! let config = Type2Config { iterations: 3, pattern: RowPattern::Random };
 //! let cluster = ClusterConfig::paper_cluster(3);
 //! let modeled = run_type2(&engine, cluster, config, &Modeled, &FreeRun);
 //! let threaded = run_type2(&engine, cluster, config, &Threaded::new(2), &FreeRun);
@@ -48,10 +48,11 @@
 //! ```
 
 use crate::control::RunControl;
+use crate::epochs;
 use crate::exec::{ExecBackend, Task};
-use crate::report::{StrategyOutcome, BYTES_PER_CELL};
+use crate::report::{partition_evaluation_workload, StrategyOutcome, BYTES_PER_CELL};
 use cluster_sim::machine::Workload;
-use cluster_sim::timeline::{ClusterConfig, ClusterTimeline};
+use cluster_sim::timeline::ClusterConfig;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -60,7 +61,6 @@ use sime_core::allocation::AllocationStats;
 use sime_core::engine::{SimEEngine, SimEScratch};
 use sime_core::profile::ProfileReport;
 use std::sync::Arc;
-use std::time::Instant;
 use vlsi_netlist::CellId;
 use vlsi_place::layout::Placement;
 
@@ -83,11 +83,10 @@ impl RowPattern {
     }
 }
 
-/// Configuration of a Type II run.
+/// Configuration of a Type II run. The processor count (2–5 in the paper)
+/// is `cluster.ranks`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Type2Config {
-    /// Number of processors, 2–5 in the paper.
-    pub ranks: usize,
     /// Number of SimE iterations (the paper adds iterations as processors are
     /// added: 4000 + 500·(p−2) for two objectives, 5000 + 1000·(p−2)+1000 for
     /// three).
@@ -98,7 +97,7 @@ pub struct Type2Config {
 
 /// Computes the row assignment for one iteration: `assignment[r]` is the list
 /// of row indices owned by processor `r`.
-pub fn row_assignment<RNG: rand::Rng + ?Sized>(
+pub(crate) fn row_assignment<RNG: rand::Rng + ?Sized>(
     pattern: RowPattern,
     num_rows: usize,
     ranks: usize,
@@ -165,148 +164,113 @@ pub fn run_type2(
     backend: &dyn ExecBackend,
     control: &dyn RunControl,
 ) -> StrategyOutcome {
-    assert!(config.ranks >= 2, "Type II needs at least two processors");
-    assert_eq!(
-        cluster.ranks, config.ranks,
-        "cluster configuration and strategy configuration disagree on the rank count"
-    );
+    let ranks = cluster.ranks;
     let num_rows = engine.config().num_rows;
-    assert!(
-        num_rows >= config.ranks,
-        "each processor needs at least one row"
-    );
-    let started = Instant::now();
-    let executor = backend.executor();
-
-    let netlist = engine.evaluator().netlist().clone();
-    let num_cells = netlist.num_cells();
-    let placement_bytes = BYTES_PER_CELL * num_cells as u64 + 8 * num_rows as u64;
-    // Shallow: the copy shares every table of `engine`.
-    let shared = Arc::new(engine.clone());
-
-    let mut timeline = ClusterTimeline::new(cluster);
-    let mut master_rng = ChaCha8Rng::seed_from_u64(engine.config().seed);
-    let mut placement = engine.initial_placement(&mut master_rng);
-    // One private RNG stream + scratch per simulated processor (plus one
-    // scratch for the master's merge evaluation); the shared engine stays
-    // immutable and `Send + Sync`.
-    let mut rank_state: Vec<Option<RankState>> = (0..config.ranks)
-        .map(|r| {
-            Some(RankState {
-                rng: ChaCha8Rng::seed_from_u64(engine.config().seed ^ ((r as u64 + 1) << 32)),
-                scratch: engine.new_scratch(),
+    assert!(num_rows >= ranks, "each processor needs at least one row");
+    let min_ranks = (2, "Type II needs at least two processors");
+    let run = epochs::Run(engine, cluster, backend, control);
+    run.epochs(config.iterations, min_ranks, |_, start| {
+        // The master's scratch priced the start, so its cache starts in sync.
+        let (mut placement, mut master_scratch) = (start.placement, start.scratch);
+        let netlist = engine.evaluator().netlist().clone();
+        let num_cells = netlist.num_cells();
+        let placement_bytes = BYTES_PER_CELL * num_cells as u64 + 8 * num_rows as u64;
+        // Shallow: the copy shares every table of `engine`.
+        let shared = Arc::new(engine.clone());
+        // One private RNG stream + scratch per simulated processor; the
+        // shared engine stays immutable and `Send + Sync`.
+        let mut rank_state: Vec<Option<RankState>> = (0..ranks)
+            .map(|r| {
+                Some(RankState {
+                    rng: ChaCha8Rng::seed_from_u64(engine.config().seed ^ ((r as u64 + 1) << 32)),
+                    scratch: engine.new_scratch(),
+                })
             })
-        })
-        .collect();
-    let mut master_scratch = engine.new_scratch();
+            .collect();
 
-    let mut best_placement = placement.clone();
-    // Priced on the master's scratch, whose cache then starts in sync.
-    let mut best_cost = engine.cost_with(&placement, &mut master_scratch);
-    let mut mu_history = Vec::new();
+        move |iteration, master| {
+            // Master: generate the row assignment and broadcast placement +
+            // rows.
+            let assignment =
+                row_assignment(config.pattern, num_rows, ranks, iteration, &mut master.rng);
+            master.timeline.broadcast_tree(0, placement_bytes);
 
-    for iteration in 0..config.iterations {
-        // Master: generate the row assignment and broadcast placement + rows.
-        let assignment = row_assignment(
-            config.pattern,
-            num_rows,
-            config.ranks,
-            iteration,
-            &mut master_rng,
-        );
-        timeline.broadcast_tree(0, placement_bytes);
+            // Fan out: every processor runs a full SimE iteration on its
+            // rows. The master determines each rank's owned cells and frozen
+            // mask from the pre-iteration placement (it has to, to price the
+            // work), then hands the rank its task.
+            let mut merged_rows: Vec<Vec<CellId>> =
+                (0..num_rows).map(|r| placement.row(r).to_vec()).collect();
+            let mut bytes_per_rank = vec![0u64; ranks];
+            let mut tasks: Vec<Task<RankOutput>> = Vec::new();
+            let mut task_meta: Vec<(usize, Workload, usize)> = Vec::new();
 
-        // Fan out: every processor runs a full SimE iteration on its rows.
-        // The master determines each rank's owned cells and frozen mask from
-        // the pre-iteration placement (it has to, to price the work), then
-        // hands the rank its task.
-        let mut merged_rows: Vec<Vec<CellId>> =
-            (0..num_rows).map(|r| placement.row(r).to_vec()).collect();
-        let mut bytes_per_rank = vec![0u64; config.ranks];
-        let mut tasks: Vec<Task<RankOutput>> = Vec::new();
-        let mut task_meta: Vec<(usize, Workload, usize)> = Vec::new();
+            for (rank, rows) in assignment.iter().enumerate() {
+                if rows.is_empty() {
+                    continue;
+                }
+                let owned: Vec<CellId> = netlist
+                    .cell_ids()
+                    .filter(|&c| rows.contains(&placement.row_of(c)))
+                    .collect();
+                let frozen = engine.frozen_mask_from_owned(&owned);
+                let eval_work = partition_evaluation_workload(engine, &owned);
+                bytes_per_rank[rank] = owned.len() as u64 * BYTES_PER_CELL;
+                task_meta.push((rank, eval_work, owned.len()));
 
-        for (rank, rows) in assignment.iter().enumerate() {
-            if rows.is_empty() {
-                continue;
+                let mut state = rank_state[rank].take().expect("rank state in flight");
+                let engine = Arc::clone(&shared);
+                let mut local = placement.clone();
+                let rows = rows.clone();
+                tasks.push(Box::new(move || {
+                    let mut profile = ProfileReport::new();
+                    let (_avg, _selected, alloc_stats) = engine.iterate(
+                        &mut local,
+                        &mut state.scratch,
+                        &mut state.rng,
+                        &mut profile,
+                        &frozen,
+                        &rows,
+                    );
+                    let out_rows = rows.iter().map(|&r| (r, local.row(r).to_vec())).collect();
+                    (state, out_rows, alloc_stats)
+                }) as Task<RankOutput>);
             }
-            let owned: Vec<CellId> = netlist
-                .cell_ids()
-                .filter(|&c| rows.contains(&placement.row_of(c)))
-                .collect();
-            let frozen = engine.frozen_mask_from_owned(&owned);
-            let eval_work = crate::report::partition_evaluation_workload(engine, &owned);
-            bytes_per_rank[rank] = owned.len() as u64 * BYTES_PER_CELL;
-            task_meta.push((rank, eval_work, owned.len()));
 
-            let mut state = rank_state[rank].take().expect("rank state in flight");
-            let engine = Arc::clone(&shared);
-            let mut local = placement.clone();
-            let rows = rows.clone();
-            tasks.push(Box::new(move || {
-                let mut profile = ProfileReport::new();
-                let (_avg, _selected, alloc_stats) = engine.iterate(
-                    &mut local,
-                    &mut state.scratch,
-                    &mut state.rng,
-                    &mut profile,
-                    &frozen,
-                    &rows,
+            // Merge in rank order (the tasks were built in rank order and the
+            // executor returns results in submission order).
+            let results = master.executor.run_tasks(tasks);
+            for ((rank, eval_work, owned_len), (state, out_rows, alloc_stats)) in
+                task_meta.into_iter().zip(results)
+            {
+                rank_state[rank] = Some(state);
+                // Charge the partition's evaluation plus its allocation work.
+                master.timeline.charge_compute(rank, &eval_work);
+                master.timeline.charge_compute(
+                    rank,
+                    &Workload {
+                        net_evaluations: alloc_stats.net_evaluations as u64,
+                        misc_operations: owned_len as u64 * 8,
+                    },
                 );
-                let out_rows = rows.iter().map(|&r| (r, local.row(r).to_vec())).collect();
-                (state, out_rows, alloc_stats)
-            }) as Task<RankOutput>);
-        }
-
-        // Merge in rank order (the tasks were built in rank order and the
-        // executor returns results in submission order).
-        let results = executor.run_tasks(tasks);
-        for ((rank, eval_work, owned_len), (state, out_rows, alloc_stats)) in
-            task_meta.into_iter().zip(results)
-        {
-            rank_state[rank] = Some(state);
-            // Charge the partition's evaluation plus its allocation work.
-            timeline.charge_compute(rank, &eval_work);
-            timeline.charge_compute(
-                rank,
-                &Workload {
-                    net_evaluations: alloc_stats.net_evaluations as u64,
-                    misc_operations: owned_len as u64 * 8,
-                },
-            );
-            for (row, cells) in out_rows {
-                merged_rows[row] = cells;
+                for (row, cells) in out_rows {
+                    merged_rows[row] = cells;
+                }
             }
-        }
 
-        // Slaves send their partial rows back; the master reconstructs the
-        // complete solution.
-        timeline.gather(0, &bytes_per_rank);
-        placement = Placement::from_rows(&netlist, merged_rows);
-        timeline.charge_compute(0, &Workload::misc(num_cells as u64));
+            // Slaves send their partial rows back; the master reconstructs
+            // the complete solution.
+            master.timeline.gather(0, &bytes_per_rank);
+            placement = Placement::from_rows(&netlist, merged_rows);
+            master
+                .timeline
+                .charge_compute(0, &Workload::misc(num_cells as u64));
 
-        let cost = engine.cost_with(&placement, &mut master_scratch);
-        mu_history.push(cost.mu);
-        if cost.mu > best_cost.mu {
-            best_cost = cost;
-            best_placement = placement.clone();
+            let cost = engine.cost_with(&placement, &mut master_scratch);
+            master.best.offer(cost, &placement);
+            cost.mu
         }
-        if !control.keep_going(iteration, cost.mu, best_cost.mu) {
-            break;
-        }
-    }
-
-    let iterations_run = mu_history.len();
-    StrategyOutcome {
-        best_placement,
-        best_cost,
-        modeled_seconds: timeline.makespan(),
-        comm: timeline.stats(),
-        iterations: iterations_run,
-        mu_history,
-        wall_seconds: started.elapsed().as_secs_f64(),
-        backend: backend.label(),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -376,7 +340,6 @@ mod tests {
             &engine,
             ClusterConfig::paper_cluster(3),
             Type2Config {
-                ranks: 3,
                 iterations: 8,
                 pattern: RowPattern::Random,
             },
@@ -396,7 +359,6 @@ mod tests {
         let engine = engine(5);
         for pattern in [RowPattern::Fixed, RowPattern::Random] {
             let config = Type2Config {
-                ranks: 4,
                 iterations: 5,
                 pattern,
             };
@@ -446,7 +408,6 @@ mod tests {
             &engine,
             ClusterConfig::paper_cluster(4),
             Type2Config {
-                ranks: 4,
                 iterations: 6,
                 pattern: RowPattern::Random,
             },
@@ -468,7 +429,6 @@ mod tests {
             &engine,
             ClusterConfig::paper_cluster(2),
             Type2Config {
-                ranks: 2,
                 iterations: 5,
                 pattern: RowPattern::Random,
             },
@@ -480,7 +440,6 @@ mod tests {
             &engine,
             ClusterConfig::paper_cluster(5),
             Type2Config {
-                ranks: 5,
                 iterations: 5,
                 pattern: RowPattern::Random,
             },
@@ -502,7 +461,6 @@ mod tests {
                 &engine,
                 ClusterConfig::paper_cluster(2),
                 Type2Config {
-                    ranks: 2,
                     iterations: 4,
                     pattern,
                 },
@@ -517,40 +475,9 @@ mod tests {
     }
 
     #[test]
-    fn type2_cancelled_run_is_a_bitwise_prefix() {
-        use crate::control::CancelAfter;
-        let engine = engine(6);
-        let cfg = Type2Config {
-            ranks: 3,
-            iterations: 6,
-            pattern: RowPattern::Random,
-        };
-        let full = run_type2(
-            &engine,
-            ClusterConfig::paper_cluster(3),
-            cfg,
-            &Modeled,
-            &FreeRun,
-        );
-        let cut = run_type2(
-            &engine,
-            ClusterConfig::paper_cluster(3),
-            cfg,
-            &Modeled,
-            &CancelAfter(3),
-        );
-        assert_eq!(cut.iterations, 4, "stops after the boundary iteration");
-        assert_eq!(cut.mu_history.len(), 4);
-        for (a, b) in cut.mu_history.iter().zip(&full.mu_history) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
     fn type2_run_is_deterministic() {
         let engine = engine(4);
         let cfg = Type2Config {
-            ranks: 3,
             iterations: 4,
             pattern: RowPattern::Random,
         };
@@ -581,7 +508,6 @@ mod tests {
             &engine,
             ClusterConfig::paper_cluster(1),
             Type2Config {
-                ranks: 1,
                 iterations: 1,
                 pattern: RowPattern::Fixed,
             },

@@ -41,7 +41,7 @@
 //!     CircuitGenerator::new(GeneratorConfig::sized("type3_doc", 120, 3)).generate(),
 //! );
 //! let engine = SimEEngine::new(netlist, SimEConfig::paper_defaults(Objectives::WirelengthPower, 6, 3));
-//! let config = Type3Config { ranks: 3, iterations: 3, retry_threshold: 2 };
+//! let config = Type3Config { iterations: 3, retry_threshold: 2 };
 //! let cluster = ClusterConfig::paper_cluster(3);
 //! let modeled = run_type3(&engine, cluster, config, &Modeled, &FreeRun);
 //! let threaded = run_type3(&engine, cluster, config, &Threaded::new(2), &FreeRun);
@@ -50,10 +50,11 @@
 //! ```
 
 use crate::control::RunControl;
+use crate::epochs;
 use crate::exec::{ExecBackend, Task};
 use crate::report::{StrategyOutcome, BYTES_PER_CELL};
 use cluster_sim::machine::Workload;
-use cluster_sim::timeline::{ClusterConfig, ClusterTimeline};
+use cluster_sim::timeline::ClusterConfig;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -61,16 +62,13 @@ use sime_core::allocation::AllocationStats;
 use sime_core::engine::{SimEEngine, SimEScratch};
 use sime_core::profile::ProfileReport;
 use std::sync::Arc;
-use std::time::Instant;
 use vlsi_place::cost::CostBreakdown;
 use vlsi_place::layout::Placement;
 
-/// Configuration of a Type III run.
+/// Configuration of a Type III run. The processor count is `cluster.ranks`:
+/// one central store and `cluster.ranks − 1` workers (the paper uses 3–5).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Type3Config {
-    /// Number of processors (one central store + `ranks − 1` workers); the
-    /// paper uses 3–5.
-    pub ranks: usize,
     /// SimE iterations executed by every worker (2500 in Table 4).
     pub iterations: usize,
     /// Retry threshold: consecutive non-improving iterations before a worker
@@ -81,8 +79,9 @@ pub struct Type3Config {
 struct Worker {
     placement: Placement,
     current_cost: CostBreakdown,
-    best_cost: CostBreakdown,
-    best_placement: Placement,
+    /// The worker's own best µ. It rises only together with a report to the
+    /// central store, so the store never holds less.
+    best_mu: f64,
     rng: ChaCha8Rng,
     fail_count: usize,
     /// Per-worker allocation scratch and net-length cache; each worker
@@ -103,7 +102,7 @@ type WorkerOutput = (Worker, CostBreakdown, AllocationStats);
 /// RNG streams (`seed ^ ((worker + 1) << 40)`); the central store then
 /// applies improvement reports and retry adoptions in worker order, so every
 /// backend — and any worker-thread count — produces bitwise identical
-/// outcomes.
+/// outcomes. The central store is the run's best-so-far solution.
 ///
 /// `control` observes every completed iteration and may end the run at that
 /// boundary (see the [`crate::control`] docs for the exact call point and
@@ -117,156 +116,111 @@ pub fn run_type3(
     backend: &dyn ExecBackend,
     control: &dyn RunControl,
 ) -> StrategyOutcome {
-    assert!(
-        config.ranks >= 3,
-        "Type III needs a central store and at least two workers"
-    );
-    assert_eq!(
-        cluster.ranks, config.ranks,
-        "cluster configuration and strategy configuration disagree on the rank count"
-    );
-    let started = Instant::now();
-    let executor = backend.executor();
+    let min_ranks = (3, "Type III needs a central store and at least two workers");
+    let run = epochs::Run(engine, cluster, backend, control);
+    run.epochs(config.iterations, min_ranks, |master, start| {
+        let netlist = engine.evaluator().netlist().clone();
+        let placement_bytes = BYTES_PER_CELL * netlist.num_cells() as u64;
+        let workers = cluster.ranks - 1;
+        // Shallow: the copy shares every table of `engine`.
+        let shared = Arc::new(engine.clone());
 
-    let netlist = engine.evaluator().netlist().clone();
-    let placement_bytes = BYTES_PER_CELL * netlist.num_cells() as u64;
-    let workers = config.ranks - 1;
-    // Shallow: the copy shares every table of `engine`.
-    let shared = Arc::new(engine.clone());
-
-    let mut timeline = ClusterTimeline::new(cluster);
-
-    // All searches start from the same initial solution but use different
-    // randomisation seeds (Section 6.3).
-    let mut seed_rng = ChaCha8Rng::seed_from_u64(engine.config().seed);
-    let initial = engine.initial_placement(&mut seed_rng);
-    // The initial solution is distributed to every worker once.
-    timeline.broadcast_tree(0, placement_bytes);
-
-    // Worker 0's copy of the start is priced on worker 0's own scratch, so
-    // its cache starts in sync; the cost is the same for every worker.
-    let mut first = (initial.clone(), engine.new_scratch());
-    let initial_cost = engine.cost_with(&first.0, &mut first.1);
-    let mut first = Some(first);
-    let mut worker_state: Vec<Option<Worker>> = (0..workers)
-        .map(|w| {
-            let (placement, scratch) = first
-                .take()
-                .unwrap_or_else(|| (initial.clone(), engine.new_scratch()));
-            Some(Worker {
-                placement,
-                current_cost: initial_cost,
-                best_cost: initial_cost,
-                best_placement: initial.clone(),
-                rng: ChaCha8Rng::seed_from_u64(engine.config().seed ^ ((w as u64 + 1) << 40)),
-                fail_count: 0,
-                scratch,
-            })
-        })
-        .collect();
-
-    // The central store's best solution (kept on rank 0).
-    let mut central_cost = initial_cost;
-    let mut central_placement = initial.clone();
-    let mut mu_history = Vec::new();
-
-    for iteration in 0..config.iterations {
-        // Fan out: every worker runs one full serial SimE iteration on its
-        // own placement. The iteration reads nothing but the worker's own
-        // state, which is what makes the barrier placement below exact.
-        let tasks: Vec<Task<WorkerOutput>> = worker_state
-            .iter_mut()
-            .map(|slot| {
-                let mut worker = slot.take().expect("worker state in flight");
-                let engine = Arc::clone(&shared);
-                Box::new(move || {
-                    let mut profile = ProfileReport::new();
-                    let (_avg, _selected, alloc_stats) = engine.iterate(
-                        &mut worker.placement,
-                        &mut worker.scratch,
-                        &mut worker.rng,
-                        &mut profile,
-                        &[],
-                        &[],
-                    );
-                    let cost = engine.cost_with(&worker.placement, &mut worker.scratch);
-                    (worker, cost, alloc_stats)
-                }) as Task<WorkerOutput>
+        // All searches start from the same initial solution but use
+        // different randomisation seeds (Section 6.3). The initial solution
+        // is distributed to every worker once; worker 0 keeps the scratch
+        // that priced it, so its cache starts in sync.
+        master.timeline.broadcast_tree(0, placement_bytes);
+        let initial_cost = master.best.cost;
+        let mut first = Some((start.placement, start.scratch));
+        let mut worker_state: Vec<Option<Worker>> = (0..workers)
+            .map(|w| {
+                let (placement, scratch) = first
+                    .take()
+                    .unwrap_or_else(|| (master.best.placement.clone(), engine.new_scratch()));
+                Some(Worker {
+                    placement,
+                    current_cost: initial_cost,
+                    best_mu: initial_cost.mu,
+                    rng: ChaCha8Rng::seed_from_u64(engine.config().seed ^ ((w as u64 + 1) << 40)),
+                    fail_count: 0,
+                    scratch,
+                })
             })
             .collect();
-        let results = executor.run_tasks(tasks);
 
-        // Barrier: the central store processes the workers in worker order —
-        // improvement reports first update the store, then retry requests
-        // read it, exactly as the paper's asynchronous exchange serialises at
-        // the store.
-        let mut best_mu_this_iteration: f64 = 0.0;
-        for (w, (mut worker, cost, alloc_stats)) in results.into_iter().enumerate() {
-            let rank = w + 1;
-            // Full serial workload on the worker: evaluation + allocation.
-            timeline.charge_compute(
-                rank,
-                &Workload {
-                    net_evaluations: netlist.num_nets() as u64 + alloc_stats.net_evaluations as u64,
-                    misc_operations: netlist.stats().pins as u64,
-                },
-            );
+        move |_, master| {
+            // Fan out: every worker runs one full serial SimE iteration on
+            // its own placement. The iteration reads nothing but the worker's
+            // own state, which is what makes the barrier placement below
+            // exact.
+            let tasks: Vec<Task<WorkerOutput>> = worker_state
+                .iter_mut()
+                .map(|slot| {
+                    let mut worker = slot.take().expect("worker state in flight");
+                    let engine = Arc::clone(&shared);
+                    Box::new(move || {
+                        let mut profile = ProfileReport::new();
+                        let (_avg, _selected, alloc_stats) = engine.iterate(
+                            &mut worker.placement,
+                            &mut worker.scratch,
+                            &mut worker.rng,
+                            &mut profile,
+                            &[],
+                            &[],
+                        );
+                        let cost = engine.cost_with(&worker.placement, &mut worker.scratch);
+                        (worker, cost, alloc_stats)
+                    }) as Task<WorkerOutput>
+                })
+                .collect();
+            let results = master.executor.run_tasks(tasks);
 
-            worker.current_cost = cost;
-            if cost.mu > worker.best_cost.mu {
-                worker.best_cost = cost;
-                worker.best_placement = worker.placement.clone();
-                worker.fail_count = 0;
-                // Inform the master of the new best solution.
-                timeline.send(rank, 0, placement_bytes);
-                if cost.mu > central_cost.mu {
-                    central_cost = cost;
-                    central_placement = worker.placement.clone();
+            // Barrier: the central store processes the workers in worker
+            // order — improvement reports first update the store, then retry
+            // requests read it, exactly as the paper's asynchronous exchange
+            // serialises at the store.
+            let timeline = &mut master.timeline;
+            let central = &mut master.best;
+            let mut best_mu_this_iteration: f64 = 0.0;
+            for (w, (mut worker, cost, alloc_stats)) in results.into_iter().enumerate() {
+                let rank = w + 1;
+                // Full serial workload on the worker: evaluation + allocation.
+                timeline.charge_compute(
+                    rank,
+                    &Workload {
+                        net_evaluations: netlist.num_nets() as u64
+                            + alloc_stats.net_evaluations as u64,
+                        misc_operations: netlist.stats().pins as u64,
+                    },
+                );
+
+                worker.current_cost = cost;
+                if cost.mu > worker.best_mu {
+                    worker.best_mu = cost.mu;
+                    worker.fail_count = 0;
+                    // Inform the master of the new best solution.
+                    timeline.send(rank, 0, placement_bytes);
+                    central.offer(cost, &worker.placement);
+                } else {
+                    worker.fail_count += 1;
                 }
-            } else {
-                worker.fail_count += 1;
-            }
 
-            if worker.fail_count > config.retry_threshold {
-                // Ask the central store whether a better solution exists.
-                timeline.send(rank, 0, 16);
-                timeline.send(0, rank, placement_bytes);
-                if central_cost.mu > worker.current_cost.mu {
-                    worker.placement = central_placement.clone();
-                    worker.current_cost = central_cost;
+                if worker.fail_count > config.retry_threshold {
+                    // Ask the central store whether a better solution exists.
+                    timeline.send(rank, 0, 16);
+                    timeline.send(0, rank, placement_bytes);
+                    if central.cost.mu > worker.current_cost.mu {
+                        worker.placement = central.placement.clone();
+                        worker.current_cost = central.cost;
+                    }
+                    worker.fail_count = 0;
                 }
-                worker.fail_count = 0;
+                best_mu_this_iteration = best_mu_this_iteration.max(worker.best_mu);
+                worker_state[w] = Some(worker);
             }
-            best_mu_this_iteration = best_mu_this_iteration.max(worker.best_cost.mu);
-            worker_state[w] = Some(worker);
+            best_mu_this_iteration
         }
-        mu_history.push(best_mu_this_iteration);
-        if !control.keep_going(iteration, best_mu_this_iteration, central_cost.mu) {
-            break;
-        }
-    }
-
-    // The best solution over all workers is what the run reports.
-    let mut best_cost = central_cost;
-    let mut best_placement = central_placement;
-    for worker in worker_state.iter().flatten() {
-        if worker.best_cost.mu > best_cost.mu {
-            best_cost = worker.best_cost;
-            best_placement = worker.best_placement.clone();
-        }
-    }
-
-    let iterations_run = mu_history.len();
-    StrategyOutcome {
-        best_placement,
-        best_cost,
-        modeled_seconds: timeline.makespan(),
-        comm: timeline.stats(),
-        iterations: iterations_run,
-        mu_history,
-        wall_seconds: started.elapsed().as_secs_f64(),
-        backend: backend.label(),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -302,7 +256,6 @@ mod tests {
             &engine,
             ClusterConfig::paper_cluster(4),
             Type3Config {
-                ranks: 4,
                 iterations: 8,
                 retry_threshold: 3,
             },
@@ -328,7 +281,6 @@ mod tests {
     fn type3_backends_agree_bitwise() {
         let engine = engine(6);
         let config = Type3Config {
-            ranks: 4,
             iterations: 6,
             retry_threshold: 1,
         };
@@ -369,7 +321,6 @@ mod tests {
             &engine,
             ClusterConfig::paper_cluster(4),
             Type3Config {
-                ranks: 4,
                 iterations: 6,
                 retry_threshold: 100,
             },
@@ -390,7 +341,6 @@ mod tests {
             &engine,
             ClusterConfig::paper_cluster(3),
             Type3Config {
-                ranks: 3,
                 iterations: 5,
                 retry_threshold: 50,
             },
@@ -402,7 +352,6 @@ mod tests {
             &engine,
             ClusterConfig::paper_cluster(5),
             Type3Config {
-                ranks: 5,
                 iterations: 5,
                 retry_threshold: 50,
             },
@@ -424,7 +373,6 @@ mod tests {
                 &engine,
                 ClusterConfig::paper_cluster(3),
                 Type3Config {
-                    ranks: 3,
                     iterations: 8,
                     retry_threshold: retry,
                 },
@@ -442,7 +390,6 @@ mod tests {
     fn type3_is_deterministic() {
         let engine = engine(5);
         let cfg = Type3Config {
-            ranks: 3,
             iterations: 5,
             retry_threshold: 2,
         };
@@ -472,7 +419,6 @@ mod tests {
             &engine,
             ClusterConfig::paper_cluster(2),
             Type3Config {
-                ranks: 2,
                 iterations: 1,
                 retry_threshold: 10,
             },

@@ -30,56 +30,63 @@ fn engine_for(netlist: Arc<Netlist>, seed: u64, iterations: usize) -> SimEEngine
     SimEEngine::new(netlist, config)
 }
 
-/// Runs one strategy entry point on `ranks` simulated processors.
-type EntryPoint = fn(&SimEEngine, usize, usize, &dyn ExecBackend) -> StrategyOutcome;
+/// Runs one strategy entry point on `ranks` simulated processors under a
+/// run control.
+type EntryPoint =
+    fn(&SimEEngine, usize, usize, &dyn ExecBackend, &dyn RunControl) -> StrategyOutcome;
 
 /// The strategy entry points under test, one row per configuration the
-/// checks below sweep: `(label, run(engine, ranks, iterations, backend))`.
+/// checks below sweep: `(label, run(engine, ranks, iterations, backend,
+/// control))`.
 fn entry_points() -> [(&'static str, EntryPoint); 5] {
     fn cluster(ranks: usize) -> ClusterConfig {
         ClusterConfig::paper_cluster(ranks)
     }
     [
-        ("type1", |engine, ranks, iterations, backend| {
-            let cfg = Type1Config { ranks, iterations };
-            run_type1(engine, cluster(ranks), cfg, backend, &FreeRun)
+        ("type1", |engine, ranks, iterations, backend, control| {
+            let cfg = Type1Config { iterations };
+            run_type1(engine, cluster(ranks), cfg, backend, control)
         }),
-        ("type2 fixed", |engine, ranks, iterations, backend| {
-            let pattern = RowPattern::Fixed;
-            let cfg = Type2Config {
-                ranks,
-                iterations,
-                pattern,
-            };
-            run_type2(engine, cluster(ranks), cfg, backend, &FreeRun)
-        }),
-        ("type2 random", |engine, ranks, iterations, backend| {
-            let pattern = RowPattern::Random;
-            let cfg = Type2Config {
-                ranks,
-                iterations,
-                pattern,
-            };
-            run_type2(engine, cluster(ranks), cfg, backend, &FreeRun)
-        }),
-        ("type3", |engine, ranks, iterations, backend| {
+        (
+            "type2 fixed",
+            |engine, ranks, iterations, backend, control| {
+                let pattern = RowPattern::Fixed;
+                let cfg = Type2Config {
+                    iterations,
+                    pattern,
+                };
+                run_type2(engine, cluster(ranks), cfg, backend, control)
+            },
+        ),
+        (
+            "type2 random",
+            |engine, ranks, iterations, backend, control| {
+                let pattern = RowPattern::Random;
+                let cfg = Type2Config {
+                    iterations,
+                    pattern,
+                };
+                run_type2(engine, cluster(ranks), cfg, backend, control)
+            },
+        ),
+        ("type3", |engine, ranks, iterations, backend, control| {
             let cfg = Type3Config {
-                ranks,
                 iterations,
                 retry_threshold: 1,
             };
-            run_type3(engine, cluster(ranks), cfg, backend, &FreeRun)
+            run_type3(engine, cluster(ranks), cfg, backend, control)
         }),
-        ("portfolio mixed", |engine, ranks, iterations, backend| {
-            let cfg = PortfolioConfig {
-                ranks,
-                iterations,
-                migration_interval: 2,
-                target_mu: None,
-                mix: PortfolioMix::Mixed,
-            };
-            run_portfolio(engine, cluster(ranks), cfg, backend, &FreeRun)
-        }),
+        (
+            "portfolio mixed",
+            |engine, ranks, iterations, backend, control| {
+                let cfg = PortfolioConfig {
+                    iterations,
+                    migration_interval: 2,
+                    mix: PortfolioMix::Mixed,
+                };
+                run_portfolio(engine, cluster(ranks), cfg, backend, control)
+            },
+        ),
     ]
 }
 
@@ -144,8 +151,8 @@ proptest! {
         let threaded = Threaded::new(ranks);
         for (label, run) in entry_points() {
             assert_bitwise_equal(
-                &run(&engine, ranks, iterations, &Modeled),
-                &run(&engine, ranks, iterations, &threaded),
+                &run(&engine, ranks, iterations, &Modeled, &FreeRun),
+                &run(&engine, ranks, iterations, &threaded, &FreeRun),
                 label,
             );
         }
@@ -166,7 +173,7 @@ proptest! {
         let ranks = 4;
         let cluster = ClusterConfig::paper_cluster(ranks);
         let mix = if baselines_only { PortfolioMix::Baselines } else { PortfolioMix::Mixed };
-        let cfg = PortfolioConfig { ranks, iterations, migration_interval: 2, target_mu: None, mix };
+        let cfg = PortfolioConfig { iterations, migration_interval: 2, mix };
         assert_bitwise_equal(
             &run_portfolio(&engine, cluster, cfg, &Modeled, &FreeRun),
             &run_portfolio(&engine, cluster, cfg, &Threaded::new(workers), &FreeRun),
@@ -190,8 +197,8 @@ proptest! {
         let ranks = 4;
         let (label, run) = entry_points()[entry];
         assert_bitwise_equal(
-            &run(&engine, ranks, iterations, &Modeled),
-            &run(&engine, ranks, iterations, &Threaded::new(workers)),
+            &run(&engine, ranks, iterations, &Modeled, &FreeRun),
+            &run(&engine, ranks, iterations, &Threaded::new(workers), &FreeRun),
             &format!("fused {label} workers={workers}"),
         );
     }
@@ -208,17 +215,74 @@ fn threaded_rerun_determinism_at_1_2_and_4_workers() {
     let engine = engine_for(netlist, 42, iterations);
     let ranks = 4;
     for (label, run) in entry_points() {
-        let reference = run(&engine, ranks, iterations, &Modeled);
+        let reference = run(&engine, ranks, iterations, &Modeled, &FreeRun);
         for workers in [1, 2, 4] {
             let backend = Threaded::new(workers);
-            let first = run(&engine, ranks, iterations, &backend);
-            let second = run(&engine, ranks, iterations, &backend);
+            let first = run(&engine, ranks, iterations, &backend, &FreeRun);
+            let second = run(&engine, ranks, iterations, &backend, &FreeRun);
             assert_bitwise_equal(&first, &second, &format!("{label} rerun workers={workers}"));
             assert_bitwise_equal(
                 &reference,
                 &first,
                 &format!("{label} across worker counts, workers={workers}"),
             );
+        }
+    }
+}
+
+/// One stop rule for every strategy: the shared epoch loop consults the run
+/// control once per epoch boundary, so `CancelAfter(k)` and a `TargetMu` set
+/// to the free run's best µ after epoch `k` stop after `k + 1` epochs with a
+/// bitwise prefix of the free run — for all five entry points, on `Modeled`
+/// and `Threaded(2)`.
+#[test]
+fn cancel_after_and_a_target_stop_every_strategy_at_the_same_boundary() {
+    let netlist =
+        Arc::new(CircuitGenerator::new(GeneratorConfig::sized("beq_stop", 160, 11)).generate());
+    let iterations = 4;
+    let engine = engine_for(netlist, 11, iterations);
+    let ranks = 3;
+    let threaded = Threaded::new(2);
+    let backends: [&dyn ExecBackend; 2] = [&Modeled, &threaded];
+    for (label, run) in entry_points() {
+        for backend in backends {
+            let on = format!("{label} on {}", backend.label());
+            let free = run(&engine, ranks, iterations, backend, &FreeRun);
+            assert_eq!(free.iterations, iterations, "{on}");
+            // cuts[k] stops at the boundary after epoch k, so its best µ is
+            // the free run's best after epoch k.
+            let cuts: Vec<StrategyOutcome> = (0..iterations)
+                .map(|k| run(&engine, ranks, iterations, backend, &CancelAfter(k)))
+                .collect();
+            for (k, cut) in cuts.iter().enumerate() {
+                let context = format!("{on}, CancelAfter({k})");
+                assert_eq!(cut.iterations, k + 1, "{context}");
+                assert_eq!(cut.mu_history.len(), k + 1, "{context}");
+                assert_eq!(cut.backend, backend.label(), "{context}");
+                for (i, (a, b)) in cut.mu_history.iter().zip(&free.mu_history).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{context}: epoch {i}");
+                }
+            }
+            assert_bitwise_equal(&cuts[iterations - 1], &free, &on);
+
+            let mut stopped_at_k = 0;
+            for k in 0..iterations {
+                let target = cuts[k].best_cost.mu;
+                let context = format!("{on}, TargetMu(best after epoch {k})");
+                let raced = run(&engine, ranks, iterations, backend, &TargetMu(target));
+                // The first boundary whose best reaches the target; it is k
+                // itself whenever the best rose in epoch k.
+                let stop = cuts
+                    .iter()
+                    .position(|cut| cut.best_cost.mu >= target)
+                    .expect("cuts[k] reaches its own best");
+                assert_eq!(raced.iterations, stop + 1, "{context}");
+                assert_eq!(raced.backend, backend.label(), "{context}");
+                assert!(raced.best_cost.mu >= target, "{context}");
+                assert_bitwise_equal(&raced, &cuts[stop], &context);
+                stopped_at_k += usize::from(stop == k);
+            }
+            assert!(stopped_at_k > 0, "{on}: the best never rose");
         }
     }
 }
@@ -237,10 +301,8 @@ fn portfolio_worker_counts_and_equivalent_migration_intervals_are_wall_clock_kno
     let ranks = 4;
     let cluster = ClusterConfig::paper_cluster(ranks);
     let base = PortfolioConfig {
-        ranks,
         iterations,
         migration_interval: 2,
-        target_mu: None,
         mix: PortfolioMix::Mixed,
     };
 
@@ -294,24 +356,19 @@ fn portfolio_reaches_target_mu_on_s9234_identically_across_backends() {
     let engine = SimEEngine::new(netlist, config);
     let ranks = 4;
     let cluster = ClusterConfig::paper_cluster(ranks);
-    let free_cfg = PortfolioConfig {
-        ranks,
+    let config = PortfolioConfig {
         iterations,
         migration_interval: 2,
-        target_mu: None,
         mix: PortfolioMix::Mixed,
     };
 
-    let free = run_portfolio(&engine, cluster, free_cfg, &Modeled, &FreeRun);
+    let free = run_portfolio(&engine, cluster, config, &Modeled, &FreeRun);
     assert_eq!(free.iterations, iterations);
 
     // Target the quality the free run reached after its first epoch: the
     // raced portfolio must stop right there.
-    let raced_cfg = PortfolioConfig {
-        target_mu: Some(free.mu_history[0]),
-        ..free_cfg
-    };
-    let raced = run_portfolio(&engine, cluster, raced_cfg, &Modeled, &FreeRun);
+    let target = TargetMu(free.mu_history[0]);
+    let raced = run_portfolio(&engine, cluster, config, &Modeled, &target);
     assert_eq!(raced.iterations, 1, "target µ must stop the run early");
     assert!(raced.best_cost.mu >= free.mu_history[0]);
     for (i, (a, b)) in raced.mu_history.iter().zip(&free.mu_history).enumerate() {
@@ -319,13 +376,7 @@ fn portfolio_reaches_target_mu_on_s9234_identically_across_backends() {
     }
 
     for workers in [1, 2, 4] {
-        let threaded = run_portfolio(
-            &engine,
-            cluster,
-            raced_cfg,
-            &Threaded::new(workers),
-            &FreeRun,
-        );
+        let threaded = run_portfolio(&engine, cluster, config, &Threaded::new(workers), &target);
         assert_bitwise_equal(
             &raced,
             &threaded,
@@ -345,10 +396,7 @@ fn type1_trajectory_equals_serial_on_both_backends() {
     let engine = engine_for(netlist, 7, iterations);
     let serial = engine.run();
     let cluster = ClusterConfig::paper_cluster(3);
-    let config = Type1Config {
-        ranks: 3,
-        iterations,
-    };
+    let config = Type1Config { iterations };
     for outcome in [
         run_type1(&engine, cluster, config, &Modeled, &FreeRun),
         run_type1(&engine, cluster, config, &Threaded::new(3), &FreeRun),

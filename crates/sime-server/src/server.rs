@@ -259,7 +259,11 @@ impl Server {
         if let Some(job) = to_start {
             let server = Arc::clone(self);
             let handle = std::thread::spawn(move || server.worker_loop(job));
-            lock(&self.handles).push(handle);
+            let mut handles = lock(&self.handles);
+            // Reap the threads of jobs that already ended, so a long-lived
+            // server holds no stack per finished job until `drain`.
+            handles.retain(|h| !h.is_finished());
+            handles.push(handle);
         }
     }
 
@@ -595,6 +599,44 @@ mod tests {
         );
         server.drain();
         assert_eq!(server.stats().finished, 1);
+    }
+
+    #[test]
+    fn finished_job_threads_are_reaped_on_submit() {
+        let server = Server::new(ServerConfig::default());
+        let session = Session::new(Arc::clone(&server));
+        let jobs = 200;
+        for i in 0..jobs {
+            let id = format!("short-{i}");
+            session.request(Request::Submit(SubmitRequest {
+                id: id.clone(),
+                spec: JobSpec::batch(ScenarioSpec {
+                    circuit: "s1196".into(),
+                    strategy: StrategyKind::Type1,
+                    ranks: 2,
+                    iterations: 1,
+                    objectives: Objectives::WirelengthPower,
+                    workers: None,
+                    eval_chunks: 1,
+                    warm_start: None,
+                }),
+            }));
+            let events = session
+                .wait_for_terminal(&id, Duration::from_secs(300))
+                .expect("the job reaches a terminal event");
+            assert!(
+                matches!(events.last(), Some(Event::Done { .. })),
+                "{events:?}"
+            );
+        }
+        // Only threads still exiting when the next job arrived may remain.
+        let kept = lock(&server.handles).len();
+        assert!(
+            kept <= 4,
+            "{kept} job threads kept after {jobs} sequential jobs"
+        );
+        server.drain();
+        assert_eq!(server.stats().finished, jobs);
     }
 
     #[test]

@@ -111,7 +111,7 @@ fn main() {
     let t1 = run_type1(
         &engine,
         cluster,
-        Type1Config { ranks, iterations },
+        Type1Config { iterations },
         backend.as_ref(),
         &FreeRun,
     );
@@ -122,7 +122,6 @@ fn main() {
             &engine,
             cluster,
             Type2Config {
-                ranks,
                 iterations,
                 pattern,
             },
@@ -136,7 +135,6 @@ fn main() {
         &engine,
         cluster,
         Type3Config {
-            ranks,
             iterations,
             retry_threshold: 10,
         },

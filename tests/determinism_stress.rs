@@ -20,7 +20,8 @@
 
 use cluster_sim::comm::WorkerPool;
 use proptest::prelude::*;
-use sime_parallel::batch::{BatchDriver, ScenarioSpec, TrajectoryFingerprint};
+use sime_parallel::batch::{ScenarioSpec, TrajectoryFingerprint};
+use sime_parallel::jobs::JobRunner;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -71,17 +72,23 @@ fn load_goldens() -> Vec<(String, ScenarioSpec, TrajectoryFingerprint)> {
 #[test]
 fn goldens_replay_bitwise_across_the_worker_stress_grid() {
     let grid = stress_grid();
-    let mut driver = BatchDriver::new();
+    let runner = JobRunner::new();
     for (file, spec, pinned) in load_goldens() {
         // Modeled control first: the pinned fingerprint is reproducible at
         // all, independent of any scheduler change.
-        let modeled = driver.run_cell(&spec);
+        let modeled = runner
+            .run_scenario(&spec)
+            .unwrap_or_else(|e| panic!("{e}"))
+            .into_record();
         assert_eq!(
             modeled.fingerprint, pinned,
             "modeled replay of {file} diverged from its pinned fingerprint"
         );
         for &workers in grid {
-            let record = driver.run_cell(&spec.on_workers(Some(workers)));
+            let record = runner
+                .run_scenario(&spec.on_workers(Some(workers)))
+                .unwrap_or_else(|e| panic!("{e}"))
+                .into_record();
             assert_eq!(
                 record.fingerprint,
                 pinned,
@@ -121,10 +128,8 @@ fn pruned_allocation_replays_bitwise_at_stress_worker_counts() {
     legacy_cfg.allocation.bound_pruning = false;
     let legacy = SimEEngine::new(netlist, legacy_cfg);
 
-    let ranks = 3;
-    let cluster = ClusterConfig::paper_cluster(ranks);
+    let cluster = ClusterConfig::paper_cluster(3);
     let cfg = Type2Config {
-        ranks,
         iterations,
         pattern: RowPattern::Random,
     };
@@ -193,10 +198,8 @@ fn portfolio_replays_bitwise_across_the_stress_grid() {
     let ranks = 4;
     let cluster = ClusterConfig::paper_cluster(ranks);
     let cfg = PortfolioConfig {
-        ranks,
         iterations,
         migration_interval: 2,
-        target_mu: None,
         mix: PortfolioMix::Mixed,
     };
 

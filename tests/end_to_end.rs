@@ -53,10 +53,7 @@ fn the_three_strategies_reproduce_the_papers_relative_ordering() {
     let t1 = run_type1(
         &engine,
         cluster,
-        Type1Config {
-            ranks: 4,
-            iterations: 8,
-        },
+        Type1Config { iterations: 8 },
         &Modeled,
         &FreeRun,
     );
@@ -64,7 +61,6 @@ fn the_three_strategies_reproduce_the_papers_relative_ordering() {
         &engine,
         cluster,
         Type2Config {
-            ranks: 4,
             iterations: 8,
             pattern: RowPattern::Random,
         },
@@ -75,7 +71,6 @@ fn the_three_strategies_reproduce_the_papers_relative_ordering() {
         &engine,
         cluster,
         Type3Config {
-            ranks: 4,
             iterations: 8,
             retry_threshold: 3,
         },
@@ -120,7 +115,6 @@ fn type2_placements_stay_legal_for_both_patterns_and_objectives() {
                 &engine,
                 ClusterConfig::paper_cluster(3),
                 Type2Config {
-                    ranks: 3,
                     iterations: 5,
                     pattern,
                 },
@@ -152,16 +146,7 @@ fn threaded_backend_is_bitwise_identical_to_modeled_for_every_strategy() {
         (
             "type1",
             Box::new(|b: &dyn ExecBackend| {
-                run_type1(
-                    &engine,
-                    cluster,
-                    Type1Config {
-                        ranks: 4,
-                        iterations: 6,
-                    },
-                    b,
-                    &FreeRun,
-                )
+                run_type1(&engine, cluster, Type1Config { iterations: 6 }, b, &FreeRun)
             }),
         ),
         (
@@ -171,7 +156,6 @@ fn threaded_backend_is_bitwise_identical_to_modeled_for_every_strategy() {
                     &engine,
                     cluster,
                     Type2Config {
-                        ranks: 4,
                         iterations: 6,
                         pattern: RowPattern::Random,
                     },
@@ -187,7 +171,6 @@ fn threaded_backend_is_bitwise_identical_to_modeled_for_every_strategy() {
                     &engine,
                     cluster,
                     Type3Config {
-                        ranks: 4,
                         iterations: 6,
                         retry_threshold: 3,
                     },
@@ -324,7 +307,6 @@ fn modeled_cluster_runtimes_are_scale_invariant_in_the_comparison() {
         &engine,
         ClusterConfig::paper_cluster(4),
         Type2Config {
-            ranks: 4,
             iterations: 6,
             pattern: RowPattern::Random,
         },
@@ -335,7 +317,6 @@ fn modeled_cluster_runtimes_are_scale_invariant_in_the_comparison() {
         &engine,
         fast,
         Type2Config {
-            ranks: 4,
             iterations: 6,
             pattern: RowPattern::Random,
         },

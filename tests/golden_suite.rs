@@ -18,8 +18,17 @@
 //!
 //! and the re-bless must be called out in the PR description.
 
-use sime_parallel::batch::{golden_subset, BatchDriver, ScenarioSpec, TrajectoryFingerprint};
+use sime_parallel::batch::{golden_subset, ScenarioRecord, ScenarioSpec, TrajectoryFingerprint};
+use sime_parallel::jobs::JobRunner;
 use std::path::PathBuf;
+
+/// Runs one scenario cell, panicking with the job error's text.
+fn run_cell(runner: &JobRunner, spec: &ScenarioSpec) -> ScenarioRecord {
+    runner
+        .run_scenario(spec)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .into_record()
+}
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
@@ -94,9 +103,9 @@ fn golden_registry_is_complete_and_in_sync_with_the_pinned_subset() {
 
 #[test]
 fn golden_trajectories_replay_bitwise_on_the_modeled_backend() {
-    let mut driver = BatchDriver::new();
+    let runner = JobRunner::new();
     for (file, spec, pinned) in load_goldens() {
-        let record = driver.run_cell(&spec);
+        let record = run_cell(&runner, &spec);
         assert_eq!(
             record.fingerprint, pinned,
             "trajectory drift detected replaying {file}; if the change is \
@@ -111,13 +120,13 @@ fn golden_trajectories_replay_bitwise_on_the_threaded_backend() {
     // The determinism contract as a regression gate: every pinned
     // fingerprint must come out of the threaded backend at every worker
     // count, too. Engines are shared across worker counts through the
-    // driver, so this stays a seconds-scale gate; the scenario_matrix
+    // runner, so this stays a seconds-scale gate; the scenario_matrix
     // binary additionally sweeps the full grid in CI, and CI's worker-count
     // matrix pins each leg via SIME_GOLDEN_WORKERS.
-    let mut driver = BatchDriver::new();
+    let runner = JobRunner::new();
     for (file, spec, pinned) in load_goldens() {
         for &workers in &replay_worker_counts() {
-            let record = driver.run_cell(&spec.on_workers(Some(workers)));
+            let record = run_cell(&runner, &spec.on_workers(Some(workers)));
             assert_eq!(
                 record.fingerprint, pinned,
                 "threaded({workers}) diverged from the pinned fingerprint of {file}"
@@ -144,13 +153,16 @@ fn extended_tier_goldens_replay_bitwise_with_intra_rank_parallelism() {
         !extended.is_empty(),
         "the golden subset must pin at least one extended-tier scenario"
     );
-    let mut driver = BatchDriver::new();
+    let runner = JobRunner::new();
     for (file, spec, pinned) in extended {
         for chunks in [1usize, 2, 4] {
-            let record = driver.run_cell(&ScenarioSpec {
-                eval_chunks: chunks,
-                ..spec.on_workers(Some(2))
-            });
+            let record = run_cell(
+                &runner,
+                &ScenarioSpec {
+                    eval_chunks: chunks,
+                    ..spec.on_workers(Some(2))
+                },
+            );
             assert_eq!(
                 record.fingerprint, pinned,
                 "threaded(2) with eval_chunks = {chunks} diverged from the \
